@@ -59,10 +59,8 @@ from .numerics import (
     zeta_3_2,
 )
 from .qseries import (
-    ResidueProductSpec,
     TruncatedSeries,
     Verdict,
-    pochhammer_inf,
     q10_series,
     series_mul,
     series_recip,

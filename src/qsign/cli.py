@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from mpmath import mp
@@ -22,25 +21,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NON_DEFINITIVE = 2
 EXIT_VERIFICATION_FAILED = 3
-
-
-@dataclass
-class Config:
-    command: str
-    delta: int | None = None
-    n: int | None = None
-    n_max: int | None = None
-    k_max: int | None = None
-    precision_bits: int = 128
-    fmt: str = "json"
-    output: str | None = None
-    threads: int = 1
-
-    def validate(self) -> None:
-        if self.precision_bits < 64:
-            raise ValueError("precision-bits must be >= 64")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +42,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _default_precision() -> int:
-    return int(os.environ.get("QSIGN_PRECISION_BITS", "128"))
+    raw = os.environ.get("QSIGN_PRECISION_BITS", "128")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"QSIGN_PRECISION_BITS must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -219,7 +203,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a malformed QSIGN_PRECISION_BITS
+        return _fail(str(exc))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

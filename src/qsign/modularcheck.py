@@ -17,7 +17,7 @@ from mpmath import exp, mp, mpc, mpf, pi, sqrt
 
 from .arithmetic import decompose
 from .numerics import ErrComplex, ErrReal, working_precision
-from .qseries import q10_series
+from .qseries import q10_series_product
 
 __all__ = [
     "PoleError",
@@ -218,9 +218,13 @@ def f_eval(tau, target_err, prec: int | None = None) -> ErrComplex:
 
 def f_series_agreement(tau, order: int = 60, prec: int | None = None) -> mpf:
     """|q^{-1} f(tau) - sum_{n<=order} c_1(n) q^n| (series tail not included;
-    callers choose tau with |q| small enough that it is negligible)."""
+    callers choose tau with |q| small enough that it is negligible).
+
+    The coefficients come from the product route, not from ``q10_series``:
+    that one is built from this same theta quotient, so comparing against
+    it would restate the triple-product identity instead of testing it."""
     prec = prec or max(mp.prec, DEFAULT_PREC)
-    coeffs = q10_series(1, order).coeffs
+    coeffs = q10_series_product(1, order).coeffs
     with working_precision(prec):
         tau = mpc(tau)
         q = exp(2j * pi * tau)

@@ -3,12 +3,18 @@
 This module is the ground truth of the whole verifier: every sign verdict
 ultimately rests on the integer coefficients produced here, so everything
 is exact integer arithmetic -- no floating point anywhere.
+
+The quotient Q^(delta) has two expansions. ``q10_series``, which the sign
+verification and the exact-formula oracle use, divides two sparse theta
+series given by the Jacobi triple product in O(order^1.5).
+``q10_series_product`` multiplies out the residue product factor by factor
+in O(order^2); it shares none of the first one's arithmetic and serves as
+its independent cross-check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -103,22 +109,6 @@ class TruncatedSeries:
         return json.dumps(self.to_json_dict(delta), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ResidueProductSpec:
-    """Product over n == residue (mod modulus) of (1 - q^n), or its reciprocal."""
-
-    residue: int
-    modulus: int
-    sign_exponent: int = 1
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if self.sign_exponent not in (1, -1):
-            raise ValueError("sign_exponent must be +1 or -1")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product, truncated at min(a.order, b.order)."""
     n = min(a.order, b.order)
@@ -136,46 +126,88 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out, n)
 
 
+def _check_args(delta: int, order: int) -> None:
+    if delta not in (1, -1):
+        raise ValueError("delta must be +1 or -1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+
+def _sparse_divide(
+    num: list[tuple[int, int]], den: list[tuple[int, int]], order: int
+) -> TruncatedSeries:
+    """num / den up to q^order by long division, for series given as
+    (exponent, coefficient) terms by increasing exponent.
+
+    The constant term of ``den`` must be a unit (+1 or -1) so that the
+    result has integer coefficients. Coefficient m reads only the terms of
+    ``den`` with exponent <= m.
+    """
+    if not den or den[0][0] != 0 or den[0][1] not in (1, -1):
+        raise ValueError("non-invertible series: constant term must be +1 or -1")
+    unit = den[0][1]
+    coeffs = [0] * (order + 1)
+    for e, c in num:
+        coeffs[e] += c
+    coeffs[0] *= unit
+    den_tail = den[1:]
+    for m in range(1, order + 1):
+        acc = coeffs[m]
+        for e, c in den_tail:
+            if e > m:
+                break
+            acc -= c * coeffs[m - e]
+        coeffs[m] = acc if unit == 1 else -acc
+    return TruncatedSeries(coeffs, order)
+
+
 def series_recip(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse by term-by-term long division.
+    """Multiplicative inverse by long division over the nonzero terms of a.
 
     Requires the constant term to be a unit (+1 or -1) so that the result
     has integer coefficients.
     """
-    a0 = a.coeffs[0]
-    if a0 not in (1, -1):
-        raise ValueError("non-invertible series: constant term must be +1 or -1")
-    n = a.order
-    out = [0] * (n + 1)
-    out[0] = a0
-    for m in range(1, n + 1):
-        acc = 0
-        for j in range(1, m + 1):
-            aj = a.coeffs[j]
-            if aj:
-                acc += aj * out[m - j]
-        out[m] = -a0 * acc
-    return TruncatedSeries(out, n)
+    terms = [(e, c) for e, c in enumerate(a.coeffs) if c]
+    return _sparse_divide([(0, 1)], terms, a.order)
 
 
-def pochhammer_inf(spec: ResidueProductSpec, order: int) -> TruncatedSeries:
-    """Expansion of prod_{n == residue (mod modulus), 1 <= n <= order} (1 - q^n).
+def _theta_terms(shift: int, order: int) -> list[tuple[int, int]]:
+    """Terms (exponent, coefficient) of sum over all integers k of
+    (-1)^k q^(5k^2 - shift*k), up to q^order, by increasing exponent.
 
-    Factors with n > order cannot touch coefficients <= order. The
-    reciprocal is taken when sign_exponent is -1.
+    For shift 2 and 4 the exponents 5k^2 - shift*k and 5j^2 + shift*j never
+    coincide for k, j >= 1 (that needs 5(k - j) = shift), so every
+    coefficient is +1 or -1.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    series = TruncatedSeries.one(order)
-    start = spec.residue if spec.residue >= 1 else spec.modulus
-    for n in range(start, order + 1, spec.modulus):
-        factor = [0] * (order + 1)
-        factor[0] = 1
-        factor[n] = -1
-        series = series_mul(series, TruncatedSeries(factor, order))
-    if spec.sign_exponent == -1:
-        series = series_recip(series)
-    return series
+    terms = [(0, 1)]
+    k = 1
+    while 5 * k * k - shift * k <= order:
+        sign = -1 if k % 2 else 1
+        terms += [(e, sign) for e in (5 * k * k - shift * k, 5 * k * k + shift * k) if e <= order]
+        k += 1
+    return sorted(terms)
+
+
+def q10_series(delta: int, order: int) -> TruncatedSeries:
+    """Coefficients c_delta(0..order) of the residue-product quotient.
+
+    The quotient has factors (1-q^n) with n == 1, 9 (mod 10) in the
+    numerator and n == 3, 7 (mod 10) in the denominator; ``delta`` = -1
+    swaps the roles.  The Jacobi triple product with p = q^10 gives
+
+        (q;p)(q^9;p)(p;p)   = sum_k (-1)^k q^(5k^2 - 4k)
+        (q^3;p)(q^7;p)(p;p) = sum_k (-1)^k q^(5k^2 - 2k)
+
+    and the (p;p) factors cancel, so the quotient is a ratio of two series
+    with O(sqrt(order)) nonzero terms each.  Long division reads only the
+    denominator terms with exponent <= m for coefficient m, so the whole
+    expansion is O(order^1.5) integer operations.
+    """
+    _check_args(delta, order)
+    num, den = _theta_terms(4, order), _theta_terms(2, order)
+    if delta == -1:
+        num, den = den, num
+    return _sparse_divide(num, den, order)
 
 
 def _apply_factor(coeffs: list[int], a: int, exponent: int) -> None:
@@ -191,18 +223,16 @@ def _apply_factor(coeffs: list[int], a: int, exponent: int) -> None:
             coeffs[m] += coeffs[m - a]
 
 
-def q10_series(delta: int, order: int) -> TruncatedSeries:
-    """Coefficients c_delta(0..order) of the residue-product quotient.
+def q10_series_product(delta: int, order: int) -> TruncatedSeries:
+    """The same coefficients as ``q10_series``, straight from the product.
 
-    The quotient has factors (1-q^n) with n == 1, 9 (mod 10) in the
-    numerator and n == 3, 7 (mod 10) in the denominator; ``delta`` = -1
-    swaps the roles.  Each factor is applied by an O(order) in-place pass,
-    so the whole expansion is O(order^2 / 5) integer operations.
+    Each factor (1-q^n) with n <= order is applied by an O(order) in-place
+    pass, so the whole expansion is O(order^2 / 5) integer operations. It
+    uses no theta-function identity, which makes it the independent
+    cross-check of ``q10_series`` and of the theta quotient in
+    ``modularcheck``; the sign verification does not call it.
     """
-    if delta not in (1, -1):
-        raise ValueError("delta must be +1 or -1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_args(delta, order)
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for a in range(1, order + 1):
@@ -212,26 +242,6 @@ def q10_series(delta: int, order: int) -> TruncatedSeries:
         elif r in _DENOMINATOR_RESIDUES:
             _apply_factor(coeffs, a, -delta)
     return TruncatedSeries(coeffs, order)
-
-
-def q10_series_from_factors(delta: int, order: int) -> TruncatedSeries:
-    """Same expansion assembled from pochhammer_inf and series_recip.
-
-    Independent of the fast route in q10_series; used to cross-check it.
-    """
-    if delta not in (1, -1):
-        raise ValueError("delta must be +1 or -1")
-    num = series_mul(
-        pochhammer_inf(ResidueProductSpec(1, 10), order),
-        pochhammer_inf(ResidueProductSpec(9, 10), order),
-    )
-    den = series_mul(
-        pochhammer_inf(ResidueProductSpec(3, 10), order),
-        pochhammer_inf(ResidueProductSpec(7, 10), order),
-    )
-    if delta == 1:
-        return series_mul(num, series_recip(den))
-    return series_mul(den, series_recip(num))
 
 
 def sign_pattern_verdict(delta: int, n: int, c: int) -> Verdict:

@@ -12,13 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from qsign.qseries import (
     POSITIVE_RESIDUES,
-    ResidueProductSpec,
     TruncatedSeries,
     Verdict,
     ZERO_EXCEPTIONS,
-    pochhammer_inf,
+    _theta_terms,
     q10_series,
-    q10_series_from_factors,
+    q10_series_product,
     series_mul,
     series_recip,
     sign_pattern_verdict,
@@ -79,14 +78,6 @@ def test_mul_truncates_to_min_order():
     assert series_mul(a, b).coeffs == (1, 3)
 
 
-def test_euler_product_pentagonal():
-    # (1-q)(1-q^2)...(1-q^10) truncated at 10, via the naive oracle
-    oracle = naive_product_one_minus_q_powers(range(1, 11), 10)
-    assert oracle == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0]
-    spec = ResidueProductSpec(0, 1)
-    assert pochhammer_inf(spec, 10).coeffs == tuple(oracle)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(-9, 9), min_size=1, max_size=12),
@@ -125,10 +116,7 @@ def test_recip_denominator_product_vs_long_division():
     powers = [n for n in range(1, order + 1) if n % 10 in (3, 7)]
     den = naive_product_one_minus_q_powers(powers, order)
     oracle = naive_recip(den, order)
-    spec3 = ResidueProductSpec(3, 10)
-    spec7 = ResidueProductSpec(7, 10)
-    den_series = series_mul(pochhammer_inf(spec3, order), pochhammer_inf(spec7, order))
-    assert series_recip(den_series).coeffs == tuple(oracle)
+    assert series_recip(TruncatedSeries(den, order)).coeffs == tuple(oracle)
 
 
 @pytest.mark.parametrize("head", [0, 2, -3])
@@ -140,35 +128,6 @@ def test_recip_requires_unit_constant_term(head):
 def test_recip_involution():
     a = TruncatedSeries([1, 5, -2, 7, 0, 3])
     assert series_recip(series_recip(a)) == a
-
-
-# -- residue products ---------------------------------------------------------
-
-
-def test_pochhammer_single_factor_below_truncation():
-    assert pochhammer_inf(ResidueProductSpec(1, 10), 9).coeffs == (
-        1, -1, 0, 0, 0, 0, 0, 0, 0, 0,
-    )
-
-
-def test_pochhammer_euler_order5():
-    assert pochhammer_inf(ResidueProductSpec(1, 1), 5).coeffs == (1, -1, -1, 0, 0, 1)
-
-
-def test_pochhammer_single_cube_factor():
-    got = pochhammer_inf(ResidueProductSpec(3, 10), 12)
-    expected = [0] * 13
-    expected[0], expected[3] = 1, -1
-    assert got.coeffs == tuple(expected)
-
-
-def test_residue_spec_normalizes():
-    spec = ResidueProductSpec(13, 10)
-    assert spec.residue == 3
-    with pytest.raises(ValueError):
-        ResidueProductSpec(1, 0)
-    with pytest.raises(ValueError):
-        ResidueProductSpec(1, 10, sign_exponent=2)
 
 
 # -- the quotient series ------------------------------------------------------
@@ -207,16 +166,30 @@ def test_q10_reciprocal_pair():
 
 
 def test_q10_matches_factorwise_route():
-    order = 150
+    # order 3000 covers both acceptance ranges (n <= 2928 / 2233)
+    order = 3000
     for delta in (1, -1):
-        assert q10_series(delta, order) == q10_series_from_factors(delta, order)
+        assert q10_series(delta, order) == q10_series_product(delta, order)
+
+
+def test_theta_terms_are_the_triple_products():
+    # Jacobi triple product with p = q^10: the factor indices == 1, 9, 0
+    # (mod 10) give the shift-4 series, == 3, 7, 0 (mod 10) the shift-2 one
+    order = 200
+    for shift, residues in ((4, (1, 9, 0)), (2, (3, 7, 0))):
+        powers = [n for n in range(1, order + 1) if n % 10 in residues]
+        dense = [0] * (order + 1)
+        for e, c in _theta_terms(shift, order):
+            dense[e] += c
+        assert dense == naive_product_one_minus_q_powers(powers, order)
 
 
 def test_q10_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        q10_series(2, 10)
-    with pytest.raises(ValueError):
-        q10_series(1, -1)
+    for expand in (q10_series, q10_series_product):
+        with pytest.raises(ValueError):
+            expand(2, 10)
+        with pytest.raises(ValueError):
+            expand(1, -1)
 
 
 def test_no_mismatch_up_to_3000():

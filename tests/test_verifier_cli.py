@@ -36,6 +36,21 @@ def test_verify_small_range():
     assert len(report.verdicts) == 61
 
 
+def test_verify_overlaps_the_analytic_range():
+    # n <= 20000 runs 7-9x past the thresholds 2929 / 2234 beyond which
+    # the exact formula settles the signs; the zero sets are the paper's,
+    # written out here rather than read from qsign
+    paper_zeros = {
+        1: [2, 5, 7, 9, 15, 17, 22, 27, 37, 47],
+        -1: [3, 4, 5, 6, 9, 13, 19, 23, 29, 39],
+    }
+    for delta, zeros in paper_zeros.items():
+        report = verify_conjecture(delta, 20000)
+        assert report.passed, delta
+        assert report.zero_set_found == zeros
+        assert report.thresholds["lhs_below_one"]
+
+
 def test_verify_rejects_small_n_max():
     with pytest.raises(ValueError):
         verify_conjecture(1, 49)
@@ -134,10 +149,11 @@ def test_pipeline_small_and_deterministic(tmp_path):
         json.loads((tmp_path / "run1" / "sign_delta_1.json").read_text()),
         load_schema("signreport.schema.json"),
     )
-    jsonschema.validate(
-        json.loads((tmp_path / "run1" / "modular.json").read_text()),
-        load_schema("modular.schema.json"),
-    )
+    for name in ("modular", "exact_oracle", "summary"):
+        jsonschema.validate(
+            json.loads((tmp_path / "run1" / f"{name}.json").read_text()),
+            load_schema(f"{name}.schema.json"),
+        )
 
 
 def test_pipeline_rejects_invalid_config(tmp_path):
@@ -253,3 +269,12 @@ def test_cli_env_precision(monkeypatch, capsys):
     monkeypatch.setenv("QSIGN_PRECISION_BITS", "96")
     assert main(["expand", "--delta", "1", "--order", "5"]) == 0
     capsys.readouterr()
+
+
+def test_cli_env_precision_not_an_integer(monkeypatch, capsys):
+    # a usage error with the one-line message, not a traceback
+    monkeypatch.setenv("QSIGN_PRECISION_BITS", "abc")
+    assert main(["expand", "--delta", "1", "--order", "5"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "qsign: error: QSIGN_PRECISION_BITS must be an integer, got 'abc'\n"
