@@ -44,7 +44,6 @@ from .modularcheck import (
     eta,
     f_eval,
     growth_classifier,
-    growth_classifier_reciprocal,
     omega_hk,
     theta,
     transformation_check,

@@ -14,7 +14,7 @@ from math import gcd
 
 from mpmath import mp, mpf
 
-from .numerics import ErrComplex, ErrReal, working_precision
+from .numerics import ErrComplex, ErrReal, unit_root_err, unit_root_parts, working_precision
 
 __all__ = [
     "CuspData",
@@ -22,6 +22,7 @@ __all__ = [
     "divisor_count",
     "alpha_of",
     "decompose",
+    "neg_inverse",
     "select_hprime",
     "kloosterman",
     "weil_bound_check",
@@ -66,12 +67,17 @@ def alpha_of(j: int, d: int) -> int:
     return a
 
 
+def neg_inverse(h: int, k: int) -> int:
+    """The residue x in [0, k) with h*x == -1 (mod k); 0 when k = 1."""
+    return (-pow(h, -1, k)) % k
+
+
 def select_hprime(h: int, k: int, d: int) -> int:
     """Smallest nonnegative x with h*x == -1 (mod k) and (10/d) | x.
 
     Scans x0 + t*k for t = 0..(10/d)-1 over the base inverse x0.
     """
-    x0 = (-pow(h, -1, k)) % k if k > 1 else 0
+    x0 = neg_inverse(h, k)
     step = 10 // d
     for t in range(step):
         cand = x0 + t * k
@@ -144,17 +150,14 @@ def clear_caches() -> None:
 
 
 def _roots(modulus: int) -> list:
-    """Table of e^(2*pi*i*t/modulus) components at the current precision."""
-    from mpmath import cospi, sinpi
+    """Table of e^(2*pi*i*t/modulus) components at the current precision.
 
+    Entries stay plain mpf pairs: the tables are rebuilt often enough that
+    an ErrReal per entry would show; _root_sum adds the error once."""
     key = (modulus, mp.prec)
     table = _ROOT_TABLES.get(key)
     if table is None:
-        table = []
-        m = mpf(modulus)
-        for t in range(modulus):
-            frac = mpf(2 * t) / m
-            table.append((+cospi(frac), +sinpi(frac)))
+        table = [unit_root_parts(t, modulus) for t in range(modulus)]
         _ROOT_TABLES[key] = table
     return table
 
@@ -170,8 +173,8 @@ def _root_sum(modulus: int, exponents) -> ErrComplex:
         re += c
         im += s
         count += 1
-    # per-entry table error <= 2^(4-prec); accumulation rounding <= count^2 ulp
-    err = (count * 16 + count * count) * (mpf(2) ** -mp.prec) + mpf(2) ** (4 - mp.prec)
+    # per-entry table error, plus accumulation rounding <= count^2 ulp
+    err = (count + 1) * unit_root_err() + count * count * (mpf(2) ** -mp.prec)
     return ErrComplex(ErrReal(re, err), ErrReal(im, err))
 
 
@@ -179,14 +182,8 @@ def _inverse_pairs(modulus: int) -> list:
     """Pairs (h, h') with h h' == -1 (mod modulus) over h coprime to modulus."""
     pairs = _INVERSE_PAIRS.get(modulus)
     if pairs is None:
-        if modulus == 1:
-            pairs = [(0, 0)]
-        else:
-            pairs = [
-                (h, (-pow(h, -1, modulus)) % modulus)
-                for h in range(1, modulus)
-                if gcd(h, modulus) == 1
-            ]
+        # h = 0 is coprime to the modulus only when it is 1
+        pairs = [(h, neg_inverse(h, modulus)) for h in range(modulus) if gcd(h, modulus) == 1]
         _INVERSE_PAIRS[modulus] = pairs
     return pairs
 

@@ -53,12 +53,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qsign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_threads=False):
+    def add_common(p):
         p.add_argument("--precision-bits", type=int, default=_default_precision())
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "plain"), default="json")
         p.add_argument("--output", default=None)
-        if with_threads:
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("expand", help="expand the coefficient series")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
@@ -74,7 +72,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="brute-force sign verification up to n-max")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
     p.add_argument("--n-max", type=int, required=True)
-    add_common(p, with_threads=True)
+    add_common(p)
 
     p = sub.add_parser("sweeps", help="Kloosterman identity and bound sweeps")
     p.add_argument("--k-max", type=int, default=500)
@@ -100,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--exact-hi", type=int, default=300)
     p.add_argument("--modular-prec", type=int, default=256)
     p.add_argument("--output-dir", default="qsign_artifacts")
-    add_common(p, with_threads=True)
+    add_common(p)
 
     return parser
 
@@ -133,7 +131,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verifier.verify_conjecture(args.delta, args.n_max, args.threads)
+    report = verifier.verify_conjecture(args.delta, args.n_max)
     _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args.output)
     print(f"verify delta={args.delta:+d} n<={args.n_max}: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
@@ -182,7 +180,6 @@ def _cmd_pipeline(args) -> int:
         exact_range=(args.exact_lo, args.exact_hi),
         modular_prec=args.modular_prec,
         precision_bits=args.precision_bits,
-        threads=args.threads,
         output_dir=args.output_dir,
     )
     result = verifier.full_pipeline(config)
@@ -214,8 +211,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "precision_bits", 128) < 64:
             return _fail("precision-bits must be >= 64")
-        if getattr(args, "threads", 1) < 1:
-            return _fail("threads must be >= 1")
         return _COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc))

@@ -23,7 +23,6 @@ from .numerics import (
     ErrComplex,
     ErrReal,
     bessel_i1,
-    cos_two_pi_rational,
     pi_err,
     working_precision,
     zeta_3_2,
@@ -239,10 +238,7 @@ def main_term(delta: int, n: int, prec: int = 128) -> ErrReal:
     """The k=10 contribution: (2 sqrt3 pi / (5 sqrt(nn))) cos(...) I1((2pi/25) sqrt(3 nn))."""
     nn = _validate_n(delta, n)
     with working_precision(prec):
-        if delta == 1:
-            cosine = cos_two_pi_rational(16 + 30 * n, 100)
-        else:
-            cosine = cos_two_pi_rational(12 - 10 * n, 100)
+        cosine = ErrComplex.unit_root(16 + 30 * n if delta == 1 else 12 - 10 * n, 100).re
         x = pi_err() * 2 / 25 * ErrReal(3 * nn).sqrt()
         i1 = bessel_i1(x, mpf(2) ** (-prec + 8) * (x.exp().value + 1))
         return ErrReal(2) * ErrReal(3).sqrt() * pi_err() / (ErrReal(5) * ErrReal(nn).sqrt()) * cosine * i1
@@ -314,7 +310,7 @@ def threshold_lhs(delta: int, n: int, prec: int | None = None) -> ErrReal:
         with working_precision(prec):
             pi_ = pi_err()
             nn_ = ErrReal(nn)
-            cc = cos_two_pi_rational(13 if delta == 1 else 14, 50)  # cos((13 or 14) pi/25)
+            cc = ErrComplex.unit_root(13 if delta == 1 else 14, 50).re  # cos((13 or 14) pi/25)
             c = ErrReal(abs(cc.value), cc.err)
             root_nn = nn_.sqrt()
             nn34 = (nn_ * root_nn).sqrt()  # nn^(3/4)

@@ -15,7 +15,7 @@ from math import gcd
 
 from mpmath import exp, mp, mpc, mpf, pi, sqrt
 
-from .arithmetic import decompose
+from .arithmetic import decompose, neg_inverse
 from .numerics import ErrComplex, ErrReal, working_precision
 from .qseries import q10_series_product
 
@@ -32,7 +32,6 @@ __all__ = [
     "transformation_check",
     "transformation_check_detail",
     "growth_classifier",
-    "growth_classifier_reciprocal",
     "CheckRecord",
     "validation_suite",
 ]
@@ -58,6 +57,11 @@ class ThetaPoint:
     def __post_init__(self):
         if not mpc(self.tau).imag > 0:
             raise ValueError("tau must lie in the upper half-plane")
+
+
+def _mpc_wrap(z: mpc, err: mpf) -> ErrComplex:
+    """z with the same radius err on both parts."""
+    return ErrComplex(ErrReal(z.real, err), ErrReal(z.imag, err))
 
 
 def _theta_terms(w: mpc, tau: mpc, target: mpf):
@@ -100,8 +104,7 @@ def theta(w, tau, target_err, prec: int | None = None) -> ErrComplex:
             e = exp(pi * 1j * (tau * (2 * m + 1) ** 2 / mpf(4) + (2 * m + 1) * (w + mpf(1) / 2)))
             total += e
             absum += abs(e)
-        err = 2 * tail + absum * (2 * M + 8) * (mpf(2) ** (4 - mp.prec))
-        return ErrComplex(ErrReal(total.real, err), ErrReal(total.imag, err))
+        return _mpc_wrap(total, 2 * tail + absum * (2 * M + 8) * (mpf(2) ** (4 - mp.prec)))
 
 
 def eta(tau, target_err, prec: int | None = None) -> ErrComplex:
@@ -129,8 +132,7 @@ def eta(tau, target_err, prec: int | None = None) -> ErrComplex:
             prod *= 1 - q**n
         value = exp(pi * 1j * tau / 12) * prod
         rel_tail = 2 * s  # |e^s - 1| <= 2s for s <= 1/4
-        err = abs(value) * (rel_tail + (3 * N + 16) * (mpf(2) ** (2 - mp.prec)))
-        return ErrComplex(ErrReal(value.real, err), ErrReal(value.imag, err))
+        return _mpc_wrap(value, abs(value) * (rel_tail + (3 * N + 16) * (mpf(2) ** (2 - mp.prec))))
 
 
 @dataclass(frozen=True)
@@ -182,11 +184,7 @@ def omega_hk(h: int, k: int, hprime: int, z_sample, target_err, prec: int | None
             num = eta((hprime + 1j / z) / k, target / 4, prec)
             den = eta((h + 1j * z) / k, target / 4, prec)
             phase = exp(pi * 1j * (h - hprime) / (12 * k)) / sqrt(z)
-            pref = ErrComplex(
-                ErrReal(phase.real, abs(phase) * mpf(2) ** (4 - mp.prec)),
-                ErrReal(phase.imag, abs(phase) * mpf(2) ** (4 - mp.prec)),
-            )
-            return pref * num / den
+            return _mpc_wrap(phase, abs(phase) * mpf(2) ** (4 - mp.prec)) * num / den
 
     w1 = solve(z_sample)
     with working_precision(prec):
@@ -236,19 +234,6 @@ def f_series_agreement(tau, order: int = 60, prec: int | None = None) -> mpf:
         return abs(lhs - rhs)
 
 
-def _rational_phase(num: int, den: int) -> ErrComplex:
-    """e^(2 pi i num/den) for an exact rational angle."""
-    from mpmath import cospi, sinpi
-
-    frac = mpf(2 * num) / den
-    ulp = mpf(2) ** (4 - mp.prec)
-    return ErrComplex(ErrReal(+cospi(frac), ulp), ErrReal(+sinpi(frac), ulp))
-
-
-def _mpc_wrap(z: mpc, err: mpf) -> ErrComplex:
-    return ErrComplex(ErrReal(z.real, err), ErrReal(z.imag, err))
-
-
 def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int | None = None) -> "CheckRecord":
     """Evaluate both sides of the cusp transformation of f at (h, k, z).
 
@@ -267,10 +252,9 @@ def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int | 
         lhs = f_eval((h + 1j * z) / k, target / 8, prec)
 
         sign = -1 if (cusp.h1 + cusp.nu1 + cusp.mu1) % 2 else 1
-        root_phase = _rational_phase(3 * cusp.mu2 - cusp.nu2, 10 * k)
+        root_phase = ErrComplex.unit_root(3 * cusp.mu2 - cusp.nu2, 10 * k)
         # e^(2 pi i d^2 (nu1^2 - mu1^2) h' / (20 k)): rational multiple of 2 pi
-        quad_num = d * d * (cusp.nu1**2 - cusp.mu1**2) * hp
-        quad = _rational_phase(quad_num, 20 * k)
+        quad = ErrComplex.unit_root(d * d * (cusp.nu1**2 - cusp.mu1**2) * hp, 20 * k)
         ulp = mpf(2) ** (6 - mp.prec)
         grow = exp(pi * (cusp.mu2**2 - cusp.nu2**2) / (10 * k * z))
         decay = exp(-4 * pi * z / (5 * k))
@@ -286,26 +270,20 @@ def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int | 
             raise PoleError("transformed theta denominator indistinguishable from zero")
 
         rhs = root_phase * quad * analytic * (th_num / th_den) * sign
-        diff = (lhs - rhs).abs()
-        tol = lhs.max_err() + rhs.max_err() + target
-        return CheckRecord(
-            check="cusp-transformation",
-            params={"h": h, "k": k, "z": str(z)},
-            lhs=mp.nstr(mpc(lhs.re.value, lhs.im.value), 20),
-            rhs=mp.nstr(mpc(rhs.re.value, rhs.im.value), 20),
-            abs_diff=float(diff.value),
-            tolerance=float(tol),
-            passed=bool(diff.value <= tol),
-        )
+        return _agreement("cusp-transformation", {"h": h, "k": k, "z": str(z)}, lhs, rhs, target)
 
 
 def transformation_check(h: int, k: int, z, target_err=None, prec: int | None = None) -> bool:
     return transformation_check_detail(h, k, z, target_err, prec).passed
 
 
-def growth_classifier(d: int, nu2: int) -> bool:
+def growth_classifier(d: int, nu2: int, delta: int = 1) -> bool:
     """True iff the cusp class contributes exponential growth for the
-    quotient itself: mu2^2 - nu2^2 + d(nu2 - mu2) > 0 with mu2 = 3 nu2 mod d."""
+    quotient (delta = 1): mu2^2 - nu2^2 + d(nu2 - mu2) > 0 with
+    mu2 = 3 nu2 mod d, or for its reciprocal (delta = -1), where the
+    expression changes sign."""
+    if delta not in (1, -1):
+        raise ValueError("delta must be +1 or -1")
     if d not in (5, 10):
         raise ValueError("d must be 5 or 10")
     if not 0 <= nu2 < d:
@@ -313,19 +291,7 @@ def growth_classifier(d: int, nu2: int) -> bool:
     if gcd(nu2, d) != 1:
         raise ValueError("nu2 must be coprime to d")
     mu2 = (3 * nu2) % d
-    return mu2 * mu2 - nu2 * nu2 + d * (nu2 - mu2) > 0
-
-
-def growth_classifier_reciprocal(d: int, nu2: int) -> bool:
-    """Same classification for the reciprocal: nu2^2 - mu2^2 + d(mu2 - nu2) > 0."""
-    if d not in (5, 10):
-        raise ValueError("d must be 5 or 10")
-    if not 0 <= nu2 < d:
-        raise ValueError("nu2 must lie in [0, d)")
-    if gcd(nu2, d) != 1:
-        raise ValueError("nu2 must be coprime to d")
-    mu2 = (3 * nu2) % d
-    return nu2 * nu2 - mu2 * mu2 + d * (mu2 - nu2) > 0
+    return delta * (mu2 * mu2 - nu2 * nu2 + d * (nu2 - mu2)) > 0
 
 
 @dataclass
@@ -348,6 +314,21 @@ class CheckRecord:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
+
+
+def _agreement(check: str, params: dict, lhs: ErrComplex, rhs: ErrComplex, tol) -> CheckRecord:
+    """Passes when |lhs - rhs| is within both error bars plus tol."""
+    diff = (lhs - rhs).abs()
+    tolerance = lhs.max_err() + rhs.max_err() + tol
+    return CheckRecord(
+        check=check,
+        params=params,
+        lhs=mp.nstr(mpc(lhs.re.value, lhs.im.value), 20),
+        rhs=mp.nstr(mpc(rhs.re.value, rhs.im.value), 20),
+        abs_diff=float(diff.value),
+        tolerance=float(tolerance),
+        passed=bool(diff.value <= tolerance),
+    )
 
 
 def _qpochhammer(a: mpc, q: mpc, target_rel: mpf) -> tuple[mpc, mpf]:
@@ -382,17 +363,8 @@ def _triple_product_record(w, tau, prec: int, tol: float) -> CheckRecord:
         p3, r3 = _qpochhammer(q / zeta, q, target)
         rhs = -1j * exp(pi * 1j * tau / 4) / sqrt(zeta) * p1 * p2 * p3
         rel = r1 + r2 + r3 + mpf(2) ** (8 - mp.prec)
-        diff = abs(mpc(lhs.re.value, lhs.im.value) - rhs)
-        tolerance = float(lhs.max_err() + abs(rhs) * rel + mpf(tol))
-        return CheckRecord(
-            check="triple-product",
-            params={"w": str(w), "tau": str(tau)},
-            lhs=mp.nstr(mpc(lhs.re.value, lhs.im.value), 20),
-            rhs=mp.nstr(rhs, 20),
-            abs_diff=float(diff),
-            tolerance=tolerance,
-            passed=bool(diff <= tolerance),
-        )
+        params = {"w": str(w), "tau": str(tau)}
+        return _agreement("triple-product", params, lhs, _mpc_wrap(rhs, abs(rhs) * rel), tol)
 
 
 def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[CheckRecord]:
@@ -425,19 +397,7 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
             base = theta(w, tau, target, prec)
             fac = (-1) ** (lam + mu) * q ** (-mpf(lam * lam) / 2) * zeta ** (-lam)
             rhs = _mpc_wrap(fac, abs(fac) * mpf(2) ** (6 - mp.prec)) * base
-            diff = (lhs - rhs).abs()
-            tolerance = float(lhs.max_err() + rhs.max_err() + mpf(tol))
-            records.append(
-                CheckRecord(
-                    check="quasi-periodicity",
-                    params={"lambda": lam, "mu": mu},
-                    lhs=mp.nstr(mpc(lhs.re.value, lhs.im.value), 20),
-                    rhs=mp.nstr(mpc(rhs.re.value, rhs.im.value), 20),
-                    abs_diff=float(diff.value),
-                    tolerance=tolerance,
-                    passed=bool(diff.value <= tolerance),
-                )
-            )
+            records.append(_agreement("quasi-periodicity", {"lambda": lam, "mu": mu}, lhs, rhs, tol))
 
     # theta transformation with numerically solved multiplier
     with working_precision(prec):
@@ -455,7 +415,7 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
             (7, 20, mpc("0.85"), mpc("0.2", "0.05")),
         ]
         for h, k, zz, w in tuples:
-            hp = select_hprime_for_tests(h, k)
+            hp = neg_inverse(h, k)
             mult = omega_hk(h, k, hp, zz, target, prec)
             lhs = theta(w, (h + 1j * zz) / k, target, prec)
             om = mult.omega
@@ -471,19 +431,8 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
                 * (ErrComplex(1) / om3)
                 * theta(1j * w / zz, (hp + 1j / zz) / k, target, prec)
             )
-            diff = (lhs - rhs).abs()
-            tolerance = float(lhs.max_err() + rhs.max_err() + mpf(tol))
-            records.append(
-                CheckRecord(
-                    check="theta-transformation",
-                    params={"h": h, "k": k, "z": str(zz), "w": str(w)},
-                    lhs=mp.nstr(mpc(lhs.re.value, lhs.im.value), 20),
-                    rhs=mp.nstr(mpc(rhs.re.value, rhs.im.value), 20),
-                    abs_diff=float(diff.value),
-                    tolerance=tolerance,
-                    passed=bool(diff.value <= tolerance),
-                )
-            )
+            params = {"h": h, "k": k, "z": str(zz), "w": str(w)}
+            records.append(_agreement("theta-transformation", params, lhs, rhs, tol))
 
     # leading asymptotic of theta(a tau + b; tau): fitted-constant check
     with working_precision(prec):
@@ -546,67 +495,26 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
     with working_precision(prec):
         target = mpf(2) ** (-prec // 2)
         for tau in (mpc("0.21", "0.6"), mpc("-0.32", "0.75")):
-            a = f_eval(-mpc(tau).conjugate(), target, prec)
-            bb = f_eval(tau, target, prec).conjugate()
-            diff = (a - bb).abs()
-            tolerance = float(a.max_err() + bb.max_err() + mpf(tol))
-            records.append(
-                CheckRecord(
-                    check="conjugation-symmetry",
-                    params={"tau": str(tau)},
-                    lhs=mp.nstr(mpc(a.re.value, a.im.value), 20),
-                    rhs=mp.nstr(mpc(bb.re.value, bb.im.value), 20),
-                    abs_diff=float(diff.value),
-                    tolerance=tolerance,
-                    passed=bool(diff.value <= tolerance),
-                )
-            )
+            lhs = f_eval(-mpc(tau).conjugate(), target, prec)
+            rhs = f_eval(tau, target, prec).conjugate()
+            records.append(_agreement("conjugation-symmetry", {"tau": str(tau)}, lhs, rhs, tol))
 
     # exhaustive growth classification against the expected residue sets
-    expected = {(5, frozenset({2, 3})), (10, frozenset({3, 7}))}
-    got = set()
-    for d in (5, 10):
-        residues = frozenset(
-            nu2 for nu2 in range(d) if gcd(nu2, d) == 1 and growth_classifier(d, nu2)
+    expected = {1: [(5, [2, 3]), (10, [3, 7])], -1: [(5, [1, 4]), (10, [1, 9])]}
+    for delta, variant in ((1, "direct"), (-1, "reciprocal")):
+        got = [
+            (d, [nu2 for nu2 in range(d) if gcd(nu2, d) == 1 and growth_classifier(d, nu2, delta)])
+            for d in (5, 10)
+        ]
+        records.append(
+            CheckRecord(
+                check="growth-classification",
+                params={"variant": variant},
+                lhs=str(got),
+                rhs=str(expected[delta]),
+                abs_diff=0.0 if got == expected[delta] else 1.0,
+                tolerance=0.0,
+                passed=got == expected[delta],
+            )
         )
-        got.add((d, residues))
-    records.append(
-        CheckRecord(
-            check="growth-classification",
-            params={"variant": "direct"},
-            lhs=str(sorted((d, sorted(s)) for d, s in got)),
-            rhs=str(sorted((d, sorted(s)) for d, s in expected)),
-            abs_diff=0.0 if got == expected else 1.0,
-            tolerance=0.0,
-            passed=got == expected,
-        )
-    )
-    expected_r = {(5, frozenset({1, 4})), (10, frozenset({1, 9}))}
-    got_r = set()
-    for d in (5, 10):
-        residues = frozenset(
-            nu2
-            for nu2 in range(d)
-            if gcd(nu2, d) == 1 and growth_classifier_reciprocal(d, nu2)
-        )
-        got_r.add((d, residues))
-    records.append(
-        CheckRecord(
-            check="growth-classification",
-            params={"variant": "reciprocal"},
-            lhs=str(sorted((d, sorted(s)) for d, s in got_r)),
-            rhs=str(sorted((d, sorted(s)) for d, s in expected_r)),
-            abs_diff=0.0 if got_r == expected_r else 1.0,
-            tolerance=0.0,
-            passed=got_r == expected_r,
-        )
-    )
     return records
-
-
-def select_hprime_for_tests(h: int, k: int) -> int:
-    """A modular inverse companion for arbitrary k (no divisibility demand):
-    the base representative of -h^{-1} mod k."""
-    if k == 1:
-        return 0
-    return (-pow(h, -1, k)) % k

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import cospi, mp, mpf, sinpi
 
 __all__ = [
     "Sign",
@@ -26,7 +26,8 @@ __all__ = [
     "ErrComplex",
     "working_precision",
     "pi_err",
-    "cos_two_pi_rational",
+    "unit_root_parts",
+    "unit_root_err",
     "bessel_i1",
     "bessel_bound_checks",
     "BesselBoundChecks",
@@ -212,14 +213,19 @@ def pi_err() -> ErrReal:
     return ErrReal(+mp.pi, mp.pi * _eps(2))
 
 
-def cos_two_pi_rational(num: int, den: int) -> ErrReal:
-    """cos(2*pi*num/den) with the angle handled as an exact rational."""
-    from mpmath import cospi
+def unit_root_parts(num: int, den: int) -> tuple[mpf, mpf]:
+    """cos and sin of 2*pi*num/den, the angle reduced mod 1 as an exact rational.
 
+    Each part is within unit_root_err() of the true value."""
     if den <= 0:
         raise ValueError("denominator must be positive")
     frac = mpf(2 * (num % den)) / den
-    return ErrReal(cospi(frac), _eps(4))
+    return cospi(frac), sinpi(frac)
+
+
+def unit_root_err() -> mpf:
+    """Error bound of each part returned by unit_root_parts: 2^(4-prec)."""
+    return _eps(4)
 
 
 class ErrComplex:
@@ -234,12 +240,9 @@ class ErrComplex:
     @classmethod
     def unit_root(cls, num: int, den: int) -> "ErrComplex":
         """e^(2*pi*i*num/den) via cospi/sinpi on the exact rational angle."""
-        from mpmath import cospi, sinpi
-
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        frac = mpf(2 * (num % den)) / den
-        return cls(ErrReal(cospi(frac), _eps(4)), ErrReal(sinpi(frac), _eps(4)))
+        c, s = unit_root_parts(num, den)
+        err = unit_root_err()
+        return cls(ErrReal(c, err), ErrReal(s, err))
 
     def conjugate(self) -> "ErrComplex":
         return ErrComplex(self.re, -self.im)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
@@ -65,13 +64,11 @@ class SignReport:
         }
 
 
-def verify_conjecture(delta: int, n_max: int, threads: int = 1) -> SignReport:
+def verify_conjecture(delta: int, n_max: int) -> SignReport:
     """Expand the series once, classify every index, and (when the range
     reaches the closed-form threshold) evaluate the threshold inequality."""
     if n_max < 50:
         raise ValueError("n_max must be at least 50")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     timing: dict[str, float] = {}
     t0 = time.perf_counter()
     series = q10_series(delta, n_max)
@@ -79,18 +76,7 @@ def verify_conjecture(delta: int, n_max: int, threads: int = 1) -> SignReport:
 
     t0 = time.perf_counter()
     coeffs = series.coeffs
-
-    def classify(chunk: range) -> list[Verdict]:
-        return [sign_pattern_verdict(delta, n, coeffs[n]) for n in chunk]
-
-    if threads == 1:
-        verdicts = classify(range(n_max + 1))
-    else:
-        step = (n_max + threads) // threads
-        chunks = [range(i, min(i + step, n_max + 1)) for i in range(0, n_max + 1, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(classify, chunks))
-        verdicts = [v for part in parts for v in part]
+    verdicts = [sign_pattern_verdict(delta, n, c) for n, c in enumerate(coeffs)]
     zero_set = [n for n, c in enumerate(coeffs) if c == 0]
     mismatches = [n for n, v in enumerate(verdicts) if v is Verdict.MISMATCH]
     unexpected = [n for n in zero_set if n not in ZERO_EXCEPTIONS[delta]]
@@ -415,7 +401,6 @@ class PipelineConfig:
     exact_range: tuple = (10, 300)
     modular_prec: int = 256
     precision_bits: int = 128
-    threads: int = 1
     output_dir: str | Path = "qsign_artifacts"
 
     def resolved_n_max(self, delta: int) -> int:
@@ -428,8 +413,6 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         for delta in self.deltas:
             if delta not in (1, -1):
                 raise ValueError("deltas must be +1 / -1")
@@ -471,7 +454,7 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
     artifacts: list = []
 
     for delta in config.deltas:
-        report = verify_conjecture(delta, config.resolved_n_max(delta), config.threads)
+        report = verify_conjecture(delta, config.resolved_n_max(delta))
         name = f"sign_delta_{delta}.json"
         _write_json(outdir / name, report.to_dict())
         artifacts.append(name)

@@ -35,11 +35,7 @@ import pytest
 from mpmath import mp, mpf
 
 from qsign.exactformula import threshold_lhs
-from qsign.modularcheck import (
-    growth_classifier,
-    growth_classifier_reciprocal,
-    validation_suite,
-)
+from qsign.modularcheck import growth_classifier, validation_suite
 from qsign.numerics import ErrReal, bessel_bound_checks, working_precision
 from qsign.qseries import ZERO_EXCEPTIONS
 from qsign.verifier import run_bound_sweeps, run_exact_oracle, verify_conjecture
@@ -219,7 +215,7 @@ def test_criterion_6_growth_classification():
         (d, nu2)
         for d in (5, 10)
         for nu2 in range(d)
-        if math.gcd(nu2, d) == 1 and growth_classifier_reciprocal(d, nu2)
+        if math.gcd(nu2, d) == 1 and growth_classifier(d, nu2, -1)
     }
     ok = direct == {(5, 2), (5, 3), (10, 3), (10, 7)} and reciprocal == {
         (5, 1),

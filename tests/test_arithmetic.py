@@ -30,7 +30,7 @@ from qsign.arithmetic import (
     select_hprime,
     weil_bound_check,
 )
-from qsign.numerics import cos_two_pi_rational, working_precision
+from qsign.numerics import ErrComplex, working_precision
 
 TOL = mpf("1e-30")
 
@@ -151,7 +151,7 @@ def test_k10_sum_is_the_cosine():
     with working_precision(128):
         for n in range(10):
             got = a_k(10, n)
-            expect = cos_two_pi_rational(16 + 30 * n, 100) * 2
+            expect = ErrComplex.unit_root(16 + 30 * n, 100).re * 2
             assert abs(got.re.value - expect.value) < TOL
             assert abs(got.im.value) < TOL
 
@@ -160,7 +160,7 @@ def test_k10_conjugated_sum_is_the_cosine():
     with working_precision(128):
         for n in range(10):
             got = cal_a_k(10, n)
-            expect = cos_two_pi_rational(12 - 10 * n, 100) * 2
+            expect = ErrComplex.unit_root(12 - 10 * n, 100).re * 2
             assert abs(got.re.value - expect.value) < TOL
             assert abs(got.im.value) < TOL
 
@@ -170,7 +170,7 @@ def test_k5_sum_hand_derived():
     with working_precision(128):
         for n in range(7):
             got = a_k(5, n)
-            expect = cos_two_pi_rational(1 - 20 * n, 50) * 2
+            expect = ErrComplex.unit_root(1 - 20 * n, 50).re * 2
             assert abs(got.re.value - expect.value) < TOL
 
 

@@ -153,18 +153,18 @@ def test_main_term_sign_follows_positive_residues():
 
 def test_cosine_lower_bound_over_classes():
     # |cos(2 pi (4/25 + 3n/10))| >= |cos(13 pi/25)| for every class n mod 10
-    from qsign.numerics import cos_two_pi_rational
+    from qsign.numerics import ErrComplex
 
     with working_precision(128):
-        floor = abs(cos_two_pi_rational(13, 50).value)
+        floor = abs(ErrComplex.unit_root(13, 50).re.value)
         worst = min(
-            abs(cos_two_pi_rational(16 + 30 * n, 100).value) for n in range(10)
+            abs(ErrComplex.unit_root(16 + 30 * n, 100).re.value) for n in range(10)
         )
         assert worst >= floor - mpf("1e-30")
         # and the delta=-1 analogue with |cos(14 pi/25)|
-        floor_m = abs(cos_two_pi_rational(14, 50).value)
+        floor_m = abs(ErrComplex.unit_root(14, 50).re.value)
         worst_m = min(
-            abs(cos_two_pi_rational(12 - 10 * n, 100).value) for n in range(10)
+            abs(ErrComplex.unit_root(12 - 10 * n, 100).re.value) for n in range(10)
         )
         assert worst_m >= floor_m - mpf("1e-30")
 

@@ -15,7 +15,6 @@ from qsign.modularcheck import (
     f_eval,
     f_series_agreement,
     growth_classifier,
-    growth_classifier_reciprocal,
     omega_hk,
     theta,
     transformation_check,
@@ -213,7 +212,7 @@ def test_growth_classification_reciprocal_exhaustive():
         (d, nu2)
         for d in (5, 10)
         for nu2 in range(d)
-        if math.gcd(nu2, d) == 1 and growth_classifier_reciprocal(d, nu2)
+        if math.gcd(nu2, d) == 1 and growth_classifier(d, nu2, -1)
     }
     assert got == {(5, 1), (5, 4), (10, 1), (10, 9)}
 
@@ -226,7 +225,7 @@ def test_growth_classifier_complement_identity():
         for nu2 in range(d):
             if math.gcd(nu2, d) != 1:
                 continue
-            assert growth_classifier(d, nu2) != growth_classifier_reciprocal(d, nu2)
+            assert growth_classifier(d, nu2) != growth_classifier(d, nu2, -1)
 
 
 def test_growth_classifier_domain():
@@ -236,3 +235,5 @@ def test_growth_classifier_domain():
         growth_classifier(5, 5)
     with pytest.raises(ValueError):
         growth_classifier(10, 4)  # shares a factor with 10
+    with pytest.raises(ValueError):
+        growth_classifier(5, 2, 0)  # delta is +1 or -1

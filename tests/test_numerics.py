@@ -17,7 +17,6 @@ from qsign.numerics import (
     Sign,
     bessel_bound_checks,
     bessel_i1,
-    cos_two_pi_rational,
     pi_err,
     working_precision,
     zeta_3_2,
@@ -137,11 +136,27 @@ def test_unit_roots():
         assert i.im.contains(1)
 
 
+def test_unit_root_is_the_root_table_entry():
+    from qsign.arithmetic import _roots
+
+    with working_precision(128):
+        for num, den in ((0, 1), (1, 3), (-1, 3), (7, 5), (-13, 10), (123, 50), (-250, 100), (41, 40)):
+            root = ErrComplex.unit_root(num, den)
+            c, s = _roots(den)[num % den]
+            assert (root.re.value._mpf_, root.im.value._mpf_) == (c._mpf_, s._mpf_)
+            shifted = ErrComplex.unit_root(num + 7 * den, den)
+            for a, b in ((shifted.re, root.re), (shifted.im, root.im)):
+                assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
+        for den in (0, -3):
+            with pytest.raises(ValueError):
+                ErrComplex.unit_root(1, den)
+
+
 def test_cos_two_pi_rational_quarter_turns():
     with working_precision(128):
-        assert cos_two_pi_rational(1, 4).contains(0)
-        assert cos_two_pi_rational(1, 2).contains(-1)
-        assert cos_two_pi_rational(5, 5).contains(1)
+        assert ErrComplex.unit_root(1, 4).re.contains(0)
+        assert ErrComplex.unit_root(1, 2).re.contains(-1)
+        assert ErrComplex.unit_root(5, 5).re.contains(1)
 
 
 # -- Bessel I1 ------------------------------------------------------------------

@@ -54,15 +54,6 @@ def test_verify_overlaps_the_analytic_range():
 def test_verify_rejects_small_n_max():
     with pytest.raises(ValueError):
         verify_conjecture(1, 49)
-    with pytest.raises(ValueError):
-        verify_conjecture(1, 100, threads=0)
-
-
-def test_verify_threads_deterministic():
-    a = verify_conjecture(-1, 80, threads=1)
-    b = verify_conjecture(-1, 80, threads=3)
-    assert a.verdicts == b.verdicts
-    assert a.zero_set_found == b.zero_set_found
 
 
 def test_signreport_schema():
@@ -235,6 +226,15 @@ def test_cli_verify(capsys):
 def test_cli_verify_usage(capsys):
     assert main(["verify", "--delta", "1", "--n-max", "10"]) == 1
     capsys.readouterr()
+
+
+def test_cli_verify_has_no_threads_flag(capsys):
+    assert main(["verify", "--delta", "1", "--n-max", "100", "--threads", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [line for line in out.err.splitlines() if line.startswith("qsign: error:")]
+    assert errors == ["qsign: error: unrecognized arguments: --threads 2"]
+    assert "Traceback" not in out.err
 
 
 def test_cli_threshold(capsys):
