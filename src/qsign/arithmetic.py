@@ -3,8 +3,9 @@ exact formulas, together with all their bound checks and reduction identities.
 
 Every summand of the twisted sums is +- a 10k-th root of unity, so sums are
 evaluated by exact integer exponent arithmetic modulo 10k followed by table
-lookups of high-precision roots; the only numerical error is the table's
-few-ulp rounding times the number of terms.
+lookups of fixed-point roots: integers within 17 of 2^w times the true parts,
+w = prec + 8, added exactly and rounded once, so a sum of count terms is
+within count * 17 * 2^-w plus that one rounding of its true value.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from mpmath import mp, mpf
+from mpmath import ldexp, mp, mpf
+from mpmath.libmp import to_fixed
 
 from .numerics import ErrComplex, ErrReal, unit_root_err, unit_root_parts, working_precision
 
@@ -138,6 +140,7 @@ def decompose(h: int, k: int) -> CuspData:
 # root-of-unity tables and exact-exponent summation
 # ---------------------------------------------------------------------------
 
+_GUARD_BITS = 8  # root tables carry mp.prec + _GUARD_BITS fractional bits
 _ROOT_TABLES: dict[tuple[int, int], list] = {}
 _INVERSE_PAIRS: dict[int, list] = {}
 _AKJ_TERMS: dict[tuple[int, int, int, int], list] = {}
@@ -150,32 +153,41 @@ def clear_caches() -> None:
 
 
 def _roots(modulus: int) -> list:
-    """Table of e^(2*pi*i*t/modulus) components at the current precision.
+    """Fixed-point table of e^(2*pi*i*t/modulus): (c_t, s_t) with c_t, s_t the
+    floors of 2^w cos and 2^w sin, w = mp.prec + _GUARD_BITS.
 
-    Entries stay plain mpf pairs: the tables are rebuilt often enough that
-    an ErrReal per entry would show; _root_sum adds the error once."""
+    Each part is computed at w bits (error 2^(4-w)) and floored (error
+    below 2^-w), so it is within 17 of 2^w times the true part. Only
+    t <= modulus/2 is evaluated; entry modulus - t is (c_t, -s_t), which
+    keeps the same bound."""
     key = (modulus, mp.prec)
     table = _ROOT_TABLES.get(key)
     if table is None:
-        table = [unit_root_parts(t, modulus) for t in range(modulus)]
+        w = mp.prec + _GUARD_BITS
+        with working_precision(w):
+            parts = (unit_root_parts(t, modulus) for t in range(modulus // 2 + 1))
+            half = [(to_fixed(c._mpf_, w), to_fixed(s._mpf_, w)) for c, s in parts]
+        table = half + [(c, -s) for c, s in reversed(half[1 : (modulus + 1) // 2])]
         _ROOT_TABLES[key] = table
     return table
 
 
 def _root_sum(modulus: int, exponents) -> ErrComplex:
-    """Sum of ζ_modulus^e over e in exponents, with a rigorous error bound."""
+    """Sum of ζ_modulus^e over e in exponents, with a rigorous error bound.
+
+    The table integers add exactly; each part is rounded once to mp.prec."""
     table = _roots(modulus)
-    re = mpf(0)
-    im = mpf(0)
-    count = 0
+    re = im = count = 0
     for e in exponents:
         c, s = table[e % modulus]
         re += c
         im += s
         count += 1
-    # per-entry table error, plus accumulation rounding <= count^2 ulp
-    err = (count + 1) * unit_root_err() + count * count * (mpf(2) ** -mp.prec)
-    return ErrComplex(ErrReal(re, err), ErrReal(im, err))
+    w = mp.prec + _GUARD_BITS
+    # per entry: unit_root_parts' error at w bits plus the floor's 2^-w
+    table_err = count * ldexp(unit_root_err() + mpf((1, -mp.prec)), -_GUARD_BITS)
+    parts = [mpf((total, -w)) for total in (re, im)]  # the one rounding, at most |v| 2^-prec
+    return ErrComplex(*(ErrReal(v, table_err + ldexp(abs(v), -mp.prec)) for v in parts))
 
 
 def _inverse_pairs(modulus: int) -> list:

@@ -214,6 +214,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc))
+    except (RuntimeError, modularcheck.PoleError, exactformula.ImaginaryResidueError) as exc:
+        return _fail(str(exc), EXIT_NON_DEFINITIVE)  # a convergence cap or an unresolved sign
+    except modularcheck.ConsistencyError as exc:
+        return _fail(str(exc), EXIT_VERIFICATION_FAILED)
 
 
 def entry() -> None:

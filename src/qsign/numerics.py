@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from mpmath import cospi, mp, mpf, sinpi
+from mpmath import mp, mpf
+from mpmath.libmp import mpf_cos_sin_pi, round_nearest
 
 __all__ = [
     "Sign",
@@ -216,11 +217,13 @@ def pi_err() -> ErrReal:
 def unit_root_parts(num: int, den: int) -> tuple[mpf, mpf]:
     """cos and sin of 2*pi*num/den, the angle reduced mod 1 as an exact rational.
 
-    Each part is within unit_root_err() of the true value."""
+    One joint cos/sin evaluation, bit-identical to (cospi, sinpi); each part
+    is within unit_root_err() of the true value."""
     if den <= 0:
         raise ValueError("denominator must be positive")
     frac = mpf(2 * (num % den)) / den
-    return cospi(frac), sinpi(frac)
+    c, s = mpf_cos_sin_pi(frac._mpf_, mp.prec, round_nearest)
+    return mp.make_mpf(c), mp.make_mpf(s)
 
 
 def unit_root_err() -> mpf:
@@ -239,7 +242,7 @@ class ErrComplex:
 
     @classmethod
     def unit_root(cls, num: int, den: int) -> "ErrComplex":
-        """e^(2*pi*i*num/den) via cospi/sinpi on the exact rational angle."""
+        """e^(2*pi*i*num/den) from unit_root_parts on the exact rational angle."""
         c, s = unit_root_parts(num, den)
         err = unit_root_err()
         return cls(ErrReal(c, err), ErrReal(s, err))

@@ -10,6 +10,7 @@ Hand-derived expectations:
 
 import math
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -144,6 +145,35 @@ def test_weil_bound_examples():
                 assert weil_bound_check(k, n, m)
 
 
+def _direct_root_sum(modulus, exponents):
+    """Reference sum of e^(2 pi i e / modulus), term by term at 512 bits."""
+    with mpmath.workprec(512):
+        return mpmath.fsum(mpmath.expjpi(mpf(2 * e) / modulus) for e in exponents)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_integer_kernel_encloses_direct_sums(prec):
+    from qsign.arithmetic import _akj_exponent_table
+
+    def check(value, ref, count):
+        # the bound of summing mpf table entries: per-entry error plus count^2 ulp
+        mpf_sum_err = (count + 1) * mpf(2) ** (4 - prec) + count * count * mpf(2) ** -prec
+        for part, true in ((value.re, ref.real), (value.im, ref.imag)):
+            with mpmath.workprec(512):
+                assert abs(part.value - true) <= part.err
+            assert part.err <= mpf_sum_err
+
+    for k in (5, 10, 35, 200, 495):
+        for n, m in ((1, 3), (-4, 9)):
+            exps = [n * h + m * ((-pow(h, -1, k)) % k) for h in range(k) if math.gcd(h, k) == 1]
+            check(kloosterman(k, n, m, prec).value, _direct_root_sum(k, exps), len(exps))
+        js = (1, 2, 3, 4) if math.gcd(k, 10) == 5 else (1, 3, 7, 9)
+        for j in js:
+            for n in (0, 13):
+                exps = [base + n * step for base, step in _akj_exponent_table(k, j)]
+                check(a_kj(k, j, n, prec), _direct_root_sum(10 * k, exps), len(exps))
+
+
 # -- twisted sums ----------------------------------------------------------------
 
 
@@ -182,25 +212,24 @@ def test_periodicity_in_n():
             assert (a - b).abs().value < TOL
 
 
+def _bits(z):
+    return tuple(x._mpf_ for x in (z.re.value, z.re.err, z.im.value, z.im.err))
+
+
 def test_rewrite_matches_direct_on_grid():
-    with working_precision(128):
-        for k in (5, 10, 15, 20, 25, 30):
-            d = math.gcd(k, 10)
-            js = (1, 2, 3, 4) if d == 5 else (1, 3, 7, 9)
-            for j in js:
-                for n in (0, 3, 11):
-                    diff = (a_kj(k, j, n) - a_kj_rewrite(k, j, n)).abs()
-                    assert diff.value < TOL
+    # both forms sum the same multiset of exponents mod 10k, and the
+    # fixed-point kernel adds them exactly, so value and error agree bit for bit
+    for k in range(5, 201, 5):
+        js = (1, 2, 3, 4) if math.gcd(k, 10) == 5 else (1, 3, 7, 9)
+        for j in js:
+            for n in (0, 3, 11, -7):
+                assert _bits(a_kj(k, j, n)) == _bits(a_kj_rewrite(k, j, n)), (k, j, n)
 
 
 def test_rewrite_under_larger_shifts():
-    with working_precision(128):
-        for h_shift, hp_shift in ((2, 1), (3, 4), (0, 2)):
-            diff = (
-                a_kj(15, 4, 6)
-                - a_kj_rewrite(15, 4, 6, h_shift=h_shift, hp_shift=hp_shift)
-            ).abs()
-            assert diff.value < TOL
+    for h_shift, hp_shift in ((2, 1), (3, 4), (0, 2)):
+        shifted = a_kj_rewrite(15, 4, 6, h_shift=h_shift, hp_shift=hp_shift)
+        assert _bits(a_kj(15, 4, 6)) == _bits(shifted)
 
 
 def test_per_term_shift_invariance_is_exact():

@@ -18,6 +18,7 @@ from qsign.numerics import (
     bessel_bound_checks,
     bessel_i1,
     pi_err,
+    unit_root_parts,
     working_precision,
     zeta_3_2,
 )
@@ -137,19 +138,44 @@ def test_unit_roots():
 
 
 def test_unit_root_is_the_root_table_entry():
-    from qsign.arithmetic import _roots
+    from qsign.arithmetic import _GUARD_BITS, _roots
 
-    with working_precision(128):
+    prec = 128
+    w = prec + _GUARD_BITS
+    with working_precision(prec):
+        for den in (1, 2, 3, 4, 5, 10, 51):
+            table = _roots(den)
+            assert len(table) == den
+            for t in range(1, den):
+                assert table[den - t] == (table[t][0], -table[t][1])
         for num, den in ((0, 1), (1, 3), (-1, 3), (7, 5), (-13, 10), (123, 50), (-250, 100), (41, 40)):
+            entry = _roots(den)[num % den]
+            with working_precision(w):
+                parts = unit_root_parts(num, den)
+            with working_precision(512):
+                exact = (mpmath.cospi(mpf(2 * num) / den), mpmath.sinpi(mpf(2 * num) / den))
+            # 2^(4-w) for the w-bit part plus 2^-w for the floor: 17 units of 2^-w
+            for fixed, part, true in zip(entry, parts, exact):
+                assert isinstance(fixed, int)
+                assert abs(fixed - mpmath.ldexp(part, w)) <= 17
+                assert abs(fixed - mpmath.ldexp(true, w)) <= 17
             root = ErrComplex.unit_root(num, den)
-            c, s = _roots(den)[num % den]
-            assert (root.re.value._mpf_, root.im.value._mpf_) == (c._mpf_, s._mpf_)
             shifted = ErrComplex.unit_root(num + 7 * den, den)
             for a, b in ((shifted.re, root.re), (shifted.im, root.im)):
                 assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
         for den in (0, -3):
             with pytest.raises(ValueError):
                 ErrComplex.unit_root(1, den)
+
+
+def test_unit_root_parts_are_cospi_and_sinpi():
+    for prec in (64, 128, 136, 256):
+        with working_precision(prec):
+            for den in (1, 2, 3, 4, 5, 7, 10, 12, 50, 51, 195, 1000, 4950):
+                for num in range(-den, 2 * den, max(1, den // 40)):
+                    frac = mpf(2 * (num % den)) / den
+                    c, s = unit_root_parts(num, den)
+                    assert (c._mpf_, s._mpf_) == (mpmath.cospi(frac)._mpf_, mpmath.sinpi(frac)._mpf_)
 
 
 def test_cos_two_pi_rational_quarter_turns():

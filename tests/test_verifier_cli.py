@@ -7,7 +7,10 @@ import jsonschema
 import pytest
 from mpmath import mpf
 
+from qsign import cli
 from qsign.cli import main
+from qsign.exactformula import ImaginaryResidueError
+from qsign.modularcheck import ConsistencyError, PoleError
 from qsign.qseries import ZERO_EXCEPTIONS
 from qsign.verifier import (
     PipelineConfig,
@@ -235,6 +238,26 @@ def test_cli_verify_has_no_threads_flag(capsys):
     errors = [line for line in out.err.splitlines() if line.startswith("qsign: error:")]
     assert errors == ["qsign: error: unrecognized arguments: --threads 2"]
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (RuntimeError("Bessel series failed to converge"), 2),
+        (PoleError("theta denominator indistinguishable from zero"), 2),
+        (ImaginaryResidueError("imaginary part beyond its error bars"), 2),
+        (ConsistencyError("two evaluations disagree"), 3),
+    ],
+)
+def test_cli_maps_numeric_errors_to_exit_codes(monkeypatch, capsys, error, code):
+    def command(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "threshold", command)
+    assert main(["threshold", "--delta", "1", "--n", "100"]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"qsign: error: {error}\n"
 
 
 def test_cli_threshold(capsys):
