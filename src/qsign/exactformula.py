@@ -68,11 +68,6 @@ def _validate_n(delta: int, n: int) -> int:
     return nn
 
 
-def _bessel_argument(nn: int, d: int, k: int) -> ErrReal:
-    # (2 pi / 5k) sqrt(2 (d-4) nn)
-    return pi_err() * 2 / (5 * k) * ErrReal(2 * (d - 4) * nn).sqrt()
-
-
 def _imag_guard(im: ErrReal) -> None:
     if abs(im.value) > 3 * im.err + mpf(2) ** -40:
         raise ImaginaryResidueError(
@@ -80,28 +75,38 @@ def _imag_guard(im: ErrReal) -> None:
         )
 
 
-def _term_k_complex(delta: int, n: int, k: int, prec: int) -> ErrComplex:
+def _term_plan(delta: int, n: int, prec: int):
+    """The k-th summand of the exact formula as a function of k; call at
+    the ambient precision prec. The k-free factors (pi, sqrt(2 (d-4) nn),
+    sqrt2 pi / sqrt(nn) sqrt(d-4) for d = 5, 10) are computed once; per k
+    the Bessel argument (2 pi / 5k) sqrt(2 (d-4) nn) and the coefficient
+    prefix / k are formed left to right (other orders round differently
+    and widen the Bessel argument's error bar)."""
     nn = _validate_n(delta, n)
-    d = gcd(k, 10)
-    if d not in (5, 10):
-        raise ValueError("term defined only for gcd(k,10) in {5,10}")
-    with working_precision(prec):
-        twist = a_k(k, n, prec) if delta == 1 else cal_a_k(k, n, prec)
-        x = _bessel_argument(nn, d, k)
-        i1 = bessel_i1(x, mpf(2) ** (-prec + 8) * (x.exp().value + 1))
-        coeff = (
-            ErrReal(2).sqrt()
-            * pi_err()
-            / ErrReal(nn).sqrt()
-            * ErrReal(d - 4).sqrt()
-            / ErrReal(k)
-        )
-        return twist * (coeff * i1)
+    pi = pi_err()
+    root = {d: ErrReal(2 * (d - 4) * nn).sqrt() for d in (5, 10)}
+    prefix = {
+        d: ErrReal(2).sqrt() * pi / ErrReal(nn).sqrt() * ErrReal(d - 4).sqrt() for d in (5, 10)
+    }
+    twisted = a_k if delta == 1 else cal_a_k
+    scale = mpf((1, 8 - prec))
+
+    def term(k: int) -> ErrComplex:
+        d = gcd(k, 10)
+        if d not in (5, 10):
+            raise ValueError("term defined only for gcd(k,10) in {5,10}")
+        twist = twisted(k, n, prec)
+        x = pi * 2 / (5 * k) * root[d]
+        i1 = bessel_i1(x, scale * (mp.exp(x.value) + 1))
+        return twist * (prefix[d] / ErrReal(k) * i1)
+
+    return term
 
 
 def term_k(delta: int, n: int, k: int, prec: int = 128) -> ErrReal:
     """The k-th summand of the exact formula; real up to error bars."""
-    z = _term_k_complex(delta, n, k, prec)
+    with working_precision(prec):
+        z = _term_plan(delta, n, prec)(k)
     _imag_guard(z.im)
     return z.re
 
@@ -112,14 +117,21 @@ def default_k_max(delta: int, n: int) -> int:
     return max(50, math.ceil(4 * math.pi / 5 * math.sqrt(3 * nn)) + 1)
 
 
+# per precision, the ErrReal partial sums P[c] = sum_{k <= c} d(k) k^(-3/2),
+# each formed from P[c-1]; extended in place up to the largest cutoff seen
+_DIVISOR_PARTIALS: dict[int, list[ErrReal]] = {}
+
+
 def _divisor_tail(cutoff: int, prec: int) -> ErrReal:
-    """Upper enclosure of sum_{k > cutoff} d(k) k^(-3/2) via zeta(3/2)^2."""
+    """Upper enclosure of sum_{k > cutoff} d(k) k^(-3/2) via zeta(3/2)^2.
+
+    Runs at the ambient precision, which must be prec."""
     z = zeta_3_2(mpf(2) ** (-prec // 2))
-    total = z * z
-    partial = ErrReal(0)
-    for k in range(1, cutoff + 1):
-        partial = partial + ErrReal(1) / (ErrReal(k) * ErrReal(k).sqrt()) * divisor_count(k)
-    return total - partial
+    partials = _DIVISOR_PARTIALS.setdefault(prec, [ErrReal(0)])
+    for k in range(len(partials), cutoff + 1):
+        term = ErrReal(1) / (ErrReal(k) * ErrReal(k).sqrt()) * divisor_count(k)
+        partials.append(partials[-1] + term)
+    return z * z - partials[cutoff]
 
 
 def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
@@ -200,9 +212,10 @@ def c_exact(
     attempts = 0
     while True:
         with working_precision(prec):
+            term = _term_plan(delta, n, prec)
             total = ErrComplex(0)
             for k in range(5, k_max + 1, 5):
-                total = total + _term_k_complex(delta, n, k, prec)
+                total = total + term(k)
             _imag_guard(total.im)
             tail = tail_bound_op(delta, n, k_max, prec)
             value = total.re.value
@@ -239,9 +252,10 @@ def main_term(delta: int, n: int, prec: int = 128) -> ErrReal:
     nn = _validate_n(delta, n)
     with working_precision(prec):
         cosine = ErrComplex.unit_root(16 + 30 * n if delta == 1 else 12 - 10 * n, 100).re
-        x = pi_err() * 2 / 25 * ErrReal(3 * nn).sqrt()
-        i1 = bessel_i1(x, mpf(2) ** (-prec + 8) * (x.exp().value + 1))
-        return ErrReal(2) * ErrReal(3).sqrt() * pi_err() / (ErrReal(5) * ErrReal(nn).sqrt()) * cosine * i1
+        pi = pi_err()
+        x = pi * 2 / 25 * ErrReal(3 * nn).sqrt()
+        i1 = bessel_i1(x, mpf((1, 8 - prec)) * (mp.exp(x.value) + 1))
+        return ErrReal(2) * ErrReal(3).sqrt() * pi / (ErrReal(5) * ErrReal(nn).sqrt()) * cosine * i1
 
 
 def error_bound_total(delta: int, n: int, prec: int = 128) -> mpf:
@@ -257,9 +271,10 @@ def error_bound_total(delta: int, n: int, prec: int = 128) -> mpf:
     with working_precision(prec):
         z2 = zeta_3_2(mpf(2) ** (-prec // 2))
         z2 = z2 * z2
-        pi2 = pi_err() * pi_err()
-        i1a = bessel_i1(pi_err() * 2 / 25 * ErrReal(2 * nn).sqrt(), mpf(2) ** (-prec // 2))
-        i1b = bessel_i1(pi_err() / 25 * ErrReal(3 * nn).sqrt(), mpf(2) ** (-prec // 2))
+        pi = pi_err()
+        pi2 = pi * pi
+        i1a = bessel_i1(pi * 2 / 25 * ErrReal(2 * nn).sqrt(), mpf(2) ** (-prec // 2))
+        i1b = bessel_i1(pi / 25 * ErrReal(3 * nn).sqrt(), mpf(2) ** (-prec // 2))
         bound = (
             pi2 * 32 / 125 * z2
             + pi2 * 64 / 125 * i1a

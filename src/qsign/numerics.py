@@ -9,6 +9,10 @@ within a couple of ulp; the slack used here is deliberately generous).
 
 Operations round at the ambient mpmath precision; wrap computations in
 ``working_precision(bits)`` to choose it.
+
+Bessel I1 sums its series as Python integers in units of 2^-w, one floor
+per term, with an integer bound on the floor errors carried alongside
+(_i1_series).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_cos_sin_pi, round_nearest
+from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest, to_fixed
 
 __all__ = [
     "Sign",
@@ -56,7 +60,7 @@ def working_precision(bits: int):
 
 def _eps(shift: int = 1) -> mpf:
     # 2^(shift - prec), exact at any precision
-    return mpf(2) ** (shift - mp.prec)
+    return mpf((1, shift - mp.prec))
 
 
 class ErrReal:
@@ -113,14 +117,6 @@ class ErrReal:
         if self.value < -self.err:
             return Sign.NEGATIVE
         return Sign.UNKNOWN
-
-    def definitely_le(self, other: "ErrReal") -> bool:
-        other = _coerce(other)
-        return self.hi <= other.lo
-
-    def definitely_lt(self, other: "ErrReal") -> bool:
-        other = _coerce(other)
-        return self.hi < other.lo
 
     # -- arithmetic -----------------------------------------------------------
     def _finish(self, v: mpf, raw_err: mpf) -> "ErrReal":
@@ -317,40 +313,58 @@ def _coerce_complex(x) -> ErrComplex:
 # ---------------------------------------------------------------------------
 
 
-def _i1_series(x: mpf, target_err: mpf) -> tuple[mpf, mpf]:
-    """Ascending series at a point: returns (partial_sum, truncation + rounding bound).
+def _i1_series(x: mpf, goal: mpf, w: int) -> tuple[mpf, mpf]:
+    """Ascending series at a point in fixed point at 2^-w.
 
-    Terms t_k = (x/2)^(2k+1) / (k! (k+1)!) are positive; once the ratio
-    r_k = (x/2)^2 / ((k+1)(k+2)) drops below 1/2 the tail is at most
-    t_k * r_k / (1 - r_k) <= t_k * 2 * r_k.
+    Returns exact dyadics (s, bound) with s <= I1(x) <= s + bound. The terms
+    t_k = (x/2)^(2k+1) / (k! (k+1)!) are positive with exact ratios
+    r_k = (x/2)^2 / ((k+1)(k+2)). In units of 2^-w, T_0 = floor(2^w x/2)
+    and T_{k+1} = floor(T_k r_k); each floor loses less than one unit and
+    later ratios carry what was lost, so 2^w t_k - T_k lies in [0, E_k)
+    with E_0 = 1, E_{k+1} = ceil(E_k r_k) + 1 (`lost` below). Once r_k < 1/2 the tail
+    after term k is at most 2^w t_k r_k / (1 - r_k) <= 2 r_k (T_k + E_k)
+    units; the sum stops when that is at most goal/2^10, and bound is the
+    tail plus the sum of the E_k. The E_k grow with the terms (up to about
+    e^x / x), so w needs about 1.5x bits beyond -log2(goal).
     """
     if x < 0:
         raise ValueError("Bessel argument must be nonnegative")
-    t = x / 2
-    if t == 0:
+    _, man, exp, _ = x._mpf_
+    if not man:
         return mpf(0), mpf(0)
-    term = t
-    total = t
-    tsq = t * t
+    # (x/2)^2 = num / 2^s exactly
+    num, s = man * man, 2 - 2 * exp
+    if s < 0:
+        num, s = num << -s, 0
+    shift = w + exp - 1
+    term = man << shift if shift >= 0 else man >> -shift
+    lost = 1
+    total, lost_total = term, lost
+    goal_units = to_fixed(goal._mpf_, w - 10)
     k = 0
     while True:
-        ratio = tsq / ((k + 1) * (k + 2))
-        if ratio < 0.5:
-            tail = term * ratio / (1 - ratio)
-            if tail <= target_err:
+        den = (k + 1) * (k + 2)
+        # floor(floor(a / 2^s) / den) = floor(a / (2^s den)), and likewise ceil
+        if 2 * num < den << s:
+            tail = -(((-2 * (term + lost) * num) >> s) // den)
+            if tail <= goal_units:
                 break
-        term = term * ratio
+        term = ((term * num) >> s) // den
+        lost = 1 - (((-lost * num) >> s) // den)
         total += term
+        lost_total += lost
         k += 1
         if k > 10_000_000:
             raise RuntimeError("Bessel series failed to converge")
-    rounding = total * (k + 4) * _eps(2)
-    return total, tail + rounding
+    return mp.make_mpf(from_man_exp(total, -w)), mp.make_mpf(from_man_exp(tail + lost_total, -w))
 
 
 def bessel_i1(x: ErrReal, target_err) -> ErrReal:
     """I1(x) with truncation + rounding error at most target_err.
 
+    Each endpoint is summed in fixed point (_i1_series) at
+    w = 58 - floor(log2 target_err) + floor(1.5 x) bits, so the floor
+    errors and the truncated tail together stay far below the target.
     Uncertainty in x itself propagates through endpoint evaluation on top
     of the target (I1 is increasing on [0, inf)).
     """
@@ -360,17 +374,19 @@ def bessel_i1(x: ErrReal, target_err) -> ErrReal:
         raise ValueError("target_err must be positive")
     if x.hi < 0:
         raise ValueError("Bessel argument must be nonnegative")
-    xf = float(x.hi)
-    # enough bits that the rounding error of a sum of size ~e^x meets the target
-    target_bits = int(mp.ceil(-mp.log(target) / mp.log(2))) if target < 1 else 0
-    bits = int(1.5 * xf) + max(0, target_bits) + 48
+    growth = int(1.5 * float(x.hi))
+    _, _, exp, bc = target._mpf_
+    log2_target = exp + bc - 1  # floor(log2 target), exact
+    w = 58 - log2_target + growth
+    # the enclosure's own rounding: bits for a sum of size ~e^x to meet the target
+    bits = growth + max(0, -log2_target) + 48
     with working_precision(max(mp.prec, bits)):
         if x.err == 0:
-            v, e = _i1_series(x.value, target / 2)
+            v, e = _i1_series(x.value, target / 2, w)
             return ErrReal(v, e)
         lo = x.lo if x.lo > 0 else mpf(0)
-        v_lo, e_lo = _i1_series(lo, target / 4)
-        v_hi, e_hi = _i1_series(x.hi, target / 4)
+        v_lo, e_lo = _i1_series(lo, target / 4, w)
+        v_hi, e_hi = _i1_series(x.hi, target / 4, w)
         lower = v_lo - e_lo
         upper = v_hi + e_hi
         mid = (lower + upper) / 2
@@ -401,7 +417,7 @@ def bessel_bound_checks(x: ErrReal, target_err=None) -> BesselBoundChecks:
     x = _coerce(x)
     if target_err is None:
         target_err = mpf(2) ** (-mp.prec // 2)
-    scale = ErrReal(x.value if x.value > 1 else mpf(1)).exp().value
+    scale = mp.exp(x.value if x.value > 1 else mpf(1))
     i1 = bessel_i1(x, mpf(target_err) * scale)
 
     small_app = x.hi < 1 and x.lo >= 0

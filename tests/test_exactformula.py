@@ -15,6 +15,7 @@ import pytest
 from mpmath import mpf
 
 from qsign.exactformula import (
+    _DIVISOR_PARTIALS,
     ImaginaryResidueError,
     _imag_guard,
     c_exact,
@@ -91,6 +92,44 @@ def test_c_exact_json_schema():
 
 
 # -- tail bound -------------------------------------------------------------------
+
+
+# c_exact at its defaults as the mpf-series Bessel kernel and the per-term
+# constants computed them: rounded, tail_bound as (man, exp), and err
+# rounded up at five digits. Error bars may only shrink; the tail bound is
+# the same sum in the same order, so it stays bit-identical.
+PINNED_ROWS = {
+    (1, 10): (1, (9399133828216989296835857458604612488659676352748413324549, -186), "8.0155e-37"),
+    (1, 29): (2, (9399133828216989296835857458604612488659676352748413324549, -186), "1.7236e-36"),
+    (1, 117): (-16, (237396483837809873796123911294911232238247957071804946703, -181), "2.0807e-35"),
+    (1, 300): (65561, (3243615702488767027431305991012228202473315366807820174515, -185), "1.5813e-31"),
+    (-1, 10): (1, (9399133828216989296835857458604612488659676352748413324549, -186), "9.3938e-37"),
+    (-1, 103): (63, (7606987784696697484649276220480602117015879861082373109583, -186), "6.9223e-35"),
+    (-1, 300): (83312, (3243615702488767027431305991012228202473315366807820174515, -185), "1.861e-31"),
+}
+
+
+@pytest.mark.parametrize("delta,n", sorted(PINNED_ROWS))
+def test_c_exact_error_bars_only_shrink(delta, n):
+    rounded, tail, err = PINNED_ROWS[(delta, n)]
+    ev = c_exact(delta, n)
+    assert ev.rounded == rounded
+    assert (ev.tail_bound.man, ev.tail_bound.exp) == tail
+    assert ev.err <= mpf(err)
+
+
+@pytest.mark.parametrize("delta,n", [(1, 10), (1, 117), (1, 300)])
+def test_tail_bound_op_is_pinned(delta, n):
+    # at K = 50, 107, 170, bit-identical whether the divisor-tail prefix
+    # sums start empty or were already extended past K//5
+    tail = PINNED_ROWS[(delta, n)][1]
+    K = default_k_max(delta, n)
+    _DIVISOR_PARTIALS.clear()
+    first = tail_bound_op(delta, n, K)
+    tail_bound_op(delta, n, 500)
+    again = tail_bound_op(-delta, 10, K)
+    for bound in (first, again):
+        assert (bound.man, bound.exp) == tail
 
 
 def test_tail_bound_validity_threshold():

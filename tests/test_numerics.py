@@ -15,6 +15,7 @@ from qsign.numerics import (
     ErrComplex,
     ErrReal,
     Sign,
+    _i1_series,
     bessel_bound_checks,
     bessel_i1,
     pi_err,
@@ -240,6 +241,53 @@ def test_bessel_domain_errors():
             bessel_i1(ErrReal(1), 0)
         with pytest.raises(ValueError):
             bessel_i1(ErrReal(-2), mpf("1e-10"))
+
+
+# the fixed-point kernel across the argument range of the exact formula
+# (x up to ~60 at n = 300) and beyond, at c_exact's relative target
+I1_GRID = ("1e-3", "0.5", "5.3", "23", "33.7", "60", "150")
+
+
+def _besseli_fine(x, prec):
+    # reference well below the enclosure's radius; x is passed exactly
+    with mpmath.workprec(prec + 2 * x.bc + 80):
+        return mpmath.besseli(1, x)
+
+
+@pytest.mark.parametrize("prec", [128, 192, 256])
+def test_bessel_encloses_fine_reference_at_exact_arguments(prec):
+    with working_precision(prec):
+        for s in I1_GRID:
+            x = mpf(s)
+            target = mpf(2) ** (8 - prec) * (mpmath.exp(x) + 1)
+            v = bessel_i1(ErrReal(x), target)
+            ref = _besseli_fine(x, prec)
+            assert v.lo <= ref <= v.hi, s
+            assert v.err <= target + abs(v.value) * mpf(2) ** (2 - prec), s
+
+
+@pytest.mark.parametrize("prec", [128, 192, 256])
+def test_bessel_endpoints_bracket_the_argument_interval(prec):
+    with working_precision(prec):
+        for s in I1_GRID:
+            target = mpf(2) ** (8 - prec) * (mpmath.exp(mpf(s)) + 1)
+            for width in (mpf(0), mpf(2) ** -100):
+                x = ErrReal(mpf(s), width)
+                v = bessel_i1(x, target)
+                assert v.lo <= _besseli_fine(x.lo, prec), (s, width)
+                assert _besseli_fine(x.hi, prec) <= v.hi, (s, width)
+
+
+def test_i1_series_bound_covers_the_floors_at_narrow_widths():
+    # at w = 20..40 bits the floor errors, amplified by the terms' growth,
+    # dwarf the truncated tail: the enclosure holds only through the E_k
+    for s in ("0.75", "5.3", "33.7", "60"):
+        x = mpf(s)
+        for w in (20, 40):
+            lo, bound = _i1_series(x, mpf(1), w)
+            with mpmath.workprec(400):
+                ref = mpmath.besseli(1, x)
+                assert lo <= ref <= lo + bound, (s, w)
 
 
 def test_bessel_bound_checks_examples():

@@ -1,10 +1,14 @@
 """Tests for the orchestration layer and the command-line interface."""
 
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from qsign import cli
@@ -301,3 +305,90 @@ def test_cli_env_precision_not_an_integer(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "qsign: error: QSIGN_PRECISION_BITS must be an integer, got 'abc'\n"
+
+
+# -- the exit-code contract over drawn argv ------------------------------------------
+
+_JUNK = st.sampled_from(["", "x", "0", "1.5", "nan", "1e3", "--", "-", "--bogus", "-z", "é"])
+_DELTA = st.sampled_from(["1", "-1"])
+
+
+def _ints(hi):
+    return st.integers(-3, hi).map(str)
+
+
+# per subcommand: flag -> value strategy, and the flags always given: the
+# required ones and those whose defaults are seconds of work (sizes are
+# bounded so each run is small)
+_ARGV_FLAGS = {
+    "expand": ({"--delta": _DELTA, "--order": _ints(500)}, ("--delta", "--order")),
+    "exact": ({"--delta": _DELTA, "--n": _ints(400), "--k-max": _ints(120)}, ("--delta", "--n")),
+    "verify": ({"--delta": _DELTA, "--n-max": _ints(400)}, ("--delta", "--n-max")),
+    "threshold": ({"--delta": _DELTA, "--n": _ints(400)}, ("--delta", "--n")),
+    "sweeps": (
+        {"--k-max": _ints(30), "--identity-k-max": _ints(20), "--n-samples": _ints(4)},
+        ("--k-max", "--identity-k-max", "--n-samples"),
+    ),
+    "modular": ({}, ()),
+    "pipeline": (
+        {
+            "--delta": _DELTA,
+            "--n-max": _ints(400),
+            "--sweep-k-max": _ints(30),
+            "--identity-k-max": _ints(20),
+            "--n-samples": _ints(4),
+            "--exact-lo": _ints(15),
+            "--exact-hi": _ints(15),
+            "--modular-prec": st.sampled_from(["0", "64", "96", "128"]),
+        },
+        (
+            "--sweep-k-max",
+            "--identity-k-max",
+            "--n-samples",
+            "--exact-lo",
+            "--exact-hi",
+            "--modular-prec",
+        ),
+    ),
+}
+_ARGV_COMMON = {
+    "--precision-bits": st.sampled_from(["0", "63", "64", "128"]),
+    "--format": st.sampled_from(["json", "csv", "plain", "xml"]),
+    "--output": st.just("out.txt"),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with some of its flags (and flags of other subcommands),
+    small values, and in about half the draws one junk token: in place of
+    a value, or anywhere in argv."""
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    flags, required = _ARGV_FLAGS[command]
+    pool = {**flags, **_ARGV_COMMON, "--output-dir": st.just("artifacts"), "--order": _ints(50)}
+    chosen = set(required) | set(draw(st.lists(st.sampled_from(sorted(pool)), max_size=3)))
+    pairs = draw(st.permutations([[flag, draw(pool[flag])] for flag in sorted(chosen)]))
+    argv = [command] + [token for pair in pairs for token in pair]
+    junk = draw(st.integers(0, 3))
+    if junk == 1 and len(argv) > 1:
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
+    elif junk == 2:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv())
+def test_cli_exit_contract_over_drawn_argv(tmp_path_factory, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("argv"))  # --output and --output-dir write here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3), argv
+    text = out.getvalue() + err.getvalue()
+    assert sum(line.startswith("qsign: error:") for line in text.splitlines()) <= 1, argv
+    assert "Traceback" not in text, argv
