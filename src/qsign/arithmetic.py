@@ -20,7 +20,6 @@ from .numerics import ErrComplex, ErrReal, unit_root_err, unit_root_parts, worki
 
 __all__ = [
     "CuspData",
-    "KloostermanValue",
     "divisor_count",
     "alpha_of",
     "decompose",
@@ -34,6 +33,7 @@ __all__ = [
     "a_kj_reduced_d10_abs",
     "a_k",
     "cal_a_k",
+    "twisted_bound",
     "bound_check_d5",
     "bound_check_d10",
     "aggregated_bound_check",
@@ -205,21 +205,12 @@ def _inverse_pairs(modulus: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KloostermanValue:
-    k: int
-    n: int
-    m: int
-    value: ErrComplex
-
-
-def kloosterman(k: int, n: int, m: int, prec: int = 128) -> KloostermanValue:
+def kloosterman(k: int, n: int, m: int, prec: int = 128) -> ErrComplex:
     """K_k(n, m) over residues h coprime to k with h h' == -1 (mod k)."""
     if k < 1:
         raise ValueError("k must be positive")
     with working_precision(prec):
-        value = _root_sum(k, ((n * h + m * hp) % k for h, hp in _inverse_pairs(k)))
-    return KloostermanValue(k, n, m, value)
+        return _root_sum(k, ((n * h + m * hp) % k for h, hp in _inverse_pairs(k)))
 
 
 def weil_bound_check(k: int, n: int, m: int, prec: int = 128) -> bool:
@@ -232,7 +223,7 @@ def weil_bound_check(k: int, n: int, m: int, prec: int = 128) -> bool:
     g = gcd(gcd(abs(n), abs(m)), k)
     with working_precision(prec):
         bound = ErrReal(g).sqrt() * divisor_count(k) * ErrReal(k).sqrt()
-        return not kv.value.abs().lo > bound.hi
+        return not kv.abs().lo > bound.hi
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +347,7 @@ def a_kj_reduced_d5(
         total = ErrComplex(0)
         for ell in range(5):
             kv = kloosterman(5 * k, (5 * n + 3) * (k * k - 1) // 4 + ell * k, cj, prec)
-            total = total + ErrComplex.unit_root(jr * ell, 5) * kv.value
+            total = total + ErrComplex.unit_root(jr * ell, 5) * kv
         return total * ErrReal(mpf(-1)) / ErrReal(25)
 
 
@@ -379,7 +370,7 @@ def a_kj_reduced_d10_abs(
         total = ErrComplex(0)
         for ell in range(5):
             kv = kloosterman(10 * k, 2 * (k * ell - 5 * n - 3), num // 2, prec)
-            total = total + ErrComplex.unit_root(-jr * ell, 5) * kv.value
+            total = total + ErrComplex.unit_root(-jr * ell, 5) * kv
         return total.abs() / ErrReal(50)
 
 
@@ -399,40 +390,39 @@ def cal_a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_rational(num: int, den: int) -> ErrReal:
-    return (ErrReal(num) / ErrReal(den)).sqrt()
+def twisted_bound(k: int) -> ErrReal:
+    """The bound on |A_{k,j}(n)| at the ambient precision: 2 d(k) sqrt(k/5)
+    for gcd(k,10)=5, d(10k) sqrt(3k/5) for gcd(k,10)=10."""
+    d = gcd(k, 10)
+    if d == 5:
+        return ErrReal(2 * divisor_count(k)) * (ErrReal(k) / ErrReal(5)).sqrt()
+    if d == 10:
+        return ErrReal(divisor_count(10 * k)) * (ErrReal(3 * k) / ErrReal(5)).sqrt()
+    raise ValueError("gcd(k,10) must be 5 or 10")
 
 
 def bound_check_d5(k: int, j: int, n: int, prec: int = 128) -> bool:
-    """|A_{k,j}(n)| <= 2 d(k) sqrt(k/5) for gcd(k,10)=5, within error bars."""
+    """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=5, within error bars."""
     if gcd(k, 10) != 5:
         raise ValueError("k must have gcd(k,10) = 5")
     val = a_kj(k, j, n, prec)
     with working_precision(prec):
-        bound = ErrReal(2 * divisor_count(k)) * _sqrt_rational(k, 5)
-        return not val.abs().lo > bound.hi
+        return not val.abs().lo > twisted_bound(k).hi
 
 
 def bound_check_d10(k: int, j: int, n: int, prec: int = 128) -> bool:
-    """|A_{k,j}(n)| <= d(10k) sqrt(3k/5) for gcd(k,10)=10, within error bars."""
+    """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=10, within error bars."""
     if gcd(k, 10) != 10:
         raise ValueError("k must have gcd(k,10) = 10")
     val = a_kj(k, j, n, prec)
     with working_precision(prec):
-        bound = ErrReal(divisor_count(10 * k)) * _sqrt_rational(3 * k, 5)
-        return not val.abs().lo > bound.hi
+        return not val.abs().lo > twisted_bound(k).hi
 
 
 def aggregated_bound_check(k: int, n: int, prec: int = 128, twisted: bool = False) -> bool:
-    """|A_k(n)| (or |cal A_k(n)| when twisted) against the aggregated bound:
-    4 d(k) sqrt(k/5) for gcd(k,10)=5, 2 d(10k) sqrt(3k/5) for gcd(k,10)=10."""
-    d = gcd(k, 10)
-    if d not in (5, 10):
-        raise ValueError("gcd(k,10) must be 5 or 10")
+    """|A_k(n)| (or |cal A_k(n)| when twisted) against the aggregated bound
+    2 twisted_bound(k): 4 d(k) sqrt(k/5) for gcd(k,10)=5, 2 d(10k) sqrt(3k/5)
+    for gcd(k,10)=10."""
     val = cal_a_k(k, n, prec) if twisted else a_k(k, n, prec)
     with working_precision(prec):
-        if d == 5:
-            bound = ErrReal(4 * divisor_count(k)) * _sqrt_rational(k, 5)
-        else:
-            bound = ErrReal(2 * divisor_count(10 * k)) * _sqrt_rational(3 * k, 5)
-        return not val.abs().lo > bound.hi
+        return not val.abs().lo > (twisted_bound(k) * 2).hi

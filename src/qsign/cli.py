@@ -155,8 +155,8 @@ def _cmd_sweeps(args) -> int:
 def _cmd_threshold(args) -> int:
     lhs = exactformula.threshold_lhs(args.delta, args.n)
     ok = lhs.hi < 1
-    print(f"threshold delta={args.delta:+d} n={args.n}: lhs = {mp.nstr(lhs.value, 12)} "
-          f"(err {mp.nstr(lhs.err, 3)}) {'PASS' if ok else 'FAIL'}")
+    _emit(f"threshold delta={args.delta:+d} n={args.n}: lhs = {mp.nstr(lhs.value, 12)} "
+          f"(err {mp.nstr(lhs.err, 3)}) {'PASS' if ok else 'FAIL'}", args.output)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "ExactEval",
     "MainErrorSplit",
     "shifted_index",
-    "term_k",
     "c_exact",
     "tail_bound_op",
     "main_term",
@@ -101,14 +100,6 @@ def _term_plan(delta: int, n: int, prec: int):
         return twist * (prefix[d] / ErrReal(k) * i1)
 
     return term
-
-
-def term_k(delta: int, n: int, k: int, prec: int = 128) -> ErrReal:
-    """The k-th summand of the exact formula; real up to error bars."""
-    with working_precision(prec):
-        z = _term_plan(delta, n, prec)(k)
-    _imag_guard(z.im)
-    return z.re
 
 
 def default_k_max(delta: int, n: int) -> int:
@@ -192,13 +183,12 @@ def c_exact(
     n: int,
     k_max: int | None = None,
     prec: int = 128,
-    max_escalations: int = 2,
 ) -> ExactEval:
     """Partial sum over k <= k_max (k a multiple of 5) plus the rigorous
     tail bound; Definitive iff gap + numeric error + tail bound < 1/2.
 
-    Escalates k_max / precision a bounded number of times while the
-    verdict is not definitive. Note: the certified tail bound is of Weil
+    Doubles the precision, at most twice, while the numeric error exceeds
+    1/4; k_max stays as given. Note: the certified tail bound is of Weil
     type and is orders of magnitude above 1/2 at any desk-scale cutoff,
     so the definitive flag is not reachable in practice; rounding is
     nevertheless reported, alongside the gap and both error components.
@@ -209,8 +199,7 @@ def c_exact(
     if k_max < 10:
         raise ValueError("k_max must be at least 10")
 
-    attempts = 0
-    while True:
+    for escalation in range(3):
         with working_precision(prec):
             term = _term_plan(delta, n, prec)
             total = ErrComplex(0)
@@ -223,28 +212,21 @@ def c_exact(
             rounded = int(mp.nint(value))
             gap = abs(value - rounded)
             definitive = bool(gap + err + tail < mpf(1) / 2)
-        # escalate only when the blocking component is plausibly curable:
-        # precision doubling always shrinks err; k_max doubling shrinks the
-        # tail by a factor < sqrt(2), so a tail far above 1/2 cannot close.
-        curable = err > mpf(1) / 4 or tail < mpf("0.6")
-        if definitive or attempts >= max_escalations or not curable:
-            return ExactEval(
-                delta=delta,
-                n=n,
-                k_max=k_max,
-                value=value,
-                err=err,
-                tail_bound=tail,
-                rounded=rounded,
-                gap=gap,
-                definitive=definitive,
-                prec=prec,
-            )
-        attempts += 1
-        if err > mpf(1) / 4:
-            prec *= 2
-        else:
-            k_max *= 2
+        if definitive or not err > mpf(1) / 4 or escalation == 2:
+            break
+        prec *= 2
+    return ExactEval(
+        delta=delta,
+        n=n,
+        k_max=k_max,
+        value=value,
+        err=err,
+        tail_bound=tail,
+        rounded=rounded,
+        gap=gap,
+        definitive=definitive,
+        prec=prec,
+    )
 
 
 def main_term(delta: int, n: int, prec: int = 128) -> ErrReal:

@@ -22,14 +22,12 @@ from .qseries import q10_series_product
 __all__ = [
     "PoleError",
     "ConsistencyError",
-    "ThetaPoint",
     "EtaMultiplier",
     "theta",
     "eta",
     "omega_hk",
     "f_eval",
     "f_series_agreement",
-    "transformation_check",
     "transformation_check_detail",
     "growth_classifier",
     "CheckRecord",
@@ -45,18 +43,6 @@ class PoleError(ArithmeticError):
 
 class ConsistencyError(ArithmeticError):
     """Two evaluations that must agree differ beyond their error bars."""
-
-
-@dataclass(frozen=True)
-class ThetaPoint:
-    """Validated elliptic/modular argument pair."""
-
-    w: complex
-    tau: complex
-
-    def __post_init__(self):
-        if not mpc(self.tau).imag > 0:
-            raise ValueError("tau must lie in the upper half-plane")
 
 
 def _mpc_wrap(z: mpc, err: mpf) -> ErrComplex:
@@ -271,10 +257,6 @@ def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int | 
 
         rhs = root_phase * quad * analytic * (th_num / th_den) * sign
         return _agreement("cusp-transformation", {"h": h, "k": k, "z": str(z)}, lhs, rhs, target)
-
-
-def transformation_check(h: int, k: int, z, target_err=None, prec: int | None = None) -> bool:
-    return transformation_check_detail(h, k, z, target_err, prec).passed
 
 
 def growth_classifier(d: int, nu2: int, delta: int = 1) -> bool:

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest, to_fixed
 
 __all__ = [
-    "Sign",
     "ErrReal",
     "ErrComplex",
     "working_precision",
@@ -38,12 +36,6 @@ __all__ = [
     "BesselBoundChecks",
     "zeta_3_2",
 ]
-
-
-class Sign(Enum):
-    POSITIVE = 1
-    NEGATIVE = -1
-    UNKNOWN = 0
 
 
 @contextmanager
@@ -71,23 +63,23 @@ class ErrReal:
     def __init__(self, value, err=0):
         if isinstance(value, ErrReal):
             raise TypeError("value is already an ErrReal")
+        e = err if isinstance(err, mpf) else mpf(err)
+        # only conversions that can round add a slack to err
         if isinstance(value, mpf):
             v = value
-            slack = mpf(0)
         elif isinstance(value, (int, float)):
             v = mpf(value)
             # mpf(float) is exact; mpf(int) rounds once the int exceeds prec bits
-            slack = abs(v) * _eps(1) if isinstance(value, int) and v != value else mpf(0)
+            if isinstance(value, int) and v != value:
+                e = e + abs(v) * _eps(1)
         elif isinstance(value, Fraction):
             v = mpf(value.numerator) / mpf(value.denominator)
-            slack = abs(v) * _eps(2)
+            e = e + abs(v) * _eps(2)
         elif isinstance(value, str):
             v = mpf(value)
-            slack = abs(v) * _eps(1)
+            e = e + abs(v) * _eps(1)
         else:
             raise TypeError(f"cannot build ErrReal from {type(value)!r}")
-        e = err if isinstance(err, mpf) else mpf(err)
-        e = e + slack
         if e < 0:
             raise ValueError("error bound must be nonnegative")
         self.value = v
@@ -110,13 +102,6 @@ class ErrReal:
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-    def sign(self) -> Sign:
-        if self.value > self.err:
-            return Sign.POSITIVE
-        if self.value < -self.err:
-            return Sign.NEGATIVE
-        return Sign.UNKNOWN
 
     # -- arithmetic -----------------------------------------------------------
     def _finish(self, v: mpf, raw_err: mpf) -> "ErrReal":
@@ -190,11 +175,6 @@ class ErrReal:
 
         # |cos'| <= 1, |cos| <= 1
         return ErrReal(mcos(self.value), self.err + _eps(3))
-
-    def sin(self) -> "ErrReal":
-        from mpmath import sin as msin
-
-        return ErrReal(msin(self.value), self.err + _eps(3))
 
     def __repr__(self):
         return f"ErrReal({mp.nstr(self.value, 17)}, err={mp.nstr(self.err, 3)})"
@@ -411,14 +391,13 @@ class BesselBoundChecks:
         return self.small_ok and self.large_ok and self.lower_ok
 
 
-def bessel_bound_checks(x: ErrReal, target_err=None) -> BesselBoundChecks:
+def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
     """Verify I1(x) <= x on [0,1), I1(x) <= sqrt(2/(pi x)) e^x on [1,inf),
-    and I1(x) >= e^x / (4 sqrt(x)) on [3,inf), within error bars."""
+    and I1(x) >= e^x / (4 sqrt(x)) on [3,inf), within error bars; I1 is
+    evaluated to 2^(-prec/2) relative to max(e^x, e)."""
     x = _coerce(x)
-    if target_err is None:
-        target_err = mpf(2) ** (-mp.prec // 2)
     scale = mp.exp(x.value if x.value > 1 else mpf(1))
-    i1 = bessel_i1(x, mpf(target_err) * scale)
+    i1 = bessel_i1(x, mpf(2) ** (-mp.prec // 2) * scale)
 
     small_app = x.hi < 1 and x.lo >= 0
     small_ok = True
@@ -445,21 +424,18 @@ def bessel_bound_checks(x: ErrReal, target_err=None) -> BesselBoundChecks:
 # zeta(3/2)
 # ---------------------------------------------------------------------------
 
-# B_2, B_4, B_6 and the first-omitted-term constant for the B_8 remainder of
-# sum n^(-3/2); the integrand is completely monotone so the Euler-Maclaurin
-# remainder is enveloped by the first omitted correction term.
+# B_2, B_4, B_6 of the Euler-Maclaurin tail of sum n^(-3/2); the integrand
+# is completely monotone, so the remainder is enveloped by the first omitted
+# (B_8) correction term.
 _EM_B = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42))
 
 _ZETA_CACHE: dict[tuple[int, int], ErrReal] = {}
 
 
 def zeta_3_2(target_err) -> ErrReal:
-    """zeta(3/2) enclosed by a partial sum plus an integral-remainder bracket.
-
-    The bracket [int_{N+1}^inf, int_N^inf x^(-3/2) dx] is sharpened with
-    Euler-Maclaurin correction terms when the plain bracket would need an
-    impractically large N; the remainder stays enveloped because x^(-3/2)
-    is completely monotone.
+    """zeta(3/2) enclosed by a partial sum over n <= N plus the
+    Euler-Maclaurin tail from N+1 through its B_6 term; the remainder stays
+    enveloped because x^(-3/2) is completely monotone.
     """
     from mpmath import sqrt as msqrt
 
@@ -470,38 +446,26 @@ def zeta_3_2(target_err) -> ErrReal:
     if key in _ZETA_CACHE:
         return _ZETA_CACHE[key]
 
-    plain_n = int((mpf(2) / target) ** (mpf(2) / 3)) + 2
-    use_plain = plain_n <= 200_000
-
-    if use_plain:
-        n_terms = plain_n
-    else:
-        # remainder after B6 term: <= 0.0131 * (N+1)^(-8.5)
-        n_terms = int((mpf("0.0131") / target) ** (mpf(2) / 17)) + 16
+    # remainder after B6 term: <= 0.0131 * (N+1)^(-8.5)
+    n_terms = int((mpf("0.0131") / target) ** (mpf(2) / 17)) + 16
 
     with working_precision(mp.prec + 32 + n_terms.bit_length()):
         partial = mpf(0)
         for k in range(n_terms, 0, -1):  # ascending magnitudes: sum small-to-large
             partial += 1 / (mpf(k) * msqrt(k))
         rounding = partial * (n_terms + 4) * _eps(2)
-        if use_plain:
-            lo_tail = 2 / msqrt(n_terms + 1)
-            hi_tail = 2 / msqrt(n_terms)
-            value = partial + (lo_tail + hi_tail) / 2
-            err = (hi_tail - lo_tail) / 2 + rounding + abs(value) * _eps(3)
-        else:
-            a = mpf(n_terms + 1)
-            s = mpf(3) / 2
-            tail = 2 / msqrt(a) + a ** (-s) / 2
-            deriv = -s * a ** (-s - 1)
-            tail -= mpf(_EM_B[0].numerator) / _EM_B[0].denominator / 2 * deriv
-            deriv3 = -s * (s + 1) * (s + 2) * a ** (-s - 3)
-            tail -= mpf(_EM_B[1].numerator) / _EM_B[1].denominator / 24 * deriv3
-            deriv5 = -s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * a ** (-s - 5)
-            tail -= mpf(_EM_B[2].numerator) / _EM_B[2].denominator / 720 * deriv5
-            remainder = mpf("0.0131") * a ** mpf("-8.5")
-            value = partial + tail
-            err = remainder + rounding + abs(value) * _eps(4)
+        a = mpf(n_terms + 1)
+        s = mpf(3) / 2
+        tail = 2 / msqrt(a) + a ** (-s) / 2
+        deriv = -s * a ** (-s - 1)
+        tail -= mpf(_EM_B[0].numerator) / _EM_B[0].denominator / 2 * deriv
+        deriv3 = -s * (s + 1) * (s + 2) * a ** (-s - 3)
+        tail -= mpf(_EM_B[1].numerator) / _EM_B[1].denominator / 24 * deriv3
+        deriv5 = -s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * a ** (-s - 5)
+        tail -= mpf(_EM_B[2].numerator) / _EM_B[2].denominator / 720 * deriv5
+        remainder = mpf("0.0131") * a ** mpf("-8.5")
+        value = partial + tail
+        err = remainder + rounding + abs(value) * _eps(4)
         result = ErrReal(value, err)
     _ZETA_CACHE[key] = result
     return result

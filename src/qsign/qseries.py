@@ -14,7 +14,6 @@ its independent cross-check.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 
 
@@ -45,11 +44,7 @@ _DENOMINATOR_RESIDUES = (3, 7)
 
 
 class TruncatedSeries:
-    """Integer power series in q, truncated inclusively at ``order``.
-
-    Arithmetic between two series of different orders truncates to the
-    smaller one, so coefficients are never silently wrong.
-    """
+    """Integer power series in q, truncated inclusively at ``order``."""
 
     __slots__ = ("coeffs", "order")
 
@@ -66,32 +61,15 @@ class TruncatedSeries:
         self.coeffs = coeffs
         self.order = order
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,) + (0,) * order, order)
-
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient index {n} outside [0, {self.order}]")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return series_mul(self, other)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -104,26 +82,6 @@ class TruncatedSeries:
         if delta is not None:
             out["delta"] = delta
         return out
-
-    def to_json(self, delta: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(delta), sort_keys=True)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated at min(a.order, b.order)."""
-    n = min(a.order, b.order)
-    # iterate over the sparser operand for products against near-monomials
-    if sum(1 for c in a.coeffs[: n + 1] if c) > sum(1 for c in b.coeffs[: n + 1] if c):
-        a, b = b, a
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        if not ai:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj:
-                out[i + j] += ai * bj
-    return TruncatedSeries(out, n)
 
 
 def _check_args(delta: int, order: int) -> None:
@@ -159,16 +117,6 @@ def _sparse_divide(
             acc -= c * coeffs[m - e]
         coeffs[m] = acc if unit == 1 else -acc
     return TruncatedSeries(coeffs, order)
-
-
-def series_recip(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse by long division over the nonzero terms of a.
-
-    Requires the constant term to be a unit (+1 or -1) so that the result
-    has integer coefficients.
-    """
-    terms = [(e, c) for e, c in enumerate(a.coeffs) if c]
-    return _sparse_divide([(0, 1)], terms, a.order)
 
 
 def _theta_terms(shift: int, order: int) -> list[tuple[int, int]]:

@@ -241,11 +241,7 @@ def run_bound_sweeps(
                     val = arithmetic.a_kj(k, j, n, prec)
                     with working_precision(prec):
                         absval = val.abs().value
-                        bound = (
-                            2 * arithmetic.divisor_count(k) * (mpf(k) / 5) ** mpf("0.5")
-                            if d == 5
-                            else arithmetic.divisor_count(10 * k) * (mpf(3 * k) / 5) ** mpf("0.5")
-                        )
+                        bound = arithmetic.twisted_bound(k).value
                     rows.append((k, j, n, float(absval), float(bound), ok))
         for n in range(0, n_samples, 4):
             for twisted in (False, True):
@@ -314,10 +310,6 @@ class ExactOracleReport:
     @property
     def oracle_passed(self) -> bool:
         return not self.mismatches and self.max_gap_plus_err < 0.5
-
-    @property
-    def all_definitive(self) -> bool:
-        return self.definitive_count == self.total
 
     def to_dict(self) -> dict:
         return {
@@ -407,8 +399,7 @@ class PipelineConfig:
         defaults = {1: 2928, -1: 2233}
         if self.n_max is None:
             return defaults[delta]
-        value = self.n_max.get(delta, defaults[delta]) if isinstance(self.n_max, dict) else int(self.n_max)
-        return value
+        return self.n_max.get(delta, defaults[delta])
 
     def validate(self) -> None:
         if self.precision_bits < 64:
@@ -428,10 +419,6 @@ class PipelineResult:
     exit_status: int
     phases: dict
     artifacts: list
-
-    @property
-    def passed(self) -> bool:
-        return self.exit_status == 0
 
 
 def _write_json(path: Path, payload) -> None:

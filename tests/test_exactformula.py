@@ -18,6 +18,7 @@ from qsign.exactformula import (
     _DIVISOR_PARTIALS,
     ImaginaryResidueError,
     _imag_guard,
+    _term_plan,
     c_exact,
     default_k_max,
     error_bound_total,
@@ -25,10 +26,9 @@ from qsign.exactformula import (
     main_term,
     shifted_index,
     tail_bound_op,
-    term_k,
     threshold_lhs,
 )
-from qsign.numerics import ErrReal, Sign, working_precision
+from qsign.numerics import ErrReal, working_precision
 from qsign.qseries import POSITIVE_RESIDUES, q10_series
 
 
@@ -39,20 +39,27 @@ def test_shifted_index():
         shifted_index(0, 10)
 
 
+def term(delta, n, k, prec=128):
+    """The k-th summand of the exact formula, as c_exact forms it."""
+    with working_precision(prec):
+        return _term_plan(delta, n, prec)(k)
+
+
 def test_term_k10_equals_main_term():
     for delta, n in ((1, 10), (1, 17), (1, 100), (-1, 25)):
-        t = term_k(delta, n, 10)
+        t = term(delta, n, 10)
+        _imag_guard(t.im)
         m = main_term(delta, n)
-        assert abs(t.value - m.value) <= 4 * (t.err + m.err) + mpf("1e-30")
+        assert abs(t.re.value - m.value) <= 4 * (t.re.err + m.err) + mpf("1e-30")
 
 
 def test_term_k_domain():
     with pytest.raises(ValueError):
-        term_k(1, 10, 12)  # gcd(k,10)=2
+        term(1, 10, 12)  # gcd(k,10)=2
     with pytest.raises(ValueError):
-        term_k(-1, 1, 10)  # inner index not positive
+        term(-1, 1, 10)  # inner index not positive
     with pytest.raises(ValueError):
-        term_k(1, 0, 10)
+        term(1, 0, 10)
 
 
 def test_imaginary_guard():
@@ -69,6 +76,16 @@ def test_c_exact_rounds_to_oracle(delta, n):
     assert ev.gap + ev.err < mpf("0.5")
     assert not ev.definitive  # Weil-type tail certificate is O(100) here
     assert ev.tail_bound > 1
+
+
+def test_c_exact_escalates_precision_only():
+    # at 16 bits the numeric error exceeds 1/4 and one doubling cures it;
+    # the cutoff stays at its default
+    ev = c_exact(1, 300, prec=16)
+    assert ev.prec == 32
+    assert ev.k_max == default_k_max(1, 300) == 170
+    assert ev.err <= mpf(1) / 4
+    assert ev.rounded == 65561 == q10_series(1, 300).coefficient(300)
 
 
 def test_c_exact_domain():
@@ -170,8 +187,8 @@ def test_tail_bound_is_a_valid_truncation_bound():
     # |partial(K2) - partial(K1)| <= tail_bound(K1)
     for delta, n in ((1, 40), (-1, 33)):
         k1 = default_k_max(delta, n)
-        e1 = c_exact(delta, n, k_max=k1, max_escalations=0)
-        e2 = c_exact(delta, n, k_max=2 * k1, max_escalations=0)
+        e1 = c_exact(delta, n, k_max=k1)
+        e2 = c_exact(delta, n, k_max=2 * k1)
         assert abs(e2.value - e1.value) <= e1.tail_bound
 
 
@@ -184,10 +201,9 @@ def test_main_term_sign_follows_positive_residues():
     for delta in (1, -1):
         for n in range(50, 70):
             m = main_term(delta, n)
-            sign = m.sign()
-            assert sign is not Sign.UNKNOWN
+            assert m.lo > 0 or m.hi < 0
             expected_positive = n % 10 in POSITIVE_RESIDUES[delta]
-            assert (sign is Sign.POSITIVE) == expected_positive
+            assert (m.lo > 0) == expected_positive
 
 
 def test_cosine_lower_bound_over_classes():
@@ -233,9 +249,9 @@ def test_sign_soundness_where_conclusive():
             if not split.conclusive:
                 continue
             coeff = series[delta].coefficient(n)
-            main_sign = split.main.sign()
-            assert main_sign is not Sign.UNKNOWN
-            assert (coeff > 0) == (main_sign is Sign.POSITIVE)
+            main = split.main
+            assert main.lo > 0 or main.hi < 0
+            assert (coeff > 0) == (main.lo > 0)
 
 
 def test_error_bound_domain():

@@ -10,14 +10,12 @@ import pytest
 from mpmath import exp, mpc, mpf, pi, sqrt
 
 from qsign.modularcheck import (
-    ThetaPoint,
     eta,
     f_eval,
     f_series_agreement,
     growth_classifier,
     omega_hk,
     theta,
-    transformation_check,
     transformation_check_detail,
 )
 from qsign.numerics import working_precision
@@ -44,13 +42,6 @@ def test_theta_rejects_lower_half_plane():
         theta(0, mpc(1, 0), TARGET, PREC)
     with pytest.raises(ValueError):
         theta(0, mpc(0, 1), 0, PREC)
-
-
-def test_theta_point_validation():
-    p = ThetaPoint(w=0.3, tau=1j)
-    assert p.tau == 1j
-    with pytest.raises(ValueError):
-        ThetaPoint(w=0.0, tau=-1j)
 
 
 def test_triple_product_at_spec_point():
@@ -184,12 +175,11 @@ def test_transformation_check(h, k, z):
     record = transformation_check_detail(h, k, z, 1e-15, PREC)
     assert record.passed
     assert record.abs_diff < 1e-15
-    assert transformation_check(h, k, z, 1e-15, PREC)
 
 
 def test_transformation_rejects_bad_z():
     with pytest.raises(ValueError):
-        transformation_check(2, 5, mpc("-1"), 1e-15, PREC)
+        transformation_check_detail(2, 5, mpc("-1"), 1e-15, PREC)
 
 
 def test_growth_classification_exhaustive():

@@ -14,7 +14,6 @@ from mpmath import mpf
 from qsign.numerics import (
     ErrComplex,
     ErrReal,
-    Sign,
     _i1_series,
     bessel_bound_checks,
     bessel_i1,
@@ -62,9 +61,10 @@ def test_errreal_division_guards_zero():
 
 
 def test_sign_three_valued():
-    assert ErrReal(1, mpf("0.5")).sign() is Sign.POSITIVE
-    assert ErrReal(-1, mpf("0.5")).sign() is Sign.NEGATIVE
-    assert ErrReal(mpf("1e-12"), mpf("1e-6")).sign() is Sign.UNKNOWN
+    assert ErrReal(1, mpf("0.5")).lo > 0
+    assert ErrReal(-1, mpf("0.5")).hi < 0
+    undecided = ErrReal(mpf("1e-12"), mpf("1e-6"))
+    assert undecided.lo < 0 < undecided.hi
 
 
 def test_big_int_conversion_is_tracked():
@@ -323,7 +323,8 @@ def test_zeta_reference_value():
 
 def test_zeta_bracket_width_meets_target():
     with working_precision(96):
-        for target in (mpf("1e-6"), mpf("1e-10"), mpf("1e-20")):
+        # coarse targets take the same Euler-Maclaurin tail as fine ones
+        for target in (mpf("1e-3"), mpf("1e-6"), mpf("1e-10"), mpf("1e-20")):
             z = zeta_3_2(target)
             assert z.err <= 2 * target
             assert z.contains(mpf(ZETA_3_2))

@@ -91,7 +91,7 @@ def test_exact_oracle_small_range():
     assert report.oracle_passed
     assert report.rounding_matches == report.total == 10
     assert report.max_gap_plus_err < 0.5
-    assert not report.all_definitive  # Weil-type certificate blocks this
+    assert report.definitive_count == 0  # Weil-type certificate blocks this
     assert [(r["delta"], r["n"]) for r in report.rows] == [
         (d, n) for d in (1, -1) for n in range(10, 15)
     ]
@@ -274,6 +274,15 @@ def test_cli_threshold(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_threshold_output_file(tmp_path, capsys):
+    out_file = tmp_path / "threshold.txt"
+    assert main(["threshold", "--delta", "1", "--n", "2929", "--output", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    line = out_file.read_text()
+    assert line.startswith("threshold delta=+1 n=2929: lhs = 0.998718959")
+    assert line.endswith(" PASS\n")
+
+
 def test_cli_threshold_fail_exit(capsys):
     assert main(["threshold", "--delta", "1", "--n", "100"]) == 3
     assert "FAIL" in capsys.readouterr().out
@@ -392,3 +401,20 @@ def test_cli_exit_contract_over_drawn_argv(tmp_path_factory, argv):
     text = out.getvalue() + err.getvalue()
     assert sum(line.startswith("qsign: error:") for line in text.splitlines()) <= 1, argv
     assert "Traceback" not in text, argv
+
+
+# -- package -----------------------------------------------------------------------
+
+
+def test_every_module_all_name_exists():
+    import importlib
+    import pkgutil
+
+    import qsign
+
+    for info in pkgutil.iter_modules(qsign.__path__):
+        if info.name == "__main__":  # importing it runs the command
+            continue
+        module = importlib.import_module(f"qsign.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], info.name
