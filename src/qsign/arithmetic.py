@@ -3,20 +3,21 @@ exact formulas, together with all their bound checks and reduction identities.
 
 Every summand of the twisted sums is +- a 10k-th root of unity, so sums are
 evaluated by exact integer exponent arithmetic modulo 10k followed by table
-lookups of fixed-point roots: integers within 17 of 2^w times the true parts,
+lookups of fixed-point roots: integers within 1 of 2^w times the true parts,
 w = prec + 8, added exactly and rounded once, so a sum of count terms is
-within count * 17 * 2^-w plus that one rounding of its true value.
+within count * 2^-w plus that one rounding of its true value. Each table
+costs two cos/sin evaluations and about modulus/2 integer products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from mpmath import ldexp, mp, mpf
 from mpmath.libmp import to_fixed
 
-from .numerics import ErrComplex, ErrReal, unit_root_err, unit_root_parts, working_precision
+from .numerics import ErrComplex, ErrReal, unit_root_parts, working_precision
 
 __all__ = [
     "CuspData",
@@ -141,6 +142,7 @@ def decompose(h: int, k: int) -> CuspData:
 # ---------------------------------------------------------------------------
 
 _GUARD_BITS = 8  # root tables carry mp.prec + _GUARD_BITS fractional bits
+_ENTRY_ERR = 1  # each table part is within this many units of 2^-w (see _roots)
 _ROOT_TABLES: dict[tuple[int, int], list] = {}
 _INVERSE_PAIRS: dict[int, list] = {}
 _AKJ_TERMS: dict[tuple[int, int, int, int], list] = {}
@@ -152,21 +154,62 @@ def clear_caches() -> None:
     _AKJ_TERMS.clear()
 
 
-def _roots(modulus: int) -> list:
-    """Fixed-point table of e^(2*pi*i*t/modulus): (c_t, s_t) with c_t, s_t the
-    floors of 2^w cos and 2^w sin, w = mp.prec + _GUARD_BITS.
+def _fixed_powers(root: tuple[int, int], count: int, bits: int) -> list:
+    """root^0, ..., root^(count-1) for a fixed-point complex root at 2^-bits,
+    each the componentwise floor of the previous power times root."""
+    rc, rs = root
+    c, s = 1 << bits, 0
+    powers = [(c, s)]
+    for _ in range(count - 1):
+        c, s = (c * rc - s * rs) >> bits, (c * rs + s * rc) >> bits
+        powers.append((c, s))
+    return powers
 
-    Each part is computed at w bits (error 2^(4-w)) and floored (error
-    below 2^-w), so it is within 17 of 2^w times the true part. Only
-    t <= modulus/2 is evaluated; entry modulus - t is (c_t, -s_t), which
-    keeps the same bound."""
+
+def _roots(modulus: int) -> list:
+    """Fixed-point table of e^(2*pi*i*t/modulus): (c_t, s_t) with c_t, s_t
+    within _ENTRY_ERR = 1 of 2^w cos and 2^w sin, w = mp.prec + _GUARD_BITS.
+
+    Baby-step/giant-step: with M = modulus, B = isqrt(M // 2) + 1 and
+    W = w + 2 bitlen(B) + 6, the only evaluations are Z = ζ_M and Y = ζ_M^B
+    by unit_root_parts at W + 4 bits, floored to W fractional bits. Entry
+    t = gB + b (b, g < B) is the product of the baby power Z^b and the giant
+    power Y^g, both kept at 2^-W, rounded to nearest at 2^-w.
+
+    Proof of the bound, in units u = 2^-W and complex moduli. Each part of Z
+    and Y is within u of the truth before the floor (unit_root_err at W + 4
+    bits) and under 2u after it, so |Z - ζ| and |Y - ζ^B| are under 2√2 u.
+    A baby power P_(j+1) = ⌊P_j Z⌋ inherits P_j's error e_j scaled by
+    |Z| <= 1 + 2√2 u, adds |Z - ζ| and the floors' √2 u:
+    e_(j+1) <= e_j (1 + 2√2 u) + 3√2 u, so e_j <= 4.25 j u for j < B, as
+    B <= 2^(W/2) keeps the growth factor below 1.0001; the same holds for
+    the giant powers Q_g of Y. The product P_b Q_g is then within
+    e_b |Q_g| + e_g <= 4.3 (b + g) u < 8.6 B u of ζ^t; in units of 2^-w
+    that is 8.6 B 2^(w-W) < 8.6 B / (64 B^2) < 0.14, and the rounding adds
+    at most 1/2, so each part is within 0.64 < 1 unit. As 0.14 < 1/2, a
+    value on the 2^-w grid comes out exact: entries 0, M/4 and M/2 are
+    (2^w, 0), (0, 2^w) and (-2^w, 0).
+
+    Only t <= M/2 is evaluated; entry M - t is (c_t, -s_t), which keeps
+    the same bound."""
     key = (modulus, mp.prec)
     table = _ROOT_TABLES.get(key)
     if table is None:
         w = mp.prec + _GUARD_BITS
-        with working_precision(w):
-            parts = (unit_root_parts(t, modulus) for t in range(modulus // 2 + 1))
-            half = [(to_fixed(c._mpf_, w), to_fixed(s._mpf_, w)) for c, s in parts]
+        size = modulus // 2 + 1
+        step = isqrt(modulus // 2) + 1
+        bits = w + 2 * step.bit_length() + 6
+        with working_precision(bits + 4):
+            z, y = (tuple(to_fixed(p._mpf_, bits) for p in unit_root_parts(e, modulus)) for e in (1, step))
+        babies = _fixed_powers(z, step, bits)
+        giants = _fixed_powers(y, -(-size // step), bits)
+        shift = 2 * bits - w
+        half_unit = 1 << (shift - 1)
+        half = [
+            ((gc * bc - gs * bs + half_unit) >> shift, (gc * bs + gs * bc + half_unit) >> shift)
+            for gc, gs in giants
+            for bc, bs in babies
+        ][:size]
         table = half + [(c, -s) for c, s in reversed(half[1 : (modulus + 1) // 2])]
         _ROOT_TABLES[key] = table
     return table
@@ -184,8 +227,7 @@ def _root_sum(modulus: int, exponents) -> ErrComplex:
         im += s
         count += 1
     w = mp.prec + _GUARD_BITS
-    # per entry: unit_root_parts' error at w bits plus the floor's 2^-w
-    table_err = count * ldexp(unit_root_err() + mpf((1, -mp.prec)), -_GUARD_BITS)
+    table_err = ldexp(count * _ENTRY_ERR, -w)
     parts = [mpf((total, -w)) for total in (re, im)]  # the one rounding, at most |v| 2^-prec
     return ErrComplex(*(ErrReal(v, table_err + ldexp(abs(v), -mp.prec)) for v in parts))
 

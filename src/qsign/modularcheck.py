@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from mpmath import exp, mp, mpc, mpf, pi, sqrt
+from mpmath.libmp import mpc_mul, mpf_mul, round_nearest
 
 from .arithmetic import decompose, neg_inverse
 from .numerics import ErrComplex, ErrReal, working_precision
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 256
+_ETA_MAX_N = 200_000  # eta's truncation search gives up beyond this many factors
 
 
 class PoleError(ArithmeticError):
@@ -94,7 +96,15 @@ def theta(w, tau, target_err, prec: int | None = None) -> ErrComplex:
 
 
 def eta(tau, target_err, prec: int | None = None) -> ErrComplex:
-    """q^(1/24) prod_{n<=N} (1 - q^n) with a product-tail bound."""
+    """q^(1/24) prod_{n<=N} (1 - q^n) with a product-tail bound.
+
+    |q|^(N+1) and q^n are running products at extra precision, wide enough
+    that their relative error stays below 2^(-6-prec): |q|^(N+1) at
+    2 bitlen(_ETA_MAX_N) + 8 extra bits over at most _ETA_MAX_N products,
+    q^n at 2 bitlen(N) + 8 extra bits over at most N. Each q^n is then
+    rounded once, into 1 - q^n at mp.prec, like the mp.prec power it
+    replaces, so the (3N + 16) 2^(2-prec) budget still covers every
+    rounding."""
     target = mpf(target_err)
     if not target > 0:
         raise ValueError("target_err must be positive")
@@ -105,17 +115,25 @@ def eta(tau, target_err, prec: int | None = None) -> ErrComplex:
         q = exp(2j * pi * tau)
         aq = abs(q)
         # |log prod_{n>N}| <= |q|^(N+1) / (1-|q|)^2
+        denom = (1 - aq) ** 2
+        quarter = mpf(1) / 4
+        wide = mp.prec + 2 * _ETA_MAX_N.bit_length() + 8
+        power = mpf_mul(aq._mpf_, aq._mpf_, wide, round_nearest)
         N = 1
         while True:
-            s = aq ** (N + 1) / (1 - aq) ** 2
-            if s < mpf(1) / 4 and 4 * s < target:
+            s = +mp.make_mpf(power) / denom
+            if s < quarter and 4 * s < target:
                 break
             N += 1
-            if N > 200_000:
+            if N > _ETA_MAX_N:
                 raise RuntimeError("eta truncation failed to converge")
+            power = mpf_mul(power, aq._mpf_, wide, round_nearest)
+        wide = mp.prec + 2 * N.bit_length() + 8
+        qn = q._mpc_
         prod = mpc(1)
-        for n in range(1, N + 1):
-            prod *= 1 - q**n
+        for _ in range(N):
+            prod *= 1 - mp.make_mpc(qn)
+            qn = mpc_mul(qn, q._mpc_, wide, round_nearest)
         value = exp(pi * 1j * tau / 12) * prod
         rel_tail = 2 * s  # |e^s - 1| <= 2s for s <= 1/4
         return _mpc_wrap(value, abs(value) * (rel_tail + (3 * N + 16) * (mpf(2) ** (2 - mp.prec))))

@@ -91,6 +91,18 @@ def test_eta_at_i():
         assert abs(v.im.value) <= v.im.err
 
 
+@pytest.mark.parametrize("prec", [128, 256])
+def test_eta_encloses_reference(prec):
+    # the last tau has |q| = e^(-2 pi 0.0168) ~ 0.9, about 1700 factors at 256 bits
+    for tau in (mpc(0, 1), mpc("0.2", "0.8"), mpc("-0.45", "0.3"), mpc("0.1", "0.0168")):
+        with working_precision(prec):
+            v = eta(tau, mpf(2) ** -prec, prec)
+        with mpmath.workprec(prec + 100):
+            ref = exp(pi * 1j * tau / 12) * mpmath.qp(exp(2j * pi * tau))
+            assert abs(v.re.value - ref.real) <= v.re.err
+            assert abs(v.im.value - ref.imag) <= v.im.err
+
+
 def test_eta_shift_by_one():
     with working_precision(PREC):
         tau = mpc("0.2", "0.8")

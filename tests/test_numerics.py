@@ -10,6 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
+from mpmath.libmp import to_fixed
 
 from qsign.numerics import (
     ErrComplex,
@@ -139,7 +140,35 @@ def test_unit_roots():
 
 
 def test_unit_root_is_the_root_table_entry():
-    from qsign.arithmetic import _GUARD_BITS, _roots
+    from qsign.arithmetic import _ENTRY_ERR, _GUARD_BITS, _roots
+
+    # every entry within _ENTRY_ERR units of 2^-w of a 640-bit cospi/sinpi,
+    # held as integers at 2^-600; the values on the grid come out exact
+    ref_bits = 600
+    for den in (1, 2, 3, 4, 5, 10, 51, 1000, 4950, 20000):
+        with mpmath.workprec(640):
+            half = [
+                [to_fixed(f(mpf(2 * t) / den)._mpf_, ref_bits) for f in (mpmath.cospi, mpmath.sinpi)]
+                for t in range(den // 2 + 1)
+            ]
+        ref = half + [(c, -s) for c, s in reversed(half[1 : (den + 1) // 2])]
+        for prec in (64, 128, 256, 512):
+            w = prec + _GUARD_BITS
+            with working_precision(prec):
+                table = _roots(den)
+            assert len(table) == den
+            slack = _ENTRY_ERR << (ref_bits - w)
+            for entry, true in zip(table, ref):
+                for fixed, exact in zip(entry, true):
+                    # the reference's own floor is under one unit of 2^-600
+                    assert abs((fixed << (ref_bits - w)) - exact) <= slack + 1
+            one = 1 << w
+            assert table[0] == (one, 0)
+            if den % 2 == 0:
+                assert table[den // 2] == (-one, 0)
+            if den % 4 == 0:
+                assert table[den // 4] == (0, one)
+                assert table[3 * den // 4] == (0, -one)
 
     prec = 128
     w = prec + _GUARD_BITS
@@ -155,7 +184,7 @@ def test_unit_root_is_the_root_table_entry():
                 parts = unit_root_parts(num, den)
             with working_precision(512):
                 exact = (mpmath.cospi(mpf(2 * num) / den), mpmath.sinpi(mpf(2 * num) / den))
-            # 2^(4-w) for the w-bit part plus 2^-w for the floor: 17 units of 2^-w
+            # the w-bit part is within 2^(4-w), the entry within _ENTRY_ERR units: 17 units hold
             for fixed, part, true in zip(entry, parts, exact):
                 assert isinstance(fixed, int)
                 assert abs(fixed - mpmath.ldexp(part, w)) <= 17

@@ -413,8 +413,6 @@ def test_every_module_all_name_exists():
     import qsign
 
     for info in pkgutil.iter_modules(qsign.__path__):
-        if info.name == "__main__":  # importing it runs the command
-            continue
         module = importlib.import_module(f"qsign.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], info.name
