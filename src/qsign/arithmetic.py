@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from mpmath import ldexp, mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .numerics import ErrComplex, ErrReal, unit_root_parts, working_precision
+from .numerics import ErrComplex, ErrReal, _ball, _radius, unit_root_parts, working_precision
 
 __all__ = [
     "CuspData",
@@ -226,10 +226,12 @@ def _root_sum(modulus: int, exponents) -> ErrComplex:
         re += c
         im += s
         count += 1
-    w = mp.prec + _GUARD_BITS
-    table_err = ldexp(count * _ENTRY_ERR, -w)
-    parts = [mpf((total, -w)) for total in (re, im)]  # the one rounding, at most |v| 2^-prec
-    return ErrComplex(*(ErrReal(v, table_err + ldexp(abs(v), -mp.prec)) for v in parts))
+    prec = mp.prec
+    w = prec + _GUARD_BITS
+    table_err = from_man_exp(count * _ENTRY_ERR, -w)
+    # the one rounding, to nearest: at most |v| 2^-prec
+    parts = (from_man_exp(total, -w, prec, round_nearest) for total in (re, im))
+    return ErrComplex(*(_ball(v, _radius(table_err, v, prec, 0)) for v in parts))
 
 
 def _inverse_pairs(modulus: int) -> list:

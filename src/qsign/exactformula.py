@@ -164,6 +164,7 @@ class ExactEval:
     gap: mpf
     definitive: bool
     prec: int
+    escalations: int  # precision doublings taken to reach prec
 
     def to_dict(self) -> dict:
         return {
@@ -175,6 +176,8 @@ class ExactEval:
             "tail_bound": mp.nstr(self.tail_bound, 8),
             "rounded": self.rounded,
             "definitive": self.definitive,
+            "prec": self.prec,
+            "escalations": self.escalations,
         }
 
 
@@ -188,7 +191,7 @@ def c_exact(
     tail bound; Definitive iff gap + numeric error + tail bound < 1/2.
 
     Doubles the precision, at most twice, while the numeric error exceeds
-    1/4; k_max stays as given. Note: the certified tail bound is of Weil
+    1/4, and reports the doublings as escalations; k_max stays as given. Note: the certified tail bound is of Weil
     type and is orders of magnitude above 1/2 at any desk-scale cutoff,
     so the definitive flag is not reachable in practice; rounding is
     nevertheless reported, alongside the gap and both error components.
@@ -226,6 +229,7 @@ def c_exact(
         gap=gap,
         definitive=definitive,
         prec=prec,
+        escalations=escalation,
     )
 
 

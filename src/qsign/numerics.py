@@ -1,11 +1,23 @@
 """Error-tracked arbitrary-precision real and complex arithmetic.
 
-Every analytic quantity in the verifier is an ErrReal: an mpmath midpoint
-plus a rigorous absolute error bound. Propagation is sub-additive through
-+/-, product-rule through *, and endpoint-based through monotone maps,
-with a few-ulp slack added for the rounding of each mpmath operation
-(mpmath rounds field operations correctly and elementary functions to
-within a couple of ulp; the slack used here is deliberately generous).
+Every analytic quantity in the verifier is an ErrReal: a ball, midpoint
+plus radius, both held as mpmath's raw libmp tuples. The ball invariant:
+the true value lies within err of value. Each operation keeps it.
+
+* The midpoint rounds to nearest at the ambient precision, exactly as
+  mpmath's own operators round, so values are bit-identical to plain mpf
+  arithmetic. That rounding, at most |v| 2^-prec, is charged to the radius
+  as the exact shift |v| 2^(1-prec).
+* Every radius term rounds toward +inf, and a divisor's lower bound toward
+  -inf, so a computed radius is never below the exact worst case over the
+  operand balls that it stands for (|a| eb + |b| ea + ea eb for a product).
+  Each radius is monotone in the operands' radii: wider inputs never give
+  a narrower output.
+* Monotone maps (sqrt, exp) reach from the midpoint to outward-rounded
+  images of the endpoints. exp, cos and hypot trust mpmath to within a few
+  ulp, which their charges cover.
+
+This is the midpoint-radius scheme of Arb (Johansson, IEEE TC 2017).
 
 Operations round at the ambient mpmath precision; wrap computations in
 ``working_precision(bits)`` to choose it.
@@ -22,7 +34,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest, to_fixed
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cos,
+    mpf_cos_sin_pi,
+    mpf_div,
+    mpf_exp,
+    mpf_hypot,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_shift,
+    mpf_sign,
+    mpf_sqrt,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_fixed,
+)
 
 __all__ = [
     "ErrReal",
@@ -55,126 +91,191 @@ def _eps(shift: int = 1) -> mpf:
     return mpf((1, shift - mp.prec))
 
 
-class ErrReal:
-    """An arbitrary-precision value with a rigorous absolute error bound."""
+_make = mp.make_mpf
 
-    __slots__ = ("value", "err")
+
+def _ball(v: tuple, e: tuple) -> "ErrReal":
+    """The ErrReal with libmp midpoint v and radius e, taken as they are."""
+    x = object.__new__(ErrReal)
+    x._v = v
+    x._e = e
+    return x
+
+
+def _radius(raw: tuple, v: tuple, prec: int, shift: int = 1) -> tuple:
+    """raw + |v| 2^(shift - prec), rounded up: a bound raw on the error the
+    operands carry in, plus the rounding of the midpoint v to nearest."""
+    _, man, exp, bc = v
+    if not man:
+        return raw
+    return mpf_add(raw, (0, man, exp + shift - prec, bc), prec, round_ceiling)
+
+
+def _covering(r: tuple, bottom: tuple, top: tuple, prec: int) -> "ErrReal":
+    """The ball at r whose radius, rounded up, reaches both bottom and top."""
+    up = mpf_sub(top, r, prec, round_ceiling)
+    down = mpf_sub(r, bottom, prec, round_ceiling)
+    return _ball(r, down if mpf_lt(up, down) else up)
+
+
+class ErrReal:
+    """An arbitrary-precision value with a rigorous absolute error bound:
+    the ball [value - err, value + err]. Midpoint and radius are held as
+    libmp tuples; value and err read them as mpf."""
+
+    __slots__ = ("_v", "_e")
 
     def __init__(self, value, err=0):
         if isinstance(value, ErrReal):
             raise TypeError("value is already an ErrReal")
-        e = err if isinstance(err, mpf) else mpf(err)
-        # only conversions that can round add a slack to err
+        prec = mp.prec
+        e = err._mpf_ if isinstance(err, mpf) else mpf(err)._mpf_
+        if mpf_sign(e) < 0:
+            raise ValueError("error bound must be nonnegative")
+        # only conversions that can round add to e
         if isinstance(value, mpf):
-            v = value
+            v = value._mpf_
         elif isinstance(value, (int, float)):
-            v = mpf(value)
-            # mpf(float) is exact; mpf(int) rounds once the int exceeds prec bits
-            if isinstance(value, int) and v != value:
-                e = e + abs(v) * _eps(1)
+            exact = from_int(value) if isinstance(value, int) else from_float(value, 0)
+            v = mpf_pos(exact, prec, round_nearest)
+            if v != exact:
+                e = _radius(e, v, prec)
         elif isinstance(value, Fraction):
-            v = mpf(value.numerator) / mpf(value.denominator)
-            e = e + abs(v) * _eps(2)
+            # two conversions and one division, each within |v| 2^-prec
+            num, den = (from_int(x, prec, round_nearest) for x in (value.numerator, value.denominator))
+            v = mpf_div(num, den, prec, round_nearest)
+            e = _radius(e, v, prec, 2)
         elif isinstance(value, str):
-            v = mpf(value)
-            e = e + abs(v) * _eps(1)
+            v = mpf(value)._mpf_
+            e = _radius(e, v, prec)
         else:
             raise TypeError(f"cannot build ErrReal from {type(value)!r}")
-        if e < 0:
-            raise ValueError("error bound must be nonnegative")
-        self.value = v
-        self.err = e
+        self._v = v
+        self._e = e
+
+    @property
+    def value(self) -> mpf:
+        return _make(self._v)
+
+    @property
+    def err(self) -> mpf:
+        return _make(self._e)
 
     # -- basic interval views -------------------------------------------------
-    # endpoints use exact dyadic arithmetic: rounding value +- err at a
-    # coarse ambient precision could round the wrong way
+    # endpoints are exact dyadic sums: rounding value +- err at a coarse
+    # ambient precision could round the wrong way
     @property
     def lo(self) -> mpf:
-        from mpmath import fsub
-
-        return fsub(self.value, self.err, exact=True)
+        return _make(mpf_sub(self._v, self._e))
 
     @property
     def hi(self) -> mpf:
-        from mpmath import fadd
-
-        return fadd(self.value, self.err, exact=True)
+        return _make(mpf_add(self._v, self._e))
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
     # -- arithmetic -----------------------------------------------------------
-    def _finish(self, v: mpf, raw_err: mpf) -> "ErrReal":
-        err = raw_err + abs(v) * _eps(1)
-        # the err accumulation itself rounds; pad multiplicatively
-        err = err + err * _eps(6)
-        return ErrReal(v, err)
-
+    # midpoints round to nearest as mpmath's own operators do; every radius
+    # term rounds up, so each radius bounds the exact error it stands for
     def __add__(self, other):
         other = _coerce(other)
-        return self._finish(self.value + other.value, self.err + other.err)
+        prec = mp.prec
+        v = mpf_add(self._v, other._v, prec, round_nearest)
+        return _ball(v, _radius(mpf_add(self._e, other._e, prec, round_ceiling), v, prec))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        return self._finish(self.value - other.value, self.err + other.err)
+        prec = mp.prec
+        v = mpf_sub(self._v, other._v, prec, round_nearest)
+        return _ball(v, _radius(mpf_add(self._e, other._e, prec, round_ceiling), v, prec))
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
     def __neg__(self):
-        return ErrReal(-self.value, self.err)
+        return _ball(mpf_neg(self._v), self._e)
 
     def __abs__(self):
-        return ErrReal(abs(self.value), self.err)
+        return _ball(mpf_abs(self._v), self._e)
 
     def __mul__(self, other):
         other = _coerce(other)
-        raw = (
-            abs(self.value) * other.err
-            + abs(other.value) * self.err
-            + self.err * other.err
+        prec = mp.prec
+        a, ea, b, eb = self._v, self._e, other._v, other._e
+        # |a| eb + |b| ea + ea eb
+        raw = mpf_add(
+            mpf_mul(mpf_abs(a), eb, prec, round_ceiling),
+            mpf_mul(mpf_abs(b), ea, prec, round_ceiling),
+            prec,
+            round_ceiling,
         )
-        return self._finish(self.value * other.value, raw)
+        if ea[1] and eb[1]:
+            raw = mpf_add(raw, mpf_mul(ea, eb, prec, round_ceiling), prec, round_ceiling)
+        v = mpf_mul(a, b, prec, round_nearest)
+        return _ball(v, _radius(raw, v, prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
-        b = abs(other.value)
-        if not b > other.err:
+        prec = mp.prec
+        a, ea, eb = self._v, self._e, other._e
+        b = mpf_abs(other._v)
+        if not mpf_lt(eb, b):
             raise ZeroDivisionError("divisor interval contains zero")
-        raw = (self.err * b + abs(self.value) * other.err) / (b * (b - other.err))
-        return self._finish(self.value / other.value, raw)
+        v = mpf_div(a, other._v, prec, round_nearest)
+        if eb[1]:
+            # (ea |b| + |a| eb) / (|b| (|b| - eb)), the divisor bounded below
+            num = mpf_add(
+                mpf_mul(ea, b, prec, round_ceiling),
+                mpf_mul(mpf_abs(a), eb, prec, round_ceiling),
+                prec,
+                round_ceiling,
+            )
+            den = mpf_mul(b, mpf_sub(b, eb, prec, round_floor), prec, round_floor)
+            raw = mpf_div(num, den, prec, round_ceiling)
+        else:
+            raw = mpf_div(ea, b, prec, round_ceiling)
+        return _ball(v, _radius(raw, v, prec))
 
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
 
     # -- monotone maps ---------------------------------------------------------
+    # the radius reaches from the midpoint to outward-rounded images of the
+    # endpoints, so it needs no separate charge for the midpoint's rounding
     def sqrt(self) -> "ErrReal":
-        from mpmath import sqrt as msqrt
-
-        if self.hi < 0:
+        prec = mp.prec
+        v, e = self._v, self._e
+        hi = mpf_add(v, e)
+        if mpf_sign(hi) < 0:
             raise ValueError("sqrt of a negative interval")
-        lo = self.lo if self.lo > 0 else mpf(0)
-        mid = self.value if self.value > 0 else mpf(0)
-        v = msqrt(mid)
-        e = max(msqrt(self.hi) - v, v - msqrt(lo)) + abs(v) * _eps(2)
-        return ErrReal(v, e + e * _eps(6))
+        lo, mid = (x if mpf_sign(x) > 0 else fzero for x in (mpf_sub(v, e), v))
+        r = mpf_sqrt(mid, prec, round_nearest)
+        return _covering(r, mpf_sqrt(lo, prec, round_floor), mpf_sqrt(hi, prec, round_ceiling), prec)
 
     def exp(self) -> "ErrReal":
-        from mpmath import exp as mexp
-
-        v = mexp(self.value)
-        e = max(mexp(self.hi) - v, v - mexp(self.lo)) + abs(v) * _eps(3)
-        return ErrReal(v, e + e * _eps(6))
+        # mpmath's exp is within 2^(3-prec) relative of the true value
+        prec = mp.prec
+        v, e = self._v, self._e
+        r = mpf_exp(v, prec, round_nearest)
+        if e[1]:
+            top = mpf_exp(mpf_add(v, e), prec, round_nearest)
+            bottom = mpf_exp(mpf_sub(v, e), prec, round_nearest)
+        else:
+            top = bottom = r
+        bottom = mpf_sub(bottom, mpf_shift(bottom, 3 - prec), prec, round_floor)
+        top = mpf_add(top, mpf_shift(top, 3 - prec), prec, round_ceiling)
+        return _covering(r, bottom, top, prec)
 
     def cos(self) -> "ErrReal":
-        from mpmath import cos as mcos
-
-        # |cos'| <= 1, |cos| <= 1
-        return ErrReal(mcos(self.value), self.err + _eps(3))
+        # |cos'| <= 1, and mpmath's cos is within 2^(3-prec) of the true value
+        prec = mp.prec
+        e = mpf_add(self._e, (0, 1, 3 - prec, 1), prec, round_ceiling)
+        return _ball(mpf_cos(self._v, prec, round_nearest), e)
 
     def __repr__(self):
         return f"ErrReal({mp.nstr(self.value, 17)}, err={mp.nstr(self.err, 3)})"
@@ -183,6 +284,8 @@ class ErrReal:
 def _coerce(x) -> ErrReal:
     if isinstance(x, ErrReal):
         return x
+    if isinstance(x, int) and x.bit_length() <= mp.prec:
+        return _ball(from_int(x), fzero)
     return ErrReal(x)
 
 
@@ -267,11 +370,12 @@ class ErrComplex:
         return ErrComplex(num.re / den, num.im / den)
 
     def abs(self) -> ErrReal:
-        from mpmath import hypot
-
-        v = hypot(self.re.value, self.im.value)
-        e = self.re.err + self.im.err + abs(v) * _eps(2)
-        return ErrReal(v, e + e * _eps(6))
+        # |hypot(a', b') - hypot(a, b)| <= |a' - a| + |b' - b|, and mpmath's
+        # hypot is within |v| 2^(1-prec) of the true value
+        prec = mp.prec
+        re, im = self.re, self.im
+        v = mpf_hypot(re._v, im._v, prec, round_nearest)
+        return _ball(v, _radius(mpf_add(re._e, im._e, prec, round_ceiling), v, prec, 2))
 
     def max_err(self) -> mpf:
         return max(self.re.err, self.im.err)

@@ -362,6 +362,8 @@ def run_exact_oracle(
                     "err": ev.err,
                     "tail_bound": ev.tail_bound,
                     "definitive": ev.definitive,
+                    "prec": ev.prec,
+                    "escalations": ev.escalations,
                 }
             )
     mismatches = [

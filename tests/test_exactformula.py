@@ -10,6 +10,7 @@ asserted against the oracle.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mpf
@@ -75,6 +76,7 @@ def test_c_exact_rounds_to_oracle(delta, n):
     assert ev.rounded == oracle
     assert ev.gap + ev.err < mpf("0.5")
     assert not ev.definitive  # Weil-type tail certificate is O(100) here
+    assert (ev.prec, ev.escalations) == (128, 0)
     assert ev.tail_bound > 1
 
 
@@ -83,6 +85,8 @@ def test_c_exact_escalates_precision_only():
     # the cutoff stays at its default
     ev = c_exact(1, 300, prec=16)
     assert ev.prec == 32
+    assert ev.escalations == 1
+    assert ev.to_dict()["prec"] == 32 and ev.to_dict()["escalations"] == 1
     assert ev.k_max == default_k_max(1, 300) == 170
     assert ev.err <= mpf(1) / 4
     assert ev.rounded == 65561 == q10_series(1, 300).coefficient(300)
@@ -111,27 +115,45 @@ def test_c_exact_json_schema():
 # -- tail bound -------------------------------------------------------------------
 
 
-# c_exact at its defaults as the mpf-series Bessel kernel and the per-term
-# constants computed them: rounded, tail_bound as (man, exp), and err
-# rounded up at five digits. Error bars may only shrink; the tail bound is
-# the same sum in the same order, so it stays bit-identical.
+# c_exact at its defaults with every radius rounded up: rounded, tail_bound as
+# (man, exp), and err rounded up at five digits. Error bars may only shrink;
+# the tail bound is the same sum in the same order, so it stays bit-identical.
 PINNED_ROWS = {
-    (1, 10): (1, (9399133828216989296835857458604612488659676352748413324549, -186), "8.0155e-37"),
-    (1, 29): (2, (9399133828216989296835857458604612488659676352748413324549, -186), "1.7236e-36"),
-    (1, 117): (-16, (237396483837809873796123911294911232238247957071804946703, -181), "2.0807e-35"),
-    (1, 300): (65561, (3243615702488767027431305991012228202473315366807820174515, -185), "1.5813e-31"),
-    (-1, 10): (1, (9399133828216989296835857458604612488659676352748413324549, -186), "9.3938e-37"),
-    (-1, 103): (63, (7606987784696697484649276220480602117015879861082373109583, -186), "6.9223e-35"),
-    (-1, 300): (83312, (3243615702488767027431305991012228202473315366807820174515, -185), "1.861e-31"),
+    (1, 10): (1, (2349783457054247324208964364651153122134759585137641987949, -184), "3.2102e-37"),
+    (1, 29): (2, (2349783457054247324208964364651153122134759585137641987949, -184), "1.3278e-36"),
+    (1, 117): (-16, (7596687482809915961475965161437159431500194443366164919143, -186), "1.4814e-35"),
+    (1, 300): (65561, (1621807851244383513715652995506114101205059827855923463679, -184), "5.4283e-32"),
+    (-1, 10): (1, (2349783457054247324208964364651153122134759585137641987949, -184), "3.048e-37"),
+    (-1, 103): (63, (1901746946174174371162319055120150529223051978551496479389, -184), "5.3475e-35"),
+    (-1, 300): (83312, (1621807851244383513715652995506114101205059827855923463679, -184), "6.9296e-32"),
 }
+
+# the tail bound's bits when each ErrReal operation rounded its radius to
+# nearest and padded it by 2^(6-prec) relative; the pinned bits may only be lower
+PADDED_TAILS = {
+    (1, 10): (9399133828216989296835857458604612488659676352748413324549, -186),
+    (1, 29): (9399133828216989296835857458604612488659676352748413324549, -186),
+    (1, 117): (237396483837809873796123911294911232238247957071804946703, -181),
+    (1, 300): (3243615702488767027431305991012228202473315366807820174515, -185),
+    (-1, 10): (9399133828216989296835857458604612488659676352748413324549, -186),
+    (-1, 103): (7606987784696697484649276220480602117015879861082373109583, -186),
+    (-1, 300): (3243615702488767027431305991012228202473315366807820174515, -185),
+}
+
+
+def _assert_pinned_tail(bound, delta, n):
+    man, exp = bound.man, bound.exp
+    assert (man, exp) == PINNED_ROWS[(delta, n)][1]
+    padded_man, padded_exp = PADDED_TAILS[(delta, n)]
+    assert Fraction(man) * Fraction(2) ** exp <= Fraction(padded_man) * Fraction(2) ** padded_exp
 
 
 @pytest.mark.parametrize("delta,n", sorted(PINNED_ROWS))
 def test_c_exact_error_bars_only_shrink(delta, n):
-    rounded, tail, err = PINNED_ROWS[(delta, n)]
+    rounded, _, err = PINNED_ROWS[(delta, n)]
     ev = c_exact(delta, n)
     assert ev.rounded == rounded
-    assert (ev.tail_bound.man, ev.tail_bound.exp) == tail
+    _assert_pinned_tail(ev.tail_bound, delta, n)
     assert ev.err <= mpf(err)
 
 
@@ -139,14 +161,13 @@ def test_c_exact_error_bars_only_shrink(delta, n):
 def test_tail_bound_op_is_pinned(delta, n):
     # at K = 50, 107, 170, bit-identical whether the divisor-tail prefix
     # sums start empty or were already extended past K//5
-    tail = PINNED_ROWS[(delta, n)][1]
     K = default_k_max(delta, n)
     _DIVISOR_PARTIALS.clear()
     first = tail_bound_op(delta, n, K)
     tail_bound_op(delta, n, 500)
     again = tail_bound_op(-delta, 10, K)
     for bound in (first, again):
-        assert (bound.man, bound.exp) == tail
+        _assert_pinned_tail(bound, delta, n)
 
 
 def test_tail_bound_validity_threshold():

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, to_fixed
 
 from qsign.numerics import (
     ErrComplex,
@@ -116,6 +116,85 @@ def test_interval_soundness_across_precisions(fx, fy):
     with working_precision(256):
         high = _pipeline(ErrReal(Fraction(fx)), ErrReal(Fraction(fy)))
     assert low.contains(high.value)
+
+
+# -- ball arithmetic, one operation at a time ------------------------------------
+
+
+def _dyadic(prec: int, signed: bool):
+    """(man, exp) of a prec-bit dyadic man 2^exp with |exp| <= 200; 0 included,
+    negatives only when signed."""
+    man = st.integers(-(2**prec) + 1 if signed else 0, 2**prec - 1)
+    return st.one_of(st.just((0, 0)), st.tuples(man, st.integers(-200, 200)))
+
+
+def _draw_ball(data, prec: int) -> ErrReal:
+    v, e = (mpmath.mp.make_mpf(from_man_exp(*data.draw(_dyadic(prec, signed)))) for signed in (True, False))
+    return ErrReal(v, e)
+
+
+def _q(x: mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _ends(x: ErrReal) -> tuple:
+    return _q(x.lo), _q(x.hi)
+
+
+def _padded(raw: mpf, v: mpf, shift: int, prec: int) -> mpf:
+    # the radius as it was formed before upward rounding: every step rounded
+    # to nearest, the midpoint charged |v| 2^(shift-prec), then a 2^(6-prec) pad
+    err = raw + abs(v) * mpf(2) ** (shift - prec)
+    return err + err * mpf(2) ** (6 - prec)
+
+
+_BALL_OPS = {
+    "+": (lambda x, y: x + y, lambda a, ea, b, eb: ea + eb),
+    "-": (lambda x, y: x - y, lambda a, ea, b, eb: ea + eb),
+    "*": (lambda x, y: x * y, lambda a, ea, b, eb: abs(a) * eb + abs(b) * ea + ea * eb),
+    "/": (lambda x, y: x / y, lambda a, ea, b, eb: (ea * abs(b) + abs(a) * eb) / (abs(b) * (abs(b) - eb))),
+}
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize("op", sorted(_BALL_OPS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_ball_operation_is_sound_and_tight(op, prec, data):
+    apply, raw = _BALL_OPS[op]
+    with working_precision(prec):
+        x, y = _draw_ball(data, prec), _draw_ball(data, prec)
+        if op == "/" and not abs(y.value) > y.err:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            return
+        z = apply(x, y)
+        # (a) the midpoint is mpmath's own operation, bit for bit
+        assert z.value._mpf_ == apply(x.value, y.value)._mpf_
+        # (b) the ball holds the exact result at every pair of endpoints
+        lo, hi = _ends(z)
+        for p in _ends(x):
+            for q in _ends(y):
+                assert lo <= apply(p, q) <= hi
+        # (c) the radius is no wider than the padded nearest-rounded one
+        assert z.err <= _padded(raw(x.value, x.err, y.value, y.err), z.value, 1, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_complex_abs_ball_is_sound_and_tight(prec, data):
+    with working_precision(prec):
+        z = ErrComplex(_draw_ball(data, prec), _draw_ball(data, prec))
+        r = z.abs()
+        assert r.value._mpf_ == mpmath.hypot(z.re.value, z.im.value)._mpf_
+        lo, hi = _ends(r)
+        for p in _ends(z.re):
+            for q in _ends(z.im):
+                square = p * p + q * q  # |p + iq|^2, compared in squares
+                assert square <= hi * hi and (lo <= 0 or lo * lo <= square)
+        assert r.err <= _padded(z.re.err + z.im.err, r.value, 2, prec)
 
 
 def test_complex_arithmetic_and_abs():

@@ -245,6 +245,24 @@ def test_cli_verify_has_no_threads_flag(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--delta", "1", "--n", "2929"],
+        ["verify", "--delta", "1", "--n-max", "60"],
+        ["modular"],
+        ["pipeline"],
+    ],
+)
+def test_cli_format_only_on_commands_that_read_it(argv, capsys):
+    assert main([*argv, "--format", "csv"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [line for line in out.err.splitlines() if line.startswith("qsign: error:")]
+    assert errors == ["qsign: error: unrecognized arguments: --format csv"]
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
     "error, code",
     [
         (RuntimeError("Bessel series failed to converge"), 2),
