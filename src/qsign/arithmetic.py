@@ -7,6 +7,15 @@ lookups of fixed-point roots: integers within 1 of 2^w times the true parts,
 w = prec + 8, added exactly and rounded once, so a sum of count terms is
 within count * 2^-w plus that one rounding of its true value. Each table
 costs two cos/sin evaluations and about modulus/2 integer products.
+
+A Kloosterman sum is real: the pair (-h, -h') is a term of it whenever
+(h, h') is, with the opposite exponent, and the table holds the entry at -e
+as the exact conjugate of the entry at e. So K_k(n, m) is summed over the
+pairs with 2h < k only, as twice their fixed-point cosines.
+
+Every bound checked here is the square root of an integer B, and an
+enclosure's lower end lo is a dyadic, so |x| <= sqrt(B) is decided without
+rounding by comparing lo^2 with B in integers.
 """
 
 from __future__ import annotations
@@ -215,6 +224,17 @@ def _roots(modulus: int) -> list:
     return table
 
 
+def _fixed_sum(re: int, im: int, count: int) -> ErrComplex:
+    """The ball of fixed-point totals re, im at 2^-w over count table entries:
+    each part rounded once to mp.prec, with count * 2^-w for the entries."""
+    prec = mp.prec
+    w = prec + _GUARD_BITS
+    table_err = from_man_exp(count * _ENTRY_ERR, -w)
+    # the one rounding, to nearest: at most |v| 2^-prec
+    parts = (from_man_exp(total, -w, prec, round_nearest) for total in (re, im))
+    return ErrComplex(*(_ball(v, _radius(table_err, v, prec, 0)) for v in parts))
+
+
 def _root_sum(modulus: int, exponents) -> ErrComplex:
     """Sum of ζ_modulus^e over e in exponents, with a rigorous error bound.
 
@@ -226,20 +246,17 @@ def _root_sum(modulus: int, exponents) -> ErrComplex:
         re += c
         im += s
         count += 1
-    prec = mp.prec
-    w = prec + _GUARD_BITS
-    table_err = from_man_exp(count * _ENTRY_ERR, -w)
-    # the one rounding, to nearest: at most |v| 2^-prec
-    parts = (from_man_exp(total, -w, prec, round_nearest) for total in (re, im))
-    return ErrComplex(*(_ball(v, _radius(table_err, v, prec, 0)) for v in parts))
+    return _fixed_sum(re, im, count)
 
 
 def _inverse_pairs(modulus: int) -> list:
-    """Pairs (h, h') with h h' == -1 (mod modulus) over h coprime to modulus."""
+    """Pairs (h, h') with h h' == -1 (mod modulus) over h coprime to modulus
+    with 2h <= modulus: one of each pair (h, h'), (-h, -h'), as 2h == modulus
+    only for the self-paired h of modulus 1 and 2."""
     pairs = _INVERSE_PAIRS.get(modulus)
     if pairs is None:
         # h = 0 is coprime to the modulus only when it is 1
-        pairs = [(h, neg_inverse(h, modulus)) for h in range(modulus) if gcd(h, modulus) == 1]
+        pairs = [(h, neg_inverse(h, modulus)) for h in range(modulus // 2 + 1) if gcd(h, modulus) == 1]
         _INVERSE_PAIRS[modulus] = pairs
     return pairs
 
@@ -250,24 +267,50 @@ def _inverse_pairs(modulus: int) -> list:
 
 
 def kloosterman(k: int, n: int, m: int, prec: int = 128) -> ErrComplex:
-    """K_k(n, m) over residues h coprime to k with h h' == -1 (mod k)."""
+    """K_k(n, m) over residues h coprime to k with h h' == -1 (mod k).
+
+    The term of (-h, -h') is the conjugate of the term of (h, h'), and so
+    are their table entries, exactly: the sum is twice the cosine total over
+    2h < k, with imaginary part 0. For k <= 2 the one term is self-paired
+    and counted once. The radius charges all phi(k) entries."""
     if k < 1:
         raise ValueError("k must be positive")
+    pairs = _inverse_pairs(k)
     with working_precision(prec):
-        return _root_sum(k, ((n * h + m * hp) % k for h, hp in _inverse_pairs(k)))
+        table = _roots(k)
+        re = sum(table[(n * h + m * hp) % k][0] for h, hp in pairs)
+        if k <= 2:
+            return _fixed_sum(re, 0, 1)
+        return _fixed_sum(2 * re, 0, 2 * len(pairs))
+
+
+def _exceeds(x: tuple, square: int) -> bool:
+    """Whether the dyadic libmp value x exceeds sqrt(square): x > 0 and
+    x^2 > square, decided exactly in integers."""
+    sign, man, exp, _ = x
+    if sign:
+        return False
+    if exp >= 0:
+        return (man * man) << (2 * exp) > square
+    return man * man > square << (-2 * exp)
+
+
+def _weil_square(k: int, n: int, m: int) -> int:
+    """The Weil bound squared: gcd(n, m, k) d(k)^2 k."""
+    return gcd(gcd(abs(n), abs(m)), k) * divisor_count(k) ** 2 * k
 
 
 def weil_bound_check(k: int, n: int, m: int, prec: int = 128) -> bool:
     """|K_k(n,m)| <= sqrt(gcd(n,m,k)) d(k) sqrt(k), within error bars.
 
     The inequality can be attained exactly (k=1), so a failure is reported
-    only when the violation exceeds the error bars.
+    only when the lower end of |K|'s enclosure exceeds the bound. Both sides
+    are compared squared, in integers: the bound's square is an integer and
+    the lower end a dyadic, so the comparison itself rounds nothing.
     """
     kv = kloosterman(k, n, m, prec)
-    g = gcd(gcd(abs(n), abs(m)), k)
     with working_precision(prec):
-        bound = ErrReal(g).sqrt() * divisor_count(k) * ErrReal(k).sqrt()
-        return not kv.abs().lo > bound.hi
+        return not _exceeds(kv.abs().lo._mpf_, _weil_square(k, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -434,39 +477,46 @@ def cal_a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
 # ---------------------------------------------------------------------------
 
 
-def twisted_bound(k: int) -> ErrReal:
-    """The bound on |A_{k,j}(n)| at the ambient precision: 2 d(k) sqrt(k/5)
-    for gcd(k,10)=5, d(10k) sqrt(3k/5) for gcd(k,10)=10."""
+def _twisted_square(k: int) -> int:
+    """The twisted-sum bound squared, an integer as 5 | k: 4 d(k)^2 k/5 for
+    gcd(k,10)=5, 3k d(10k)^2/5 for gcd(k,10)=10."""
     d = gcd(k, 10)
     if d == 5:
-        return ErrReal(2 * divisor_count(k)) * (ErrReal(k) / ErrReal(5)).sqrt()
+        return 4 * divisor_count(k) ** 2 * k // 5
     if d == 10:
-        return ErrReal(divisor_count(10 * k)) * (ErrReal(3 * k) / ErrReal(5)).sqrt()
+        return 3 * k * divisor_count(10 * k) ** 2 // 5
     raise ValueError("gcd(k,10) must be 5 or 10")
 
 
+def twisted_bound(k: int) -> ErrReal:
+    """The bound on |A_{k,j}(n)|, sqrt(_twisted_square(k)), at the ambient
+    precision."""
+    return ErrReal(_twisted_square(k)).sqrt()
+
+
 def bound_check_d5(k: int, j: int, n: int, prec: int = 128) -> bool:
-    """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=5, within error bars."""
+    """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=5, within error bars,
+    compared squared in integers as in weil_bound_check."""
     if gcd(k, 10) != 5:
         raise ValueError("k must have gcd(k,10) = 5")
     val = a_kj(k, j, n, prec)
     with working_precision(prec):
-        return not val.abs().lo > twisted_bound(k).hi
+        return not _exceeds(val.abs().lo._mpf_, _twisted_square(k))
 
 
 def bound_check_d10(k: int, j: int, n: int, prec: int = 128) -> bool:
-    """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=10, within error bars."""
+    """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=10, within error bars,
+    compared squared in integers as in weil_bound_check."""
     if gcd(k, 10) != 10:
         raise ValueError("k must have gcd(k,10) = 10")
     val = a_kj(k, j, n, prec)
     with working_precision(prec):
-        return not val.abs().lo > twisted_bound(k).hi
+        return not _exceeds(val.abs().lo._mpf_, _twisted_square(k))
 
 
 def aggregated_bound_check(k: int, n: int, prec: int = 128, twisted: bool = False) -> bool:
     """|A_k(n)| (or |cal A_k(n)| when twisted) against the aggregated bound
-    2 twisted_bound(k): 4 d(k) sqrt(k/5) for gcd(k,10)=5, 2 d(10k) sqrt(3k/5)
-    for gcd(k,10)=10."""
+    2 twisted_bound(k), compared squared in integers as in weil_bound_check."""
     val = cal_a_k(k, n, prec) if twisted else a_k(k, n, prec)
     with working_precision(prec):
-        return not val.abs().lo > (twisted_bound(k) * 2).hi
+        return not _exceeds(val.abs().lo._mpf_, 4 * _twisted_square(k))

@@ -53,11 +53,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qsign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=False):
-        p.add_argument("--precision-bits", type=int, default=_default_precision())
-        if formats:  # only the commands that read it
+    def add_common(p, precision=True, formats=False, output=True):  # only the flags p's command reads
+        if precision:
+            p.add_argument("--precision-bits", type=int, default=_default_precision())
+        if formats:
             p.add_argument("--format", dest="fmt", choices=("json", "csv", "plain"), default="json")
-        p.add_argument("--output", default=None)
+        if output:
+            p.add_argument("--output", default=None)
 
     p = sub.add_parser("expand", help="expand the coefficient series")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
@@ -73,7 +75,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="brute-force sign verification up to n-max")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
     p.add_argument("--n-max", type=int, required=True)
-    add_common(p)
+    add_common(p, precision=False)
 
     p = sub.add_parser("sweeps", help="Kloosterman identity and bound sweeps")
     p.add_argument("--k-max", type=int, default=500)
@@ -84,12 +86,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("threshold", help="closed-form threshold inequality at n")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, precision=False)
 
     p = sub.add_parser("modular", help="modular-backbone validation suite")
     add_common(p)
 
-    p = sub.add_parser("pipeline", help="full verification pipeline")
+    # no abbreviations, or the refused --output would pass for --output-dir
+    p = sub.add_parser("pipeline", help="full verification pipeline", allow_abbrev=False)
     p.add_argument("--delta", type=int, default=None, choices=(1, -1))
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--sweep-k-max", type=int, default=500)
@@ -99,7 +102,7 @@ def build_parser() -> _Parser:
     p.add_argument("--exact-hi", type=int, default=300)
     p.add_argument("--modular-prec", type=int, default=256)
     p.add_argument("--output-dir", default="qsign_artifacts")
-    add_common(p)
+    add_common(p, output=False)
 
     return parser
 

@@ -113,11 +113,18 @@ def default_k_max(delta: int, n: int) -> int:
 _DIVISOR_PARTIALS: dict[int, list[ErrReal]] = {}
 
 
+def _zeta_target(prec: int) -> mpf:
+    """The error asked of zeta(3/2) at prec bits: 2^(-prec/2), but never below
+    2^-128. zeta_3_2 sums about target^(-2/17) terms, 20k at 2^-128 and 7e8
+    at 2^-256, so a finer target would stall every run above 256 bits."""
+    return mpf(2) ** max(-prec // 2, -128)
+
+
 def _divisor_tail(cutoff: int, prec: int) -> ErrReal:
     """Upper enclosure of sum_{k > cutoff} d(k) k^(-3/2) via zeta(3/2)^2.
 
     Runs at the ambient precision, which must be prec."""
-    z = zeta_3_2(mpf(2) ** (-prec // 2))
+    z = zeta_3_2(_zeta_target(prec))
     partials = _DIVISOR_PARTIALS.setdefault(prec, [ErrReal(0)])
     for k in range(len(partials), cutoff + 1):
         term = ErrReal(1) / (ErrReal(k) * ErrReal(k).sqrt()) * divisor_count(k)
@@ -255,7 +262,7 @@ def error_bound_total(delta: int, n: int, prec: int = 128) -> mpf:
         raise ValueError("error bound needs n >= 12 for delta=-1")
     nn = shifted_index(delta, n)
     with working_precision(prec):
-        z2 = zeta_3_2(mpf(2) ** (-prec // 2))
+        z2 = zeta_3_2(_zeta_target(prec))
         z2 = z2 * z2
         pi = pi_err()
         pi2 = pi * pi

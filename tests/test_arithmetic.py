@@ -9,10 +9,15 @@ Hand-derived expectations:
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
+
+from qsign import arithmetic
 
 from qsign.arithmetic import (
     a_k,
@@ -143,6 +148,72 @@ def test_weil_bound_examples():
         for n in (0, 1, 7):
             for m in (0, 2, 9):
                 assert weil_bound_check(k, n, m)
+
+
+def _full_pair_kloosterman(k, n, m, prec):
+    """K_k(n, m) summed over every h coprime to k, not only 2h < k: the
+    exponents of all phi(k) pairs through the module's table summation."""
+    exps = [n * h + m * ((-pow(h, -1, k)) % k) for h in range(k) if math.gcd(h, k) == 1]
+    with working_precision(prec):
+        return arithmetic._root_sum(k, exps)
+
+
+def _parts(v):
+    return (v.re._v, v.re._e, v.im._v, v.im._e)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_half_pair_kloosterman_is_the_full_pair_sum(prec):
+    # midpoints and radii of both parts, bit for bit
+    pairs = ((0, 0), (1, 3), (0, -7), (-4, 9), (11, 0), (-2, -5))
+    for k in range(1, 61):
+        for n, m in pairs:
+            assert _parts(kloosterman(k, n, m, prec)) == _parts(_full_pair_kloosterman(k, n, m, prec)), (k, n, m)
+    # the reduced forms' moduli 5k and 10k, every 7th grid modulus up to 2000
+    for k in range(65, 2001, 35):
+        for n, m in pairs[:4]:
+            assert _parts(kloosterman(k, n, m, prec)) == _parts(_full_pair_kloosterman(k, n, m, prec)), (k, n, m)
+
+
+def test_root_table_entry_at_minus_t_is_the_exact_conjugate():
+    for den in (1, 2, 3, 4, 5, 10, 51, 1000, 4950, 20000):
+        for prec in (64, 128, 256, 512):
+            with working_precision(prec):
+                table = arithmetic._roots(den)
+            for t in range(den):
+                c, s = table[t]
+                assert table[-t % den] == (c, -s), (den, prec, t)
+
+
+def _exceeds_truth(x, square):
+    return x > 0 and x * x > square
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    man=st.integers(-(2**80), 2**80),
+    exp=st.integers(-120, 60),
+    offset=st.one_of(st.none(), st.integers(-2, 2)),
+    square=st.integers(0, 2**300),
+)
+def test_exceeds_is_the_exact_square_comparison(man, exp, offset, square):
+    x = Fraction(man) * Fraction(2) ** exp
+    if offset is not None:  # a square at x^2 itself or next to it
+        square = max(0, math.floor(x * x) + offset)
+    assert arithmetic._exceeds(from_man_exp(man, exp), square) == _exceeds_truth(x, square)
+
+
+def test_exceeds_at_zero_negative_and_equality():
+    assert not arithmetic._exceeds(from_man_exp(0, 0), 0)
+    assert not arithmetic._exceeds(from_man_exp(-5, 3), 0)
+    for r in (1, 3, 12345):
+        for e in (0, 4):
+            root = r << e
+            assert not arithmetic._exceeds(from_man_exp(r, e), root * root)  # x^2 == square
+            assert arithmetic._exceeds(from_man_exp(r, e), root * root - 1)
+    # 3/2 squared is 9/4: above 2, not above 3
+    assert arithmetic._exceeds(from_man_exp(3, -1), 2)
+    assert not arithmetic._exceeds(from_man_exp(3, -1), 3)
 
 
 def _direct_root_sum(modulus, exponents):
@@ -325,3 +396,29 @@ def test_bound_check_domain():
         bound_check_d5(10, 1, 0)
     with pytest.raises(ValueError):
         bound_check_d10(5, 1, 0)
+
+
+def _lo_square(value):
+    """The exact square of the lower end of |value|'s enclosure."""
+    with working_precision(128):
+        sign, man, exp, _ = value.abs().lo._mpf_
+    assert not sign and man
+    return Fraction(man) ** 2 * Fraction(2) ** (2 * exp)
+
+
+def test_bound_checks_fail_with_the_square_just_below(monkeypatch):
+    # negative controls: each check fails once its squared bound is the
+    # largest integer below lo^2, and passes at the next integer
+    cases = [
+        (weil_bound_check, (7, 1, 1), "_weil_square", kloosterman(7, 1, 1), 1),
+        (bound_check_d5, (15, 2, 3), "_twisted_square", a_kj(15, 2, 3), 1),
+        (bound_check_d10, (20, 3, 0), "_twisted_square", a_kj(20, 3, 0), 1),
+        (aggregated_bound_check, (25, 4), "_twisted_square", a_k(25, 4), 4),
+    ]
+    twisted = (lambda k, n: aggregated_bound_check(k, n, twisted=True), (30, 2), "_twisted_square", cal_a_k(30, 2), 4)
+    for check, args, name, value, scale in [*cases, twisted]:
+        top = math.ceil(_lo_square(value) / scale)
+        monkeypatch.setattr(arithmetic, name, lambda *a, b=top - 1: b)
+        assert not check(*args), check
+        monkeypatch.setattr(arithmetic, name, lambda *a, b=top: b)
+        assert check(*args), check

@@ -29,7 +29,7 @@ from qsign.exactformula import (
     tail_bound_op,
     threshold_lhs,
 )
-from qsign.numerics import ErrReal, working_precision
+from qsign.numerics import ErrReal, working_precision, zeta_3_2
 from qsign.qseries import POSITIVE_RESIDUES, q10_series
 
 
@@ -90,6 +90,31 @@ def test_c_exact_escalates_precision_only():
     assert ev.k_max == default_k_max(1, 300) == 170
     assert ev.err <= mpf(1) / 4
     assert ev.rounded == 65561 == q10_series(1, 300).coefficient(300)
+
+
+def test_c_exact_at_512_bits_asks_zeta_no_finer_than_2_to_minus_128(monkeypatch):
+    # zeta_3_2's term count grows as target^(-2/17): 2^-256 would be 7e8 terms
+    import qsign.exactformula as ef
+
+    targets = []
+
+    def spy(target):
+        targets.append(target)
+        return zeta_3_2(target)
+
+    monkeypatch.setattr(ef, "zeta_3_2", spy)
+    ev = c_exact(1, 10, prec=512)
+    assert ev.rounded == q10_series(1, 10).coefficient(10)
+    assert ev.gap + ev.err < mpf("0.5")
+    assert ev.prec == 512
+    main_error_split(1, 10, prec=512)
+    assert targets and min(targets) == mpf(2) ** -128
+    # at 256 bits and below the target is 2^(-prec/2), as before
+    for prec in (64, 127, 256):
+        targets.clear()
+        tail_bound_op(1, 10, 50, prec)
+        error_bound_total(1, 10, prec)
+        assert set(targets) == {mpf(2) ** (-prec // 2)}
 
 
 def test_c_exact_domain():

@@ -263,6 +263,31 @@ def test_cli_format_only_on_commands_that_read_it(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["threshold", "--delta", "1", "--n", "2929"], ["--precision-bits", "128"]),
+        (["verify", "--delta", "1", "--n-max", "60"], ["--precision-bits", "128"]),
+        (["pipeline"], ["--output", "out.json"]),
+    ],
+)
+def test_cli_refuses_flags_the_command_would_ignore(argv, flag, capsys):
+    assert main([*argv, *flag]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [line for line in out.err.splitlines() if line.startswith("qsign: error:")]
+    assert errors == [f"qsign: error: unrecognized arguments: {' '.join(flag)}"]
+    assert "Traceback" not in out.err
+
+
+def test_cli_exact_at_512_bits(capsys):
+    # the zeta(3/2) target stays at 2^-128, so 512 bits returns promptly
+    assert main(["exact", "--delta", "1", "--n", "10", "--precision-bits", "512"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rounded"] == 1 and payload["prec"] == 512
+    jsonschema.validate(payload, load_schema("exact.schema.json"))
+
+
+@pytest.mark.parametrize(
     "error, code",
     [
         (RuntimeError("Bessel series failed to converge"), 2),
