@@ -18,7 +18,6 @@ from mpmath import mpf
 from mpmath.libmp import from_man_exp
 
 from qsign import arithmetic
-
 from qsign.arithmetic import (
     a_k,
     a_kj,
@@ -185,10 +184,6 @@ def test_root_table_entry_at_minus_t_is_the_exact_conjugate():
                 assert table[-t % den] == (c, -s), (den, prec, t)
 
 
-def _exceeds_truth(x, square):
-    return x > 0 and x * x > square
-
-
 @settings(max_examples=400, deadline=None)
 @given(
     man=st.integers(-(2**80), 2**80),
@@ -200,7 +195,7 @@ def test_exceeds_is_the_exact_square_comparison(man, exp, offset, square):
     x = Fraction(man) * Fraction(2) ** exp
     if offset is not None:  # a square at x^2 itself or next to it
         square = max(0, math.floor(x * x) + offset)
-    assert arithmetic._exceeds(from_man_exp(man, exp), square) == _exceeds_truth(x, square)
+    assert arithmetic._exceeds(from_man_exp(man, exp), square) == (x > 0 and x * x > square)
 
 
 def test_exceeds_at_zero_negative_and_equality():
@@ -414,9 +409,9 @@ def test_bound_checks_fail_with_the_square_just_below(monkeypatch):
         (bound_check_d5, (15, 2, 3), "_twisted_square", a_kj(15, 2, 3), 1),
         (bound_check_d10, (20, 3, 0), "_twisted_square", a_kj(20, 3, 0), 1),
         (aggregated_bound_check, (25, 4), "_twisted_square", a_k(25, 4), 4),
+        (aggregated_bound_check, (30, 2, 128, True), "_twisted_square", cal_a_k(30, 2), 4),
     ]
-    twisted = (lambda k, n: aggregated_bound_check(k, n, twisted=True), (30, 2), "_twisted_square", cal_a_k(30, 2), 4)
-    for check, args, name, value, scale in [*cases, twisted]:
+    for check, args, name, value, scale in cases:
         top = math.ceil(_lo_square(value) / scale)
         monkeypatch.setattr(arithmetic, name, lambda *a, b=top - 1: b)
         assert not check(*args), check
