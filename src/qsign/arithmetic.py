@@ -21,12 +21,13 @@ rounding by comparing lo^2 with B in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import to_fixed
 
-from .numerics import ErrComplex, ErrReal, _ball, _radius, unit_root_parts, working_precision
+from .numerics import ErrComplex, ErrReal, _fixed_ball, unit_root_parts, working_precision
 
 __all__ = [
     "CuspData",
@@ -227,18 +228,15 @@ def _roots(modulus: int) -> list:
 def _fixed_sum(re: int, im: int, count: int) -> ErrComplex:
     """The ball of fixed-point totals re, im at 2^-w over count table entries:
     each part rounded once to mp.prec, with count * 2^-w for the entries."""
-    prec = mp.prec
-    w = prec + _GUARD_BITS
-    table_err = from_man_exp(count * _ENTRY_ERR, -w)
-    # the one rounding, to nearest: at most |v| 2^-prec
-    parts = (from_man_exp(total, -w, prec, round_nearest) for total in (re, im))
-    return ErrComplex(*(_ball(v, _radius(table_err, v, prec, 0)) for v in parts))
+    w = mp.prec + _GUARD_BITS
+    err = count * _ENTRY_ERR
+    return ErrComplex(_fixed_ball(re, err, w), _fixed_ball(im, err, w))
 
 
-def _root_sum(modulus: int, exponents) -> ErrComplex:
-    """Sum of ζ_modulus^e over e in exponents, with a rigorous error bound.
-
-    The table integers add exactly; each part is rounded once to mp.prec."""
+def _root_sum(modulus: int, exponents) -> tuple[int, int, int]:
+    """Sum of ζ_modulus^e over e in exponents as exact fixed-point totals:
+    (re, im, count), the table integers at 2^-w added exactly over count
+    entries, so each part is within count * _ENTRY_ERR units of the truth."""
     table = _roots(modulus)
     re = im = count = 0
     for e in exponents:
@@ -246,7 +244,7 @@ def _root_sum(modulus: int, exponents) -> ErrComplex:
         re += c
         im += s
         count += 1
-    return _fixed_sum(re, im, count)
+    return re, im, count
 
 
 def _inverse_pairs(modulus: int) -> list:
@@ -364,8 +362,9 @@ def _akj_exponent_table(k: int, j: int, h_shift: int = 0, hp_shift: int = 0) -> 
     return table
 
 
-def a_kj(k: int, j: int, n: int, prec: int = 128) -> ErrComplex:
-    """Direct summation of the twisted sum A_{k,j}(n) over 1 <= h < k."""
+def _akj_totals(k: int, j: int, n: int) -> tuple[int, int, int]:
+    """A_{k,j}(n) as _root_sum's fixed-point totals over 1 <= h < k, at the
+    ambient precision."""
     d = gcd(k, 10)
     if d not in (5, 10):
         raise ValueError("gcd(k,10) must be 5 or 10")
@@ -373,8 +372,13 @@ def a_kj(k: int, j: int, n: int, prec: int = 128) -> ErrComplex:
         raise ValueError("j must be coprime to gcd(k,10)")
     table = _akj_exponent_table(k, j)
     mod = 10 * k
+    return _root_sum(mod, ((base + n * step) % mod for base, step in table))
+
+
+def a_kj(k: int, j: int, n: int, prec: int = 128) -> ErrComplex:
+    """Direct summation of the twisted sum A_{k,j}(n) over 1 <= h < k."""
     with working_precision(prec):
-        return _root_sum(mod, ((base + n * step) % mod for base, step in table))
+        return _fixed_sum(*_akj_totals(k, j, n))
 
 
 def a_kj_rewrite(
@@ -408,7 +412,20 @@ def a_kj_rewrite(
         for base, step in table:
             inner = base - (3 * alpha_of(jr, d) - jr - d)
             exps.append((pref + inner + n * step) % mod)
-        return _root_sum(mod, exps)
+        return _fixed_sum(*_root_sum(mod, exps))
+
+
+@lru_cache(maxsize=None)
+def _fifth_roots(prec: int) -> tuple:
+    """ErrComplex.unit_root(t, 5) for t = 0..4 at prec bits.
+
+    The reduced forms multiply each root by the real ball of a Kloosterman
+    sum only: the sum is exactly real (see kloosterman), so its imaginary
+    ball, 0 plus the table error, adds nothing true. Midpoints are those of
+    the full complex product, as every product with that ball's zero
+    midpoint is 0."""
+    with working_precision(prec):
+        return tuple(ErrComplex.unit_root(t, 5) for t in range(5))
 
 
 def a_kj_reduced_d5(
@@ -430,11 +447,12 @@ def a_kj_reduced_d5(
     assert (4 * inv4) % (5 * k) == 1 % (5 * k)
     al = alpha_of(jr, 5) + alpha_shift
     cj = jr * jr - 5 * jr - al * al + 5 * al
+    roots = _fifth_roots(prec)
     with working_precision(prec):
         total = ErrComplex(0)
         for ell in range(5):
             kv = kloosterman(5 * k, (5 * n + 3) * (k * k - 1) // 4 + ell * k, cj, prec)
-            total = total + ErrComplex.unit_root(jr * ell, 5) * kv
+            total = total + roots[jr * ell % 5] * kv.re
         return total * ErrReal(mpf(-1)) / ErrReal(25)
 
 
@@ -453,11 +471,12 @@ def a_kj_reduced_d10_abs(
     num = jr * jr - 10 * jr - al * al + 10 * al
     if num % 2:
         raise ValueError("corrupted alpha made the twist parameter a half-integer")
+    roots = _fifth_roots(prec)
     with working_precision(prec):
         total = ErrComplex(0)
         for ell in range(5):
             kv = kloosterman(10 * k, 2 * (k * ell - 5 * n - 3), num // 2, prec)
-            total = total + ErrComplex.unit_root(-jr * ell, 5) * kv
+            total = total + roots[-jr * ell % 5] * kv.re
         return total.abs() / ErrReal(50)
 
 

@@ -64,7 +64,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("expand", help="expand the coefficient series")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
     p.add_argument("--order", type=int, required=True)
-    add_common(p, formats=True)
+    add_common(p, precision=False, formats=True)
 
     p = sub.add_parser("exact", help="evaluate the exact formula at one index")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))

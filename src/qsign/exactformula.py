@@ -8,20 +8,29 @@ series shows 5n+-3 is the correct shift; with 5n+-8 the series converges
 to wrong values. The closed-form threshold inequality (threshold_lhs) is
 the one place the displayed 5n+-8 convention is kept, because its stated
 crossovers n >= 2929 / n >= 2234 are exact for that form.
+
+The partial sum of the formula is an integer loop: each summand
+twist * (prefix / k) * I1(x_k) is formed from the twist's fixed-point
+table totals, the fixed-point Bessel series and integer pi, square roots
+and prefix, all at 2^-w, and carries one integer error bound
+(_term_plan). The sum is rounded once per index into its ball.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_pi, to_fixed
 
-from .arithmetic import a_k, cal_a_k, divisor_count
+from .arithmetic import _ENTRY_ERR, _GUARD_BITS, _akj_totals, divisor_count
 from .numerics import (
     ErrComplex,
     ErrReal,
+    _fixed_ball,
+    _i1_series,
     bessel_i1,
     pi_err,
     working_precision,
@@ -75,31 +84,69 @@ def _imag_guard(im: ErrReal) -> None:
 
 
 def _term_plan(delta: int, n: int, prec: int):
-    """The k-th summand of the exact formula as a function of k; call at
-    the ambient precision prec. The k-free factors (pi, sqrt(2 (d-4) nn),
-    sqrt2 pi / sqrt(nn) sqrt(d-4) for d = 5, 10) are computed once; per k
-    the Bessel argument (2 pi / 5k) sqrt(2 (d-4) nn) and the coefficient
-    prefix / k are formed left to right (other orders round differently
-    and widen the Bessel argument's error bar)."""
-    nn = _validate_n(delta, n)
-    pi = pi_err()
-    root = {d: ErrReal(2 * (d - 4) * nn).sqrt() for d in (5, 10)}
-    prefix = {
-        d: ErrReal(2).sqrt() * pi / ErrReal(nn).sqrt() * ErrReal(d - 4).sqrt() for d in (5, 10)
-    }
-    twisted = a_k if delta == 1 else cal_a_k
-    scale = mpf((1, 8 - prec))
+    """The summands of the exact formula in fixed point, as a function of k;
+    call at the ambient precision prec. Returns w = prec + _GUARD_BITS, the
+    root tables' width, and term, where term(k) gives integers
+    (re, im, re_err, im_err) at 2^-2w: each part of the k-th summand
+    twist * (prefix / k) * I1(x_k) within its err units of the truth.
 
-    def term(k: int) -> ErrComplex:
+    Proof of the bounds. Per index, with u = w + 16, v = 2u - w and, for
+    d = 5, 10, R_d = sqrt(2 (d-4) nn):
+    * Pi = floor(2^u mpf_pi) is within 2 units of 2^u pi (mpf_pi at u + 10
+      bits is within pi 2^(-8-u), the trust pi_err takes), and
+      S_d = isqrt(2 (d-4) nn 2^2u) is 2^u R_d less [0, 1); so
+      P_d = Pi S_d is within e_d = 2 S_d + Pi + 2 of 2^2u pi R_d.
+    * The prefix sqrt2 pi sqrt(d-4) / sqrt(nn) is pi R_d / nn, kept at
+      2^-u: pre = floor(P_d / (nn 2^u)) is within e_d / (nn 2^u) + 1 units
+      of 2^u times it, and pre_err rounds that up. Each floor below loses
+      less than one unit in the same way.
+    Per k, with d = gcd(k, 10):
+    * x_k = 2 pi R_d / (5k): X = floor(2 P_d / (5k 2^v)) is within
+      x_err = floor(2 e_d / (5k 2^v)) + 2 units of 2^w x_k.
+    * _i1_series gives s <= 2^w I1(X 2^-w) <= s + bound. Over the argument's
+      interval I1' <= I0 <= e^x < 2^t, log2 e < 1.4427, so
+      |2^w I1(x_k) - s| <= bound + x_err 2^t =: i1_err.
+    * f = floor(pre s / (k 2^u)) is 2^w (prefix / k) I1(x_k) within
+      f_err = floor((pre i1_err + s pre_err + pre_err i1_err) / (k 2^u)) + 2.
+    * The twist's totals (re, im) at 2^-w are each within c = count units
+      (_root_sum). The summand's part re f is then within
+      |re| f_err + c f + c f_err units of 2^2w times the truth, and so is
+      im f with |im|.
+    The twist is A_k(n) = A_{k,3}(n) + A_{k,-3}(n) for delta = 1 and
+    cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n)) for delta = -1, as
+    a_k and cal_a_k sum them.
+    """
+    nn = _validate_n(delta, n)
+    w = prec + _GUARD_BITS
+    u = w + 16
+    v = 2 * u - w
+    pi = to_fixed(mpf_pi(u + 10), u)
+    plan = {}
+    for d in (5, 10):
+        root = isqrt(2 * (d - 4) * nn << 2 * u)
+        prod, err = pi * root, 2 * root + pi + 2
+        plan[d] = (2 * prod, 2 * err, prod // (nn << u), err // (nn << u) + 2)
+    js, m, conj = ((3, -3), n, 1) if delta == 1 else ((1, -1), -n, -1)
+
+    def term(k: int) -> tuple[int, int, int, int]:
         d = gcd(k, 10)
         if d not in (5, 10):
             raise ValueError("term defined only for gcd(k,10) in {5,10}")
-        twist = twisted(k, n, prec)
-        x = pi * 2 / (5 * k) * root[d]
-        i1 = bessel_i1(x, scale * (mp.exp(x.value) + 1))
-        return twist * (prefix[d] / ErrReal(k) * i1)
+        prod2, err2, pre, pre_err = plan[d]
+        den = 5 * k << v
+        x = prod2 // den
+        x_err = err2 // den + 2
+        s, bound = _i1_series(x, w, 1)
+        t = ((x + x_err) * 14427 >> w) // 10000 + 1
+        i1_err = bound + (x_err << t)
+        f = pre * s // (k << u)
+        f_err = (pre * i1_err + s * pre_err + pre_err * i1_err) // (k << u) + 2
+        (re1, im1, c1), (re2, im2, c2) = (_akj_totals(k, j, m) for j in js)
+        re, im = re1 + re2, conj * (im1 + im2)
+        spread = (c1 + c2) * _ENTRY_ERR * (f + f_err)
+        return re * f, im * f, abs(re) * f_err + spread, abs(im) * f_err + spread
 
-    return term
+    return w, term
 
 
 def default_k_max(delta: int, n: int) -> int:
@@ -197,8 +244,11 @@ def c_exact(
     """Partial sum over k <= k_max (k a multiple of 5) plus the rigorous
     tail bound; Definitive iff gap + numeric error + tail bound < 1/2.
 
-    Doubles the precision, at most twice, while the numeric error exceeds
-    1/4, and reports the doublings as escalations; k_max stays as given. Note: the certified tail bound is of Weil
+    The summands and their error bounds are integers at 2^-2w
+    (_term_plan); their totals are rounded once to prec bits, which also
+    charges that rounding to the numeric error. Doubles the precision, at
+    most twice, while the numeric error exceeds 1/4, and reports the
+    doublings as escalations; k_max stays as given. Note: the certified tail bound is of Weil
     type and is orders of magnitude above 1/2 at any desk-scale cutoff,
     so the definitive flag is not reachable in practice; rounding is
     nevertheless reported, alongside the gap and both error components.
@@ -211,14 +261,13 @@ def c_exact(
 
     for escalation in range(3):
         with working_precision(prec):
-            term = _term_plan(delta, n, prec)
-            total = ErrComplex(0)
-            for k in range(5, k_max + 1, 5):
-                total = total + term(k)
-            _imag_guard(total.im)
+            w, term = _term_plan(delta, n, prec)
+            re, im, re_err, im_err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
+            _imag_guard(_fixed_ball(im, im_err, 2 * w))
+            total = _fixed_ball(re, re_err, 2 * w)
             tail = tail_bound_op(delta, n, k_max, prec)
-            value = total.re.value
-            err = total.re.err
+            value = total.value
+            err = total.err
             rounded = int(mp.nint(value))
             gap = abs(value - rounded)
             definitive = bool(gap + err + tail < mpf(1) / 2)

@@ -22,9 +22,13 @@ This is the midpoint-radius scheme of Arb (Johansson, IEEE TC 2017).
 Operations round at the ambient mpmath precision; wrap computations in
 ``working_precision(bits)`` to choose it.
 
-Bessel I1 sums its series as Python integers in units of 2^-w, one floor
-per term, with an integer bound on the floor errors carried alongside
-(_i1_series).
+Bessel I1 has one kernel, _i1_series: the ascending series at a point of
+the 2^-w grid, summed as Python integers in units of 2^-w, one floor per
+term, with an integer bound on the floor errors carried alongside. The
+exact formula's term loop calls it directly on integers; bessel_i1 calls
+it at the exact ends of a ball and returns their enclosure unrounded.
+_fixed_ball rounds a fixed-point total with an integer error bound into a
+ball, once.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from mpmath.libmp import (
     round_floor,
     round_nearest,
     to_fixed,
+    to_float,
 )
 
 __all__ = [
@@ -116,6 +121,16 @@ def _covering(r: tuple, bottom: tuple, top: tuple, prec: int) -> "ErrReal":
     up = mpf_sub(top, r, prec, round_ceiling)
     down = mpf_sub(r, bottom, prec, round_ceiling)
     return _ball(r, down if mpf_lt(up, down) else up)
+
+
+def _fixed_ball(total: int, err: int, w: int) -> "ErrReal":
+    """The ball of a fixed-point total at 2^-w that is within err units of
+    the true value: the total rounded once to nearest at mp.prec, which
+    moves it at most |v| 2^-prec, and err 2^-w rounded up plus that move as
+    the radius."""
+    prec = mp.prec
+    v = from_man_exp(total, -w, prec, round_nearest)
+    return _ball(v, _radius(from_man_exp(err, -w, prec, round_ceiling), v, prec, 0))
 
 
 class ErrReal:
@@ -397,41 +412,36 @@ def _coerce_complex(x) -> ErrComplex:
 # ---------------------------------------------------------------------------
 
 
-def _i1_series(x: mpf, goal: mpf, w: int) -> tuple[mpf, mpf]:
-    """Ascending series at a point in fixed point at 2^-w.
+def _i1_series(x: int, w: int, goal: int) -> tuple[int, int]:
+    """I1 at the point x 2^-w >= 0 by its ascending series, in fixed point
+    at 2^-w: integers (s, bound) with s <= 2^w I1(x 2^-w) <= s + bound.
 
-    Returns exact dyadics (s, bound) with s <= I1(x) <= s + bound. The terms
-    t_k = (x/2)^(2k+1) / (k! (k+1)!) are positive with exact ratios
-    r_k = (x/2)^2 / ((k+1)(k+2)). In units of 2^-w, T_0 = floor(2^w x/2)
-    and T_{k+1} = floor(T_k r_k); each floor loses less than one unit and
-    later ratios carry what was lost, so 2^w t_k - T_k lies in [0, E_k)
-    with E_0 = 1, E_{k+1} = ceil(E_k r_k) + 1 (`lost` below). Once r_k < 1/2 the tail
-    after term k is at most 2^w t_k r_k / (1 - r_k) <= 2 r_k (T_k + E_k)
-    units; the sum stops when that is at most goal/2^10, and bound is the
-    tail plus the sum of the E_k. The E_k grow with the terms (up to about
-    e^x / x), so w needs about 1.5x bits beyond -log2(goal).
+    The terms t_k = (x/2)^(2k+1) / (k! (k+1)!) of I1 at x 2^-w are positive
+    with exact ratios r_k = x^2 / (2^(2w+2) (k+1)(k+2)). In units of 2^-w,
+    T_0 = floor(x/2) and T_{k+1} = floor(T_k r_k); each floor loses less
+    than one unit and later ratios carry what was lost, so 2^w t_k - T_k
+    lies in [0, E_k) with E_0 = 1, E_{k+1} = ceil(E_k r_k) + 1 (`lost`
+    below). Once r_k < 1/2 the tail after term k is at most
+    2^w t_k r_k / (1 - r_k) <= 2 r_k (T_k + E_k) units; the sum stops when
+    that is at most goal units, and bound is the tail plus the sum of the
+    E_k. The E_k grow with the terms (up to about e^x / x), so w needs
+    about 1.5x bits beyond the goal's.
     """
     if x < 0:
         raise ValueError("Bessel argument must be nonnegative")
-    _, man, exp, _ = x._mpf_
-    if not man:
-        return mpf(0), mpf(0)
-    # (x/2)^2 = num / 2^s exactly
-    num, s = man * man, 2 - 2 * exp
-    if s < 0:
-        num, s = num << -s, 0
-    shift = w + exp - 1
-    term = man << shift if shift >= 0 else man >> -shift
+    if not x:
+        return 0, 0
+    num, s = x * x, 2 * w + 2
+    term = x >> 1
     lost = 1
     total, lost_total = term, lost
-    goal_units = to_fixed(goal._mpf_, w - 10)
     k = 0
     while True:
         den = (k + 1) * (k + 2)
         # floor(floor(a / 2^s) / den) = floor(a / (2^s den)), and likewise ceil
         if 2 * num < den << s:
             tail = -(((-2 * (term + lost) * num) >> s) // den)
-            if tail <= goal_units:
+            if tail <= goal:
                 break
         term = ((term * num) >> s) // den
         lost = 1 - (((-lost * num) >> s) // den)
@@ -440,41 +450,38 @@ def _i1_series(x: mpf, goal: mpf, w: int) -> tuple[mpf, mpf]:
         k += 1
         if k > 10_000_000:
             raise RuntimeError("Bessel series failed to converge")
-    return mp.make_mpf(from_man_exp(total, -w)), mp.make_mpf(from_man_exp(tail + lost_total, -w))
+    return total, tail + lost_total
 
 
 def bessel_i1(x: ErrReal, target_err) -> ErrReal:
-    """I1(x) with truncation + rounding error at most target_err.
+    """I1 over the ball x, with truncation and floor errors at most target_err.
 
-    Each endpoint is summed in fixed point (_i1_series) at
-    w = 58 - floor(log2 target_err) + floor(1.5 x) bits, so the floor
-    errors and the truncated tail together stay far below the target.
-    Uncertainty in x itself propagates through endpoint evaluation on top
-    of the target (I1 is increasing on [0, inf)).
+    The ends of x are exact dyadics. Each is read exactly as an integer at
+    2^-w, w = 58 - floor(log2 target_err) + floor(1.5 x_hi) or more if an
+    end has more fractional bits, and summed by _i1_series with its tail at
+    most target_err / 2^12 (target_err / 2^11 for a point ball); at that w
+    the floor errors stay far below the target. I1 increases on [0, inf),
+    so over x it lies in [s_lo, s_hi + bound_hi] units, and the result is
+    that interval as an exact ball, midpoint and radius at 2^-(w+1).
+    Nothing is rounded.
     """
     x = _coerce(x)
     target = target_err if isinstance(target_err, mpf) else mpf(target_err)
     if not target > 0:
         raise ValueError("target_err must be positive")
-    if x.hi < 0:
+    v, e = x._v, x._e
+    hi = mpf_add(v, e)
+    if mpf_sign(hi) < 0:
         raise ValueError("Bessel argument must be nonnegative")
-    growth = int(1.5 * float(x.hi))
+    lo = mpf_sub(v, e)
+    points = (lo if mpf_sign(lo) > 0 else fzero, hi) if e[1] else (hi,)
     _, _, exp, bc = target._mpf_
-    log2_target = exp + bc - 1  # floor(log2 target), exact
-    w = 58 - log2_target + growth
-    # the enclosure's own rounding: bits for a sum of size ~e^x to meet the target
-    bits = growth + max(0, -log2_target) + 48
-    with working_precision(max(mp.prec, bits)):
-        if x.err == 0:
-            v, e = _i1_series(x.value, target / 2, w)
-            return ErrReal(v, e)
-        lo = x.lo if x.lo > 0 else mpf(0)
-        v_lo, e_lo = _i1_series(lo, target / 4, w)
-        v_hi, e_hi = _i1_series(x.hi, target / 4, w)
-        lower = v_lo - e_lo
-        upper = v_hi + e_hi
-        mid = (lower + upper) / 2
-        return ErrReal(mid, (upper - lower) / 2 + abs(mid) * _eps(2))
+    w = max([58 - (exp + bc - 1) + int(1.5 * to_float(hi))] + [-p[2] for p in points if p[1]])
+    # the tail goal: target/2 for a point ball, target/4 at each end, over 2^10
+    goal = to_fixed(mpf_shift(target._mpf_, -10 - len(points)), w)
+    series = [_i1_series(p[1] << (p[2] + w), w, goal) for p in points]
+    bottom, top = series[0][0], sum(series[-1])
+    return _ball(from_man_exp(bottom + top, -w - 1), from_man_exp(top - bottom, -w - 1))
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def _full_pair_kloosterman(k, n, m, prec):
     exponents of all phi(k) pairs through the module's table summation."""
     exps = [n * h + m * ((-pow(h, -1, k)) % k) for h in range(k) if math.gcd(h, k) == 1]
     with working_precision(prec):
-        return arithmetic._root_sum(k, exps)
+        return arithmetic._fixed_sum(*arithmetic._root_sum(k, exps))
 
 
 def _parts(v):

@@ -11,7 +11,9 @@ asserted against the oracle.
 
 import json
 from fractions import Fraction
+from math import gcd
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -29,7 +31,8 @@ from qsign.exactformula import (
     tail_bound_op,
     threshold_lhs,
 )
-from qsign.numerics import ErrReal, working_precision, zeta_3_2
+from qsign.arithmetic import _GUARD_BITS, _akj_exponent_table
+from qsign.numerics import ErrComplex, ErrReal, _fixed_ball, working_precision, zeta_3_2
 from qsign.qseries import POSITIVE_RESIDUES, q10_series
 
 
@@ -41,9 +44,12 @@ def test_shifted_index():
 
 
 def term(delta, n, k, prec=128):
-    """The k-th summand of the exact formula, as c_exact forms it."""
+    """The k-th summand of the exact formula, as c_exact forms it, with each
+    fixed-point part rounded into a ball."""
     with working_precision(prec):
-        return _term_plan(delta, n, prec)(k)
+        w, plan = _term_plan(delta, n, prec)
+        re, im, re_err, im_err = plan(k)
+        return ErrComplex(_fixed_ball(re, re_err, 2 * w), _fixed_ball(im, im_err, 2 * w))
 
 
 def test_term_k10_equals_main_term():
@@ -115,6 +121,73 @@ def test_c_exact_at_512_bits_asks_zeta_no_finer_than_2_to_minus_128(monkeypatch)
         tail_bound_op(1, 10, 50, prec)
         error_bound_total(1, 10, prec)
         assert set(targets) == {mpf(2) ** (-prec // 2)}
+
+
+# -- the integer term loop ------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("n", [10, 11, 29, 47, 64, 103, 117, 181, 256, 300])
+def test_c_exact_agrees_across_precisions(delta, n):
+    # the 128- and 512-bit enclosures overlap: |v128 - v512| <= err128 + err512
+    low, high = c_exact(delta, n), c_exact(delta, n, prec=512)
+    assert (low.prec, high.prec) == (128, 512)
+    assert low.rounded == high.rounded
+    assert abs(_q(low.value) - _q(high.value)) <= _q(low.err) + _q(high.err)
+    assert high.err < low.err
+
+
+def _q(x):
+    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp) if x else Fraction(0)
+
+
+def _reference_factor(delta, n, k):
+    """(prefix / k) I1(x_k) at the ambient mpmath precision."""
+    nn = shifted_index(delta, n)
+    root = mpmath.sqrt(2 * (gcd(k, 10) - 4) * nn)
+    return mpmath.pi * root / nn / k * mpmath.besseli(1, 2 * mpmath.pi * root / (5 * k))
+
+
+def _reference_twist(delta, n, k):
+    """A_k(n) or cal A_k(n), term by term at the ambient mpmath precision."""
+    js, m = ((3, -3), n) if delta == 1 else ((1, -1), -n)
+    exps = [base + m * step for j in js for base, step in _akj_exponent_table(k, j)]
+    total = mpmath.fsum(mpmath.expjpi(mpf(2 * e) / (10 * k)) for e in exps)
+    return total if delta == 1 else mpmath.conj(total)
+
+
+TERM_INDICES = [(1, 10), (1, 83), (1, 300), (-1, 12), (-1, 47), (-1, 211)]
+
+
+@pytest.mark.parametrize("prec", [16, 64, 128])
+def test_term_parts_enclose_the_reference(prec):
+    for delta, n in TERM_INDICES:
+        with working_precision(prec):
+            w, plan = _term_plan(delta, n, prec)
+            parts = {k: plan(k) for k in range(5, default_k_max(delta, n) + 1, 5)}
+        with mpmath.workprec(2 * w + 200):
+            for k, (re, im, re_err, im_err) in parts.items():
+                ref = _reference_twist(delta, n, k) * _reference_factor(delta, n, k) * 2 ** (2 * w)
+                assert abs(ref.real - re) <= re_err, (delta, n, k)
+                assert abs(ref.imag - im) <= im_err, (delta, n, k)
+
+
+@pytest.mark.parametrize("prec", [16, 64, 128])
+def test_term_factor_encloses_the_reference(prec, monkeypatch):
+    # with an exact twist of 1 + 1 only the factor's own error is left: the
+    # prefix, the Bessel argument's floor and its charge, and the floors
+    import qsign.exactformula as ef
+
+    monkeypatch.setattr(ef, "_akj_totals", lambda k, j, m: (1 << (mpmath.mp.prec + _GUARD_BITS), 0, 0))
+    for delta, n in TERM_INDICES + [(1, 29), (1, 160), (-1, 103), (-1, 256)]:
+        with working_precision(prec):
+            w, plan = _term_plan(delta, n, prec)
+            parts = {k: plan(k) for k in range(5, default_k_max(delta, n) + 1, 5)}
+        with mpmath.workprec(2 * w + 200):
+            for k, (re, im, re_err, im_err) in parts.items():
+                ref = 2 * _reference_factor(delta, n, k) * 2 ** (2 * w)
+                assert abs(ref - re) <= re_err, (delta, n, k)
+                assert im == im_err == 0
 
 
 def test_c_exact_domain():

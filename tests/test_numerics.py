@@ -389,13 +389,82 @@ def test_bessel_endpoints_bracket_the_argument_interval(prec):
 def test_i1_series_bound_covers_the_floors_at_narrow_widths():
     # at w = 20..40 bits the floor errors, amplified by the terms' growth,
     # dwarf the truncated tail: the enclosure holds only through the E_k
+    # (arguments and results are integers at 2^-w; the goal is 1, in units)
     for s in ("0.75", "5.3", "33.7", "60"):
-        x = mpf(s)
         for w in (20, 40):
-            lo, bound = _i1_series(x, mpf(1), w)
+            x = to_fixed(mpf(s)._mpf_, w)
+            lo, bound = _i1_series(x, w, 1 << (w - 10))
             with mpmath.workprec(400):
-                ref = mpmath.besseli(1, x)
+                ref = mpmath.besseli(1, mpmath.ldexp(x, -w)) * 2**w
                 assert lo <= ref <= lo + bound, (s, w)
+
+
+def _i1_target(x, prec):
+    # the relative target c_exact's term loop used before its integer form
+    return mpf((1, 8 - prec)) * (mpmath.exp(x) + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prec=st.sampled_from([64, 128, 256]),
+    units=st.integers(1 << 20, 40 << 40),
+    width=st.one_of(st.just(0), st.integers(20, 300)),
+    relative=st.booleans(),
+)
+def test_bessel_encloses_the_reference_at_both_ends(prec, units, width, relative):
+    # x in (0, 40] on the 2^-40 grid, as a point or with radius 2^-width
+    with working_precision(prec):
+        x = ErrReal(mpf((units, -40)), mpf((1, -width)) if width else 0)
+        target = _i1_target(x.value, prec) if relative else mpf((1, -(prec // 2)))
+        v = bessel_i1(x, target)
+    with mpmath.workprec(prec + 100):
+        assert v.lo <= mpmath.besseli(1, x.lo)
+        assert mpmath.besseli(1, x.hi) <= v.hi
+
+
+# bessel_i1's radius when each end was summed at its exact dyadic and the
+# ball assembled from mpf endpoints at a raised precision, at _i1_target:
+# (prec, x = man 2^exp, width: radius 2^-width, 0 for a point) -> (man, exp)
+ASSEMBLED_I1_RADII = {
+    (64, 1, -10, 0): (477218591, -112),
+    (64, 1, -10, 32): (5070604214301771127154699927553, -135),
+    (64, 3, 0, 0): (54584500466823, -111),
+    (64, 3, 0, 32): (18066569099349948582087535628817, -134),
+    (64, 5, 3, 0): (95569553677352110466098420040825, -117),
+    (64, 5, 3, 32): (130848393247055902181910701564959, -85),
+    (128, 1, -10, 0): (1667999861999, -177),
+    (128, 1, -10, 64): (93536138240297799941055186376557781263410559713451, -231),
+    (128, 3, 0, 0): (33844614255495, -178),
+    (128, 3, 0, 64): (166634688228625616567772376338759462134079983469443, -229),
+    (128, 5, 3, 0): (26652403793199215087016879256911, -180),
+    (128, 5, 3, 64): (1206863411137038634899743214772343435100982224012777, -180),
+    (256, 1, -10, 0): (130407017, -304),
+    (256, 1, -10, 128): (
+        31828698513052639337844346425161771043677226921076940653508604971245061195798020908576495,
+        -423,
+    ),
+    (256, 3, 0, 0): (885380738198025, -306),
+    (256, 3, 0, 128): (
+        113405692243138734941666802753149883033188246454419676977953984177000470478786023245794009,
+        -422,
+    ),
+    (256, 5, 3, 0): (3852360584154340481872412142563, -307),
+    (256, 5, 3, 128): (
+        821348676183978384741473506047728752462032059442731654078699646617557827410384778397785265,
+        -373,
+    ),
+}
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_bessel_radius_at_most_the_assembled_one(prec):
+    for (p, man, exp, width), (r_man, r_exp) in ASSEMBLED_I1_RADII.items():
+        if p != prec:
+            continue
+        with working_precision(prec):
+            x = mpf((man, exp))
+            r = bessel_i1(ErrReal(x, mpf((1, -width)) if width else 0), _i1_target(x, prec)).err
+        assert Fraction(int(r.man)) * Fraction(2) ** int(r.exp) <= Fraction(r_man) * Fraction(2) ** r_exp, (man, exp, width)
 
 
 def test_bessel_bound_checks_examples():

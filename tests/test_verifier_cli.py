@@ -203,8 +203,14 @@ def test_cli_expand_formats(tmp_path, capsys):
 def test_cli_expand_usage_errors(capsys):
     assert main(["expand", "--delta", "3", "--order", "5"]) == 1
     assert main(["expand", "--delta", "1", "--order", "-2"]) == 1
-    assert main(["expand", "--delta", "1", "--order", "5", "--precision-bits", "32"]) == 1
     capsys.readouterr()
+
+
+def test_cli_exact_precision_below_64_is_a_usage_error(capsys):
+    assert main(["exact", "--delta", "1", "--n", "10", "--precision-bits", "32"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "qsign: error: precision-bits must be >= 64\n"
 
 
 def test_cli_exact(capsys):
@@ -268,6 +274,7 @@ def test_cli_format_only_on_commands_that_read_it(argv, capsys):
         (["threshold", "--delta", "1", "--n", "2929"], ["--precision-bits", "128"]),
         (["verify", "--delta", "1", "--n-max", "60"], ["--precision-bits", "128"]),
         (["pipeline"], ["--output", "out.json"]),
+        (["expand", "--delta", "1", "--order", "5"], ["--precision-bits", "128"]),
     ],
 )
 def test_cli_refuses_flags_the_command_would_ignore(argv, flag, capsys):
@@ -343,17 +350,21 @@ def test_cli_missing_subcommand(capsys):
 
 
 def test_cli_env_precision(monkeypatch, capsys):
+    # exact reads the precision: the environment's default is checked and used
     monkeypatch.setenv("QSIGN_PRECISION_BITS", "32")
-    assert main(["expand", "--delta", "1", "--order", "5"]) == 1
+    assert main(["exact", "--delta", "1", "--n", "10"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "qsign: error: precision-bits must be >= 64\n"
     monkeypatch.setenv("QSIGN_PRECISION_BITS", "96")
-    assert main(["expand", "--delta", "1", "--order", "5"]) == 0
-    capsys.readouterr()
+    assert main(["exact", "--delta", "1", "--n", "10"]) == 2
+    assert json.loads(capsys.readouterr().out)["prec"] == 96
 
 
 def test_cli_env_precision_not_an_integer(monkeypatch, capsys):
     # a usage error with the one-line message, not a traceback
     monkeypatch.setenv("QSIGN_PRECISION_BITS", "abc")
-    assert main(["expand", "--delta", "1", "--order", "5"]) == 1
+    assert main(["exact", "--delta", "1", "--n", "10"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "qsign: error: QSIGN_PRECISION_BITS must be an integer, got 'abc'\n"
