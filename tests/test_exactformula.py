@@ -126,6 +126,10 @@ def test_c_exact_at_512_bits_asks_zeta_no_finer_than_2_to_minus_128(monkeypatch)
 # -- the integer term loop ------------------------------------------------------
 
 
+def _q(x):
+    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp) if x else Fraction(0)
+
+
 @pytest.mark.parametrize("delta", [1, -1])
 @pytest.mark.parametrize("n", [10, 11, 29, 47, 64, 103, 117, 181, 256, 300])
 def test_c_exact_agrees_across_precisions(delta, n):
@@ -135,10 +139,6 @@ def test_c_exact_agrees_across_precisions(delta, n):
     assert low.rounded == high.rounded
     assert abs(_q(low.value) - _q(high.value)) <= _q(low.err) + _q(high.err)
     assert high.err < low.err
-
-
-def _q(x):
-    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp) if x else Fraction(0)
 
 
 def _reference_factor(delta, n, k):
