@@ -389,7 +389,7 @@ def test_bessel_endpoints_bracket_the_argument_interval(prec):
 def test_i1_series_bound_covers_the_floors_at_narrow_widths():
     # at w = 20..40 bits the floor errors, amplified by the terms' growth,
     # dwarf the truncated tail: the enclosure holds only through the E_k
-    # (arguments and results are integers at 2^-w; the goal is 1, in units)
+    # (argument and results are integers at 2^-w; the tail goal is 2^-10)
     for s in ("0.75", "5.3", "33.7", "60"):
         for w in (20, 40):
             x = to_fixed(mpf(s)._mpf_, w)
