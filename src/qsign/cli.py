@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -41,21 +40,13 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
-def _default_precision() -> int:
-    raw = os.environ.get("QSIGN_PRECISION_BITS", "128")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"QSIGN_PRECISION_BITS must be an integer, got {raw!r}") from None
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="qsign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, precision=True, formats=False, output=True):  # only the flags p's command reads
         if precision:
-            p.add_argument("--precision-bits", type=int, default=_default_precision())
+            p.add_argument("--precision-bits", type=int, default=128)
         if formats:
             p.add_argument("--format", dest="fmt", choices=("json", "csv", "plain"), default="json")
         if output:
@@ -100,7 +91,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-samples", type=int, default=20)
     p.add_argument("--exact-lo", type=int, default=10)
     p.add_argument("--exact-hi", type=int, default=300)
-    p.add_argument("--modular-prec", type=int, default=256)
     p.add_argument("--output-dir", default="qsign_artifacts")
     add_common(p, output=False)
 
@@ -165,7 +155,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_modular(args) -> int:
-    records = modularcheck.validation_suite(prec=max(args.precision_bits, 256))
+    records = modularcheck.validation_suite(prec=args.precision_bits)
     payload = [r.to_dict() for r in records]
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
     ok = all(r.passed for r in records)
@@ -182,7 +172,6 @@ def _cmd_pipeline(args) -> int:
         identity_k_max=args.identity_k_max,
         sweep_n_samples=args.n_samples,
         exact_range=(args.exact_lo, args.exact_hi),
-        modular_prec=args.modular_prec,
         precision_bits=args.precision_bits,
         output_dir=args.output_dir,
     )
@@ -205,11 +194,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except ValueError as exc:  # a malformed QSIGN_PRECISION_BITS
-        return _fail(str(exc))
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -220,8 +205,6 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except (RuntimeError, modularcheck.PoleError, exactformula.ImaginaryResidueError) as exc:
         return _fail(str(exc), EXIT_NON_DEFINITIVE)  # a convergence cap or an unresolved sign
-    except modularcheck.ConsistencyError as exc:
-        return _fail(str(exc), EXIT_VERIFICATION_FAILED)
 
 
 def entry() -> None:

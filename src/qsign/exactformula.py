@@ -349,6 +349,9 @@ def threshold_lhs(delta: int, n: int, prec: int | None = None) -> ErrReal:
 
     This keeps the displayed 5n+8 / 5n-8 convention of the source
     inequality, whose crossovers are exactly n = 2929 and n = 2234.
+    Doubles the precision until the error is under 1e-7 of the value, and
+    raises RuntimeError if a precision of 2048 bits or more still misses
+    that goal.
     """
     if delta == 1:
         if n < 8:
@@ -397,6 +400,8 @@ def threshold_lhs(delta: int, n: int, prec: int | None = None) -> ErrReal:
                 / (ErrReal(25) * nn14)
             )
             result = pref * (term1 + term2 + term3)
-            if result.err < rel_goal * abs(result.value) or prec >= 2048:
+            if result.err < rel_goal * abs(result.value):
                 return result
+        if prec >= 2048:
+            raise RuntimeError(f"threshold_lhs missed its 1e-7 relative error goal at {prec} bits")
         prec *= 2

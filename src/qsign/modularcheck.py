@@ -1,7 +1,12 @@
 """Numerical validation of the modular backbone: the odd Jacobi theta
-function, its triple-product and transformation laws, the eta multiplier
-solved from its defining equation, the theta-quotient f, and the
-principal-part growth classification.
+function, its triple-product and transformation laws, the eta multiplier,
+the theta-quotient f, and the principal-part growth classification.
+
+The multiplier is in closed form, omega_{h,k} = exp(pi i s(h, k)) with s
+the Dedekind sum: 6k s(h, k) is an integer, so omega is an exact 24k-th
+root of unity and the theta transformation's rational phases fold into
+one ``ErrComplex.unit_root``. The eta transformation is checked
+numerically, one record per theta-transformation tuple.
 
 All evaluations carry rigorous truncation tails on top of mpmath rounding;
 the default working precision (256 bits) leaves many orders of magnitude
@@ -22,8 +27,6 @@ from .qseries import q10_series_product
 
 __all__ = [
     "PoleError",
-    "ConsistencyError",
-    "EtaMultiplier",
     "theta",
     "eta",
     "omega_hk",
@@ -41,10 +44,6 @@ _ETA_MAX_N = 200_000  # eta's truncation search gives up beyond this many factor
 
 class PoleError(ArithmeticError):
     """A denominator is numerically indistinguishable from zero."""
-
-
-class ConsistencyError(ArithmeticError):
-    """Two evaluations that must agree differ beyond their error bars."""
 
 
 def _mpc_wrap(z: mpc, err: mpf) -> ErrComplex:
@@ -139,69 +138,19 @@ def eta(tau, target_err, prec: int | None = None) -> ErrComplex:
         return _mpc_wrap(value, abs(value) * (rel_tail + (3 * N + 16) * (mpf(2) ** (2 - mp.prec))))
 
 
-@dataclass(frozen=True)
-class EtaMultiplier:
-    """The unit multiplier solved from the eta transformation at a sample z."""
+def omega_hk(h: int, k: int) -> int:
+    """The eta multiplier's exponent D = 6k s(h, k), so that
+    omega_{h,k} = exp(pi i s(h, k)) = zeta_{12k}^D exactly.
 
-    k: int
-    h: int
-    hprime: int
-    omega: ErrComplex
-
-    def unit_modulus_defect(self) -> ErrReal:
-        return self.omega.abs() - ErrReal(1)
-
-    def root_of_unity_defect(self) -> ErrReal:
-        """|omega^(24k) - 1|: the multiplier is always a 24k-th root of unity."""
-        return (_cpow(self.omega, 24 * self.k) - ErrComplex(1)).abs()
-
-
-def _cpow(z: ErrComplex, e: int) -> ErrComplex:
-    out = ErrComplex(1)
-    base = z
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
-    return out
-
-
-def omega_hk(h: int, k: int, hprime: int, z_sample, target_err, prec: int | None = None) -> EtaMultiplier:
-    """Solve the multiplier from
-    eta((h+iz)/k) = e^(pi i (h-h')/12k) omega^{-1} z^{-1/2} eta((h'+i/z)/k)
-    at z_sample, cross-checking a second sample point."""
+    s is the Dedekind sum: for 0 < r < k the sawtooths are
+    ((r/k)) = (2r - k)/2k and ((hr/k)) = (2(hr mod k) - k)/2k, so
+    6k s(h, k) = 3 sum_r (2r - k)(2(hr mod k) - k) / 2k, an integer
+    (Apostol, Modular Functions and Dirichlet Series, ch. 3)."""
     if k < 1:
         raise ValueError("k must be positive")
     if gcd(h, k) != 1:
         raise ValueError("h must be coprime to k")
-    if k > 1 and (h * hprime) % k != (-1) % k:
-        raise ValueError("h*h' must be -1 mod k")
-    prec = prec or max(mp.prec, DEFAULT_PREC)
-    target = mpf(target_err)
-
-    def solve(z) -> ErrComplex:
-        with working_precision(prec):
-            z = mpc(z)
-            if not z.real > 0:
-                raise ValueError("Re(z) must be positive")
-            num = eta((hprime + 1j / z) / k, target / 4, prec)
-            den = eta((h + 1j * z) / k, target / 4, prec)
-            phase = exp(pi * 1j * (h - hprime) / (12 * k)) / sqrt(z)
-            return _mpc_wrap(phase, abs(phase) * mpf(2) ** (4 - mp.prec)) * num / den
-
-    w1 = solve(z_sample)
-    with working_precision(prec):
-        z2 = mpc(z_sample) + mpf(1) / 4
-    w2 = solve(z2)
-    with working_precision(prec):
-        diff = (w1 - w2).abs()
-        budget = w1.max_err() + w2.max_err() + target
-        if diff.value > 4 * budget + diff.err:
-            raise ConsistencyError(
-                f"multiplier differs across sample points by {mp.nstr(diff.value, 5)}"
-            )
-    return EtaMultiplier(k=k, h=h, hprime=hprime, omega=w1)
+    return 3 * sum((2 * r - k) * (2 * (h * r % k) - k) for r in range(1, k)) // (2 * k)
 
 
 def f_eval(tau, target_err, prec: int | None = None) -> ErrComplex:
@@ -367,10 +316,64 @@ def _triple_product_record(w, tau, prec: int, tol: float) -> CheckRecord:
         return _agreement("triple-product", params, lhs, _mpc_wrap(rhs, abs(rhs) * rel), tol)
 
 
+# (h, k, z, w) for the eta and theta transformation records; z and w are
+# (re, im) strings, read at the suite's precision
+_MULTIPLIER_TUPLES = [
+    (1, 5, ("1",), ("0.3", "0.1")),
+    (2, 5, ("0.8",), ("0.2", "-0.1")),
+    (3, 5, ("1.1",), ("0.15", "0.05")),
+    (1, 10, ("0.9",), ("0.1", "0.2")),
+    (3, 10, ("1",), ("0.25", "0.1")),
+    (7, 10, ("1.2", "0.3"), ("0.2", "0.1")),
+    (9, 10, ("0.7",), ("-0.1", "0.15")),
+    (2, 15, ("1",), ("0.3", "-0.05")),
+    (4, 15, ("1.3",), ("0.1", "0.1")),
+    (7, 20, ("0.85",), ("0.2", "0.05")),
+]
+
+
+def _multiplier_records(h: int, k: int, z, w, prec: int, tol) -> list[CheckRecord]:
+    """The eta transformation, which checks the closed-form multiplier
+    omega = zeta_{12k}^D numerically, and the theta transformation that
+    uses it, at (h, k, z) and theta's argument w, both (re, im) tuples."""
+    hp = neg_inverse(h, k)
+    D = omega_hk(h, k)
+    with working_precision(prec):
+        target = mpf(2) ** (-prec // 2)
+        z = mpc(*z)
+        w = mpc(*w)
+        params = {"h": h, "k": k, "z": str(z)}
+        # eta((h+iz)/k) = e^(pi i (h-h')/12k) omega^-1 z^(-1/2) eta((h'+i/z)/k)
+        lhs = eta((h + 1j * z) / k, target / 4, prec)
+        root = 1 / sqrt(z)
+        rhs = (
+            ErrComplex.unit_root(h - hp - 2 * D, 24 * k)
+            * _mpc_wrap(root, abs(root) * mpf(2) ** (4 - mp.prec))
+            * eta((hp + 1j / z) / k, target / 4, prec)
+        )
+        eta_record = _agreement("eta-transformation", params, lhs, rhs, tol)
+
+        # e^(pi i (h-h')/4k) e^(-3 pi i/4) omega^-3 as one 24k-th root. The
+        # constant e^(-3 pi i/4) is forced by the trivial level h=0, k=1
+        # with principal branches (the conjugate constant fails by a
+        # factor i; it cancels in theta quotients either way)
+        lhs = theta(w, (h + 1j * z) / k, target, prec)
+        pref = sqrt(1j / z) * exp(-pi * k * w * w / z)
+        rhs = (
+            ErrComplex.unit_root(3 * (h - hp - 3 * k) - 6 * D, 24 * k)
+            * _mpc_wrap(pref, abs(pref) * mpf(2) ** (6 - mp.prec))
+            * theta(1j * w / z, (hp + 1j / z) / k, target, prec)
+        )
+        theta_record = _agreement("theta-transformation", {**params, "w": str(w)}, lhs, rhs, tol)
+    return [eta_record, theta_record]
+
+
 def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[CheckRecord]:
     """The full modular-backbone validation: triple product, quasi-periodicity,
-    the theta transformation with solved multipliers, the cusp transformation
-    of f, series agreement, and the exhaustive growth classification."""
+    the eta and theta transformations with the closed-form multiplier, the
+    cusp transformation of f, series agreement, and the exhaustive growth
+    classification. Runs at max(prec, DEFAULT_PREC) bits."""
+    prec = max(prec, DEFAULT_PREC)
     records: list[CheckRecord] = []
 
     # triple product at fixed plus pseudo-random points
@@ -399,40 +402,9 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
             rhs = _mpc_wrap(fac, abs(fac) * mpf(2) ** (6 - mp.prec)) * base
             records.append(_agreement("quasi-periodicity", {"lambda": lam, "mu": mu}, lhs, rhs, tol))
 
-    # theta transformation with numerically solved multiplier
-    with working_precision(prec):
-        target = mpf(2) ** (-prec // 2)
-        tuples = [
-            (1, 5, mpc(1), mpc("0.3", "0.1")),
-            (2, 5, mpc("0.8"), mpc("0.2", "-0.1")),
-            (3, 5, mpc("1.1"), mpc("0.15", "0.05")),
-            (1, 10, mpc("0.9"), mpc("0.1", "0.2")),
-            (3, 10, mpc(1), mpc("0.25", "0.1")),
-            (7, 10, mpc("1.2", "0.3"), mpc("0.2", "0.1")),
-            (9, 10, mpc("0.7"), mpc("-0.1", "0.15")),
-            (2, 15, mpc(1), mpc("0.3", "-0.05")),
-            (4, 15, mpc("1.3"), mpc("0.1", "0.1")),
-            (7, 20, mpc("0.85"), mpc("0.2", "0.05")),
-        ]
-        for h, k, zz, w in tuples:
-            hp = neg_inverse(h, k)
-            mult = omega_hk(h, k, hp, zz, target, prec)
-            lhs = theta(w, (h + 1j * zz) / k, target, prec)
-            om = mult.omega
-            om3 = om * om * om
-            # constant e^(-3 pi i/4): forced by the trivial level h=0, k=1
-            # with principal branches (the conjugate constant fails by a
-            # factor i; it cancels in theta quotients either way)
-            pref = exp(pi * 1j * (h - hp) / (4 * k)) * exp(-3j * pi / 4) * sqrt(1j / zz) * exp(
-                -pi * k * w * w / zz
-            )
-            rhs = (
-                _mpc_wrap(pref, abs(pref) * mpf(2) ** (6 - mp.prec))
-                * (ErrComplex(1) / om3)
-                * theta(1j * w / zz, (hp + 1j / zz) / k, target, prec)
-            )
-            params = {"h": h, "k": k, "z": str(zz), "w": str(w)}
-            records.append(_agreement("theta-transformation", params, lhs, rhs, tol))
+    # eta and theta transformations with the closed-form multiplier
+    for h, k, zz, w in _MULTIPLIER_TUPLES:
+        records += _multiplier_records(h, k, zz, w, prec, tol)
 
     # leading asymptotic of theta(a tau + b; tau): fitted-constant check
     with working_precision(prec):

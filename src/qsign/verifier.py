@@ -393,7 +393,6 @@ class PipelineConfig:
     identity_k_max: int = 200
     sweep_n_samples: int = 20
     exact_range: tuple = (10, 300)
-    modular_prec: int = 256
     precision_bits: int = 128
     output_dir: str | Path = "qsign_artifacts"
 
@@ -462,7 +461,7 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
     artifacts += ["sweeps.json", "sweeps.csv"]
     phases["bound_sweeps"] = sweeps.passed
 
-    modular = modularcheck.validation_suite(prec=config.modular_prec)
+    modular = modularcheck.validation_suite(prec=config.precision_bits)
     _write_json(outdir / "modular.json", [r.to_dict() for r in modular])
     artifacts.append("modular.json")
     phases["modular"] = all(r.passed for r in modular)

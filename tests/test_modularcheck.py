@@ -1,15 +1,24 @@
 """Tests for the modular backbone at 256-bit working precision.
 
 References: eta(i) = Gamma(1/4) / (2 pi^(3/4)); the classical value of the
-(1,5) multiplier is e^(i pi / 5) (Dedekind sum 1/5); everything else is
-checked by comparing two independently evaluated sides.
+(1,5) multiplier is e^(i pi / 5) (Dedekind sum 1/5); the multiplier's
+exponent is checked exactly against the Dedekind sum's definition and
+reciprocity law, and numerically against a two-point solve from eta;
+everything else is checked by comparing two independently evaluated sides.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import exp, mpc, mpf, pi, sqrt
 
+from qsign import modularcheck
+from qsign.arithmetic import neg_inverse
 from qsign.modularcheck import (
+    _MULTIPLIER_TUPLES,
+    _multiplier_records,
     eta,
     f_eval,
     f_series_agreement,
@@ -18,7 +27,7 @@ from qsign.modularcheck import (
     theta,
     transformation_check_detail,
 )
-from qsign.numerics import working_precision
+from qsign.numerics import ErrComplex, ErrReal, working_precision
 
 PREC = 256
 TARGET = mpf(10) ** -40
@@ -119,45 +128,88 @@ def test_eta_inversion_at_2i():
         assert abs(lhs - rhs) < mpf(10) ** -40
 
 
+def dedekind_sum(h, k):
+    """s(h, k) = sum_{r mod k} ((r/k)) ((hr/k)), by its definition in Fractions."""
+
+    def saw(x):
+        return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+    return sum(saw(Fraction(r, k)) * saw(Fraction(h * r, k)) for r in range(k))
+
+
+COPRIME_GRID = [(h, k) for k in range(1, 61) for h in range(k) if math.gcd(h, k) == 1]
+
+
+def test_omega_is_6k_times_the_dedekind_sum():
+    for h, k in COPRIME_GRID:
+        assert omega_hk(h, k) == 6 * k * dedekind_sum(h, k), (h, k)
+
+
+def test_dedekind_reciprocity():
+    for h, k in COPRIME_GRID:
+        if h == 0:
+            continue
+        lhs = Fraction(omega_hk(h, k), 6 * k) + Fraction(omega_hk(k, h), 6 * h)
+        assert lhs == (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12 - Fraction(1, 4), (h, k)
+
+
 def test_omega_trivial_level():
-    with working_precision(PREC):
-        m = omega_hk(1, 1, 0, mpc("0.9"), TARGET, PREC)
-        assert abs(as_mpc(m.omega) - 1) < mpf(10) ** -40
+    # omega_{0,1} = omega_{1,1} = 1
+    assert omega_hk(0, 1) == 0
+    assert omega_hk(1, 1) == 0
 
 
 def test_omega_1_5_is_tenth_root():
+    # D = 6k s(1, 5) = 6, so omega = zeta_60^6 = e^(i pi/5), a tenth root of unity
+    assert omega_hk(1, 5) == 6
     with working_precision(PREC):
-        m = omega_hk(1, 5, 4, mpc("0.7"), TARGET, PREC)
-        assert abs(m.unit_modulus_defect().value) < mpf(10) ** -40
-        assert m.root_of_unity_defect().value < mpf(10) ** -40
+        omega = ErrComplex.unit_root(omega_hk(1, 5), 60)
         with mpmath.workdps(80):
             ref = mpmath.exp(1j * mpmath.pi / 5)
-        assert abs(as_mpc(m.omega) - ref) < mpf(10) ** -40
+        assert abs(as_mpc(omega) - ref) < mpf(10) ** -70
+
+
+def solved_omega(h, k, z):
+    """omega solved from eta((h+iz)/k) = e^(pi i (h-h')/12k) omega^-1 z^(-1/2) eta((h'+i/z)/k)."""
+    hp = neg_inverse(h, k)
+    num = eta((hp + 1j / z) / k, TARGET, PREC)
+    den = eta((h + 1j * z) / k, TARGET, PREC)
+    phase = exp(pi * 1j * (h - hp) / (12 * k)) / sqrt(z)
+    pad = abs(phase) * mpf(2) ** (4 - PREC)
+    return ErrComplex(ErrReal(phase.real, pad), ErrReal(phase.imag, pad)) * num / den
 
 
 def test_omega_sample_point_independence():
+    # the multiplier solved at z and at z + 1/4 encloses the closed form
+    # zeta_{12k}^D each time, at the suite's tuples and two more levels
+    tuples = [(h, k, z) for h, k, z, _ in _MULTIPLIER_TUPLES] + [(1, 1, ("0.9",)), (5, 12, ("0.8",))]
     with working_precision(PREC):
-        a = omega_hk(1, 5, 4, mpc("0.7"), TARGET, PREC)
-        b = omega_hk(1, 5, 4, mpc("1.3"), TARGET, PREC)
-        assert abs(as_mpc(a.omega) - as_mpc(b.omega)) < mpf(10) ** -40
+        for h, k, z in tuples:
+            closed = ErrComplex.unit_root(omega_hk(h, k), 12 * k)
+            for zz in (mpc(*z), mpc(*z) + mpf(1) / 4):
+                solved = solved_omega(h, k, zz)
+                assert solved.max_err() < mpf(10) ** -35, (h, k, zz)
+                diff = (solved - closed).abs()
+                assert diff.value <= solved.max_err() + closed.max_err() + diff.err, (h, k, zz)
 
 
-def test_omega_multiplier_unit_circle_various():
+def test_multiplier_records_fail_with_the_conjugate_multiplier(monkeypatch):
     with working_precision(PREC):
-        for h, k in ((2, 5), (3, 10), (7, 10), (4, 15)):
-            hp = (-pow(h, -1, k)) % k
-            m = omega_hk(h, k, hp, mpc("0.8"), TARGET, PREC)
-            assert abs(m.unit_modulus_defect().value) < mpf(10) ** -40
-            assert m.root_of_unity_defect().value < mpf(10) ** -30
+        good = _multiplier_records(1, 5, ("1",), ("0.3", "0.1"), PREC, 1e-15)
+    assert [r.check for r in good] == ["eta-transformation", "theta-transformation"]
+    assert all(r.passed for r in good)
+    real = modularcheck.omega_hk
+    monkeypatch.setattr(modularcheck, "omega_hk", lambda h, k: -real(h, k))
+    with working_precision(PREC):
+        bad = _multiplier_records(1, 5, ("1",), ("0.3", "0.1"), PREC, 1e-15)
+    assert [r.passed for r in bad] == [False, False]
 
 
 def test_omega_rejects_bad_inverse():
     with pytest.raises(ValueError):
-        omega_hk(2, 5, 1, mpc("0.8"), TARGET, PREC)  # 2*1 != -1 mod 5
+        omega_hk(2, 10)  # gcd(h,k) != 1
     with pytest.raises(ValueError):
-        omega_hk(2, 10, 1, mpc("0.8"), TARGET, PREC)  # gcd(h,k) != 1
-    with pytest.raises(ValueError):
-        omega_hk(1, 5, 4, mpc("-0.5"), TARGET, PREC)  # Re z <= 0
+        omega_hk(1, 0)  # k < 1
 
 
 def test_f_eval_matches_series():

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from qsign import cli
+from qsign import cli, exactformula
 from qsign.cli import main
-from qsign.exactformula import ImaginaryResidueError
-from qsign.modularcheck import ConsistencyError, PoleError
+from qsign.numerics import ErrReal
 from qsign.qseries import ZERO_EXCEPTIONS
 from qsign.verifier import (
     PipelineConfig,
@@ -121,7 +120,6 @@ def small_config(tmp_path, name):
         identity_k_max=20,
         sweep_n_samples=2,
         exact_range=(10, 12),
-        modular_prec=192,
         output_dir=tmp_path / name,
     )
 
@@ -294,14 +292,29 @@ def test_cli_exact_at_512_bits(capsys):
     jsonschema.validate(payload, load_schema("exact.schema.json"))
 
 
+def _package_errors():
+    """Every exception class named in a qsign module's __all__."""
+    import importlib
+    import pkgutil
+
+    import qsign
+
+    found = []
+    for info in pkgutil.iter_modules(qsign.__path__):
+        module = importlib.import_module(f"qsign.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if isinstance(obj, type) and issubclass(obj, BaseException):
+                found.append(obj)
+    return found
+
+
+# a convergence cap, then every error class the package exports: each is a
+# numeric result that could not be resolved, so each exits 2
 @pytest.mark.parametrize(
     "error, code",
-    [
-        (RuntimeError("Bessel series failed to converge"), 2),
-        (PoleError("theta denominator indistinguishable from zero"), 2),
-        (ImaginaryResidueError("imaginary part beyond its error bars"), 2),
-        (ConsistencyError("two evaluations disagree"), 3),
-    ],
+    [(RuntimeError("Bessel series failed to converge"), 2)]
+    + [(cls(f"{cls.__name__} raised"), 2) for cls in _package_errors()],
 )
 def test_cli_maps_numeric_errors_to_exit_codes(monkeypatch, capsys, error, code):
     def command(args):
@@ -338,6 +351,20 @@ def test_cli_threshold_fail_exit(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_threshold_lhs_raises_at_its_precision_cap(monkeypatch, capsys):
+    # a zeta(3/2) ball too wide for the 1e-7 goal at any precision (its term
+    # is about 1e-17 of the lhs at n = 2929, so the radius must be huge):
+    # the cap is reported, not returned as if the goal were met
+    monkeypatch.setattr(exactformula, "zeta_3_2", lambda target: ErrReal(mpf("2.612"), mpf(10) ** 6))
+    with pytest.raises(RuntimeError, match="relative error goal"):
+        exactformula.threshold_lhs(1, 2929)
+    assert main(["threshold", "--delta", "1", "--n", "2929"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [line for line in out.err.splitlines() if line.startswith("qsign: error:")]
+    assert len(errors) == 1 and "Traceback" not in out.err
+
+
 def test_cli_sweeps(capsys):
     assert main(["sweeps", "--k-max", "20", "--identity-k-max", "20", "--n-samples", "2"]) == 0
     out = capsys.readouterr()
@@ -347,27 +374,6 @@ def test_cli_sweeps(capsys):
 def test_cli_missing_subcommand(capsys):
     assert main([]) == 1
     capsys.readouterr()
-
-
-def test_cli_env_precision(monkeypatch, capsys):
-    # exact reads the precision: the environment's default is checked and used
-    monkeypatch.setenv("QSIGN_PRECISION_BITS", "32")
-    assert main(["exact", "--delta", "1", "--n", "10"]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "qsign: error: precision-bits must be >= 64\n"
-    monkeypatch.setenv("QSIGN_PRECISION_BITS", "96")
-    assert main(["exact", "--delta", "1", "--n", "10"]) == 2
-    assert json.loads(capsys.readouterr().out)["prec"] == 96
-
-
-def test_cli_env_precision_not_an_integer(monkeypatch, capsys):
-    # a usage error with the one-line message, not a traceback
-    monkeypatch.setenv("QSIGN_PRECISION_BITS", "abc")
-    assert main(["exact", "--delta", "1", "--n", "10"]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "qsign: error: QSIGN_PRECISION_BITS must be an integer, got 'abc'\n"
 
 
 # -- the exit-code contract over drawn argv ------------------------------------------
@@ -402,7 +408,6 @@ _ARGV_FLAGS = {
             "--n-samples": _ints(4),
             "--exact-lo": _ints(15),
             "--exact-hi": _ints(15),
-            "--modular-prec": st.sampled_from(["0", "64", "96", "128"]),
         },
         (
             "--sweep-k-max",
@@ -410,7 +415,6 @@ _ARGV_FLAGS = {
             "--n-samples",
             "--exact-lo",
             "--exact-hi",
-            "--modular-prec",
         ),
     ),
 }
