@@ -292,21 +292,24 @@ def test_cli_exact_at_512_bits(capsys):
     jsonschema.validate(payload, load_schema("exact.schema.json"))
 
 
-def _package_errors():
-    """Every exception class named in a qsign module's __all__."""
+def _package_modules():
+    """Every qsign module, imported, in name order."""
     import importlib
     import pkgutil
 
     import qsign
 
-    found = []
-    for info in pkgutil.iter_modules(qsign.__path__):
-        module = importlib.import_module(f"qsign.{info.name}")
-        for name in getattr(module, "__all__", ()):
-            obj = getattr(module, name)
-            if isinstance(obj, type) and issubclass(obj, BaseException):
-                found.append(obj)
-    return found
+    return [importlib.import_module(f"qsign.{info.name}") for info in pkgutil.iter_modules(qsign.__path__)]
+
+
+def _package_errors():
+    """Every exception class named in a qsign module's __all__."""
+    return [
+        obj
+        for module in _package_modules()
+        for obj in (getattr(module, name, None) for name in getattr(module, "__all__", ()))
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    ]
 
 
 # a convergence cap, then every error class the package exports: each is a
@@ -465,12 +468,6 @@ def test_cli_exit_contract_over_drawn_argv(tmp_path_factory, argv):
 
 
 def test_every_module_all_name_exists():
-    import importlib
-    import pkgutil
-
-    import qsign
-
-    for info in pkgutil.iter_modules(qsign.__path__):
-        module = importlib.import_module(f"qsign.{info.name}")
+    for module in _package_modules():
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
-        assert missing == [], info.name
+        assert missing == [], module.__name__
