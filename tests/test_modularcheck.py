@@ -193,6 +193,20 @@ def test_omega_sample_point_independence():
                 assert diff.value <= solved.max_err() + closed.max_err() + diff.err, (h, k, zz)
 
 
+def test_omega_multiplier_unit_circle_various():
+    # the multiplier solved from eta lies on the unit circle and is a
+    # 24k-th root of unity; the closed form's exponent agrees, as D is
+    # an integer with zeta_{12k}^(24k D) = 1
+    with working_precision(PREC):
+        for h, k in ((2, 5), (3, 10), (7, 10), (4, 15)):
+            m = as_mpc(solved_omega(h, k, mpc("0.8")))
+            assert abs(abs(m) - 1) < mpf(10) ** -40, (h, k)
+            assert abs(m ** (24 * k) - 1) < mpf(10) ** -30, (h, k)
+            assert isinstance(omega_hk(h, k), int)
+            closed = as_mpc(ErrComplex.unit_root(omega_hk(h, k), 12 * k))
+            assert abs(m - closed) < mpf(10) ** -35, (h, k)
+
+
 def test_multiplier_records_fail_with_the_conjugate_multiplier(monkeypatch):
     with working_precision(PREC):
         good = _multiplier_records(1, 5, ("1",), ("0.3", "0.1"), PREC, 1e-15)
