@@ -248,10 +248,10 @@ def c_exact(
     (_term_plan); their totals are rounded once to prec bits, which also
     charges that rounding to the numeric error. Doubles the precision, at
     most twice, while the numeric error exceeds 1/4, and reports the
-    doublings as escalations; k_max stays as given. Note: the certified tail bound is of Weil
-    type and is orders of magnitude above 1/2 at any desk-scale cutoff,
-    so the definitive flag is not reachable in practice; rounding is
-    nevertheless reported, alongside the gap and both error components.
+    doublings as escalations; k_max stays as given. Note: the certified
+    tail bound is of Weil type and is orders of magnitude above 1/2 at any
+    desk-scale cutoff, so the definitive flag is not reachable in practice;
+    rounding is nevertheless reported, alongside the gap and both errors.
     """
     _validate_n(delta, n)
     if k_max is None:
@@ -344,14 +344,14 @@ def main_error_split(delta: int, n: int, prec: int = 128) -> MainErrorSplit:
     return MainErrorSplit(delta=delta, n=n, main=m, error_bound=bound, conclusive=conclusive)
 
 
-def threshold_lhs(delta: int, n: int, prec: int | None = None) -> ErrReal:
+def threshold_lhs(delta: int, n: int) -> ErrReal:
     """Left-hand side of the closing closed-form inequality (< 1 suffices).
 
     This keeps the displayed 5n+8 / 5n-8 convention of the source
     inequality, whose crossovers are exactly n = 2929 and n = 2234.
-    Doubles the precision until the error is under 1e-7 of the value, and
-    raises RuntimeError if a precision of 2048 bits or more still misses
-    that goal.
+    Doubles the precision from 96 bits (enough up to about n = 10^41) until
+    the error is under 1e-7 of the value, and raises RuntimeError if a
+    precision of 2048 bits or more still misses that goal.
     """
     if delta == 1:
         if n < 8:
@@ -364,7 +364,7 @@ def threshold_lhs(delta: int, n: int, prec: int | None = None) -> ErrReal:
     else:
         raise ValueError("delta must be +1 or -1")
 
-    prec = prec or 96
+    prec = 96
     rel_goal = mpf(10) ** -7
     while True:
         with working_precision(prec):

@@ -2,10 +2,11 @@
 function, its triple-product and transformation laws, the eta multiplier,
 the theta-quotient f, and the principal-part growth classification.
 
-The multiplier is in closed form, omega_{h,k} = exp(pi i s(h, k)) with s
-the Dedekind sum: 6k s(h, k) is an integer, so omega is an exact 24k-th
-root of unity and the theta transformation's rational phases fold into
-one ``ErrComplex.unit_root``. The eta transformation is checked
+Everything is summed by the one theta kernel: eta is theta at (tau, 3 tau)
+times an entire phase (Euler's pentagonal series). The multiplier is in
+closed form, omega_{h,k} = exp(pi i s(h, k)) with s the Dedekind sum, an
+exact 24k-th root of unity, so the theta transformation's rational phases
+fold into one ``ErrComplex.unit_root``; the eta transformation checks it
 numerically, one record per theta-transformation tuple.
 
 All evaluations carry rigorous truncation tails on top of mpmath rounding;
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from mpmath import exp, mp, mpc, mpf, pi, sqrt
-from mpmath.libmp import mpc_mul, mpf_mul, round_nearest
+from mpmath import exp, floor, log, mp, mpc, mpf, pi, sqrt
 
 from .arithmetic import decompose, neg_inverse
 from .numerics import ErrComplex, ErrReal, working_precision
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 256
-_ETA_MAX_N = 200_000  # eta's truncation search gives up beyond this many factors
 
 
 class PoleError(ArithmeticError):
@@ -54,31 +53,31 @@ def _mpc_wrap(z: mpc, err: mpf) -> ErrComplex:
 def _theta_terms(w: mpc, tau: mpc, target: mpf):
     """Truncation index M and per-side first-omitted-term bounds.
 
-    Terms at half-integer index n have modulus exp(-pi t n^2 - 2 pi n beta)
-    with t = Im tau, beta = Im w; once the term ratio drops below 1/2 the
-    tail is under twice the first omitted term.
+    Terms at half-integer index n have modulus exp(-pi t n^2 + 2 pi beta n)
+    with t = Im tau, beta = |Im w|. M is the least index whose first
+    omitted n0 = M + 1/2 meets, solved for n0, both
+        pi t n0^2 - 2 pi beta n0 > log(4/target)   (4 bound < target),
+        pi t (2 n0 + 1) - 2 pi beta > log 2          (term ratio < 1/2);
+    then the tail is under twice the first omitted term.
     """
     t = tau.imag
     beta = abs(w.imag)
-    M = 1
-    while True:
-        n0 = mpf(2 * M + 1) / 2  # first omitted half-integer index
-        ratio = exp(-pi * t * (2 * n0 + 1) + 2 * pi * beta)
-        bound = exp(-pi * t * n0 * n0 + 2 * pi * beta * n0)
-        if ratio < 0.5 and 4 * bound < target:
-            return M, 2 * bound
-        M += 1
-        if M > 10_000:
-            raise RuntimeError("theta truncation failed to converge")
+    quad = (beta + sqrt(beta * beta + t * max(log(4 / target), 0) / pi)) / t
+    lin = ((log(2) / pi + 2 * beta) / t - 1) / 2
+    M = max(1, int(floor(max(quad, lin) - mpf(1) / 2)) + 1)
+    if M > 10_000:
+        raise RuntimeError("theta truncation failed to converge")
+    n0 = mpf(2 * M + 1) / 2  # first omitted half-integer index
+    return M, 2 * exp(-pi * t * n0 * n0 + 2 * pi * beta * n0)
 
 
-def theta(w, tau, target_err, prec: int | None = None) -> ErrComplex:
+def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
     """The odd theta series: sum over half-integers n of
     q^(n^2/2) e^(2 pi i n (w + 1/2)), truncated with a Gaussian tail bound."""
     target = mpf(target_err)
     if not target > 0:
         raise ValueError("target_err must be positive")
-    with working_precision(prec or max(mp.prec, DEFAULT_PREC)):
+    with working_precision(prec):
         w = mpc(w)
         tau = mpc(tau)
         if not tau.imag > 0:
@@ -94,48 +93,22 @@ def theta(w, tau, target_err, prec: int | None = None) -> ErrComplex:
         return _mpc_wrap(total, 2 * tail + absum * (2 * M + 8) * (mpf(2) ** (4 - mp.prec)))
 
 
-def eta(tau, target_err, prec: int | None = None) -> ErrComplex:
-    """q^(1/24) prod_{n<=N} (1 - q^n) with a product-tail bound.
+def eta(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
+    """Dedekind eta as a theta series: eta(tau) = i e^(pi i tau/3) theta(tau; 3 tau).
 
-    |q|^(N+1) and q^n are running products at extra precision, wide enough
-    that their relative error stays below 2^(-6-prec): |q|^(N+1) at
-    2 bitlen(_ETA_MAX_N) + 8 extra bits over at most _ETA_MAX_N products,
-    q^n at 2 bitlen(N) + 8 extra bits over at most N. Each q^n is then
-    rounded once, into 1 - q^n at mp.prec, like the mp.prec power it
-    replaces, so the (3N + 16) 2^(2-prec) budget still covers every
-    rounding."""
-    target = mpf(target_err)
-    if not target > 0:
-        raise ValueError("target_err must be positive")
-    with working_precision(prec or max(mp.prec, DEFAULT_PREC)):
+    At w = tau and 3 tau, the term at n = m - 1/2 has exponent
+    pi i [3 tau n^2 + 2 tau n + n] = pi i [tau (3m^2 - m) - tau/4 + m - 1/2],
+    so theta(tau; 3 tau) = -i e^(-pi i tau/4) sum_m (-1)^m q^(m(3m-1)/2).
+    Euler's pentagonal theorem gives eta = e^(pi i tau/12) times the same
+    sum. The phase i e^(pi i tau/3) is entire, so no branch is chosen, and
+    its modulus e^(-pi Im(tau)/3) is at most 1, so theta's target carries
+    through unchanged."""
+    with working_precision(prec):
         tau = mpc(tau)
         if not tau.imag > 0:
             raise ValueError("tau must lie in the upper half-plane")
-        q = exp(2j * pi * tau)
-        aq = abs(q)
-        # |log prod_{n>N}| <= |q|^(N+1) / (1-|q|)^2
-        denom = (1 - aq) ** 2
-        quarter = mpf(1) / 4
-        wide = mp.prec + 2 * _ETA_MAX_N.bit_length() + 8
-        power = mpf_mul(aq._mpf_, aq._mpf_, wide, round_nearest)
-        N = 1
-        while True:
-            s = +mp.make_mpf(power) / denom
-            if s < quarter and 4 * s < target:
-                break
-            N += 1
-            if N > _ETA_MAX_N:
-                raise RuntimeError("eta truncation failed to converge")
-            power = mpf_mul(power, aq._mpf_, wide, round_nearest)
-        wide = mp.prec + 2 * N.bit_length() + 8
-        qn = q._mpc_
-        prod = mpc(1)
-        for _ in range(N):
-            prod *= 1 - mp.make_mpc(qn)
-            qn = mpc_mul(qn, q._mpc_, wide, round_nearest)
-        value = exp(pi * 1j * tau / 12) * prod
-        rel_tail = 2 * s  # |e^s - 1| <= 2s for s <= 1/4
-        return _mpc_wrap(value, abs(value) * (rel_tail + (3 * N + 16) * (mpf(2) ** (2 - mp.prec))))
+        phase = 1j * exp(pi * 1j * tau / 3)
+        return _mpc_wrap(phase, abs(phase) * mpf(2) ** (4 - mp.prec)) * theta(tau, 3 * tau, target_err, prec)
 
 
 def omega_hk(h: int, k: int) -> int:
@@ -153,9 +126,8 @@ def omega_hk(h: int, k: int) -> int:
     return 3 * sum((2 * r - k) * (2 * (h * r % k) - k) for r in range(1, k)) // (2 * k)
 
 
-def f_eval(tau, target_err, prec: int | None = None) -> ErrComplex:
+def f_eval(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
     """The theta quotient theta(tau; 10 tau) / theta(3 tau; 10 tau)."""
-    prec = prec or max(mp.prec, DEFAULT_PREC)
     with working_precision(prec):
         tau = mpc(tau)
         target = mpf(target_err)
@@ -167,14 +139,13 @@ def f_eval(tau, target_err, prec: int | None = None) -> ErrComplex:
         return num / den
 
 
-def f_series_agreement(tau, order: int = 60, prec: int | None = None) -> mpf:
+def f_series_agreement(tau, order: int = 60, prec: int = DEFAULT_PREC) -> mpf:
     """|q^{-1} f(tau) - sum_{n<=order} c_1(n) q^n| (series tail not included;
     callers choose tau with |q| small enough that it is negligible).
 
     The coefficients come from the product route, not from ``q10_series``:
     that one is built from this same theta quotient, so comparing against
     it would restate the triple-product identity instead of testing it."""
-    prec = prec or max(mp.prec, DEFAULT_PREC)
     coeffs = q10_series_product(1, order).coeffs
     with working_precision(prec):
         tau = mpc(tau)
@@ -187,14 +158,13 @@ def f_series_agreement(tau, order: int = 60, prec: int | None = None) -> mpf:
         return abs(lhs - rhs)
 
 
-def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int | None = None) -> "CheckRecord":
+def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int = DEFAULT_PREC) -> "CheckRecord":
     """Evaluate both sides of the cusp transformation of f at (h, k, z).
 
     Left: f((h+iz)/k).  Right: the sign/phase/growth prefactor times the
     quotient of thetas at the transformed arguments, using the cusp data of
     h/k. Agreement within combined error bars (plus target slack) passes.
     """
-    prec = prec or max(mp.prec, DEFAULT_PREC)
     cusp = decompose(h, k)
     d, hp = cusp.d, cusp.hprime
     with working_precision(prec):

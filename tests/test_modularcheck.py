@@ -8,6 +8,7 @@ everything else is checked by comparing two independently evaluated sides.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +20,7 @@ from qsign.arithmetic import neg_inverse
 from qsign.modularcheck import (
     _MULTIPLIER_TUPLES,
     _multiplier_records,
+    _theta_terms,
     eta,
     f_eval,
     f_series_agreement,
@@ -51,6 +53,44 @@ def test_theta_rejects_lower_half_plane():
         theta(0, mpc(1, 0), TARGET, PREC)
     with pytest.raises(ValueError):
         theta(0, mpc(0, 1), 0, PREC)
+
+
+def searched_theta_terms(w, tau, target):
+    """The least M, tried in turn, whose first omitted n0 = M + 1/2 has
+    term ratio below 1/2 and four times its term below target."""
+    t, beta = tau.imag, abs(w.imag)
+    M = 1
+    while True:
+        n0 = mpf(2 * M + 1) / 2
+        ratio = exp(-pi * t * (2 * n0 + 1) + 2 * pi * beta)
+        bound = exp(-pi * t * n0 * n0 + 2 * pi * beta * n0)
+        if ratio < 0.5 and 4 * bound < target:
+            return M, 2 * bound
+        M += 1
+
+
+def test_theta_terms_is_the_least_index():
+    # Im tau from 0.02 to 20, |Im w| up to 1.5 Im tau, targets 2^-64 to
+    # 2^-200; below Im tau ~ 1e-3 the term-ratio condition binds instead
+    rng = random.Random(1618)
+    with working_precision(PREC):
+        for i in range(320):
+            lo, hi = (0.02, 20) if i < 300 else (1e-4, 1e-3)
+            t = mpf(10) ** rng.uniform(math.log10(lo), math.log10(hi))
+            tau = mpc(rng.uniform(-0.5, 0.5), t)
+            w = mpc(rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5) * t)
+            target = mpf(2) ** -rng.randint(64, 200)
+            assert _theta_terms(w, tau, target) == searched_theta_terms(w, tau, target), (w, tau, target)
+
+
+def test_theta_terms_cap():
+    # a term ratio below 1/2 needs n0 > log 2 / (2 pi Im tau), about 110,000
+    # at Im tau = 1e-6 and 120,000 for eta at 3e-7 (theta at 3 tau)
+    with working_precision(PREC):
+        with pytest.raises(RuntimeError):
+            _theta_terms(mpc(0), mpc(0, "1e-6"), mpf(2) ** -PREC)
+    with pytest.raises(RuntimeError):
+        eta(mpc(0, "3e-7"), mpf(2) ** -PREC, PREC)
 
 
 def test_triple_product_at_spec_point():
@@ -102,7 +142,8 @@ def test_eta_at_i():
 
 @pytest.mark.parametrize("prec", [128, 256])
 def test_eta_encloses_reference(prec):
-    # the last tau has |q| = e^(-2 pi 0.0168) ~ 0.9, about 1700 factors at 256 bits
+    # the last tau has |q| = e^(-2 pi 0.0168) ~ 0.9: theta(tau; 3 tau) sums
+    # 68 terms at 256 bits
     for tau in (mpc(0, 1), mpc("0.2", "0.8"), mpc("-0.45", "0.3"), mpc("0.1", "0.0168")):
         with working_precision(prec):
             v = eta(tau, mpf(2) ** -prec, prec)
@@ -110,6 +151,15 @@ def test_eta_encloses_reference(prec):
             ref = exp(pi * 1j * tau / 12) * mpmath.qp(exp(2j * pi * tau))
             assert abs(v.re.value - ref.real) <= v.re.err
             assert abs(v.im.value - ref.imag) <= v.im.err
+
+
+def test_eta_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        eta(mpc(0, -1), TARGET, PREC)
+    with pytest.raises(ValueError):
+        eta(mpc(1, 0), TARGET, PREC)
+    with pytest.raises(ValueError):
+        eta(mpc(0, 1), 0, PREC)
 
 
 def test_eta_shift_by_one():
