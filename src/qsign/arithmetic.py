@@ -362,15 +362,15 @@ def _akj_exponent_table(k: int, j: int, h_shift: int = 0, hp_shift: int = 0) -> 
     return table
 
 
-def _akj_totals(k: int, j: int, n: int) -> tuple[int, int, int]:
+def _akj_totals(k: int, j: int, n: int, h_shift: int = 0, hp_shift: int = 0) -> tuple[int, int, int]:
     """A_{k,j}(n) as _root_sum's fixed-point totals over 1 <= h < k, at the
-    ambient precision."""
+    ambient precision, with the representatives of _akj_exponent_table."""
     d = gcd(k, 10)
     if d not in (5, 10):
         raise ValueError("gcd(k,10) must be 5 or 10")
     if gcd(j, d) != 1:
         raise ValueError("j must be coprime to gcd(k,10)")
-    table = _akj_exponent_table(k, j)
+    table = _akj_exponent_table(k, j, h_shift, hp_shift)
     mod = 10 * k
     return _root_sum(mod, ((base + n * step) % mod for base, step in table))
 
@@ -389,30 +389,14 @@ def a_kj_rewrite(
     h_shift: int = 1,
     hp_shift: int = 2,
 ) -> ErrComplex:
-    """The rewrite of A_{k,j}(n): prefactor ζ_{10k}^(3 alpha_j - j - d) times
-    the residue-class sum, evaluated with shifted representatives.
-
-    With the defaults each h runs through h + k and each h' through
-    h' + 2*(10/d)*k, so agreement with a_kj checks both the pulled-out
-    prefactor and the mod-k well-definedness.
+    """A_{k,j}(n) summed over shifted representatives: with the defaults
+    each h runs through h + k and each h' through h' + 2*(10/d)*k, so
+    agreement with a_kj checks only that the summands are well defined mod
+    k. Each shifted exponent carries its own ζ_{10k}^(3 mu2 - nu2 - d), so
+    the pulled-out prefactor ζ_{10k}^(3 alpha_j - j - d) is not checked here.
     """
-    d = gcd(k, 10)
-    if d not in (5, 10):
-        raise ValueError("gcd(k,10) must be 5 or 10")
-    jr = j % d
-    if gcd(jr, d) != 1:
-        raise ValueError("j must be coprime to gcd(k,10)")
-    pref = 3 * alpha_of(jr, d) - jr - d
-    mod = 10 * k
-    table = _akj_exponent_table(k, j, h_shift=h_shift, hp_shift=hp_shift)
     with working_precision(prec):
-        # the shifted tables carry the full summand including its own
-        # ζ^(3 mu2 - nu2 - d); strip to the inner sum, reapply the prefactor
-        exps = []
-        for base, step in table:
-            inner = base - (3 * alpha_of(jr, d) - jr - d)
-            exps.append((pref + inner + n * step) % mod)
-        return _fixed_sum(*_root_sum(mod, exps))
+        return _fixed_sum(*_akj_totals(k, j, n, h_shift, hp_shift))
 
 
 @lru_cache(maxsize=None)

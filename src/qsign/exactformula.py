@@ -115,6 +115,27 @@ def _term_plan(delta: int, n: int, prec: int):
     The twist is A_k(n) = A_{k,3}(n) + A_{k,-3}(n) for delta = 1 and
     cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n)) for delta = -1, as
     a_k and cal_a_k sum them.
+
+    Precision. With x = x_10 = (2 pi/25) sqrt(3 nn), the largest x_k,
+    L = 1.4428 x + 1/128, p = pi sqrt(12/nn) + 2^-10 above every prefix,
+    m = k_max // 5 and Q = m (p 2^L + k_max), a pass at prec >= B =
+    ceil(log2 Q) + 2 (_pass_bits) has err <= 1/4; there 2^w >= 2^10 Q.
+    * The twist sums c = phi(k)/2 <= k/2 entries (the units mod k fall
+      evenly on the 4 units mod d), and |re| <= c (2^w + 1).
+    * As R_d/nn < 2: pre <= 2^u (p_d + 2^-w) for the prefix p_d, pre_err
+      <= 5 and x_err <= 2 + x 2^-15; so x' = X 2^-w has e^x' <= 2^L, and
+      x_err 2^t <= 2^(L+2).
+    * In _i1_series at x', E_k <= 2 sum_{i<=k} t_k/t_i, and sum_{k>=i} t_k/t_i
+      <= 2 I1(x')/x', or 16/15 once i >= a = ceil(2x') (r_i < 1/16): the E_k
+      sum to at most 10 2^L + 32/15 per term. Past a, T_k + E_k falls 16-fold
+      per term from 2^(w+L+1) to the tail test's 8, so there are at most
+      2x' + (w+L)/4 + 3 terms, and i1_err <= 22 2^L + w.
+    * With c/k <= 1/2, the parts re f sum to at most 2^2w (1 + 2^-w) Q/2 and
+      their bounds to 2^w (12 Q + m p w); m p w 2^-w <= 2^-7, as w 2^-w falls
+      and m p (log2 Q + 11) <= 8 Q (p < 4.2, k_max >= 10, x > 1.1).
+    Rounding to prec bits adds |value| 2^-prec, rounding up the radius a
+    factor (1 + 2^(1-prec))^2: err <= (1/8 + 12/2^10 + 2^-7) 1.03 < 1/4,
+    a margin far wider than B's float rounding.
     """
     nn = _validate_n(delta, n)
     w = prec + _GUARD_BITS
@@ -147,6 +168,14 @@ def _term_plan(delta: int, n: int, prec: int):
         return re * f, im * f, abs(re) * f_err + spread, abs(im) * f_err + spread
 
     return w, term
+
+
+def _pass_bits(delta: int, n: int, k_max: int) -> int:
+    """The bit count B of _term_plan's proof: err <= 1/4 at B bits or more."""
+    nn = shifted_index(delta, n)
+    big_l = 1.4428 * (2 * math.pi / 25) * math.sqrt(3 * nn) + 1 / 128
+    p = math.pi * math.sqrt(12 / nn) + 2**-10
+    return math.ceil(big_l + math.log2(k_max // 5 * (p + k_max * 2.0**-big_l))) + 2
 
 
 def default_k_max(delta: int, n: int) -> int:
@@ -218,7 +247,7 @@ class ExactEval:
     gap: mpf
     definitive: bool
     prec: int
-    escalations: int  # precision doublings taken to reach prec
+    escalations: int  # doublings of the requested prec that reach _pass_bits
 
     def to_dict(self) -> dict:
         return {
@@ -244,14 +273,15 @@ def c_exact(
     """Partial sum over k <= k_max (k a multiple of 5) plus the rigorous
     tail bound; Definitive iff gap + numeric error + tail bound < 1/2.
 
-    The summands and their error bounds are integers at 2^-2w
-    (_term_plan); their totals are rounded once to prec bits, which also
-    charges that rounding to the numeric error. Doubles the precision, at
-    most twice, while the numeric error exceeds 1/4, and reports the
-    doublings as escalations; k_max stays as given. Note: the certified
-    tail bound is of Weil type and is orders of magnitude above 1/2 at any
-    desk-scale cutoff, so the definitive flag is not reachable in practice;
-    rounding is nevertheless reported, alongside the gap and both errors.
+    One pass at prec 2^e bits, e >= 0 the least that reaches
+    _pass_bits(delta, n, k_max), where the numeric error is at most 1/4
+    (_term_plan); e is reported as escalations, and k_max stays as given.
+    The summands are integers at 2^-2w, their total rounded once to the
+    working precision, which charges that rounding to the numeric error.
+    Note: the certified tail bound is of Weil type and is orders of
+    magnitude above 1/2 at any desk-scale cutoff, so the definitive flag is
+    not reachable in practice; rounding is nevertheless reported, alongside
+    the gap and both errors.
     """
     _validate_n(delta, n)
     if k_max is None:
@@ -259,33 +289,30 @@ def c_exact(
     if k_max < 10:
         raise ValueError("k_max must be at least 10")
 
-    for escalation in range(3):
-        with working_precision(prec):
-            w, term = _term_plan(delta, n, prec)
-            re, im, re_err, im_err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
-            _imag_guard(_fixed_ball(im, im_err, 2 * w))
-            total = _fixed_ball(re, re_err, 2 * w)
-            tail = tail_bound_op(delta, n, k_max, prec)
-            value = total.value
-            err = total.err
-            rounded = int(mp.nint(value))
-            gap = abs(value - rounded)
-            definitive = bool(gap + err + tail < mpf(1) / 2)
-        if definitive or not err > mpf(1) / 4 or escalation == 2:
-            break
-        prec *= 2
+    need = _pass_bits(delta, n, k_max)
+    escalations = (-(-need // prec) - 1).bit_length()  # the least e >= 0 with prec 2^e >= need
+    prec <<= escalations
+    with working_precision(prec):
+        w, term = _term_plan(delta, n, prec)
+        re, im, re_err, im_err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
+        _imag_guard(_fixed_ball(im, im_err, 2 * w))
+        total = _fixed_ball(re, re_err, 2 * w)
+        tail = tail_bound_op(delta, n, k_max, prec)
+        rounded = int(mp.nint(total.value))
+        gap = abs(total.value - rounded)
+        definitive = bool(gap + total.err + tail < mpf(1) / 2)
     return ExactEval(
         delta=delta,
         n=n,
         k_max=k_max,
-        value=value,
-        err=err,
+        value=total.value,
+        err=total.err,
         tail_bound=tail,
         rounded=rounded,
         gap=gap,
         definitive=definitive,
         prec=prec,
-        escalations=escalation,
+        escalations=escalations,
     )
 
 
@@ -349,9 +376,10 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
 
     This keeps the displayed 5n+8 / 5n-8 convention of the source
     inequality, whose crossovers are exactly n = 2929 and n = 2234.
-    Doubles the precision from 96 bits (enough up to about n = 10^41) until
-    the error is under 1e-7 of the value, and raises RuntimeError if a
-    precision of 2048 bits or more still misses that goal.
+    Runs once at max(96, bitlen(nn)//2 + 32) bits: the exp arguments are
+    about sqrt(nn), so the relative error is about 2^(bitlen(nn)/2 + 3 - prec),
+    and 96 bits serve every nn below 2^128. Raises RuntimeError if the error
+    is not under 1e-7 of the value.
     """
     if delta == 1:
         if n < 8:
@@ -364,44 +392,40 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
     else:
         raise ValueError("delta must be +1 or -1")
 
-    prec = 96
-    rel_goal = mpf(10) ** -7
-    while True:
-        with working_precision(prec):
-            pi_ = pi_err()
-            nn_ = ErrReal(nn)
-            cc = ErrComplex.unit_root(13 if delta == 1 else 14, 50).re  # cos((13 or 14) pi/25)
-            c = ErrReal(abs(cc.value), cc.err)
-            root_nn = nn_.sqrt()
-            nn34 = (nn_ * root_nn).sqrt()  # nn^(3/4)
-            nn14 = root_nn.sqrt()
-            z2 = zeta_3_2(mpf(10) ** -9)
-            z2 = z2 * z2
-            pref = (
-                ErrReal(2)
-                * ErrReal(2).sqrt()
-                * nn34
-                / (ErrReal(3).sqrt().sqrt() * pi_.sqrt() * c)
-                * (-(pi_ * 2 / 25) * (nn_ * 3).sqrt()).exp()
-            )
-            term1 = (ErrReal(8) + ErrReal(6).sqrt() * 27) * pi_ * pi_ * 4 / 125 * z2
-            term2 = (
-                ErrReal(32)
-                * (ErrReal(2).sqrt() * ErrReal(2).sqrt().sqrt())  # 2^(3/4)
-                * pi_
-                * ((pi_ * 2 / 25) * (nn_ * 2).sqrt()).exp()
-                / (ErrReal(25) * nn14)
-            )
-            term3 = (
-                ErrReal(432)
-                * ErrReal(3).sqrt().sqrt()  # 3^(1/4)
-                * pi_
-                * ((pi_ / 25) * (nn_ * 3).sqrt()).exp()
-                / (ErrReal(25) * nn14)
-            )
-            result = pref * (term1 + term2 + term3)
-            if result.err < rel_goal * abs(result.value):
-                return result
-        if prec >= 2048:
+    prec = max(96, nn.bit_length() // 2 + 32)
+    with working_precision(prec):
+        pi_ = pi_err()
+        nn_ = ErrReal(nn)
+        cc = ErrComplex.unit_root(13 if delta == 1 else 14, 50).re  # cos((13 or 14) pi/25)
+        c = ErrReal(abs(cc.value), cc.err)
+        root_nn = nn_.sqrt()
+        nn34 = (nn_ * root_nn).sqrt()  # nn^(3/4)
+        nn14 = root_nn.sqrt()
+        z2 = zeta_3_2(mpf(10) ** -9)
+        z2 = z2 * z2
+        pref = (
+            ErrReal(2)
+            * ErrReal(2).sqrt()
+            * nn34
+            / (ErrReal(3).sqrt().sqrt() * pi_.sqrt() * c)
+            * (-(pi_ * 2 / 25) * (nn_ * 3).sqrt()).exp()
+        )
+        term1 = (ErrReal(8) + ErrReal(6).sqrt() * 27) * pi_ * pi_ * 4 / 125 * z2
+        term2 = (
+            ErrReal(32)
+            * (ErrReal(2).sqrt() * ErrReal(2).sqrt().sqrt())  # 2^(3/4)
+            * pi_
+            * ((pi_ * 2 / 25) * (nn_ * 2).sqrt()).exp()
+            / (ErrReal(25) * nn14)
+        )
+        term3 = (
+            ErrReal(432)
+            * ErrReal(3).sqrt().sqrt()  # 3^(1/4)
+            * pi_
+            * ((pi_ / 25) * (nn_ * 3).sqrt()).exp()
+            / (ErrReal(25) * nn14)
+        )
+        result = pref * (term1 + term2 + term3)
+        if not result.err < mpf(10) ** -7 * abs(result.value):
             raise RuntimeError(f"threshold_lhs missed its 1e-7 relative error goal at {prec} bits")
-        prec *= 2
+    return result

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from mpmath import exp, floor, log, mp, mpc, mpf, pi, sqrt
+from mpmath import exp, floor, gamma, log, mp, mpc, mpf, pi, sqrt
 
 from .arithmetic import decompose, neg_inverse
 from .numerics import ErrComplex, ErrReal, working_precision
@@ -341,8 +341,8 @@ def _multiplier_records(h: int, k: int, z, w, prec: int, tol) -> list[CheckRecor
 def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[CheckRecord]:
     """The full modular-backbone validation: triple product, quasi-periodicity,
     the eta and theta transformations with the closed-form multiplier, the
-    cusp transformation of f, series agreement, and the exhaustive growth
-    classification. Runs at max(prec, DEFAULT_PREC) bits."""
+    cusp transformation of f, series agreement, the exhaustive growth
+    classification and eta(i) in closed form. Runs at max(prec, DEFAULT_PREC) bits."""
     prec = max(prec, DEFAULT_PREC)
     records: list[CheckRecord] = []
 
@@ -459,4 +459,11 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
                 passed=got == expected[delta],
             )
         )
+
+    # a closed-form value of eta, where a constant factor cannot cancel
+    with working_precision(prec):
+        ref = gamma(mpf(1) / 4) / (2 * pi ** (mpf(3) / 4))
+        lhs = eta(mpc(0, 1), mpf(2) ** (-prec // 2), prec)
+        rhs = _mpc_wrap(mpc(ref), ref * mpf(2) ** (4 - mp.prec))
+        records.append(_agreement("eta-at-i", {"tau": str(mpc(0, 1))}, lhs, rhs, tol))
     return records

@@ -342,30 +342,15 @@ def run_exact_oracle(
     """Evaluate the exact formula across a range and compare the rounded
     values against the brute-force integers.
 
-    One row per index keeps c_exact's uncertainty breakdown (gap, numeric
-    err, tail bound, definitive) next to the brute-force integer `true`."""
+    One row per index holds c_exact's ExactEval fields, its uncertainty
+    breakdown included, next to the brute-force integer `true`."""
     t0 = time.perf_counter()
     rows: list = []
     for delta in deltas:
         series = q10_series(delta, n_hi)
         for n in range(n_lo, n_hi + 1):
             ev = exactformula.c_exact(delta, n, prec=prec)
-            rows.append(
-                {
-                    "delta": delta,
-                    "n": n,
-                    "k_max": ev.k_max,
-                    "value": ev.value,
-                    "rounded": ev.rounded,
-                    "true": series.coefficient(n),
-                    "gap": ev.gap,
-                    "err": ev.err,
-                    "tail_bound": ev.tail_bound,
-                    "definitive": ev.definitive,
-                    "prec": ev.prec,
-                    "escalations": ev.escalations,
-                }
-            )
+            rows.append({**vars(ev), "true": series.coefficient(n)})
     mismatches = [
         {key: r[key] for key in ("delta", "n", "rounded", "true")}
         for r in rows

@@ -352,6 +352,9 @@ def test_domain_errors():
         a_kj(12, 1, 0)  # gcd(k,10) = 2
     with pytest.raises(ValueError):
         a_kj(15, 5, 0)  # j shares a factor with d
+    for k, j in ((12, 1), (15, 5)):
+        with pytest.raises(ValueError):
+            a_kj_rewrite(k, j, 0)
     with pytest.raises(ValueError):
         a_kj_reduced_d5(10, 1, 0)
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from qsign.exactformula import (
     _DIVISOR_PARTIALS,
     ImaginaryResidueError,
     _imag_guard,
+    _pass_bits,
     _term_plan,
     c_exact,
     default_k_max,
@@ -31,7 +32,7 @@ from qsign.exactformula import (
     tail_bound_op,
     threshold_lhs,
 )
-from qsign.arithmetic import _GUARD_BITS, _akj_exponent_table
+from qsign.arithmetic import _GUARD_BITS, _ROOT_TABLES, _akj_exponent_table, clear_caches
 from qsign.numerics import ErrComplex, ErrReal, _fixed_ball, working_precision, zeta_3_2
 from qsign.qseries import POSITIVE_RESIDUES, q10_series
 
@@ -96,6 +97,34 @@ def test_c_exact_escalates_precision_only():
     assert ev.k_max == default_k_max(1, 300) == 170
     assert ev.err <= mpf(1) / 4
     assert ev.rounded == 65561 == q10_series(1, 300).coefficient(300)
+
+
+def test_c_exact_runs_one_pass_at_the_precision_it_reports():
+    # _pass_bits(1, 1000, 309) = 50, so 16 bits double twice, to 64, before
+    # any table is built: none is left at 16 or 32 bits
+    clear_caches()
+    ev = c_exact(1, 1000, prec=16)
+    assert (ev.prec, ev.escalations) == (64, 2)
+    assert {prec for _, prec in _ROOT_TABLES} == {ev.prec}
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_c_exact_reaches_a_quarter_from_any_requested_floor(delta):
+    # 16 bits double three times, to 128: the bit count of _term_plan's
+    # proof, not a capped search, sets the precision
+    series = q10_series(delta, 6000)
+    for n in (3000, 6000):
+        ev = c_exact(delta, n, prec=16)
+        assert (ev.prec, ev.escalations) == (128, 3)
+        assert ev.err <= mpf(1) / 4
+        assert ev.rounded == series.coefficient(n)
+
+
+def test_pass_bits_keep_the_criterion_3_indices_at_128():
+    for delta in (1, -1):
+        for n in range(10, 301):
+            assert _pass_bits(delta, n, default_k_max(delta, n)) <= 128
+    assert 128 < _pass_bits(1, 20000, default_k_max(1, 20000)) <= 256
 
 
 def test_c_exact_at_512_bits_asks_zeta_no_finer_than_2_to_minus_128(monkeypatch):
@@ -414,6 +443,24 @@ def test_threshold_decreasing_sample():
 def test_threshold_reciprocal_sample_points():
     for n in (2234, 2500, 10000):
         assert threshold_lhs(-1, n).hi < 1
+
+
+def test_threshold_lhs_meets_its_goal_in_one_pass(monkeypatch):
+    # nn = 5 10^44 + 8 has 149 bits: one pass at 106 bits, where a search
+    # from 96 bits needed a second pass at 192
+    import qsign.exactformula as ef
+
+    calls = []
+
+    def spy(target):
+        calls.append(target)
+        return zeta_3_2(target)
+
+    monkeypatch.setattr(ef, "zeta_3_2", spy)
+    v = threshold_lhs(1, 10**44)
+    assert len(calls) == 1
+    assert v.hi < 1
+    assert v.err < mpf(10) ** -7 * v.value
 
 
 def test_threshold_domain():

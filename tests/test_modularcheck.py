@@ -269,6 +269,23 @@ def test_multiplier_records_fail_with_the_conjugate_multiplier(monkeypatch):
     assert [r.passed for r in bad] == [False, False]
 
 
+def test_suite_checks_eta_at_i_against_its_closed_form(monkeypatch):
+    # the transformation records compare eta with itself; only the eta-at-i
+    # record sees eta without its factor i, a constant that cancels there
+    records = modularcheck.validation_suite(PREC)
+    assert [r.check for r in records].count("eta-at-i") == 1
+    assert records[-1].check == "eta-at-i" and records[-1].passed
+    real = modularcheck.eta
+
+    def eta_without_i(tau, target_err, prec=PREC):
+        v = real(tau, target_err, prec)
+        return ErrComplex(v.im, -v.re)  # v / i
+
+    monkeypatch.setattr(modularcheck, "eta", eta_without_i)
+    failed = [r.check for r in modularcheck.validation_suite(PREC) if not r.passed]
+    assert failed == ["eta-at-i"]
+
+
 def test_omega_rejects_bad_inverse():
     with pytest.raises(ValueError):
         omega_hk(2, 10)  # gcd(h,k) != 1
