@@ -127,14 +127,14 @@ def _term_plan(delta: int, n: int, prec: int):
       x_err 2^t <= 2^(L+2).
     * In _i1_series at x', E_k <= 2 sum_{i<=k} t_k/t_i, and sum_{k>=i} t_k/t_i
       <= 2 I1(x')/x', or 16/15 once i >= a = ceil(2x') (r_i < 1/16): the E_k
-      sum to at most 10 2^L + 32/15 per term. Past a, T_k + E_k falls 16-fold
-      per term from 2^(w+L+1) to the tail test's 8, so there are at most
-      2x' + (w+L)/4 + 3 terms, and i1_err <= 22 2^L + w.
+      sum to at most 10 2^L + 32/15 per term. Past a, T_k + E_k <=
+      2^(w+L+1) 16^(a-k) + 32/15 meets the tail test's 8 within (w+L)/4 + 1
+      terms, so there are at most 2x' + (w+L)/4 + 3, and i1_err <= 22 2^L + w.
     * With c/k <= 1/2, the parts re f sum to at most 2^2w (1 + 2^-w) Q/2 and
       their bounds to 2^w (12 Q + m p w); m p w 2^-w <= 2^-7, as w 2^-w falls
       and m p (log2 Q + 11) <= 8 Q (p < 4.2, k_max >= 10, x > 1.1).
     Rounding to prec bits adds |value| 2^-prec, rounding up the radius a
-    factor (1 + 2^(1-prec))^2: err <= (1/8 + 12/2^10 + 2^-7) 1.03 < 1/4,
+    factor (1 + 2^(1-prec))^2: err <= (1/8 + 12/2^10 + 2^-7) 1.04 < 1/4,
     a margin far wider than B's float rounding.
     """
     nn = _validate_n(delta, n)
