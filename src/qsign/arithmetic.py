@@ -13,18 +13,18 @@ A Kloosterman sum is real: the pair (-h, -h') is a term of it whenever
 as the exact conjugate of the entry at e. So K_k(n, m) is summed over the
 pairs with 2h < k only, as twice their fixed-point cosines.
 
-Every bound checked here is the square root of an integer B, and an
-enclosure's lower end lo is a dyadic, so |x| <= sqrt(B) is decided without
-rounding by comparing lo^2 with B in integers.
+Everything here stays in fixed point up to the public return, which forms
+the one ball. Every bound checked here is the square root of an integer B,
+so |x| <= sqrt(B) is decided on the totals themselves: the box of values
+they admit is compared with the circle of radius sqrt(B) in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 
-from mpmath import mp, mpf
+from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from .numerics import ErrComplex, ErrReal, _fixed_ball, unit_root_parts, working_precision
@@ -264,33 +264,36 @@ def _inverse_pairs(modulus: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def kloosterman(k: int, n: int, m: int, prec: int = 128) -> ErrComplex:
-    """K_k(n, m) over residues h coprime to k with h h' == -1 (mod k).
+def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
+    """K_k(n, m) over h coprime to k with h h' == -1 (mod k), at the ambient
+    precision: (total, count), a real fixed-point total over count entries.
 
     The term of (-h, -h') is the conjugate of the term of (h, h'), and so
     are their table entries, exactly: the sum is twice the cosine total over
     2h < k, with imaginary part 0. For k <= 2 the one term is self-paired
-    and counted once. The radius charges all phi(k) entries."""
+    and counted once. The count charges all phi(k) entries."""
     if k < 1:
         raise ValueError("k must be positive")
     pairs = _inverse_pairs(k)
+    table = _roots(k)
+    re = sum(table[(n * h + m * hp) % k][0] for h, hp in pairs)
+    return (re, 1) if k <= 2 else (2 * re, 2 * len(pairs))
+
+
+def kloosterman(k: int, n: int, m: int, prec: int = 128) -> ErrComplex:
+    """K_k(n, m), the ball of _kloosterman_total with imaginary part 0."""
     with working_precision(prec):
-        table = _roots(k)
-        re = sum(table[(n * h + m * hp) % k][0] for h, hp in pairs)
-        if k <= 2:
-            return _fixed_sum(re, 0, 1)
-        return _fixed_sum(2 * re, 0, 2 * len(pairs))
+        total, count = _kloosterman_total(k, n, m)
+        return _fixed_sum(total, 0, count)
 
 
-def _exceeds(x: tuple, square: int) -> bool:
-    """Whether the dyadic libmp value x exceeds sqrt(square): x > 0 and
-    x^2 > square, decided exactly in integers."""
-    sign, man, exp, _ = x
-    if sign:
-        return False
-    if exp >= 0:
-        return (man * man) << (2 * exp) > square
-    return man * man > square << (-2 * exp)
+def _exceeds(re: int, im: int, count: int, square: int) -> bool:
+    """Whether totals re, im at 2^-w, each part within c = count * _ENTRY_ERR
+    units of the truth, place it beyond sqrt(square): whether the box's point
+    nearest 0, ((|re| - c)+, (|im| - c)+), is, decided in integers."""
+    c = count * _ENTRY_ERR
+    x, y = max(abs(re) - c, 0), max(abs(im) - c, 0)
+    return x * x + y * y > square << 2 * (mp.prec + _GUARD_BITS)
 
 
 def _weil_square(k: int, n: int, m: int) -> int:
@@ -302,13 +305,11 @@ def weil_bound_check(k: int, n: int, m: int, prec: int = 128) -> bool:
     """|K_k(n,m)| <= sqrt(gcd(n,m,k)) d(k) sqrt(k), within error bars.
 
     The inequality can be attained exactly (k=1), so a failure is reported
-    only when the lower end of |K|'s enclosure exceeds the bound. Both sides
-    are compared squared, in integers: the bound's square is an integer and
-    the lower end a dyadic, so the comparison itself rounds nothing.
+    only when every value the totals admit exceeds the bound (_exceeds).
     """
-    kv = kloosterman(k, n, m, prec)
     with working_precision(prec):
-        return not _exceeds(kv.abs().lo._mpf_, _weil_square(k, n, m))
+        total, count = _kloosterman_total(k, n, m)
+        return not _exceeds(total, 0, count, _weil_square(k, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +400,24 @@ def a_kj_rewrite(
         return _fixed_sum(*_akj_totals(k, j, n, h_shift, hp_shift))
 
 
-@lru_cache(maxsize=None)
-def _fifth_roots(prec: int) -> tuple:
-    """ErrComplex.unit_root(t, 5) for t = 0..4 at prec bits.
+def _fifth_root_sum(t: int, modulus: int, first: int, step: int, second: int) -> ErrComplex:
+    """sum_l ζ_5^(t l) K_modulus(first + l step, second), l = 0..4, at the
+    ambient precision: each real Kloosterman total T times the table entry
+    (a, b) of ζ_5^(t l), summed exactly at 2^-2w and rounded once per part.
 
-    The reduced forms multiply each root by the real ball of a Kloosterman
-    sum only: the sum is exactly real (see kloosterman), so its imaginary
-    ball, 0 plus the table error, adds nothing true. Midpoints are those of
-    the full complex product, as every product with that ball's zero
-    midpoint is 0."""
-    with working_precision(prec):
-        return tuple(ErrComplex.unit_root(t, 5) for t in range(5))
+    With T within count units and a, b within E = _ENTRY_ERR, the product
+    a T is within |T| E + (|a| + E) count E units of 2^2w times the truth,
+    and so is b T with |b|."""
+    roots = _roots(5)
+    re = im = re_err = im_err = 0
+    for ell in range(5):
+        total, count = _kloosterman_total(modulus, first + ell * step, second)
+        a, b = roots[t * ell % 5]
+        re, im = re + a * total, im + b * total
+        re_err += (abs(total) + (abs(a) + _ENTRY_ERR) * count) * _ENTRY_ERR
+        im_err += (abs(total) + (abs(b) + _ENTRY_ERR) * count) * _ENTRY_ERR
+    w2 = 2 * (mp.prec + _GUARD_BITS)
+    return ErrComplex(_fixed_ball(re, re_err, w2), _fixed_ball(im, im_err, w2))
 
 
 def a_kj_reduced_d5(
@@ -431,13 +439,8 @@ def a_kj_reduced_d5(
     assert (4 * inv4) % (5 * k) == 1 % (5 * k)
     al = alpha_of(jr, 5) + alpha_shift
     cj = jr * jr - 5 * jr - al * al + 5 * al
-    roots = _fifth_roots(prec)
     with working_precision(prec):
-        total = ErrComplex(0)
-        for ell in range(5):
-            kv = kloosterman(5 * k, (5 * n + 3) * (k * k - 1) // 4 + ell * k, cj, prec)
-            total = total + roots[jr * ell % 5] * kv.re
-        return total * ErrReal(mpf(-1)) / ErrReal(25)
+        return -_fifth_root_sum(jr, 5 * k, (5 * n + 3) * (k * k - 1) // 4, k, cj) / 25
 
 
 def a_kj_reduced_d10_abs(
@@ -455,24 +458,30 @@ def a_kj_reduced_d10_abs(
     num = jr * jr - 10 * jr - al * al + 10 * al
     if num % 2:
         raise ValueError("corrupted alpha made the twist parameter a half-integer")
-    roots = _fifth_roots(prec)
     with working_precision(prec):
-        total = ErrComplex(0)
-        for ell in range(5):
-            kv = kloosterman(10 * k, 2 * (k * ell - 5 * n - 3), num // 2, prec)
-            total = total + roots[-jr * ell % 5] * kv.re
-        return total.abs() / ErrReal(50)
+        return _fifth_root_sum(-jr, 10 * k, -2 * (5 * n + 3), 2 * k, num // 2).abs() / 50
+
+
+def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int, int]:
+    """The twist of the exact formula as _root_sum's totals (re, im, count):
+    A_k(n) = A_{k,3}(n) + A_{k,-3}(n), or, when twisted, the reciprocal's
+    cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n))."""
+    js, m = ((1, -1), -n) if twisted else ((3, -3), n)
+    (re1, im1, c1), (re2, im2, c2) = (_akj_totals(k, j, m) for j in js)
+    return re1 + re2, -(im1 + im2) if twisted else im1 + im2, c1 + c2
 
 
 def a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
     """A_k(n) = A_{k,3}(n) + A_{k,-3}(n)."""
-    return a_kj(k, 3, n, prec) + a_kj(k, -3, n, prec)
+    with working_precision(prec):
+        return _fixed_sum(*_twist_totals(k, n, False))
 
 
 def cal_a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
     """The conjugated twist entering the reciprocal's formula:
     conj(A_{k,1}(-n)) + conj(A_{k,-1}(-n))."""
-    return a_kj(k, 1, -n, prec).conjugate() + a_kj(k, -1, -n, prec).conjugate()
+    with working_precision(prec):
+        return _fixed_sum(*_twist_totals(k, n, True))
 
 
 # ---------------------------------------------------------------------------
@@ -497,29 +506,27 @@ def twisted_bound(k: int) -> ErrReal:
     return ErrReal(_twisted_square(k)).sqrt()
 
 
+def _twisted_check(d: int, k: int, j: int, n: int, prec: int) -> bool:
+    if gcd(k, 10) != d:
+        raise ValueError(f"k must have gcd(k,10) = {d}")
+    with working_precision(prec):
+        return not _exceeds(*_akj_totals(k, j, n), _twisted_square(k))
+
+
 def bound_check_d5(k: int, j: int, n: int, prec: int = 128) -> bool:
     """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=5, within error bars,
-    compared squared in integers as in weil_bound_check."""
-    if gcd(k, 10) != 5:
-        raise ValueError("k must have gcd(k,10) = 5")
-    val = a_kj(k, j, n, prec)
-    with working_precision(prec):
-        return not _exceeds(val.abs().lo._mpf_, _twisted_square(k))
+    decided on the totals as in weil_bound_check."""
+    return _twisted_check(5, k, j, n, prec)
 
 
 def bound_check_d10(k: int, j: int, n: int, prec: int = 128) -> bool:
     """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=10, within error bars,
-    compared squared in integers as in weil_bound_check."""
-    if gcd(k, 10) != 10:
-        raise ValueError("k must have gcd(k,10) = 10")
-    val = a_kj(k, j, n, prec)
-    with working_precision(prec):
-        return not _exceeds(val.abs().lo._mpf_, _twisted_square(k))
+    decided on the totals as in weil_bound_check."""
+    return _twisted_check(10, k, j, n, prec)
 
 
 def aggregated_bound_check(k: int, n: int, prec: int = 128, twisted: bool = False) -> bool:
     """|A_k(n)| (or |cal A_k(n)| when twisted) against the aggregated bound
-    2 twisted_bound(k), compared squared in integers as in weil_bound_check."""
-    val = cal_a_k(k, n, prec) if twisted else a_k(k, n, prec)
+    2 twisted_bound(k), decided on the totals as in weil_bound_check."""
     with working_precision(prec):
-        return not _exceeds(val.abs().lo._mpf_, 4 * _twisted_square(k))
+        return not _exceeds(*_twist_totals(k, n, twisted), 4 * _twisted_square(k))

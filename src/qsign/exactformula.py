@@ -25,7 +25,7 @@ from math import gcd, isqrt
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_pi, to_fixed
 
-from .arithmetic import _ENTRY_ERR, _GUARD_BITS, _akj_totals, divisor_count
+from .arithmetic import _ENTRY_ERR, _GUARD_BITS, _twist_totals, divisor_count
 from .numerics import (
     ErrComplex,
     ErrReal,
@@ -77,9 +77,10 @@ def _validate_n(delta: int, n: int) -> int:
 
 
 def _imag_guard(im: ErrReal) -> None:
-    if abs(im.value) > 3 * im.err + mpf(2) ** -40:
+    """Raise unless the ball im of a sum that must be real contains 0."""
+    if abs(im.value) > im.err:
         raise ImaginaryResidueError(
-            f"imaginary residue {mp.nstr(im.value, 5)} exceeds 3x error {mp.nstr(im.err, 5)}"
+            f"imaginary residue {mp.nstr(im.value, 5)} exceeds its error {mp.nstr(im.err, 5)}"
         )
 
 
@@ -112,9 +113,8 @@ def _term_plan(delta: int, n: int, prec: int):
       (_root_sum). The summand's part re f is then within
       |re| f_err + c f + c f_err units of 2^2w times the truth, and so is
       im f with |im|.
-    The twist is A_k(n) = A_{k,3}(n) + A_{k,-3}(n) for delta = 1 and
-    cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n)) for delta = -1, as
-    a_k and cal_a_k sum them.
+    The twist is A_k(n) for delta = 1 and cal A_k(n) for delta = -1, the
+    totals of _twist_totals.
 
     Precision. With x = x_10 = (2 pi/25) sqrt(3 nn), the largest x_k,
     L = 1.4428 x + 1/128, p = pi sqrt(12/nn) + 2^-10 above every prefix,
@@ -147,7 +147,6 @@ def _term_plan(delta: int, n: int, prec: int):
         root = isqrt(2 * (d - 4) * nn << 2 * u)
         prod, err = pi * root, 2 * root + pi + 2
         plan[d] = (2 * prod, 2 * err, prod // (nn << u), err // (nn << u) + 2)
-    js, m, conj = ((3, -3), n, 1) if delta == 1 else ((1, -1), -n, -1)
 
     def term(k: int) -> tuple[int, int, int, int]:
         d = gcd(k, 10)
@@ -162,9 +161,8 @@ def _term_plan(delta: int, n: int, prec: int):
         i1_err = bound + (x_err << t)
         f = pre * s // (k << u)
         f_err = (pre * i1_err + s * pre_err + pre_err * i1_err) // (k << u) + 2
-        (re1, im1, c1), (re2, im2, c2) = (_akj_totals(k, j, m) for j in js)
-        re, im = re1 + re2, conj * (im1 + im2)
-        spread = (c1 + c2) * _ENTRY_ERR * (f + f_err)
+        re, im, count = _twist_totals(k, n, delta == -1)
+        spread = count * _ENTRY_ERR * (f + f_err)
         return re * f, im * f, abs(re) * f_err + spread, abs(im) * f_err + spread
 
     return w, term

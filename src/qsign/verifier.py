@@ -181,8 +181,11 @@ def run_bound_sweeps(
     k <= identity_k_max; the Weil bound and the per-j / aggregated /
     conjugated bounds run for k <= k_max; the Bessel inequality grids run
     over their stated ranges. A deliberately corrupted reduction (alpha
-    off by one class) must fail, as a negative control.
+    off by one class) must fail, as a negative control. Raises ValueError
+    unless both grids reach k = 5 and n_samples >= 1: no check is vacuous.
     """
+    if min(k_max, identity_k_max) < 5 or n_samples < 1:
+        raise ValueError("sweeps need k_max and identity_k_max >= 5 and n_samples >= 1")
     timing: dict[str, float] = {}
     tol = mpf(identity_tol)
 
@@ -398,6 +401,8 @@ class PipelineConfig:
         lo, hi = self.exact_range
         if not (1 <= lo <= hi):
             raise ValueError("invalid exact-formula range")
+        if min(self.sweep_k_max, self.identity_k_max) < 5 or self.sweep_n_samples < 1:
+            raise ValueError("sweeps need k_max and identity_k_max >= 5 and n_samples >= 1")
 
 
 @dataclass

@@ -15,7 +15,6 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_man_exp
 
 from qsign import arithmetic
 from qsign.arithmetic import (
@@ -184,31 +183,44 @@ def test_root_table_entry_at_minus_t_is_the_exact_conjugate():
                 assert table[-t % den] == (c, -s), (den, prec, t)
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    man=st.integers(-(2**80), 2**80),
-    exp=st.integers(-120, 60),
-    offset=st.one_of(st.none(), st.integers(-2, 2)),
-    square=st.integers(0, 2**300),
-)
-def test_exceeds_is_the_exact_square_comparison(man, exp, offset, square):
-    x = Fraction(man) * Fraction(2) ** exp
-    if offset is not None:  # a square at x^2 itself or next to it
-        square = max(0, math.floor(x * x) + offset)
-    assert arithmetic._exceeds(from_man_exp(man, exp), square) == (x > 0 and x * x > square)
+def _corner_square(re, im, count, w):
+    """The exact squared length of the point nearest 0 of the box that
+    totals re, im at 2^-w, each part within count units, admit."""
+
+    def nearest_square(t):
+        lo, hi = Fraction(t - count, 2**w), Fraction(t + count, 2**w)
+        return 0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
+
+    return nearest_square(re) + nearest_square(im)
 
 
-def test_exceeds_at_zero_negative_and_equality():
-    assert not arithmetic._exceeds(from_man_exp(0, 0), 0)
-    assert not arithmetic._exceeds(from_man_exp(-5, 3), 0)
-    for r in (1, 3, 12345):
-        for e in (0, 4):
-            root = r << e
-            assert not arithmetic._exceeds(from_man_exp(r, e), root * root)  # x^2 == square
-            assert arithmetic._exceeds(from_man_exp(r, e), root * root - 1)
-    # 3/2 squared is 9/4: above 2, not above 3
-    assert arithmetic._exceeds(from_man_exp(3, -1), 2)
-    assert not arithmetic._exceeds(from_man_exp(3, -1), 3)
+@st.composite
+def _boxes(draw):
+    """(prec, re, im, count): totals drawn freely, or with the box's corner
+    nearest 0 on integer coordinates, so that its squared length is an
+    integer; a coordinate 0 there is a box that straddles the axis."""
+    prec = draw(st.sampled_from([64, 128, 256]))
+    w = prec + arithmetic._GUARD_BITS
+    count = draw(st.integers(0, 2**12))
+    if draw(st.booleans()):
+        parts = [draw(st.integers(-(2 ** (w + 7)), 2 ** (w + 7))) for _ in range(2)]
+    else:
+        parts = []
+        for _ in range(2):
+            x, sign = draw(st.integers(0, 60)), draw(st.sampled_from([1, -1]))
+            parts.append(sign * ((x << w) + count if x else draw(st.integers(0, count))))
+    return prec, parts[0], parts[1], count
+
+
+@settings(max_examples=500, deadline=None)
+@given(box=_boxes(), square=st.integers(0, 2**16), offset=st.one_of(st.none(), st.integers(-1, 1)))
+def test_exceeds_is_the_box_beyond_the_circle(box, square, offset):
+    prec, re, im, count = box
+    corner = _corner_square(re, im, count * arithmetic._ENTRY_ERR, prec + arithmetic._GUARD_BITS)
+    if offset is not None:  # a square at the corner's squared length or next to it
+        square = max(0, math.floor(corner) + offset)
+    with working_precision(prec):
+        assert arithmetic._exceeds(re, im, count, square) == (corner > square)
 
 
 def _direct_root_sum(modulus, exponents):
@@ -347,6 +359,35 @@ def test_reduced_identity_negative_controls():
         assert abs(a_kj(20, 3, 1).abs().value - bad10.value) > mpf("1e-6")
 
 
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_reduced_forms_enclose_the_direct_sum(prec):
+    # the reduced forms against A_{k,j}(n) summed term by term at 512 bits;
+    # each radius is the table charge, at most (sum of the five sums'
+    # counts + 2) 2^-w times the scale (1/25 per part for d = 5; 1/50 for
+    # each of the two parts the modulus adds for d = 10), plus the rounding
+    # of the midpoint, under 8 |value| 2^-prec
+    from qsign.arithmetic import _akj_exponent_table
+
+    unit = mpf(2) ** -(prec + arithmetic._GUARD_BITS)
+    for k in (5, 10, 15, 20, 35, 100, 135, 200):
+        d = math.gcd(k, 10)
+        counts = 5 * phi(d * k)
+        for j in (1, 2, 3, 4) if d == 5 else (1, 3, 7, 9):
+            for n in (0, 7, 13):
+                ref = _direct_root_sum(10 * k, [base + n * step for base, step in _akj_exponent_table(k, j)])
+                if d == 5:
+                    got = a_kj_reduced_d5(k, j, n, prec)
+                    parts = ((got.re, ref.real), (got.im, ref.imag))
+                else:
+                    with mpmath.workprec(512):
+                        parts = ((a_kj_reduced_d10_abs(k, j, n, prec), abs(ref)),)
+                for ball, true in parts:
+                    with mpmath.workprec(512):
+                        assert abs(ball.value - true) <= ball.err, (k, j, n)
+                        rounding = 8 * abs(ball.value) * mpf(2) ** -prec
+                        assert ball.err <= (counts + 2) * unit / 25 + rounding, (k, j, n)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         a_kj(12, 1, 0)  # gcd(k,10) = 2
@@ -396,26 +437,30 @@ def test_bound_check_domain():
         bound_check_d10(5, 1, 0)
 
 
-def _lo_square(value):
-    """The exact square of the lower end of |value|'s enclosure."""
-    with working_precision(128):
-        sign, man, exp, _ = value.abs().lo._mpf_
-    assert not sign and man
-    return Fraction(man) ** 2 * Fraction(2) ** (2 * exp)
-
-
 def test_bound_checks_fail_with_the_square_just_below(monkeypatch):
     # negative controls: each check fails once its squared bound is the
-    # largest integer below lo^2, and passes at the next integer
+    # largest integer below the squared length of the nearest point its
+    # totals admit, and passes at the next integer
+    with working_precision(128):
+        total, count = arithmetic._kloosterman_total(7, 1, 1)
+        totals = [
+            (total, 0, count),  # K is real
+            arithmetic._akj_totals(15, 2, 3),
+            arithmetic._akj_totals(20, 3, 0),
+            arithmetic._twist_totals(25, 4, False),
+            arithmetic._twist_totals(30, 2, True),
+        ]
     cases = [
-        (weil_bound_check, (7, 1, 1), "_weil_square", kloosterman(7, 1, 1), 1),
-        (bound_check_d5, (15, 2, 3), "_twisted_square", a_kj(15, 2, 3), 1),
-        (bound_check_d10, (20, 3, 0), "_twisted_square", a_kj(20, 3, 0), 1),
-        (aggregated_bound_check, (25, 4), "_twisted_square", a_k(25, 4), 4),
-        (aggregated_bound_check, (30, 2, 128, True), "_twisted_square", cal_a_k(30, 2), 4),
+        (weil_bound_check, (7, 1, 1), "_weil_square", 1),
+        (bound_check_d5, (15, 2, 3), "_twisted_square", 1),
+        (bound_check_d10, (20, 3, 0), "_twisted_square", 1),
+        (aggregated_bound_check, (25, 4), "_twisted_square", 4),
+        (aggregated_bound_check, (30, 2, 128, True), "_twisted_square", 4),
     ]
-    for check, args, name, value, scale in cases:
-        top = math.ceil(_lo_square(value) / scale)
+    for (check, args, name, scale), (re, im, count) in zip(cases, totals):
+        corner = _corner_square(re, im, count * arithmetic._ENTRY_ERR, 128 + arithmetic._GUARD_BITS)
+        assert corner > 0
+        top = math.ceil(corner / scale)
         monkeypatch.setattr(arithmetic, name, lambda *a, b=top - 1: b)
         assert not check(*args), check
         monkeypatch.setattr(arithmetic, name, lambda *a, b=top: b)

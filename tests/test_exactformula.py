@@ -74,6 +74,10 @@ def test_imaginary_guard():
     _imag_guard(ErrReal(mpf("1e-40"), mpf("1e-30")))
     with pytest.raises(ImaginaryResidueError):
         _imag_guard(ErrReal(mpf("0.5"), mpf("1e-30")))
+    # exactly when 0 lies outside the ball, however small the residue
+    _imag_guard(ErrReal(mpf("1e-13"), mpf("1e-13")))
+    with pytest.raises(ImaginaryResidueError):
+        _imag_guard(ErrReal(mpf("1e-13"), 0))
 
 
 @pytest.mark.parametrize("delta,n", [(1, 30), (1, 47), (-1, 25), (-1, 12)])
@@ -203,11 +207,11 @@ def test_term_parts_enclose_the_reference(prec):
 
 @pytest.mark.parametrize("prec", [16, 64, 128])
 def test_term_factor_encloses_the_reference(prec, monkeypatch):
-    # with an exact twist of 1 + 1 only the factor's own error is left: the
+    # with an exact twist of 2 only the factor's own error is left: the
     # prefix, the Bessel argument's floor and its charge, and the floors
     import qsign.exactformula as ef
 
-    monkeypatch.setattr(ef, "_akj_totals", lambda k, j, m: (1 << (mpmath.mp.prec + _GUARD_BITS), 0, 0))
+    monkeypatch.setattr(ef, "_twist_totals", lambda k, n, twisted: (2 << (mpmath.mp.prec + _GUARD_BITS), 0, 0))
     for delta, n in TERM_INDICES + [(1, 29), (1, 160), (-1, 103), (-1, 256)]:
         with working_precision(prec):
             w, plan = _term_plan(delta, n, prec)

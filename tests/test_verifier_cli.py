@@ -163,6 +163,22 @@ def test_pipeline_rejects_invalid_config(tmp_path):
         full_pipeline(config)
 
 
+@pytest.mark.parametrize("sizes", [(0, 20, 2), (20, 4, 2), (20, 20, 0)])
+def test_sweeps_refuse_a_grid_that_checks_nothing(tmp_path, sizes, capsys):
+    k_max, identity_k_max, n_samples = sizes
+    with pytest.raises(ValueError):
+        run_bound_sweeps(k_max=k_max, identity_k_max=identity_k_max, n_samples=n_samples)
+    argv = ["sweeps", "--k-max", str(k_max), "--identity-k-max", str(identity_k_max), "--n-samples", str(n_samples)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qsign: error:"), lines
+    config = small_config(tmp_path, "empty")
+    config.sweep_k_max, config.identity_k_max, config.sweep_n_samples = sizes
+    with pytest.raises(ValueError):
+        full_pipeline(config)
+    assert not (tmp_path / "empty").exists()  # refused before any artifact
+
+
 def test_pipeline_single_delta(tmp_path):
     config = small_config(tmp_path, "single")
     config.deltas = (1,)
