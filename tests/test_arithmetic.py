@@ -223,6 +223,54 @@ def test_exceeds_is_the_box_beyond_the_circle(box, square, offset):
         assert arithmetic._exceeds(re, im, count, square) == (corner > square)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    prec=st.sampled_from([64, 128, 256]),
+    re=st.integers(-(2**300), 2**300),
+    im=st.integers(-(2**300), 2**300),
+    offset=st.one_of(st.none(), st.integers(-2, 2)),
+    square=st.integers(0, 2**60),
+)
+def test_exceeds_is_the_exact_square_comparison(prec, re, im, offset, square):
+    # with no error bars the box is the point z = (re + i im) 2^-w itself
+    w = prec + arithmetic._GUARD_BITS
+    z_square = Fraction(re * re + im * im, 4**w)
+    if offset is not None:  # a square at |z|^2 itself or next to it
+        square = max(0, math.floor(z_square) + offset)
+    with working_precision(prec):
+        assert arithmetic._exceeds(re, im, 0, square) == (z_square > square)
+
+
+def test_exceeds_at_zero_negative_and_equality():
+    prec = 64
+    w = prec + arithmetic._GUARD_BITS
+    c = arithmetic._ENTRY_ERR
+    with working_precision(prec):
+        assert not arithmetic._exceeds(0, 0, 0, 0)
+        assert not arithmetic._exceeds(0, 0, 5, 0)
+        # a negative part lies as far from 0 as its absolute value
+        assert arithmetic._exceeds(-5 << w, 0, 0, 24)
+        assert arithmetic._exceeds(0, -5 << w, 0, 24)
+        assert not arithmetic._exceeds(-5 << w, 0, 0, 25)
+        for r in (1, 3, 12345):
+            for sign in (1, -1):
+                t = sign * (r << w)
+                assert not arithmetic._exceeds(t, 0, 0, r * r)  # |z|^2 == square
+                assert arithmetic._exceeds(t, 0, 0, r * r - 1)
+                # error bars pull the nearest point in by c units per count
+                assert not arithmetic._exceeds(t + sign * 3 * c, 0, 3, r * r)
+                assert arithmetic._exceeds(t + sign * (3 * c + 1), 0, 3, r * r)
+        # 3/2 squared is 9/4: above 2, not above 3
+        assert arithmetic._exceeds(3 << (w - 1), 0, 0, 2)
+        assert not arithmetic._exceeds(3 << (w - 1), 0, 0, 3)
+        # 3 + 4i has squared length 25 exactly
+        assert not arithmetic._exceeds(3 << w, -4 << w, 0, 25)
+        assert arithmetic._exceeds(3 << w, -4 << w, 0, 24)
+        # a box straddling an axis counts that coordinate as 0
+        assert not arithmetic._exceeds(c - 1, 2 << w, 1, 4)
+        assert arithmetic._exceeds(c - 1, 2 << w, 1, 3)
+
+
 def _direct_root_sum(modulus, exponents):
     """Reference sum of e^(2 pi i e / modulus), term by term at 512 bits."""
     with mpmath.workprec(512):
