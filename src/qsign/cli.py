@@ -2,6 +2,9 @@
 
 Exit codes: 0 pass, 1 usage/domain error, 2 non-definitive numerics,
 3 verification failure.
+
+Each command imports only the modules its code path runs, so a cold
+`expand` or `verify` never loads mpmath or the exact formula.
 """
 
 from __future__ import annotations
@@ -10,11 +13,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-from mpmath import mp
-
-from . import exactformula, modularcheck, verifier
-from .qseries import q10_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,6 +96,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_expand(args) -> int:
+    from .qseries import q10_series
+
     if args.order < 0:
         return _fail("order must be >= 0")
     series = q10_series(args.delta, args.order)
@@ -112,6 +112,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from . import exactformula
+
     ev = exactformula.c_exact(args.delta, args.n, k_max=args.k_max, prec=args.precision_bits)
     payload = ev.to_dict()
     if args.fmt == "csv":
@@ -125,6 +127,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verifier
+
     report = verifier.verify_conjecture(args.delta, args.n_max)
     _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args.output)
     print(f"verify delta={args.delta:+d} n<={args.n_max}: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
@@ -132,6 +136,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweeps(args) -> int:
+    from . import verifier
+
     report = verifier.run_bound_sweeps(
         k_max=args.k_max,
         n_samples=args.n_samples,
@@ -147,6 +153,10 @@ def _cmd_sweeps(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from mpmath import mp
+
+    from . import exactformula
+
     lhs = exactformula.threshold_lhs(args.delta, args.n)
     ok = lhs.hi < 1
     _emit(f"threshold delta={args.delta:+d} n={args.n}: lhs = {mp.nstr(lhs.value, 12)} "
@@ -155,6 +165,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_modular(args) -> int:
+    from . import modularcheck
+
     records = modularcheck.validation_suite(prec=args.precision_bits)
     payload = [r.to_dict() for r in records]
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
@@ -164,6 +176,8 @@ def _cmd_modular(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from . import verifier
+
     deltas = (args.delta,) if args.delta else (1, -1)
     config = verifier.PipelineConfig(
         deltas=deltas,
@@ -203,8 +217,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc))
-    except (RuntimeError, modularcheck.PoleError, exactformula.ImaginaryResidueError) as exc:
-        return _fail(str(exc), EXIT_NON_DEFINITIVE)  # a convergence cap or an unresolved sign
+    except (RuntimeError, ArithmeticError) as exc:
+        # a convergence cap, an overflow or an unresolved sign (PoleError and
+        # ImaginaryResidueError are ArithmeticErrors); ZeroDivisionError exits 1 above
+        return _fail(str(exc), EXIT_NON_DEFINITIVE)
 
 
 def entry() -> None:

@@ -36,6 +36,7 @@ from .numerics import (
     working_precision,
     zeta_3_2,
 )
+from .qseries import PAPER_THRESHOLD  # re-exported; it is defined next to ZERO_EXCEPTIONS
 
 __all__ = [
     "ImaginaryResidueError",
@@ -50,8 +51,6 @@ __all__ = [
     "main_error_split",
     "default_k_max",
 ]
-
-PAPER_THRESHOLD = {1: 2929, -1: 2234}
 
 
 class ImaginaryResidueError(ArithmeticError):

@@ -37,6 +37,10 @@ ZERO_EXCEPTIONS = {
     -1: frozenset({3, 4, 5, 6, 9, 13, 19, 23, 29, 39}),
 }
 
+# The least n from which the paper's closed-form threshold inequality
+# settles every sign; below it the signs are checked term by term.
+PAPER_THRESHOLD = {1: 2929, -1: 2234}
+
 # Residues mod 10 of the factor indices: numerator residues get exponent
 # +delta, denominator residues -delta.
 _NUMERATOR_RESIDUES = (1, 9)

@@ -1,6 +1,10 @@
 """Orchestration of the full verification pipeline: brute-force sign
 verdicts, bound sweeps over the Kloosterman grids, the modular validation
 suite, and oracle comparison of the exact formula, with JSON/CSV artifacts.
+
+Only the integer series is imported up front; each function imports the
+analytic modules it runs, so a sign check below the paper's threshold
+never loads mpmath.
 """
 
 from __future__ import annotations
@@ -11,11 +15,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
 
-from mpmath import mp, mpf
-
-from . import arithmetic, exactformula, modularcheck
-from .numerics import ErrReal, bessel_bound_checks, working_precision
-from .qseries import Verdict, ZERO_EXCEPTIONS, q10_series, sign_pattern_verdict
+from .qseries import PAPER_THRESHOLD, Verdict, ZERO_EXCEPTIONS, q10_series, sign_pattern_verdict
 
 __all__ = [
     "SignReport",
@@ -83,8 +83,12 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
     timing["verdicts"] = round(time.perf_counter() - t0, 6)
 
     thresholds = None
-    paper_threshold = exactformula.PAPER_THRESHOLD[delta]
+    paper_threshold = PAPER_THRESHOLD[delta]
     if n_max >= paper_threshold:
+        from mpmath import mp
+
+        from . import exactformula
+
         t0 = time.perf_counter()
         lhs = exactformula.threshold_lhs(delta, paper_threshold)
         thresholds = {
@@ -186,6 +190,11 @@ def run_bound_sweeps(
     """
     if min(k_max, identity_k_max) < 5 or n_samples < 1:
         raise ValueError("sweeps need k_max and identity_k_max >= 5 and n_samples >= 1")
+    from mpmath import mpf
+
+    from . import arithmetic
+    from .numerics import ErrReal, bessel_bound_checks, working_precision
+
     timing: dict[str, float] = {}
     tol = mpf(identity_tol)
 
@@ -204,8 +213,9 @@ def run_bound_sweeps(
                         reduced = arithmetic.a_kj_reduced_d5(k, j, n, prec)
                         red_diff = (direct - reduced).abs()
                     else:
+                        direct_abs = direct.abs()
                         reduced_abs = arithmetic.a_kj_reduced_d10_abs(k, j, n, prec)
-                        red_diff = ErrReal(abs(direct.abs().value - reduced_abs.value), direct.abs().err + reduced_abs.err)
+                        red_diff = ErrReal(abs(direct_abs.value - reduced_abs.value), direct_abs.err + reduced_abs.err)
                 identity_checks += 2
                 if not rw_diff.value <= tol:
                     identity_failures.append({"kind": "rewrite", "k": k, "j": j, "n": n, "diff": float(rw_diff.value)})
@@ -230,6 +240,8 @@ def run_bound_sweeps(
     t0 = time.perf_counter()
     for k in _grid_k(k_max):
         d = gcd(k, 10)
+        with working_precision(prec):
+            bound = float(arithmetic.twisted_bound(k).value)
         for j in _valid_j(d):
             for n in range(n_samples):
                 ok = (
@@ -244,8 +256,7 @@ def run_bound_sweeps(
                     val = arithmetic.a_kj(k, j, n, prec)
                     with working_precision(prec):
                         absval = val.abs().value
-                        bound = arithmetic.twisted_bound(k).value
-                    rows.append((k, j, n, float(absval), float(bound), ok))
+                    rows.append((k, j, n, float(absval), bound, ok))
         for n in range(0, n_samples, 4):
             for twisted in (False, True):
                 bound_checks += 1
@@ -315,6 +326,8 @@ class ExactOracleReport:
         return not self.mismatches and self.max_gap_plus_err < 0.5
 
     def to_dict(self) -> dict:
+        from mpmath import mp
+
         return {
             "range": [self.n_lo, self.n_hi],
             "deltas": list(self.deltas),
@@ -347,6 +360,8 @@ def run_exact_oracle(
 
     One row per index holds c_exact's ExactEval fields, its uncertainty
     breakdown included, next to the brute-force integer `true`."""
+    from . import exactformula
+
     t0 = time.perf_counter()
     rows: list = []
     for delta in deltas:
@@ -425,6 +440,8 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
     roundings is reported separately since the Weil-type tail certificate
     sits far above 1/2 at desk-scale cutoffs.
     """
+    from . import modularcheck
+
     config.validate()
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
+import qsign
 from qsign import cli, exactformula
 from qsign.cli import main
 from qsign.numerics import ErrReal
@@ -346,6 +350,27 @@ def test_cli_maps_numeric_errors_to_exit_codes(monkeypatch, capsys, error, code)
     assert out.err == f"qsign: error: {error}\n"
 
 
+# an overflow or a floating-point trap is a numeric result that could not be
+# resolved too; ZeroDivisionError is caught first, as a domain error
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (OverflowError("math range error"), 2),
+        (FloatingPointError("invalid value"), 2),
+        (ZeroDivisionError("division by zero"), 1),
+    ],
+)
+def test_cli_arithmetic_errors_exit_with_one_line(monkeypatch, capsys, error, code):
+    def command(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "exact", command)
+    assert main(["exact", "--delta", "1", "--n", "10"]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"qsign: error: {error}\n"
+
+
 def test_cli_threshold(capsys):
     assert main(["threshold", "--delta", "1", "--n", "2929"]) == 0
     out = capsys.readouterr().out
@@ -478,6 +503,85 @@ def test_cli_exit_contract_over_drawn_argv(tmp_path_factory, argv):
     text = out.getvalue() + err.getvalue()
     assert sum(line.startswith("qsign: error:") for line in text.splitlines()) <= 1, argv
     assert "Traceback" not in text, argv
+
+
+# -- fresh processes -----------------------------------------------------------------
+# In-process tests run with every qsign module already imported; these start a
+# new interpreter, as a user's shell does.
+
+_SRC = str(Path(qsign.__file__).resolve().parents[1])
+_QSIGN_MODULES = {f"qsign.{info.name}" for info in pkgutil.iter_modules(qsign.__path__)}
+# runs main(argv) and prints the names in sys.modules as the last line of stderr
+_RUN_MAIN = (
+    "import json, sys\n"
+    "from qsign.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _fresh(args, cwd):
+    """`python *args` in a new interpreter that imports qsign from this checkout."""
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+
+
+_SERIES_ONLY = {"mpmath"} | (_QSIGN_MODULES - {"qsign.cli", "qsign.qseries", "qsign.verifier"})
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["expand", "--delta", "1", "--order", "50"], _SERIES_ONLY),
+        (["verify", "--delta", "1", "--n-max", "2928"], _SERIES_ONLY),
+        (["exact", "--delta", "1", "--n", "10"], {"qsign.modularcheck", "qsign.verifier"}),
+        (["threshold", "--delta", "1", "--n", "2929"], {"qsign.modularcheck", "qsign.verifier"}),
+        (["modular"], {"qsign.exactformula", "qsign.verifier"}),
+    ],
+)
+def test_cli_command_imports_only_what_it_runs(tmp_path, argv, absent):
+    proc = _fresh(["-c", _RUN_MAIN, *argv], tmp_path)
+    assert proc.returncode in (0, 2), proc.stderr
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "qsign.cli" in loaded
+    assert loaded & absent == set()
+
+
+def test_cli_verify_at_the_threshold_loads_the_exact_formula(tmp_path):
+    proc = _fresh(["-c", _RUN_MAIN, "verify", "--delta", "1", "--n-max", "2929"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "qsign.exactformula" in json.loads(proc.stderr.splitlines()[-1])
+    assert json.loads(proc.stdout)["thresholds"]["lhs_below_one"] is True
+
+
+# one small argv per command, then two bad inputs
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["expand", "--delta", "1", "--order", "60"], 0),
+        (["exact", "--delta", "1", "--n", "10"], 2),
+        (["verify", "--delta", "-1", "--n-max", "60"], 0),
+        (["sweeps", "--k-max", "10", "--identity-k-max", "5", "--n-samples", "1"], 0),
+        (["threshold", "--delta", "1", "--n", "100"], 3),
+        (["modular"], 0),
+        (
+            ["pipeline", "--delta", "1", "--n-max", "60", "--sweep-k-max", "5", "--identity-k-max", "5",
+             "--n-samples", "1", "--exact-lo", "10", "--exact-hi", "11"],
+            0,
+        ),
+        (["expand", "--delta", "1", "--order", "-1"], 1),
+        (["verify", "--delta", "1", "--n-max", "nan"], 1),
+    ],
+)
+def test_python_m_qsign_keeps_the_exit_contract(tmp_path, argv, code):
+    proc = _fresh(["-m", "qsign", *argv], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("qsign: error:")]
+    assert len(errors) == (code == 1)
 
 
 # -- package -----------------------------------------------------------------------
