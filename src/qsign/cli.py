@@ -2,9 +2,6 @@
 
 Exit codes: 0 pass, 1 usage/domain error, 2 non-definitive numerics,
 3 verification failure.
-
-Each command imports only the modules its code path runs, so a cold
-`expand` or `verify` never loads mpmath or the exact formula.
 """
 
 from __future__ import annotations
@@ -13,6 +10,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+# Each _cmd_* imports the modules it runs: a cold `expand`, or a `verify`
+# below the paper's threshold, loads neither mpmath nor the exact formula.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
