@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
 
-from .qseries import PAPER_THRESHOLD, Verdict, ZERO_EXCEPTIONS, q10_series, sign_pattern_verdict
+from .qseries import PAPER_THRESHOLD, q10_series, sign_pattern_verdict
 
 __all__ = [
     "SignReport",
@@ -29,12 +29,12 @@ __all__ = [
     "full_pipeline",
 ]
 
-_VERDICT_CODE = {
-    Verdict.MATCH_POSITIVE: "P",
-    Verdict.MATCH_NEGATIVE: "N",
-    Verdict.ZERO_EXCEPTION: "Z",
-    Verdict.MISMATCH: "X",
-}
+_VERDICT_CODE = {"MatchPositive": "P", "MatchNegative": "N", "ZeroException": "Z", "Mismatch": "X"}
+
+
+def _verdict_code(delta: int, n: int, c: int) -> str:
+    """The one-letter code of sign_pattern_verdict(delta, n, c)."""
+    return _VERDICT_CODE[sign_pattern_verdict(delta, n, c).value]
 
 
 @dataclass
@@ -75,11 +75,23 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
     timing["series"] = round(time.perf_counter() - t0, 6)
 
     t0 = time.perf_counter()
-    coeffs = series.coeffs
-    verdicts = [sign_pattern_verdict(delta, n, c) for n, c in enumerate(coeffs)]
-    zero_set = [n for n, c in enumerate(coeffs) if c == 0]
-    mismatches = [n for n, v in enumerate(verdicts) if v is Verdict.MISMATCH]
-    unexpected = [n for n in zero_set if n not in ZERO_EXCEPTIONS[delta]]
+    # a nonzero coefficient's verdict depends on n only through n mod 10
+    pos, neg = ([_verdict_code(delta, r, sign) for r in range(10)] for sign in (1, -1))
+    verdicts: list[str] = []
+    zero_set: list[int] = []
+    mismatches: list[int] = []
+    unexpected: list[int] = []
+    for n, c in enumerate(series.coeffs):
+        if c:
+            code = pos[n % 10] if c > 0 else neg[n % 10]
+        else:
+            code = _verdict_code(delta, n, 0)
+            zero_set.append(n)
+        verdicts.append(code)
+        if code == "X":
+            mismatches.append(n)
+            if not c:
+                unexpected.append(n)
     timing["verdicts"] = round(time.perf_counter() - t0, 6)
 
     thresholds = None
@@ -105,7 +117,7 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
         delta=delta,
         n_lo=0,
         n_hi=n_max,
-        verdicts=[_VERDICT_CODE[v] for v in verdicts],
+        verdicts=verdicts,
         zero_set_found=zero_set,
         mismatches=mismatches,
         unexpected_zeros=unexpected,
@@ -240,23 +252,21 @@ def run_bound_sweeps(
     t0 = time.perf_counter()
     for k in _grid_k(k_max):
         d = gcd(k, 10)
+        square = arithmetic._twisted_square(k)
         with working_precision(prec):
             bound = float(arithmetic.twisted_bound(k).value)
         for j in _valid_j(d):
             for n in range(n_samples):
-                ok = (
-                    arithmetic.bound_check_d5(k, j, n, prec)
-                    if d == 5
-                    else arithmetic.bound_check_d10(k, j, n, prec)
-                )
+                # bound_check_d5 / bound_check_d10 on totals summed once,
+                # which the CSV row's |A_{k,j}(n)| reuses
+                with working_precision(prec):
+                    totals = arithmetic._akj_totals(k, j, n)
+                    ok = not arithmetic._exceeds(*totals, square)
+                    if n < 3:
+                        rows.append((k, j, n, float(arithmetic._fixed_sum(*totals).abs().value), bound, ok))
                 bound_checks += 1
                 if not ok:
                     bound_failures.append({"kind": f"d{d}", "k": k, "j": j, "n": n})
-                if n < 3:
-                    val = arithmetic.a_kj(k, j, n, prec)
-                    with working_precision(prec):
-                        absval = val.abs().value
-                    rows.append((k, j, n, float(absval), bound, ok))
         for n in range(0, n_samples, 4):
             for twisted in (False, True):
                 bound_checks += 1

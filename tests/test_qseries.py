@@ -15,6 +15,7 @@ from qsign.qseries import (
     TruncatedSeries,
     Verdict,
     ZERO_EXCEPTIONS,
+    _BLOCK,
     _sparse_divide,
     _theta_terms,
     q10_series,
@@ -44,6 +45,17 @@ def naive_product_one_minus_q_powers(powers, order):
         if p <= order:
             factor[p] = -1
         out = naive_mul(out, factor, order)
+    return out
+
+
+def scalar_divide(num, den, order):
+    """num / den by the term-by-term recurrence, one coefficient at a time."""
+    unit = den[0][1]
+    out = [0] * (order + 1)
+    for e, c in num:
+        out[e] += c
+    for m in range(order + 1):
+        out[m] = unit * (out[m] - sum(c * out[m - e] for e, c in den[1:] if e <= m))
     return out
 
 
@@ -90,6 +102,33 @@ def test_recip_requires_unit_constant_term(head):
 def test_recip_involution():
     a = TruncatedSeries([1, 5, -2, 7, 0, 3])
     assert recip(recip(a)) == a
+
+
+_B = _BLOCK
+# exponents on and beside the block edges, where the windows of the
+# blocked division begin and end
+_EDGES = [1, 2, _B - 2, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 2 * _B + 2]
+
+
+@st.composite
+def division_cases(draw):
+    order = draw(st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1]))
+    # denominator exponents run past order and across block edges
+    exponent = st.one_of(st.integers(1, 3 * _B), st.sampled_from(_EDGES))
+    coefficient = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool))
+    tail = draw(st.dictionaries(exponent, coefficient, max_size=12))
+    den = [(0, draw(st.sampled_from([1, -1])))] + sorted(tail.items())
+    edges = [e for e in [0] + _EDGES if e <= order]
+    num_exponent = st.one_of(st.integers(0, order), st.sampled_from(edges))
+    num = sorted(draw(st.dictionaries(num_exponent, st.integers(-9, 9), max_size=6)).items())
+    return num, den, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_sparse_divide_matches_scalar_recurrence(case):
+    num, den, order = case
+    assert _sparse_divide(num, den, order).coeffs == tuple(scalar_divide(num, den, order))
 
 
 # -- the quotient series ------------------------------------------------------

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 import qsign
-from qsign import cli, exactformula
+from qsign import cli, exactformula, qseries, verifier
 from qsign.cli import main
 from qsign.numerics import ErrReal
-from qsign.qseries import ZERO_EXCEPTIONS
+from qsign.qseries import ZERO_EXCEPTIONS, Verdict, sign_pattern_verdict
 from qsign.verifier import (
     PipelineConfig,
     full_pipeline,
@@ -59,6 +59,36 @@ def test_verify_overlaps_the_analytic_range():
         assert report.passed, delta
         assert report.zero_set_found == zeros
         assert report.thresholds["lhs_below_one"]
+
+
+def test_verify_flags_a_flipped_sign_and_an_extra_zero(monkeypatch):
+    # the real series never reaches the mismatch branch, so feed one that does
+    flipped, zeroed = 60, 71
+    coeffs = list(qseries.q10_series(1, 100).coeffs)
+    assert coeffs[flipped] and coeffs[zeroed]
+    coeffs[flipped] = -coeffs[flipped]
+    coeffs[zeroed] = 0
+    monkeypatch.setattr(verifier, "q10_series", lambda delta, order: qseries.TruncatedSeries(coeffs))
+    report = verify_conjecture(1, 100)
+    assert report.verdicts[flipped] == report.verdicts[zeroed] == "X"
+    assert report.verdicts.count("X") == 2
+    assert report.mismatches == [flipped, zeroed]
+    assert report.unexpected_zeros == [zeroed]
+    assert report.zero_set_found == sorted(ZERO_EXCEPTIONS[1] | {zeroed})
+    assert report.passed is False
+
+
+def test_verdict_string_is_the_per_index_verdicts():
+    letters = {
+        Verdict.MATCH_POSITIVE: "P",
+        Verdict.MATCH_NEGATIVE: "N",
+        Verdict.ZERO_EXCEPTION: "Z",
+        Verdict.MISMATCH: "X",
+    }
+    for delta in (1, -1):
+        coeffs = qseries.q10_series(delta, 3000).coeffs
+        expected = "".join(letters[sign_pattern_verdict(delta, n, c)] for n, c in enumerate(coeffs))
+        assert verify_conjecture(delta, 3000).to_dict()["verdicts"] == expected
 
 
 def test_verify_rejects_small_n_max():
