@@ -124,7 +124,7 @@ def division_cases(draw):
     return num, den, order
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(division_cases())
 def test_sparse_divide_matches_scalar_recurrence(case):
     num, den, order = case
