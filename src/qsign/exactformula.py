@@ -184,6 +184,9 @@ def default_k_max(delta: int, n: int) -> int:
 # per precision, the ErrReal partial sums P[c] = sum_{k <= c} d(k) k^(-3/2),
 # each formed from P[c-1]; extended in place up to the largest cutoff seen
 _DIVISOR_PARTIALS: dict[int, list[ErrReal]] = {}
+# per (K // 5, prec), the finished bound of tail_bound_op, which depends on
+# nothing else: its second cutoff is K // 10 = (K // 5) // 2
+_TAIL_BOUNDS: dict[tuple[int, int], mpf] = {}
 
 
 def _zeta_target(prec: int) -> mpf:
@@ -221,13 +224,16 @@ def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
             raise ValueError(
                 f"cutoff K={K} below the validity threshold ~{mp.nstr(threshold.value, 6)}"
             )
-        pi2 = pi_err() * pi_err()
-        r5 = _divisor_tail(K // 5, prec)
-        r10 = _divisor_tail(K // 10, prec)
-        c5 = pi2 * 32 / 125
-        c10 = pi2 * ErrReal(6).sqrt() * 108 / 125
-        bound = c5 * r5 + c10 * r10
-        return bound.hi
+        key = (K // 5, prec)
+        bound = _TAIL_BOUNDS.get(key)
+        if bound is None:
+            pi2 = pi_err() * pi_err()
+            r5 = _divisor_tail(K // 5, prec)
+            r10 = _divisor_tail(K // 10, prec)
+            c5 = pi2 * 32 / 125
+            c10 = pi2 * ErrReal(6).sqrt() * 108 / 125
+            bound = _TAIL_BOUNDS[key] = (c5 * r5 + c10 * r10).hi
+        return bound
 
 
 @dataclass

@@ -9,20 +9,27 @@ exact 24k-th root of unity, so the theta transformation's rational phases
 fold into one ``ErrComplex.unit_root``; the eta transformation checks it
 numerically, one record per theta-transformation tuple.
 
-All evaluations carry rigorous truncation tails on top of mpmath rounding;
-the default working precision (256 bits) leaves many orders of magnitude
-between numerical noise (~1e-70) and the 1e-15 comparison tolerances.
+theta and the triple product's q-Pochhammer side run in fixed point: each
+term or factor is an exact complex integer at 2^-W, stepped by a ratio
+recurrence (_fixed_mul), with an integer error bound carried beside it;
+mpmath's exp supplies only their starting values, charged by a stated
+trust (_fixed_exp). Both add rigorous truncation tails. The phases and
+prefactors of the other checks are still mpmath values with an ulp pad
+(_mpc_wrap). The default working precision (256 bits) leaves many orders
+of magnitude between numerical noise (~1e-70) and the 1e-15 comparison
+tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
-from mpmath import exp, floor, gamma, log, mp, mpc, mpf, pi, sqrt
+from mpmath import ceil, exp, floor, gamma, log, mp, mpc, mpf, pi, sqrt
+from mpmath.libmp import to_fixed
 
 from .arithmetic import decompose, neg_inverse
-from .numerics import ErrComplex, ErrReal, working_precision
+from .numerics import ErrComplex, ErrReal, _fixed_ball, working_precision
 from .qseries import q10_series_product
 
 __all__ = [
@@ -39,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 256
+_GUARD_BITS = 8  # fixed-point bits beyond prec, as in arithmetic._roots
 
 
 class PoleError(ArithmeticError):
@@ -71,9 +79,65 @@ def _theta_terms(w: mpc, tau: mpc, target: mpf):
     return M, 2 * exp(-pi * t * n0 * n0 + 2 * pi * beta * n0)
 
 
+def _fixed_exp(x: mpc, size, w: int) -> tuple[int, int, int]:
+    """e^x as a fixed-point complex value (re, im, err) at 2^-w: both parts
+    floored to integers in units of 2^-w, and err an integer bound, in the
+    same units, on the modulus of the error.
+
+    Starting-value trust. The ambient precision p is at least w + 8, and x
+    was formed there by a few roundings from ingredients of modulus at most
+    size, so it is within 4 size 2^-p of the argument meant; mpmath's exp is
+    within a few ulp of its own argument's value. The value z is therefore
+    within |z| (size + 2) 2^(4-p) of the truth, which is at most
+    |z| 2^w (size + 2) / 16 units, and the two floors add less than 2."""
+    z = exp(x)
+    re, im = to_fixed(z.real._mpf_, w), to_fixed(z.imag._mpf_, w)
+    norm = isqrt(re * re + im * im) + 1
+    return re, im, ((norm * (int(size) + 3)) >> (mp.prec - 4)) + 3
+
+
+def _fixed_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tuple[int, int, int]:
+    """The product of two fixed-point complex values (re, im, err) at 2^-w.
+
+    Product charge, in units of 2^-w: if A and B are within ea and eb of
+    the true a and b, then |AB - ab| = |(A - a) B + a (B - b)| is at most
+    ea |B| + (|A| + ea) eb, which is divided by 2^w and rounded up; the
+    floors of both parts add less than 2 units. Norms are bounded above by
+    isqrt(re^2 + im^2) + 1."""
+    ar, ai, ea = a
+    br, bi, eb = b
+    na = isqrt(ar * ar + ai * ai) + 1
+    nb = isqrt(br * br + bi * bi) + 1
+    return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w, 2 - ((-(ea * nb + (na + ea) * eb)) >> w)
+
+
 def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
     """The odd theta series: sum over half-integers n of
-    q^(n^2/2) e^(2 pi i n (w + 1/2)), truncated with a Gaussian tail bound."""
+    q^(n^2/2) e^(2 pi i n (w + 1/2)), truncated with a Gaussian tail bound.
+
+    The 2M terms n = s (m + 1/2), s = +-1 and 0 <= m < M (_theta_terms), run
+    along two half-lines by the ratio recurrence T_(m+1) = T_m R_m,
+    R_(m+1) = R_m q, with q = e^(2 pi i tau), T_0 = e^(pi i (tau/4 + s (w + 1/2)))
+    and R_0 = -e^(2 pi i (tau + s w)). Each part is summed exactly as
+    integers at 2^-W with an integer error bound carried beside every term:
+
+    * the five starting values q, T_0 and R_0 come from mpmath's exp at
+      W + 8 bits, charged by the starting-value trust of _fixed_exp;
+    * every later T and R is a _fixed_mul product, whose product charge
+      carries the errors of both factors and its floors;
+    * the guard: the carried bounds hold at any W, which only sets their
+      size, about M^3 units times the largest term. W is prec +
+      2 bitlen(M) + _GUARD_BITS plus the bits the unit loses against the
+      sum of the term moduli: -e when the larger first term
+      e^(pi |Im w| - pi Im tau/4) is below 2^e < 1, or, when the terms
+      grow (|R_0| > 1), the min(log2 |R_0|, -log2 |q|) bits of q's
+      relative error that R_m carries m times into terms near the
+      largest. The radius then stays below 2 tail plus the sum of the
+      moduli times (2M+8) 2^(4-prec), the pad of a sum of separately
+      rounded mpmath exps.
+
+    Each part is then one _fixed_ball of its total with the summed bounds
+    plus twice the tail."""
     target = mpf(target_err)
     if not target > 0:
         raise ValueError("target_err must be positive")
@@ -83,14 +147,26 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
         if not tau.imag > 0:
             raise ValueError("tau must lie in the upper half-plane")
         M, tail = _theta_terms(w, tau, target)
-        total = mpc(0)
-        absum = mpf(0)
-        for m in range(-M, M):
-            # n = m + 1/2: exponent pi i [tau (2m+1)^2 / 4 + (2m+1)(w + 1/2)]
-            e = exp(pi * 1j * (tau * (2 * m + 1) ** 2 / mpf(4) + (2 * m + 1) * (w + mpf(1) / 2)))
-            total += e
-            absum += abs(e)
-        return _mpc_wrap(total, 2 * tail + absum * (2 * M + 8) * (mpf(2) ** (4 - mp.prec)))
+        t, beta = tau.imag, abs(w.imag)
+        top = int(floor(pi * (beta - t / 4) / log(2))) - 1
+        lost = int(ceil(2 * pi * max(0, min(beta - t, t)) / log(2)))
+        W = prec + 2 * M.bit_length() + _GUARD_BITS + max(-top, lost)
+        re = im = err = 0
+        with working_precision(W + 8):
+            size = 2 * pi * (abs(tau) + abs(w) + 1)
+            q = _fixed_exp(2j * pi * tau, size, W)
+            for s in (1, -1):
+                term = _fixed_exp(pi * 1j * (tau / 4 + s * (w + mpf(1) / 2)), size, W)
+                rr, ri, rerr = _fixed_exp(2j * pi * (tau + s * w), size, W)
+                r = (-rr, -ri, rerr)
+                for _ in range(M):
+                    re += term[0]
+                    im += term[1]
+                    err += term[2]
+                    term = _fixed_mul(term, r, W)
+                    r = _fixed_mul(r, q, W)
+        err += to_fixed(tail._mpf_, W + 1) + 1
+        return ErrComplex(_fixed_ball(re, err, W), _fixed_ball(im, err, W))
 
 
 def eta(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
@@ -250,40 +326,54 @@ def _agreement(check: str, params: dict, lhs: ErrComplex, rhs: ErrComplex, tol) 
     )
 
 
-def _qpochhammer(a: mpc, q: mpc, target_rel: mpf) -> tuple[mpc, mpf]:
-    """prod_{j>=0} (1 - a q^j) with relative tail bound."""
-    aq = abs(q)
-    prod = mpc(1)
-    j = 0
-    x = mpc(a)
-    while True:
-        ax = abs(x)
-        if ax < mpf(1) / 2:
-            s = 2 * ax / (1 - aq)  # sum_{i>=j} |a| |q|^i / (1 - |a q^i|) <= 2 |a q^j|/(1-|q|)
-            if s < target_rel / 2:
-                return prod, 2 * s
-        prod *= 1 - x
-        x *= q
-        j += 1
-        if j > 100_000:
-            raise RuntimeError("q-Pochhammer truncation failed to converge")
+def _qpochhammer(a: tuple[int, int, int], q: tuple[int, int, int], target_rel, w: int) -> tuple[int, int, int]:
+    """prod_{j>=0} (1 - a q^j) for fixed-point complex a and q at 2^-w, as
+    a fixed-point value (re, im, err) whose bound covers the truncation.
+
+    The partial product and the powers a q^j are _fixed_mul products. With
+    |a q^j| <= x and |q| <= y in units, both bounds including the carried
+    errors, the loop stops at the first j with 2 x < 2^w and
+    s = 2 x / (2^w - y) < target_rel / 2. Every omitted factor then has
+    |a q^i| <= 1/2, so |log(1 - a q^i)| <= 2 |a q^i|, and the omitted factors
+    multiply the true partial product P by 1 + eta with
+    |eta| <= e^s - 1 <= 2 s; 2 s |P| is added to the bound."""
+    one = 1 << w
+    y = isqrt(q[0] ** 2 + q[1] ** 2) + 1 + q[2]
+    if y >= one:
+        raise RuntimeError("q-Pochhammer truncation failed to converge")
+    goal = to_fixed(mpf(target_rel)._mpf_, w)  # at most target_rel 2^w
+    prod = (one, 0, 0)
+    x = a
+    for _ in range(100_000):
+        nx = isqrt(x[0] ** 2 + x[1] ** 2) + 1 + x[2]
+        if 2 * nx < one and 4 * nx * one < goal * (one - y):
+            pr, pim, perr = prod
+            norm = isqrt(pr * pr + pim * pim) + 1 + perr
+            return pr, pim, perr - ((-4 * nx * norm) // (one - y))
+        prod = _fixed_mul(prod, (one - x[0], -x[1], x[2]), w)
+        x = _fixed_mul(x, q, w)
+    raise RuntimeError("q-Pochhammer truncation failed to converge")
 
 
 def _triple_product_record(w, tau, prec: int, tol: float) -> CheckRecord:
+    """theta against -i q^(1/8) zeta^(-1/2) (q; q) (zeta; q) (q/zeta; q), the
+    three products in fixed point at 2^-W from starting values as in theta."""
     with working_precision(prec):
         w = mpc(w)
         tau = mpc(tau)
         target = mpf(2) ** (-prec // 2)
         lhs = theta(w, tau, target, prec)
-        q = exp(2j * pi * tau)
-        zeta = exp(2j * pi * w)
-        p1, r1 = _qpochhammer(q, q, target)
-        p2, r2 = _qpochhammer(zeta, q, target)
-        p3, r3 = _qpochhammer(q / zeta, q, target)
-        rhs = -1j * exp(pi * 1j * tau / 4) / sqrt(zeta) * p1 * p2 * p3
-        rel = r1 + r2 + r3 + mpf(2) ** (8 - mp.prec)
-        params = {"w": str(w), "tau": str(tau)}
-        return _agreement("triple-product", params, lhs, _mpc_wrap(rhs, abs(rhs) * rel), tol)
+        W = prec + _GUARD_BITS
+        with working_precision(W + 8):
+            size = 2 * pi * (abs(tau) + abs(w) + 1)
+            q = _fixed_exp(2j * pi * tau, size, W)
+            prod = _qpochhammer(q, q, target, W)
+            for a in (_fixed_exp(2j * pi * w, size, W), _fixed_exp(2j * pi * (tau - w), size, W)):
+                prod = _fixed_mul(prod, _qpochhammer(a, q, target, W), W)
+        pref = -1j * exp(pi * 1j * tau / 4) / sqrt(exp(2j * pi * w))
+        product = ErrComplex(_fixed_ball(prod[0], prod[2], W), _fixed_ball(prod[1], prod[2], W))
+        rhs = _mpc_wrap(pref, abs(pref) * mpf(2) ** (8 - mp.prec)) * product
+        return _agreement("triple-product", {"w": str(w), "tau": str(tau)}, lhs, rhs, tol)
 
 
 # (h, k, z, w) for the eta and theta transformation records; z and w are

@@ -61,7 +61,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if order is None:
             order = len(coeffs) - 1
         if order < 0:

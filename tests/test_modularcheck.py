@@ -9,17 +9,21 @@ everything else is checked by comparing two independently evaluated sides.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import exp, mpc, mpf, pi, sqrt
 
 from qsign import modularcheck
 from qsign.arithmetic import neg_inverse
 from qsign.modularcheck import (
     _MULTIPLIER_TUPLES,
+    _GUARD_BITS,
     _multiplier_records,
+    _qpochhammer,
     _theta_terms,
     eta,
     f_eval,
@@ -91,6 +95,124 @@ def test_theta_terms_cap():
             _theta_terms(mpc(0), mpc(0, "1e-6"), mpf(2) ** -PREC)
     with pytest.raises(RuntimeError):
         eta(mpc(0, "3e-7"), mpf(2) ** -PREC, PREC)
+
+
+def direct_theta(w, tau, target, prec):
+    """theta at 2 prec bits term by term, far past theta's own truncation,
+    with the sum of the term moduli over theta's 2M terms and the old
+    bound 2 tail + absum (2M+8) 2^(4-prec) on theta's radius."""
+    with working_precision(prec):
+        M, tail = _theta_terms(w, tau, target)
+        far, _ = _theta_terms(w, tau, target * mpf(2) ** -prec)
+    with working_precision(2 * prec):
+
+        def term(m):
+            return exp(pi * 1j * (tau * (2 * m + 1) ** 2 / mpf(4) + (2 * m + 1) * (w + mpf(1) / 2)))
+
+        total = sum(term(m) for m in range(-far, far))
+        absum = sum(abs(term(m)) for m in range(-M, M))
+        return total, 2 * tail + absum * (2 * M + 8) * mpf(2) ** (4 - prec)
+
+
+def assert_theta_encloses(w, tau, target, prec):
+    v = theta(w, tau, target, prec)
+    total, old_radius = direct_theta(w, tau, target, prec)
+    with working_precision(2 * prec):
+        assert abs(v.re.value - total.real) <= v.re.err, (w, tau, target)
+        assert abs(v.im.value - total.imag) <= v.im.err, (w, tau, target)
+        assert v.re.err <= old_radius and v.im.err <= old_radius, (w, tau, target)
+
+
+@pytest.fixture(scope="module")
+def suite_with_theta_calls():
+    """validation_suite's records and the arguments of its theta calls."""
+    calls = []
+    real = modularcheck.theta
+
+    def recording(w, tau, target_err, prec=PREC):
+        calls.append((mpc(w), mpc(tau), mpf(target_err), prec))
+        return real(w, tau, target_err, prec)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(modularcheck, "theta", recording)
+    try:
+        records = modularcheck.validation_suite(PREC)
+    finally:
+        mp.undo()
+    return records, calls
+
+
+def test_suite_record_mix(suite_with_theta_calls):
+    records, _ = suite_with_theta_calls
+    assert Counter(r.check for r in records) == {
+        "triple-product": 20,
+        "quasi-periodicity": 4,
+        "eta-transformation": 10,
+        "theta-transformation": 10,
+        "leading-asymptotic": 2,
+        "cusp-transformation": 11,
+        "series-agreement": 2,
+        "conjugation-symmetry": 2,
+        "growth-classification": 2,
+        "eta-at-i": 1,
+    }
+    assert len(records) == 64
+    assert all(r.passed for r in records)
+
+
+def test_theta_encloses_the_direct_sum_on_the_suite_calls(suite_with_theta_calls):
+    _, calls = suite_with_theta_calls
+    assert len(calls) == 133
+    for w, tau, target, prec in calls:
+        assert_theta_encloses(w, tau, target, prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-0.5, 0.5),
+    st.floats(math.log10(0.005), math.log10(5)),
+    st.floats(-0.5, 0.5),
+    st.floats(-1.5, 1.5),
+    st.integers(64, PREC + 32),
+    st.sampled_from([128, PREC]),
+)
+@example(0.0, 0.6875, 0.0, 1.5, 64, 128)  # growing terms with |q| ~ 2^-44
+def test_theta_encloses_the_direct_sum(tau_re, log_t, w_re, w_im_ratio, target_bits, prec):
+    # |Im w| up to 1.5 Im tau: the terms grow by up to e^(2.25 pi Im tau)
+    # before they decay; targets below 2^-prec leave theta's own error
+    # as the larger part of the radius. The example needs the guard's
+    # allowance for the relative error of a small q
+    t = mpf(10) ** log_t
+    with working_precision(prec):
+        tau = mpc(tau_re, t)
+        w = mpc(w_re, w_im_ratio * t)
+    assert_theta_encloses(w, tau, mpf(2) ** -target_bits, prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-0.5, 0.5),
+    st.floats(0.3, 2),
+    st.floats(-0.5, 0.5),
+    st.floats(-0.3, 0.3),
+    st.integers(64, PREC),
+)
+def test_qpochhammer_encloses_the_direct_product(tau_re, tau_im, w_re, w_im, target_bits):
+    # a = e^(2 pi i w) and q = e^(2 pi i tau) rounded to exact points of the
+    # 2^-W grid; the direct product at 2 PREC bits runs until a q^j < 2^-2PREC
+    W = PREC + _GUARD_BITS
+    with working_precision(2 * PREC):
+        a, q = (exp(2j * pi * mpc(x, y)) for x, y in ((w_re, w_im), (tau_re, tau_im)))
+        a_fix, q_fix = ((int(z.real * 2**W), int(z.imag * 2**W), 0) for z in (a, q))
+    with working_precision(PREC):
+        re, im, err = _qpochhammer(a_fix, q_fix, mpf(2) ** -target_bits, W)
+    with working_precision(2 * PREC):
+        a, q = (mpc(x, y) / 2**W for x, y, _ in (a_fix, q_fix))
+        direct = mpc(1)
+        while abs(a) > mpf(2) ** (-2 * PREC):
+            direct *= 1 - a
+            a *= q
+        assert abs(direct - mpc(re, im) / 2**W) <= mpf(err) / 2**W
 
 
 def test_triple_product_at_spec_point():
