@@ -20,8 +20,8 @@ from mpmath import exp, mpc, mpf, pi, sqrt
 from qsign import modularcheck
 from qsign.arithmetic import neg_inverse
 from qsign.modularcheck import (
-    _MULTIPLIER_TUPLES,
     _GUARD_BITS,
+    _MULTIPLIER_TUPLES,
     _multiplier_records,
     _qpochhammer,
     _theta_terms,
@@ -133,12 +133,9 @@ def suite_with_theta_calls():
         calls.append((mpc(w), mpc(tau), mpf(target_err), prec))
         return real(w, tau, target_err, prec)
 
-    mp = pytest.MonkeyPatch()
-    mp.setattr(modularcheck, "theta", recording)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modularcheck, "theta", recording)
         records = modularcheck.validation_suite(PREC)
-    finally:
-        mp.undo()
     return records, calls
 
 
