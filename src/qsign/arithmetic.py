@@ -10,8 +10,11 @@ costs two cos/sin evaluations and about modulus/2 integer products.
 
 A Kloosterman sum is real: the pair (-h, -h') is a term of it whenever
 (h, h') is, with the opposite exponent, and the table holds the entry at -e
-as the exact conjugate of the entry at e. So K_k(n, m) is summed over the
-pairs with 2h < k only, as twice their fixed-point cosines.
+as the exact conjugate of the entry at e. So K_q(n, m) is summed over the
+pairs with 2h < q only, as twice their fixed-point cosines. K_k of a k with
+two or more prime factors is the product of such sums over the prime
+powers q of k (twisted multiplicativity), each at 16 more bits, with the
+product's error bound formed exactly (_kloosterman_total).
 
 Everything here stays in fixed point up to the public return, which forms
 the one ball. Every bound checked here is the square root of an integer B,
@@ -52,22 +55,33 @@ __all__ = [
 ]
 
 
+def _factorization(n: int) -> tuple:
+    """The prime powers of n >= 1 as (p, e) pairs, by trial division; cached."""
+    factors = _FACTORS.get(n)
+    if factors is None:
+        found = []
+        rest, p = n, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                found.append((p, e))
+            p += 1 if p == 2 else 2
+        if rest > 1:
+            found.append((rest, 1))
+        factors = _FACTORS[n] = tuple(found)
+    return factors
+
+
 def divisor_count(n: int) -> int:
-    """Number of positive divisors, by trial-division factorization."""
+    """Number of positive divisors, from the prime factorization."""
     if n < 1:
         raise ValueError("divisor_count needs n >= 1")
     count = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            count *= e + 1
-        p += 1 if p == 2 else 2
-    if n > 1:
-        count *= 2
+    for _, e in _factorization(n):
+        count *= e + 1
     return count
 
 
@@ -152,16 +166,19 @@ def decompose(h: int, k: int) -> CuspData:
 # ---------------------------------------------------------------------------
 
 _GUARD_BITS = 8  # root tables carry mp.prec + _GUARD_BITS fractional bits
+_SPLIT_BITS = 16  # the factor tables of a split Kloosterman sum carry 16 more
 _ENTRY_ERR = 1  # each table part is within this many units of 2^-w (see _roots)
-_ROOT_TABLES: dict[tuple[int, int], list] = {}
+_ROOT_TABLES: dict[tuple[int, int], list] = {}  # per (modulus, prec)
 _INVERSE_PAIRS: dict[int, list] = {}
 _AKJ_TERMS: dict[tuple[int, int, int, int], list] = {}
+_FACTORS: dict[int, tuple] = {}
 
 
 def clear_caches() -> None:
     _ROOT_TABLES.clear()
     _INVERSE_PAIRS.clear()
     _AKJ_TERMS.clear()
+    _FACTORS.clear()
 
 
 def _fixed_powers(root: tuple[int, int], count: int, bits: int) -> list:
@@ -176,9 +193,10 @@ def _fixed_powers(root: tuple[int, int], count: int, bits: int) -> list:
     return powers
 
 
-def _roots(modulus: int) -> list:
+def _roots(modulus: int, prec: int | None = None) -> list:
     """Fixed-point table of e^(2*pi*i*t/modulus): (c_t, s_t) with c_t, s_t
-    within _ENTRY_ERR = 1 of 2^w cos and 2^w sin, w = mp.prec + _GUARD_BITS.
+    within _ENTRY_ERR = 1 of 2^w cos and 2^w sin, w = prec + _GUARD_BITS,
+    prec = mp.prec unless given.
 
     Baby-step/giant-step: with M = modulus, B = isqrt(M // 2) + 1 and
     W = w + 2 bitlen(B) + 6, the only evaluations are Z = ζ_M and Y = ζ_M^B
@@ -202,10 +220,11 @@ def _roots(modulus: int) -> list:
 
     Only t <= M/2 is evaluated; entry M - t is (c_t, -s_t), which keeps
     the same bound."""
-    key = (modulus, mp.prec)
+    prec = mp.prec if prec is None else prec
+    key = (modulus, prec)
     table = _ROOT_TABLES.get(key)
     if table is None:
-        w = mp.prec + _GUARD_BITS
+        w = prec + _GUARD_BITS
         size = modulus // 2 + 1
         step = isqrt(modulus // 2) + 1
         bits = w + 2 * step.bit_length() + 6
@@ -225,18 +244,17 @@ def _roots(modulus: int) -> list:
     return table
 
 
-def _fixed_sum(re: int, im: int, count: int) -> ErrComplex:
-    """The ball of fixed-point totals re, im at 2^-w over count table entries:
-    each part rounded once to mp.prec, with count * 2^-w for the entries."""
+def _fixed_sum(re: int, im: int, err: int) -> ErrComplex:
+    """The ball of fixed-point totals re, im at 2^-w, each part within err
+    units of the truth: each part rounded once to mp.prec, with err 2^-w."""
     w = mp.prec + _GUARD_BITS
-    err = count * _ENTRY_ERR
     return ErrComplex(_fixed_ball(re, err, w), _fixed_ball(im, err, w))
 
 
 def _root_sum(modulus: int, exponents) -> tuple[int, int, int]:
     """Sum of ζ_modulus^e over e in exponents as exact fixed-point totals:
-    (re, im, count), the table integers at 2^-w added exactly over count
-    entries, so each part is within count * _ENTRY_ERR units of the truth."""
+    (re, im, err), the table integers at 2^-w added exactly, so each part is
+    within err = count * _ENTRY_ERR units of the truth over count entries."""
     table = _roots(modulus)
     re = im = count = 0
     for e in exponents:
@@ -244,7 +262,7 @@ def _root_sum(modulus: int, exponents) -> tuple[int, int, int]:
         re += c
         im += s
         count += 1
-    return re, im, count
+    return re, im, count * _ENTRY_ERR
 
 
 def _inverse_pairs(modulus: int) -> list:
@@ -264,35 +282,66 @@ def _inverse_pairs(modulus: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
-    """K_k(n, m) over h coprime to k with h h' == -1 (mod k), at the ambient
-    precision: (total, count), a real fixed-point total over count entries.
+def _half_pair_total(q: int, n: int, m: int, prec: int) -> tuple[int, int]:
+    """K_q(n, m) over h coprime to q with h h' == -1 (mod q), from the root
+    table of precision prec: (total, err), a real total at 2^-w within err
+    units of 2^w K_q(n, m), w = prec + _GUARD_BITS.
 
     The term of (-h, -h') is the conjugate of the term of (h, h'), and so
     are their table entries, exactly: the sum is twice the cosine total over
-    2h < k, with imaginary part 0. For k <= 2 the one term is self-paired
-    and counted once. The count charges all phi(k) entries."""
+    2h < q, with imaginary part 0. For q <= 2 the one term is self-paired
+    and counted once. The error charges all phi(q) entries."""
+    pairs = _inverse_pairs(q)
+    table = _roots(q, prec)
+    re = sum(table[(n * h + m * hp) % q][0] for h, hp in pairs)
+    return (re, _ENTRY_ERR) if q <= 2 else (2 * re, 2 * len(pairs) * _ENTRY_ERR)
+
+
+def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
+    """K_k(n, m) over h coprime to k with h h' == -1 (mod k), at the ambient
+    precision: (total, err), a real total at 2^-w within err units of the
+    truth, w = mp.prec + _GUARD_BITS.
+
+    A prime power or k <= 2 is _half_pair_total's sum at w, err = phi(k).
+    Any other k splits by twisted multiplicativity over its prime powers q,
+    with r = k/q and r r' == 1 (mod q): K_k(n, m) = prod_q K_q(n r', m r').
+    Each factor is a total T_q at 2^-W, W = w + _SPLIT_BITS, within c_q =
+    phi(q) units; their product P at 2^-(sW), s factors, is within
+    E = prod(|T_q| + c_q) - prod |T_q| units of 2^(sW) K, and P rounded to
+    nearest at 2^-w is within err = ceil(1/2 + E 2^(w-sW)) units. With
+    |T_q| <= (2^W + 1) phi(q), E <= s phi(k) (2^W + 2)^(s-1), and so
+    E 2^(w-sW) <= s phi(k) 2^-16 (1 + 2^(1-W))^(s-1) < phi(k) - 1/2 as
+    phi(k) >= 2: err never exceeds the phi(k) of the unsplit sum."""
     if k < 1:
         raise ValueError("k must be positive")
-    pairs = _inverse_pairs(k)
-    table = _roots(k)
-    re = sum(table[(n * h + m * hp) % k][0] for h, hp in pairs)
-    return (re, 1) if k <= 2 else (2 * re, 2 * len(pairs))
+    factors = _factorization(k)
+    if len(factors) < 2:
+        return _half_pair_total(k, n, m, mp.prec)
+    product = bound = 1
+    for p, e in factors:
+        q = p**e
+        r_inv = pow(k // q, -1, q)
+        total, err = _half_pair_total(q, n * r_inv % q, m * r_inv % q, mp.prec + _SPLIT_BITS)
+        product *= total
+        bound *= abs(total) + err
+    w = mp.prec + _GUARD_BITS
+    shift = len(factors) * (w + _SPLIT_BITS) - w
+    half = 1 << (shift - 1)
+    return (product + half) >> shift, ((bound - abs(product) + half - 1) >> shift) + 1
 
 
 def kloosterman(k: int, n: int, m: int, prec: int = 128) -> ErrComplex:
     """K_k(n, m), the ball of _kloosterman_total with imaginary part 0."""
     with working_precision(prec):
-        total, count = _kloosterman_total(k, n, m)
-        return _fixed_sum(total, 0, count)
+        total, err = _kloosterman_total(k, n, m)
+        return _fixed_sum(total, 0, err)
 
 
-def _exceeds(re: int, im: int, count: int, square: int) -> bool:
-    """Whether totals re, im at 2^-w, each part within c = count * _ENTRY_ERR
-    units of the truth, place it beyond sqrt(square): whether the box's point
-    nearest 0, ((|re| - c)+, (|im| - c)+), is, decided in integers."""
-    c = count * _ENTRY_ERR
-    x, y = max(abs(re) - c, 0), max(abs(im) - c, 0)
+def _exceeds(re: int, im: int, err: int, square: int) -> bool:
+    """Whether totals re, im at 2^-w, each part within err units of the
+    truth, place it beyond sqrt(square): whether the box's point nearest 0,
+    ((|re| - err)+, (|im| - err)+), is, decided in integers."""
+    x, y = max(abs(re) - err, 0), max(abs(im) - err, 0)
     return x * x + y * y > square << 2 * (mp.prec + _GUARD_BITS)
 
 
@@ -308,8 +357,8 @@ def weil_bound_check(k: int, n: int, m: int, prec: int = 128) -> bool:
     only when every value the totals admit exceeds the bound (_exceeds).
     """
     with working_precision(prec):
-        total, count = _kloosterman_total(k, n, m)
-        return not _exceeds(total, 0, count, _weil_square(k, n, m))
+        total, err = _kloosterman_total(k, n, m)
+        return not _exceeds(total, 0, err, _weil_square(k, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +454,17 @@ def _fifth_root_sum(t: int, modulus: int, first: int, step: int, second: int) ->
     ambient precision: each real Kloosterman total T times the table entry
     (a, b) of ζ_5^(t l), summed exactly at 2^-2w and rounded once per part.
 
-    With T within count units and a, b within E = _ENTRY_ERR, the product
-    a T is within |T| E + (|a| + E) count E units of 2^2w times the truth,
-    and so is b T with |b|."""
+    With T within c units and a, b within E = _ENTRY_ERR, the product a T is
+    within |a| c + (|T| + c) E units of 2^2w times the truth, and so is b T
+    with |b|."""
     roots = _roots(5)
     re = im = re_err = im_err = 0
     for ell in range(5):
-        total, count = _kloosterman_total(modulus, first + ell * step, second)
+        total, err = _kloosterman_total(modulus, first + ell * step, second)
         a, b = roots[t * ell % 5]
         re, im = re + a * total, im + b * total
-        re_err += (abs(total) + (abs(a) + _ENTRY_ERR) * count) * _ENTRY_ERR
-        im_err += (abs(total) + (abs(b) + _ENTRY_ERR) * count) * _ENTRY_ERR
+        re_err += abs(a) * err + (abs(total) + err) * _ENTRY_ERR
+        im_err += abs(b) * err + (abs(total) + err) * _ENTRY_ERR
     w2 = 2 * (mp.prec + _GUARD_BITS)
     return ErrComplex(_fixed_ball(re, re_err, w2), _fixed_ball(im, im_err, w2))
 
@@ -463,12 +512,12 @@ def a_kj_reduced_d10_abs(
 
 
 def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int, int]:
-    """The twist of the exact formula as _root_sum's totals (re, im, count):
+    """The twist of the exact formula as _root_sum's totals (re, im, err):
     A_k(n) = A_{k,3}(n) + A_{k,-3}(n), or, when twisted, the reciprocal's
     cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n))."""
     js, m = ((1, -1), -n) if twisted else ((3, -3), n)
-    (re1, im1, c1), (re2, im2, c2) = (_akj_totals(k, j, m) for j in js)
-    return re1 + re2, -(im1 + im2) if twisted else im1 + im2, c1 + c2
+    (re1, im1, e1), (re2, im2, e2) = (_akj_totals(k, j, m) for j in js)
+    return re1 + re2, -(im1 + im2) if twisted else im1 + im2, e1 + e2
 
 
 def a_k(k: int, n: int, prec: int = 128) -> ErrComplex:

@@ -25,7 +25,7 @@ from math import gcd, isqrt
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_pi, to_fixed
 
-from .arithmetic import _ENTRY_ERR, _GUARD_BITS, _twist_totals, divisor_count
+from .arithmetic import _GUARD_BITS, _twist_totals, divisor_count
 from .numerics import (
     ErrComplex,
     ErrReal,
@@ -108,8 +108,8 @@ def _term_plan(delta: int, n: int, prec: int):
       |2^w I1(x_k) - s| <= bound + x_err 2^t =: i1_err.
     * f = floor(pre s / (k 2^u)) is 2^w (prefix / k) I1(x_k) within
       f_err = floor((pre i1_err + s pre_err + pre_err i1_err) / (k 2^u)) + 2.
-    * The twist's totals (re, im) at 2^-w are each within c = count units
-      (_root_sum). The summand's part re f is then within
+    * The twist's totals (re, im) at 2^-w are each within c units, one per
+      table entry (_root_sum). The summand's part re f is then within
       |re| f_err + c f + c f_err units of 2^2w times the truth, and so is
       im f with |im|.
     The twist is A_k(n) for delta = 1 and cal A_k(n) for delta = -1, the
@@ -160,8 +160,8 @@ def _term_plan(delta: int, n: int, prec: int):
         i1_err = bound + (x_err << t)
         f = pre * s // (k << u)
         f_err = (pre * i1_err + s * pre_err + pre_err * i1_err) // (k << u) + 2
-        re, im, count = _twist_totals(k, n, delta == -1)
-        spread = count * _ENTRY_ERR * (f + f_err)
+        re, im, c = _twist_totals(k, n, delta == -1)
+        spread = c * (f + f_err)
         return re * f, im * f, abs(re) * f_err + spread, abs(im) * f_err + spread
 
     return w, term
@@ -187,6 +187,9 @@ _DIVISOR_PARTIALS: dict[int, list[ErrReal]] = {}
 # per (K // 5, prec), the finished bound of tail_bound_op, which depends on
 # nothing else: its second cutoff is K // 10 = (K // 5) // 2
 _TAIL_BOUNDS: dict[tuple[int, int], mpf] = {}
+# at least 2^128 pi: mpf_pi at 138 bits is within 2^-136 of pi, and the
+# floor to 128 fractional bits loses less than one unit
+_PI_UP = to_fixed(mpf_pi(138), 128) + 2
 
 
 def _zeta_target(prec: int) -> mpf:
@@ -215,15 +218,15 @@ def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
     and the divisor Dirichlet series: the two reindexed families k = 5k'
     and k = 10k' contribute (32 pi^2/125) R(K//5) and
     (108 sqrt6 pi^2/125) R(K//10) with R the divisor tail. Valid once every
-    omitted Bessel argument is below 1, i.e. K >= (4 pi/5) sqrt(3 nn).
+    omitted Bessel argument is below 1, i.e. K >= (4 pi/5) sqrt(3 nn):
+    25 K^2 >= 48 nn pi^2, decided in integers with _PI_UP for pi.
     """
     nn = _validate_n(delta, n)
+    if K < 1 or (25 * K * K << 256) < 48 * nn * _PI_UP * _PI_UP:
+        raise ValueError(
+            f"cutoff K={K} below the validity threshold ~{4 * math.pi / 5 * math.sqrt(3 * nn):.6g}"
+        )
     with working_precision(prec):
-        threshold = pi_err() * 4 / 5 * ErrReal(3 * nn).sqrt()
-        if mpf(K) < threshold.hi:
-            raise ValueError(
-                f"cutoff K={K} below the validity threshold ~{mp.nstr(threshold.value, 6)}"
-            )
         key = (K // 5, prec)
         bound = _TAIL_BOUNDS.get(key)
         if bound is None:

@@ -9,11 +9,12 @@ Hand-derived expectations:
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from qsign import arithmetic
@@ -160,17 +161,112 @@ def _parts(v):
     return (v.re._v, v.re._e, v.im._v, v.im._e)
 
 
+def _check_against_full_pairs(k, n, m, prec):
+    got, ref = kloosterman(k, n, m, prec), _full_pair_kloosterman(k, n, m, prec)
+    if len(_prime_powers(k)) < 2:
+        # prime powers and k <= 2: midpoints and radii of both parts, bit for bit
+        assert _parts(got) == _parts(ref), (k, n, m)
+        return
+    # split over the prime powers: each part's ball meets the reference
+    # ball, which holds the true value, and is no wider than it
+    for part, ref_part in ((got.re, ref.re), (got.im, ref.im)):
+        with mpmath.workprec(512):
+            assert abs(part.value - ref_part.value) <= part.err + ref_part.err, (k, n, m)
+        assert part.err <= ref_part.err, (k, n, m)
+
+
 @pytest.mark.parametrize("prec", [64, 128, 256])
 def test_half_pair_kloosterman_is_the_full_pair_sum(prec):
-    # midpoints and radii of both parts, bit for bit
     pairs = ((0, 0), (1, 3), (0, -7), (-4, 9), (11, 0), (-2, -5))
     for k in range(1, 61):
         for n, m in pairs:
-            assert _parts(kloosterman(k, n, m, prec)) == _parts(_full_pair_kloosterman(k, n, m, prec)), (k, n, m)
+            _check_against_full_pairs(k, n, m, prec)
     # the reduced forms' moduli 5k and 10k, every 7th grid modulus up to 2000
     for k in range(65, 2001, 35):
         for n, m in pairs[:4]:
-            assert _parts(kloosterman(k, n, m, prec)) == _parts(_full_pair_kloosterman(k, n, m, prec)), (k, n, m)
+            _check_against_full_pairs(k, n, m, prec)
+
+
+def _direct_kloosterman(k, n, m):
+    """K_k(n, m) term by term at 512 bits: each e^(2 pi i t/k) a power of
+    one 600-bit root, within k 2^-590 of the truth."""
+    counts = Counter((n * h + m * ((-pow(h, -1, k)) % k)) % k for h in range(k) if math.gcd(h, k) == 1)
+    with mpmath.workprec(600):
+        root, power, total = mpmath.expjpi(mpf(2) / k), mpmath.mpc(1), mpf(0)
+        for t in range(k):
+            total += counts[t] * power.real
+            power *= root
+    return total
+
+
+def _prime_powers(k):
+    """The prime-power factors of k, by trial division."""
+    found, p = [], 2
+    while p * p <= k:
+        q = 1
+        while k % p == 0:
+            k //= p
+            q *= p
+        if q > 1:
+            found.append(q)
+        p += 1
+    return found + [k] if k > 1 else found
+
+
+# composite k <= 5000 with 2 to 5 distinct prime factors
+_SPLIT_MODULI = [k for k in range(6, 5001) if 2 <= len(_prime_powers(k)) <= 5]
+
+
+@st.composite
+def _split_arguments(draw):
+    """(k, n, m): free arguments of either sign, or degenerate ones: n = m
+    = 0, or n == m == 0 modulo one prime-power factor of k."""
+    k = draw(st.sampled_from(_SPLIT_MODULI))
+    n, m = (draw(st.integers(-(10**6), 10**6)) for _ in range(2))
+    mode = draw(st.sampled_from(["free", "zero", "factor"]))
+    if mode == "zero":
+        n = m = 0
+    elif mode == "factor":
+        q = draw(st.sampled_from(_prime_powers(k)))
+        n, m = n * q, m * q
+    return k, n, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(args=_split_arguments(), prec=st.sampled_from([64, 128, 256]))
+@example(args=(210, 0, 0), prec=128)
+@example(args=(1700, 3, -5), prec=128)
+@example(args=(1700, 0, 17 * 11), prec=64)
+@example(args=(2310, -7, 12), prec=256)
+@example(args=(4850, 97 * 3, 97 * -8), prec=128)
+def test_split_kloosterman_encloses_the_direct_sum(args, prec):
+    # the product over the prime powers of k holds the 512-bit direct sum,
+    # and its radius is at most phi(k) 2^-w, the unsplit sum's charge, plus
+    # the rounding of the midpoint to prec bits (and of the radius, up)
+    k, n, m = args
+    got = kloosterman(k, n, m, prec)
+    unit = mpf(2) ** -(prec + arithmetic._GUARD_BITS)
+    with mpmath.workprec(600):
+        true = _direct_kloosterman(k, n, m)
+        assert abs(got.re.value - true) <= got.re.err, args
+        assert got.im.value == 0
+        limit = (phi(k) * unit + abs(got.re.value) * mpf(2) ** -prec) * (1 + mpf(2) ** (1 - prec))
+        assert got.re.err <= limit, args
+
+
+def test_split_error_bound_covers_the_worst_tables(monkeypatch):
+    # every table entry pushed d - 1 units up, within an entry error of d
+    # units: at n = m = 0 every factor total of K_k = phi(k) moves by nearly
+    # its whole charge, in one direction, so the product moves by nearly
+    # the whole product bound, about 16 phi(k) units of 2^-w
+    d = 1 << 20
+    roots = arithmetic._roots
+    monkeypatch.setattr(arithmetic, "_ENTRY_ERR", d)
+    monkeypatch.setattr(arithmetic, "_roots", lambda q, prec=None: [(c + d - 1, s) for c, s in roots(q, prec)])
+    for k in (6, 210, 1700, 2310, 4620):
+        with working_precision(128):
+            total, err = arithmetic._kloosterman_total(k, 0, 0)
+        assert abs(total - (phi(k) << 128 + arithmetic._GUARD_BITS)) <= err, k
 
 
 def test_root_table_entry_at_minus_t_is_the_exact_conjugate():

@@ -311,6 +311,33 @@ def test_tail_bound_validity_threshold():
     assert tail_bound_op(1, 10, 32) > 0
 
 
+def test_tail_bound_validity_test_is_the_ball_test_on_either_side_of_the_threshold():
+    # for every n <= 20000 of both signs: K = ceil(t) passes and K = ceil(t)
+    # - 1 raises, t = (4 pi/5) sqrt(3 nn) at 256 bits, and t is far enough
+    # from an integer for any 128-bit test to decide the same; on every
+    # 25th n, the 128-bit ball test K < hi of pi_err() 4/5 sqrt(3 nn)
+    # rejects exactly the same one of the two cutoffs
+    from qsign.exactformula import _PI_UP
+    from qsign.numerics import pi_err
+
+    with mpmath.workprec(300):
+        assert 0 <= _PI_UP - mpmath.pi * 2**128 < 3
+    for delta, first in ((1, 1), (-1, 2)):
+        for n in range(first, 20001):
+            nn = shifted_index(delta, n)
+            with mpmath.workprec(256):
+                t = 4 * mpmath.pi / 5 * mpmath.sqrt(3 * nn)
+                top = int(mpmath.ceil(t))
+                assert min(top - t, t - (top - 1)) > mpf(2) ** -100, (delta, n)
+            assert tail_bound_op(delta, n, top) > 0
+            with pytest.raises(ValueError):
+                tail_bound_op(delta, n, top - 1)
+            if n % 25 == 0:
+                with working_precision(128):
+                    hi = (pi_err() * 4 / 5 * ErrReal(3 * nn).sqrt()).hi
+                assert [mpf(K) < hi for K in (top - 1, top)] == [True, False], (delta, n)
+
+
 def test_tail_bound_decreases_and_vanishes():
     n = 30
     k0 = default_k_max(1, n)
