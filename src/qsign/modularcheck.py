@@ -9,15 +9,15 @@ exact 24k-th root of unity, so the theta transformation's rational phases
 fold into one ``ErrComplex.unit_root``; the eta transformation checks it
 numerically, one record per theta-transformation tuple.
 
-theta and the triple product's q-Pochhammer side run in fixed point: each
-term or factor is an exact complex integer at 2^-W, stepped by a ratio
-recurrence (_fixed_mul), with an integer error bound carried beside it;
-mpmath's exp supplies only their starting values, charged by a stated
-trust (_fixed_exp). Both add rigorous truncation tails. The phases and
-prefactors of the other checks are still mpmath values with an ulp pad
-(_mpc_wrap). The default working precision (256 bits) leaves many orders
-of magnitude between numerical noise (~1e-70) and the 1e-15 comparison
-tolerances.
+One error model covers every ball: a fixed-point complex value, an
+exact complex integer at 2^-W with an integer error bound carried beside
+it. theta and the triple product's q-Pochhammer side step such values by
+a ratio recurrence (_fixed_mul) and add rigorous truncation tails. Every
+non-rational exponential, the starting values and all the phases and
+prefactors alike, is mpmath's exp charged by one stated trust
+(_fixed_exp); rational-angle roots are ErrComplex.unit_root. The default
+working precision (256 bits) leaves many orders of magnitude between
+numerical noise (~1e-70) and the 1e-15 comparison tolerances.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from mpmath import ceil, exp, floor, gamma, log, mp, mpc, mpf, pi, sqrt
+from mpmath import ceil, exp, floor, log, loggamma, mp, mpc, mpf, pi
 from mpmath.libmp import to_fixed
 
-from .arithmetic import decompose, neg_inverse
-from .numerics import ErrComplex, ErrReal, _fixed_ball, working_precision
+from .arithmetic import _GUARD_BITS, decompose, neg_inverse
+from .numerics import ErrComplex, _fixed_ball, working_precision
 from .qseries import q10_series_product
 
 __all__ = [
@@ -46,16 +46,10 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 256
-_GUARD_BITS = 8  # fixed-point bits beyond prec, as in arithmetic._roots
 
 
 class PoleError(ArithmeticError):
     """A denominator is numerically indistinguishable from zero."""
-
-
-def _mpc_wrap(z: mpc, err: mpf) -> ErrComplex:
-    """z with the same radius err on both parts."""
-    return ErrComplex(ErrReal(z.real, err), ErrReal(z.imag, err))
 
 
 def _theta_terms(w: mpc, tau: mpc, target: mpf):
@@ -70,7 +64,7 @@ def _theta_terms(w: mpc, tau: mpc, target: mpf):
     """
     t = tau.imag
     beta = abs(w.imag)
-    quad = (beta + sqrt(beta * beta + t * max(log(4 / target), 0) / pi)) / t
+    quad = (beta + (beta * beta + t * max(log(4 / target), 0) / pi) ** 0.5) / t
     lin = ((log(2) / pi + 2 * beta) / t - 1) / 2
     M = max(1, int(floor(max(quad, lin) - mpf(1) / 2)) + 1)
     if M > 10_000:
@@ -90,6 +84,8 @@ def _fixed_exp(x: mpc, size, w: int) -> tuple[int, int, int]:
     within a few ulp of its own argument's value. The value z is therefore
     within |z| (size + 2) 2^(4-p) of the truth, which is at most
     |z| 2^w (size + 2) / 16 units, and the two floors add less than 2."""
+    if mp.prec < w + 8:
+        raise ValueError("_fixed_exp needs an ambient precision of at least w + 8 bits")
     z = exp(x)
     re, im = to_fixed(z.real._mpf_, w), to_fixed(z.imag._mpf_, w)
     norm = isqrt(re * re + im * im) + 1
@@ -109,6 +105,23 @@ def _fixed_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tupl
     na = isqrt(ar * ar + ai * ai) + 1
     nb = isqrt(br * br + bi * bi) + 1
     return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w, 2 - ((-(ea * nb + (na + ea) * eb)) >> w)
+
+
+def _fixed_complex(z: tuple[int, int, int], w: int) -> ErrComplex:
+    """The ball of a fixed-point complex value (re, im, err) at 2^-w."""
+    return ErrComplex(_fixed_ball(z[0], z[2], w), _fixed_ball(z[1], z[2], w))
+
+
+def _exp_ball(x, size) -> ErrComplex:
+    """e^x() as a ball at the ambient precision prec: the zero-argument
+    callable x is formed, and exponentiated by _fixed_exp, at W + 8 bits
+    with W = prec + _GUARD_BITS; size bounds the moduli of the values x()
+    is formed from, as in _fixed_exp. Forming x at prec instead would
+    charge about |e^x| (size + 3) 2^(4-prec)."""
+    W = mp.prec + _GUARD_BITS
+    with working_precision(W + 8):
+        z = _fixed_exp(x(), size, W)
+    return _fixed_complex(z, W)
 
 
 def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
@@ -133,11 +146,10 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
       grow (|R_0| > 1), the min(log2 |R_0|, -log2 |q|) bits of q's
       relative error that R_m carries m times into terms near the
       largest. The radius then stays below 2 tail plus the sum of the
-      moduli times (2M+8) 2^(4-prec), the pad of a sum of separately
-      rounded mpmath exps.
+      moduli times (2M+8) 2^(4-prec).
 
-    Each part is then one _fixed_ball of its total with the summed bounds
-    plus twice the tail."""
+    The total, with the summed bounds plus twice the tail, is then one
+    _fixed_complex ball."""
     target = mpf(target_err)
     if not target > 0:
         raise ValueError("target_err must be positive")
@@ -165,8 +177,7 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
                     err += term[2]
                     term = _fixed_mul(term, r, W)
                     r = _fixed_mul(r, q, W)
-        err += to_fixed(tail._mpf_, W + 1) + 1
-        return ErrComplex(_fixed_ball(re, err, W), _fixed_ball(im, err, W))
+        return _fixed_complex((re, im, err + to_fixed(tail._mpf_, W + 1) + 1), W)
 
 
 def eta(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
@@ -176,15 +187,15 @@ def eta(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
     pi i [3 tau n^2 + 2 tau n + n] = pi i [tau (3m^2 - m) - tau/4 + m - 1/2],
     so theta(tau; 3 tau) = -i e^(-pi i tau/4) sum_m (-1)^m q^(m(3m-1)/2).
     Euler's pentagonal theorem gives eta = e^(pi i tau/12) times the same
-    sum. The phase i e^(pi i tau/3) is entire, so no branch is chosen, and
-    its modulus e^(-pi Im(tau)/3) is at most 1, so theta's target carries
-    through unchanged."""
+    sum. The phase i e^(pi i tau/3) = e^(pi i (tau/3 + 1/2)) is entire, so no
+    branch is chosen, and its modulus e^(-pi Im(tau)/3) is at most 1, so
+    theta's target carries through unchanged."""
     with working_precision(prec):
         tau = mpc(tau)
         if not tau.imag > 0:
             raise ValueError("tau must lie in the upper half-plane")
-        phase = 1j * exp(pi * 1j * tau / 3)
-        return _mpc_wrap(phase, abs(phase) * mpf(2) ** (4 - mp.prec)) * theta(tau, 3 * tau, target_err, prec)
+        phase = _exp_ball(lambda: pi * 1j * (tau / 3 + mpf(1) / 2), pi * (abs(tau) + 1))
+        return phase * theta(tau, 3 * tau, target_err, prec)
 
 
 def omega_hk(h: int, k: int) -> int:
@@ -254,10 +265,9 @@ def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int = 
         root_phase = ErrComplex.unit_root(3 * cusp.mu2 - cusp.nu2, 10 * k)
         # e^(2 pi i d^2 (nu1^2 - mu1^2) h' / (20 k)): rational multiple of 2 pi
         quad = ErrComplex.unit_root(d * d * (cusp.nu1**2 - cusp.mu1**2) * hp, 20 * k)
-        ulp = mpf(2) ** (6 - mp.prec)
-        grow = exp(pi * (cusp.mu2**2 - cusp.nu2**2) / (10 * k * z))
-        decay = exp(-4 * pi * z / (5 * k))
-        analytic = _mpc_wrap(grow, abs(grow) * ulp) * _mpc_wrap(decay, abs(decay) * ulp)
+        # growth e^(pi (mu2^2 - nu2^2) / (10 k z)) times decay e^(-4 pi z / (5 k))
+        c = cusp.mu2**2 - cusp.nu2**2
+        analytic = _exp_ball(lambda: pi * (c / (10 * k * z) - 4 * z / (5 * k)), pi * (abs(c) / abs(z) + abs(z) + 1))
 
         tau2 = mpf(d * d) / (10 * k) * (hp + 1j / z)
         w_num = 1j * cusp.nu2 * d / (10 * k * z) - mpf(cusp.nu1 * d * d * hp) / (10 * k) - mpf(d) / (10 * k)
@@ -370,9 +380,9 @@ def _triple_product_record(w, tau, prec: int, tol: float) -> CheckRecord:
             prod = _qpochhammer(q, q, target, W)
             for a in (_fixed_exp(2j * pi * w, size, W), _fixed_exp(2j * pi * (tau - w), size, W)):
                 prod = _fixed_mul(prod, _qpochhammer(a, q, target, W), W)
-        pref = -1j * exp(pi * 1j * tau / 4) / sqrt(exp(2j * pi * w))
-        product = ErrComplex(_fixed_ball(prod[0], prod[2], W), _fixed_ball(prod[1], prod[2], W))
-        rhs = _mpc_wrap(pref, abs(pref) * mpf(2) ** (8 - mp.prec)) * product
+        # -i q^(1/8) zeta^(-1/2), the principal root e^(-log(zeta)/2) for any w
+        pref = _exp_ball(lambda: pi * 1j * (tau / 4 - mpf(1) / 2) - log(exp(2j * pi * w)) / 2, size)
+        rhs = pref * _fixed_complex(prod, W)
         return _agreement("triple-product", {"w": str(w), "tau": str(tau)}, lhs, rhs, tol)
 
 
@@ -405,12 +415,8 @@ def _multiplier_records(h: int, k: int, z, w, prec: int, tol) -> list[CheckRecor
         params = {"h": h, "k": k, "z": str(z)}
         # eta((h+iz)/k) = e^(pi i (h-h')/12k) omega^-1 z^(-1/2) eta((h'+i/z)/k)
         lhs = eta((h + 1j * z) / k, target / 4, prec)
-        root = 1 / sqrt(z)
-        rhs = (
-            ErrComplex.unit_root(h - hp - 2 * D, 24 * k)
-            * _mpc_wrap(root, abs(root) * mpf(2) ** (4 - mp.prec))
-            * eta((hp + 1j / z) / k, target / 4, prec)
-        )
+        root = _exp_ball(lambda: -log(z) / 2, abs(log(z)) + 1)  # z^(-1/2)
+        rhs = ErrComplex.unit_root(h - hp - 2 * D, 24 * k) * root * eta((hp + 1j / z) / k, target / 4, prec)
         eta_record = _agreement("eta-transformation", params, lhs, rhs, tol)
 
         # e^(pi i (h-h')/4k) e^(-3 pi i/4) omega^-3 as one 24k-th root. The
@@ -418,10 +424,12 @@ def _multiplier_records(h: int, k: int, z, w, prec: int, tol) -> list[CheckRecor
         # with principal branches (the conjugate constant fails by a
         # factor i; it cancels in theta quotients either way)
         lhs = theta(w, (h + 1j * z) / k, target, prec)
-        pref = sqrt(1j / z) * exp(-pi * k * w * w / z)
+        # sqrt(i/z) e^(-pi k w^2/z), principal branch
+        size = abs(log(1j / z)) + 2 * pi * k * abs(w * w / z) + 1  # pi k w^2 / z takes five roundings
+        pref = _exp_ball(lambda: log(1j / z) / 2 - pi * k * w * w / z, size)
         rhs = (
             ErrComplex.unit_root(3 * (h - hp - 3 * k) - 6 * D, 24 * k)
-            * _mpc_wrap(pref, abs(pref) * mpf(2) ** (6 - mp.prec))
+            * pref
             * theta(1j * w / z, (hp + 1j / z) / k, target, prec)
         )
         theta_record = _agreement("theta-transformation", {**params, "w": str(w)}, lhs, rhs, tol)
@@ -455,11 +463,9 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
             w = mpc("0.23", "0.11")
             tau = mpc("0.13", "0.83")
             lhs = theta(w + lam * tau + mu, tau, target, prec)
-            q = exp(2j * pi * tau)
-            zeta = exp(2j * pi * w)
-            base = theta(w, tau, target, prec)
-            fac = (-1) ** (lam + mu) * q ** (-mpf(lam * lam) / 2) * zeta ** (-lam)
-            rhs = _mpc_wrap(fac, abs(fac) * mpf(2) ** (6 - mp.prec)) * base
+            size = pi * (lam + mu + lam * lam * abs(tau) + 2 * lam * abs(w) + 1)
+            fac = _exp_ball(lambda: pi * 1j * (lam + mu - lam * lam * tau - 2 * lam * w), size)
+            rhs = fac * theta(w, tau, target, prec)
             records.append(_agreement("quasi-periodicity", {"lambda": lam, "mu": mu}, lhs, rhs, tol))
 
     # eta and theta transformations with the closed-form multiplier
@@ -552,8 +558,8 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
 
     # a closed-form value of eta, where a constant factor cannot cancel
     with working_precision(prec):
-        ref = gamma(mpf(1) / 4) / (2 * pi ** (mpf(3) / 4))
         lhs = eta(mpc(0, 1), mpf(2) ** (-prec // 2), prec)
-        rhs = _mpc_wrap(mpc(ref), ref * mpf(2) ** (4 - mp.prec))
+        # Gamma(1/4) / (2 pi^(3/4)); each value the exponent is formed from is below 4
+        rhs = _exp_ball(lambda: loggamma(mpf(1) / 4) - log(2) - 3 * log(pi) / 4, 4)
         records.append(_agreement("eta-at-i", {"tau": str(mpc(0, 1))}, lhs, rhs, tol))
     return records

@@ -401,7 +401,7 @@ def run_exact_oracle(
 @dataclass
 class PipelineConfig:
     deltas: tuple = (1, -1)
-    n_max: dict | None = None  # per-delta; defaults below
+    n_max: dict | None = None  # per-delta; each defaults to PAPER_THRESHOLD[delta] - 1
     sweep_k_max: int = 500
     identity_k_max: int = 200
     sweep_n_samples: int = 20
@@ -410,10 +410,7 @@ class PipelineConfig:
     output_dir: str | Path = "qsign_artifacts"
 
     def resolved_n_max(self, delta: int) -> int:
-        defaults = {1: 2928, -1: 2233}
-        if self.n_max is None:
-            return defaults[delta]
-        return self.n_max.get(delta, defaults[delta])
+        return (self.n_max or {}).get(delta, PAPER_THRESHOLD[delta] - 1)
 
     def validate(self) -> None:
         if self.precision_bits < 64:

@@ -22,9 +22,12 @@ from qsign.arithmetic import neg_inverse
 from qsign.modularcheck import (
     _GUARD_BITS,
     _MULTIPLIER_TUPLES,
+    _exp_ball,
+    _fixed_exp,
     _multiplier_records,
     _qpochhammer,
     _theta_terms,
+    _triple_product_record,
     eta,
     f_eval,
     f_series_agreement,
@@ -210,6 +213,101 @@ def test_qpochhammer_encloses_the_direct_product(tau_re, tau_im, w_re, w_im, tar
             direct *= 1 - a
             a *= q
         assert abs(direct - mpc(re, im) / 2**W) <= mpf(err) / 2**W
+
+
+def test_fixed_exp_needs_w_plus_8_bits():
+    with working_precision(PREC + 7):
+        with pytest.raises(ValueError):
+            _fixed_exp(mpc(0, 1), 1, PREC)
+    with working_precision(PREC + 8):
+        assert _fixed_exp(mpc(0), 1, PREC)[:2] == (1 << PREC, 0)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_exp_ball_encloses_mpmaths_exp(prec):
+    # x exact and uniform in the disc |x| <= size, so size bounds all it is
+    # formed from; at |e^x| >= e^-4 the radius is within the old 2^(4-prec) pad
+    rng = random.Random(prec)
+    for _ in range(60):
+        size = rng.choice([1, 2, 4])
+        r, angle = size * rng.random() ** 0.5, 2 * math.pi * rng.random()
+        x = mpc(r * math.cos(angle), r * math.sin(angle))
+        with working_precision(prec):
+            ball = _exp_ball(lambda: x, size)
+        with working_precision(2 * prec):
+            ref = exp(x)
+            assert abs(ball.re.value - ref.real) <= ball.re.err, x
+            assert abs(ball.im.value - ref.imag) <= ball.im.err, x
+            assert ball.max_err() <= abs(ref) * mpf(2) ** (4 - prec), x
+
+
+@pytest.fixture(scope="module")
+def triple_product_points():
+    """The (w, tau) of validation_suite's triple-product records."""
+    points = []
+    real = modularcheck._triple_product_record
+
+    def recording(w, tau, prec, tol):
+        points.append((w, tau))
+        return real(w, tau, prec, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modularcheck, "_triple_product_record", recording)
+        modularcheck.validation_suite(PREC)
+    return points
+
+
+def exp_balls(monkeypatch, run):
+    """run()'s result and the balls its _exp_ball calls returned, in order."""
+    balls = []
+    real = modularcheck._exp_ball
+
+    def recording(x, size):
+        balls.append(real(x, size))
+        return balls[-1]
+
+    monkeypatch.setattr(modularcheck, "_exp_ball", recording)
+    result = run()
+    monkeypatch.setattr(modularcheck, "_exp_ball", real)
+    return result, balls
+
+
+def assert_encloses(ball, z):
+    with working_precision(512):
+        assert abs(ball.re.value - z.real) <= ball.re.err, z
+        assert abs(ball.im.value - z.imag) <= ball.im.err, z
+        assert ball.max_err() <= abs(z) * mpf(2) ** (4 - PREC), z
+
+
+def test_prefactor_balls_enclose_the_mpmath_expressions(monkeypatch, triple_product_points):
+    # each _exp_ball prefactor against the mpmath expression it replaced, at
+    # 512 bits on the same arguments; radii within the narrowest old pad
+    assert len(triple_product_points) == 20
+    for w, tau in triple_product_points:
+        record, balls = exp_balls(monkeypatch, lambda: _triple_product_record(w, tau, PREC, 1e-15))
+        assert record.passed and len(balls) == 1
+        with working_precision(512):
+            assert_encloses(balls[0], -1j * exp(pi * 1j * tau / 4) / sqrt(exp(2j * pi * w)))
+    for h, k, z, w in _MULTIPLIER_TUPLES:
+        records, balls = exp_balls(monkeypatch, lambda: _multiplier_records(h, k, z, w, PREC, 1e-15))
+        assert all(r.passed for r in records) and len(balls) == 4
+        with working_precision(PREC):
+            zc, wc = mpc(*z), mpc(*w)
+            taus = ((h + 1j * zc) / k, (neg_inverse(h, k) + 1j / zc) / k)
+        with working_precision(512):
+            assert_encloses(balls[0], 1j * exp(pi * 1j * taus[0] / 3))
+            assert_encloses(balls[1], 1 / sqrt(zc))
+            assert_encloses(balls[2], 1j * exp(pi * 1j * taus[1] / 3))
+            assert_encloses(balls[3], sqrt(1j / zc) * exp(-pi * k * wc * wc / zc))
+
+
+def test_triple_product_records_fail_on_the_other_branch(monkeypatch, triple_product_points):
+    # the prefactor's exponent turned by a half-turn: zeta^(1/2) on the
+    # wrong branch negates the right side
+    real = modularcheck._exp_ball
+    monkeypatch.setattr(modularcheck, "_exp_ball", lambda x, size: real(lambda: x() + pi * 1j, size + 4))
+    records = [_triple_product_record(w, tau, PREC, 1e-15) for w, tau in triple_product_points]
+    assert len(records) == 20 and not any(r.passed for r in records)
 
 
 def test_triple_product_at_spec_point():
