@@ -181,9 +181,11 @@ def default_k_max(delta: int, n: int) -> int:
     return max(50, math.ceil(4 * math.pi / 5 * math.sqrt(3 * nn)) + 1)
 
 
+# per precision, the ErrReal partial sums P[c] = sum_{k <= c} d(k) k^(-3/2),
+# each formed from P[c-1]; extended in place up to the largest cutoff seen
+_DIVISOR_PARTIALS: dict[int, list[ErrReal]] = {}
 # per (K // 5, prec), the finished bound of tail_bound_op, which depends on
-# nothing else: its second cutoff is K // 10 = (K // 5) // 2. One run of
-# partial sums stores the bounds of every smaller K // 5 too
+# nothing else: its second cutoff is K // 10 = (K // 5) // 2
 _TAIL_BOUNDS: dict[tuple[int, int], mpf] = {}
 # at least 2^128 pi: mpf_pi at 138 bits is within 2^-136 of pi, and the
 # floor to 128 fractional bits loses less than one unit
@@ -197,19 +199,15 @@ def _zeta_target(prec: int) -> mpf:
     return mpf(2) ** max(-prec // 2, -128)
 
 
-def _store_tail_bounds(cutoff: int, prec: int) -> None:
-    """Stores tail_bound_op's bound at K // 5 = c for every c <= cutoff, each
-    divisor tail R(c) = zeta(3/2)^2 - P[c] from one run of partial sums
-    P[c] = P[c-1] + d(c) c^(-3/2). Runs at the ambient precision, prec."""
+def _divisor_tail(cutoff: int, prec: int) -> ErrReal:
+    """Upper enclosure of sum_{k > cutoff} d(k) k^(-3/2) via zeta(3/2)^2, at
+    the ambient precision, which must be prec."""
     z = zeta_3_2(_zeta_target(prec))
-    pi2 = pi_err() * pi_err()
-    c5 = pi2 * 32 / 125
-    c10 = pi2 * ErrReal(6).sqrt() * 108 / 125
-    partials = [ErrReal(0)]
-    for k in range(1, cutoff + 1):
-        partials.append(partials[-1] + ErrReal(1) / (ErrReal(k) * ErrReal(k).sqrt()) * divisor_count(k))
-    for c in range(cutoff + 1):
-        _TAIL_BOUNDS[c, prec] = (c5 * (z * z - partials[c]) + c10 * (z * z - partials[c // 2])).hi
+    partials = _DIVISOR_PARTIALS.setdefault(prec, [ErrReal(0)])
+    for k in range(len(partials), cutoff + 1):
+        term = ErrReal(1) / (ErrReal(k) * ErrReal(k).sqrt()) * divisor_count(k)
+        partials.append(partials[-1] + term)
+    return z * z - partials[cutoff]
 
 
 def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
@@ -227,10 +225,14 @@ def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
         raise ValueError(
             f"cutoff K={K} below the validity threshold ~{4 * math.pi / 5 * math.sqrt(3 * nn):.6g}"
         )
-    if (K // 5, prec) not in _TAIL_BOUNDS:
+    key = (K // 5, prec)
+    if key not in _TAIL_BOUNDS:
         with working_precision(prec):
-            _store_tail_bounds(K // 5, prec)
-    return _TAIL_BOUNDS[K // 5, prec]
+            pi2 = pi_err() * pi_err()
+            r5, r10 = _divisor_tail(K // 5, prec), _divisor_tail(K // 10, prec)
+            bound = pi2 * 32 / 125 * r5 + pi2 * ErrReal(6).sqrt() * 108 / 125 * r10
+            _TAIL_BOUNDS[key] = bound.hi
+    return _TAIL_BOUNDS[key]
 
 
 @dataclass

@@ -380,8 +380,9 @@ def _triple_product_record(w, tau, prec: int, tol: float) -> CheckRecord:
             prod = _qpochhammer(q, q, target, W)
             for a in (_fixed_exp(2j * pi * w, size, W), _fixed_exp(2j * pi * (tau - w), size, W)):
                 prod = _fixed_mul(prod, _qpochhammer(a, q, target, W), W)
-        # -i q^(1/8) zeta^(-1/2), the principal root e^(-log(zeta)/2) for any w
-        pref = _exp_ball(lambda: pi * 1j * (tau / 4 - mpf(1) / 2) - log(exp(2j * pi * w)) / 2, size)
+        # -i q^(1/8) zeta^(-1/2) with zeta^(-1/2) = e^(-pi i w), entire in w:
+        # theta(w + 1) = -theta(w) while the products have period 1
+        pref = _exp_ball(lambda: pi * 1j * (tau / 4 - w - mpf(1) / 2), size)
         rhs = pref * _fixed_complex(prod, W)
         return _agreement("triple-product", {"w": str(w), "tau": str(tau)}, lhs, rhs, tol)
 

@@ -18,6 +18,7 @@ import pytest
 from mpmath import mpf
 
 from qsign.exactformula import (
+    _DIVISOR_PARTIALS,
     _TAIL_BOUNDS,
     ImaginaryResidueError,
     _imag_guard,
@@ -290,9 +291,11 @@ def test_c_exact_error_bars_only_shrink(delta, n):
 
 @pytest.mark.parametrize("delta,n", [(1, 10), (1, 117), (1, 300)])
 def test_tail_bound_op_is_pinned(delta, n):
-    # at K = 50, 107, 170, bit-identical whether the finished bounds start
-    # empty or already hold other cutoffs
+    # at K = 50, 107, 170, bit-identical whether the divisor-tail prefix
+    # sums and the finished bounds start empty or were already extended
+    # past K//5
     K = default_k_max(delta, n)
+    _DIVISOR_PARTIALS.clear()
     _TAIL_BOUNDS.clear()
     first = tail_bound_op(delta, n, K)
     tail_bound_op(delta, n, 500)

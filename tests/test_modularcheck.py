@@ -310,6 +310,14 @@ def test_triple_product_records_fail_on_the_other_branch(monkeypatch, triple_pro
     assert len(records) == 20 and not any(r.passed for r in records)
 
 
+@pytest.mark.parametrize("w_re", ["0.7", "-0.9", "1.3", "-1.45"])
+def test_triple_product_holds_beyond_the_principal_strip(w_re):
+    # theta(w + 1) = -theta(w) while the products have period 1, so the
+    # prefactor's zeta^(-1/2) is e^(-pi i w), not the principal root of zeta
+    record = _triple_product_record(mpc(w_re, "0.1"), mpc("0.2", "0.9"), PREC, 1e-15)
+    assert record.passed, record
+
+
 def test_triple_product_at_spec_point():
     # theta = -i q^(1/8) zeta^(-1/2) (q;q)(zeta;q)(q/zeta;q) to 1e-20
     with working_precision(PREC):
