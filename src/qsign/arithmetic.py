@@ -30,7 +30,7 @@ from math import gcd, isqrt
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from .numerics import ErrComplex, ErrReal, _fixed_ball, unit_root_parts, working_precision
+from .numerics import ErrComplex, ErrReal, _fixed_ball, _fixed_complex, unit_root_parts, working_precision
 
 __all__ = [
     "CuspData",
@@ -47,7 +47,6 @@ __all__ = [
     "a_kj_reduced_d10_abs",
     "a_k",
     "cal_a_k",
-    "twisted_bound",
     "bound_check_d5",
     "bound_check_d10",
     "aggregated_bound_check",
@@ -244,13 +243,6 @@ def _roots(modulus: int, prec: int | None = None) -> list:
     return table
 
 
-def _fixed_sum(re: int, im: int, err: int) -> ErrComplex:
-    """The ball of fixed-point totals re, im at 2^-w, each part within err
-    units of the truth: each part rounded once to mp.prec, with err 2^-w."""
-    w = mp.prec + _GUARD_BITS
-    return ErrComplex(_fixed_ball(re, err, w), _fixed_ball(im, err, w))
-
-
 def _root_sum(modulus: int, exponents) -> tuple[int, int, int]:
     """Sum of ζ_modulus^e over e in exponents as exact fixed-point totals:
     (re, im, err), the table integers at 2^-w added exactly, so each part is
@@ -334,7 +326,7 @@ def kloosterman(k: int, n: int, m: int, prec: int = 128) -> ErrComplex:
     """K_k(n, m), the ball of _kloosterman_total with imaginary part 0."""
     with working_precision(prec):
         total, err = _kloosterman_total(k, n, m)
-        return _fixed_sum(total, 0, err)
+        return _fixed_complex(total, 0, err, prec + _GUARD_BITS)
 
 
 def _exceeds(re: int, im: int, err: int, square: int) -> bool:
@@ -428,7 +420,7 @@ def _akj_totals(k: int, j: int, n: int, h_shift: int = 0, hp_shift: int = 0) -> 
 def a_kj(k: int, j: int, n: int, prec: int = 128) -> ErrComplex:
     """Direct summation of the twisted sum A_{k,j}(n) over 1 <= h < k."""
     with working_precision(prec):
-        return _fixed_sum(*_akj_totals(k, j, n))
+        return _fixed_complex(*_akj_totals(k, j, n), prec + _GUARD_BITS)
 
 
 def a_kj_rewrite(
@@ -446,7 +438,7 @@ def a_kj_rewrite(
     the pulled-out prefactor ζ_{10k}^(3 alpha_j - j - d) is not checked here.
     """
     with working_precision(prec):
-        return _fixed_sum(*_akj_totals(k, j, n, h_shift, hp_shift))
+        return _fixed_complex(*_akj_totals(k, j, n, h_shift, hp_shift), prec + _GUARD_BITS)
 
 
 def _fifth_root_sum(t: int, modulus: int, first: int, step: int, second: int) -> ErrComplex:
@@ -523,14 +515,14 @@ def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int, int]:
 def a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
     """A_k(n) = A_{k,3}(n) + A_{k,-3}(n)."""
     with working_precision(prec):
-        return _fixed_sum(*_twist_totals(k, n, False))
+        return _fixed_complex(*_twist_totals(k, n, False), prec + _GUARD_BITS)
 
 
 def cal_a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
     """The conjugated twist entering the reciprocal's formula:
     conj(A_{k,1}(-n)) + conj(A_{k,-1}(-n))."""
     with working_precision(prec):
-        return _fixed_sum(*_twist_totals(k, n, True))
+        return _fixed_complex(*_twist_totals(k, n, True), prec + _GUARD_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +541,6 @@ def _twisted_square(k: int) -> int:
     raise ValueError("gcd(k,10) must be 5 or 10")
 
 
-def twisted_bound(k: int) -> ErrReal:
-    """The bound on |A_{k,j}(n)|, sqrt(_twisted_square(k)), at the ambient
-    precision."""
-    return ErrReal(_twisted_square(k)).sqrt()
-
-
 def _twisted_check(d: int, k: int, j: int, n: int, prec: int) -> bool:
     if gcd(k, 10) != d:
         raise ValueError(f"k must have gcd(k,10) = {d}")
@@ -563,19 +549,19 @@ def _twisted_check(d: int, k: int, j: int, n: int, prec: int) -> bool:
 
 
 def bound_check_d5(k: int, j: int, n: int, prec: int = 128) -> bool:
-    """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=5, within error bars,
+    """|A_{k,j}(n)| <= sqrt(_twisted_square(k)) for gcd(k,10)=5, within error bars,
     decided on the totals as in weil_bound_check."""
     return _twisted_check(5, k, j, n, prec)
 
 
 def bound_check_d10(k: int, j: int, n: int, prec: int = 128) -> bool:
-    """|A_{k,j}(n)| <= twisted_bound(k) for gcd(k,10)=10, within error bars,
+    """|A_{k,j}(n)| <= sqrt(_twisted_square(k)) for gcd(k,10)=10, within error bars,
     decided on the totals as in weil_bound_check."""
     return _twisted_check(10, k, j, n, prec)
 
 
 def aggregated_bound_check(k: int, n: int, prec: int = 128, twisted: bool = False) -> bool:
     """|A_k(n)| (or |cal A_k(n)| when twisted) against the aggregated bound
-    2 twisted_bound(k), decided on the totals as in weil_bound_check."""
+    2 sqrt(_twisted_square(k)), decided on the totals as in weil_bound_check."""
     with working_precision(prec):
         return not _exceeds(*_twist_totals(k, n, twisted), 4 * _twisted_square(k))

@@ -29,7 +29,7 @@ from mpmath import ceil, exp, floor, log, loggamma, mp, mpc, mpf, pi
 from mpmath.libmp import to_fixed
 
 from .arithmetic import _GUARD_BITS, decompose, neg_inverse
-from .numerics import ErrComplex, _fixed_ball, working_precision
+from .numerics import ErrComplex, _fixed_complex, working_precision
 from .qseries import q10_series_product
 
 __all__ = [
@@ -107,11 +107,6 @@ def _fixed_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tupl
     return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w, 2 - ((-(ea * nb + (na + ea) * eb)) >> w)
 
 
-def _fixed_complex(z: tuple[int, int, int], w: int) -> ErrComplex:
-    """The ball of a fixed-point complex value (re, im, err) at 2^-w."""
-    return ErrComplex(_fixed_ball(z[0], z[2], w), _fixed_ball(z[1], z[2], w))
-
-
 def _exp_ball(x, size) -> ErrComplex:
     """e^x() as a ball at the ambient precision prec: the zero-argument
     callable x is formed, and exponentiated by _fixed_exp, at W + 8 bits
@@ -121,7 +116,7 @@ def _exp_ball(x, size) -> ErrComplex:
     W = mp.prec + _GUARD_BITS
     with working_precision(W + 8):
         z = _fixed_exp(x(), size, W)
-    return _fixed_complex(z, W)
+    return _fixed_complex(*z, W)
 
 
 def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
@@ -177,7 +172,7 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
                     err += term[2]
                     term = _fixed_mul(term, r, W)
                     r = _fixed_mul(r, q, W)
-        return _fixed_complex((re, im, err + to_fixed(tail._mpf_, W + 1) + 1), W)
+        return _fixed_complex(re, im, err + to_fixed(tail._mpf_, W + 1) + 1, W)
 
 
 def eta(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
@@ -383,7 +378,7 @@ def _triple_product_record(w, tau, prec: int, tol: float) -> CheckRecord:
         # -i q^(1/8) zeta^(-1/2) with zeta^(-1/2) = e^(-pi i w), entire in w:
         # theta(w + 1) = -theta(w) while the products have period 1
         pref = _exp_ball(lambda: pi * 1j * (tau / 4 - w - mpf(1) / 2), size)
-        rhs = pref * _fixed_complex(prod, W)
+        rhs = pref * _fixed_complex(*prod, W)
         return _agreement("triple-product", {"w": str(w), "tau": str(tau)}, lhs, rhs, tol)
 
 
@@ -460,13 +455,14 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
     # quasi-periodicity theta(w + lambda tau + mu) = (-1)^(lambda+mu) q^(-lambda^2/2) zeta^(-lambda) theta(w)
     with working_precision(prec):
         target = mpf(2) ** (-prec // 2)
+        w = mpc("0.23", "0.11")
+        tau = mpc("0.13", "0.83")
+        base = theta(w, tau, target, prec)
         for lam, mu in ((1, 0), (0, 1), (1, 1), (2, 1)):
-            w = mpc("0.23", "0.11")
-            tau = mpc("0.13", "0.83")
             lhs = theta(w + lam * tau + mu, tau, target, prec)
             size = pi * (lam + mu + lam * lam * abs(tau) + 2 * lam * abs(w) + 1)
             fac = _exp_ball(lambda: pi * 1j * (lam + mu - lam * lam * tau - 2 * lam * w), size)
-            rhs = fac * theta(w, tau, target, prec)
+            rhs = fac * base
             records.append(_agreement("quasi-periodicity", {"lambda": lam, "mu": mu}, lhs, rhs, tol))
 
     # eta and theta transformations with the closed-form multiplier

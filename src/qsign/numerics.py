@@ -28,7 +28,7 @@ term, with an integer bound on the floor errors carried alongside. The
 exact formula's term loop calls it directly on integers; bessel_i1 calls
 it at the exact ends of a ball and returns their enclosure unrounded.
 _fixed_ball rounds a fixed-point total with an integer error bound into a
-ball, once.
+ball, once; _fixed_complex does so for both parts of a complex one.
 """
 
 from __future__ import annotations
@@ -133,6 +133,12 @@ def _fixed_ball(total: int, err: int, w: int) -> "ErrReal":
     return _ball(v, _radius(from_man_exp(err, -w, prec, round_ceiling), v, prec, 0))
 
 
+def _fixed_complex(re: int, im: int, err: int, w: int) -> "ErrComplex":
+    """The ball of fixed-point totals re, im at 2^-w, each part within err
+    units of the truth: _fixed_ball of each part."""
+    return ErrComplex(_fixed_ball(re, err, w), _fixed_ball(im, err, w))
+
+
 class ErrReal:
     """An arbitrary-precision value with a rigorous absolute error bound:
     the ball [value - err, value + err]. Midpoint and radius are held as
@@ -160,9 +166,6 @@ class ErrReal:
             num, den = (from_int(x, prec, round_nearest) for x in (value.numerator, value.denominator))
             v = mpf_div(num, den, prec, round_nearest)
             e = _radius(e, v, prec, 2)
-        elif isinstance(value, str):
-            v = mpf(value)._mpf_
-            e = _radius(e, v, prec)
         else:
             raise TypeError(f"cannot build ErrReal from {type(value)!r}")
         self._v = v
@@ -207,14 +210,8 @@ class ErrReal:
         v = mpf_sub(self._v, other._v, prec, round_nearest)
         return _ball(v, _radius(mpf_add(self._e, other._e, prec, round_ceiling), v, prec))
 
-    def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
-
     def __neg__(self):
         return _ball(mpf_neg(self._v), self._e)
-
-    def __abs__(self):
-        return _ball(mpf_abs(self._v), self._e)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -255,9 +252,6 @@ class ErrReal:
         else:
             raw = mpf_div(ea, b, prec, round_ceiling)
         return _ball(v, _radius(raw, v, prec))
-
-    def __rtruediv__(self, other):
-        return _coerce(other).__truediv__(self)
 
     # -- monotone maps ---------------------------------------------------------
     # the radius reaches from the midpoint to outward-rounded images of the
@@ -344,18 +338,9 @@ class ErrComplex:
     def conjugate(self) -> "ErrComplex":
         return ErrComplex(self.re, -self.im)
 
-    def __add__(self, other):
-        other = _coerce_complex(other)
-        return ErrComplex(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _coerce_complex(other)
         return ErrComplex(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _coerce_complex(other).__sub__(self)
 
     def __neg__(self):
         return ErrComplex(-self.re, -self.im)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, sqrt
 from pathlib import Path
 
 from .qseries import PAPER_THRESHOLD, q10_series, sign_pattern_verdict
@@ -205,7 +205,7 @@ def run_bound_sweeps(
     from mpmath import mpf
 
     from . import arithmetic
-    from .numerics import ErrReal, bessel_bound_checks, working_precision
+    from .numerics import ErrReal, _fixed_complex, bessel_bound_checks, working_precision
 
     timing: dict[str, float] = {}
     tol = mpf(identity_tol)
@@ -220,19 +220,18 @@ def run_bound_sweeps(
                 direct = arithmetic.a_kj(k, j, n, prec)
                 rewrite = arithmetic.a_kj_rewrite(k, j, n, prec)
                 with working_precision(prec):
-                    rw_diff = (direct - rewrite).abs()
+                    rw_diff = (direct - rewrite).abs().value
                     if d == 5:
                         reduced = arithmetic.a_kj_reduced_d5(k, j, n, prec)
-                        red_diff = (direct - reduced).abs()
+                        red_diff = (direct - reduced).abs().value
                     else:
-                        direct_abs = direct.abs()
                         reduced_abs = arithmetic.a_kj_reduced_d10_abs(k, j, n, prec)
-                        red_diff = ErrReal(abs(direct_abs.value - reduced_abs.value), direct_abs.err + reduced_abs.err)
+                        red_diff = abs(direct.abs().value - reduced_abs.value)
                 identity_checks += 2
-                if not rw_diff.value <= tol:
-                    identity_failures.append({"kind": "rewrite", "k": k, "j": j, "n": n, "diff": float(rw_diff.value)})
-                if not red_diff.value <= tol:
-                    identity_failures.append({"kind": "reduced", "k": k, "j": j, "n": n, "diff": float(red_diff.value)})
+                if not rw_diff <= tol:
+                    identity_failures.append({"kind": "rewrite", "k": k, "j": j, "n": n, "diff": float(rw_diff)})
+                if not red_diff <= tol:
+                    identity_failures.append({"kind": "reduced", "k": k, "j": j, "n": n, "diff": float(red_diff)})
     timing["identities"] = round(time.perf_counter() - t0, 3)
 
     weil_checks = 0
@@ -249,12 +248,12 @@ def run_bound_sweeps(
     bound_checks = 0
     bound_failures: list = []
     rows: list = []
+    w = prec + arithmetic._GUARD_BITS
     t0 = time.perf_counter()
     for k in _grid_k(k_max):
         d = gcd(k, 10)
         square = arithmetic._twisted_square(k)
-        with working_precision(prec):
-            bound = float(arithmetic.twisted_bound(k).value)
+        bound = sqrt(square)
         for j in _valid_j(d):
             for n in range(n_samples):
                 # bound_check_d5 / bound_check_d10 on totals summed once,
@@ -263,7 +262,7 @@ def run_bound_sweeps(
                     totals = arithmetic._akj_totals(k, j, n)
                     ok = not arithmetic._exceeds(*totals, square)
                     if n < 3:
-                        rows.append((k, j, n, float(arithmetic._fixed_sum(*totals).abs().value), bound, ok))
+                        rows.append((k, j, n, float(_fixed_complex(*totals, w).abs().value), bound, ok))
                 bound_checks += 1
                 if not ok:
                     bound_failures.append({"kind": f"d{d}", "k": k, "j": j, "n": n})
@@ -413,16 +412,19 @@ class PipelineConfig:
         return (self.n_max or {}).get(delta, PAPER_THRESHOLD[delta] - 1)
 
     def validate(self) -> None:
+        from .exactformula import _validate_n
+
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
+        lo, hi = self.exact_range
+        if lo > hi:
+            raise ValueError("invalid exact-formula range")
         for delta in self.deltas:
             if delta not in (1, -1):
                 raise ValueError("deltas must be +1 / -1")
             if self.resolved_n_max(delta) < 50:
                 raise ValueError("n_max must be at least 50")
-        lo, hi = self.exact_range
-        if not (1 <= lo <= hi):
-            raise ValueError("invalid exact-formula range")
+            _validate_n(delta, lo)
         if min(self.sweep_k_max, self.identity_k_max) < 5 or self.sweep_n_samples < 1:
             raise ValueError("sweeps need k_max and identity_k_max >= 5 and n_samples >= 1")
 

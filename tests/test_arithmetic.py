@@ -35,7 +35,7 @@ from qsign.arithmetic import (
     select_hprime,
     weil_bound_check,
 )
-from qsign.numerics import ErrComplex, working_precision
+from qsign.numerics import ErrComplex, _fixed_complex, working_precision
 
 TOL = mpf("1e-30")
 
@@ -154,7 +154,7 @@ def _full_pair_kloosterman(k, n, m, prec):
     exponents of all phi(k) pairs through the module's table summation."""
     exps = [n * h + m * ((-pow(h, -1, k)) % k) for h in range(k) if math.gcd(h, k) == 1]
     with working_precision(prec):
-        return arithmetic._fixed_sum(*arithmetic._root_sum(k, exps))
+        return _fixed_complex(*arithmetic._root_sum(k, exps), prec + arithmetic._GUARD_BITS)
 
 
 def _parts(v):

@@ -162,7 +162,7 @@ def test_suite_record_mix(suite_with_theta_calls):
 
 def test_theta_encloses_the_direct_sum_on_the_suite_calls(suite_with_theta_calls):
     _, calls = suite_with_theta_calls
-    assert len(calls) == 133
+    assert len(calls) == 130
     for w, tau, target, prec in calls:
         assert_theta_encloses(w, tau, target, prec)
 

@@ -15,6 +15,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 from qsign.numerics import (
     ErrComplex,
     ErrReal,
+    _fixed_complex,
     _i1_series,
     bessel_bound_checks,
     bessel_i1,
@@ -93,8 +94,8 @@ def test_fraction_and_string_inputs():
         x = ErrReal(Fraction(1, 3))
         assert x.err > 0
         assert x.contains(mpf(1) / 3)
-        y = ErrReal("0.1")
-        assert y.err > 0
+        with pytest.raises(TypeError):
+            ErrReal("0.1")
 
 
 # interval soundness: the low-precision enclosure must contain the
@@ -179,6 +180,27 @@ def test_ball_operation_is_sound_and_tight(op, prec, data):
                 assert lo <= apply(p, q) <= hi
         # (c) the radius is no wider than the padded nearest-rounded one
         assert z.err <= _padded(raw(x.value, x.err, y.value, y.err), z.value, 1, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fixed_complex_is_sound_and_tight(prec, data):
+    # totals of either sign and 0 at 2^-w, up to 64 bits wider than prec so
+    # that the midpoints round, each part within err units of the truth
+    w = data.draw(st.integers(0, prec + 64))
+    totals = st.one_of(st.just(0), st.integers(-(2 ** (prec + 64)), 2 ** (prec + 64)))
+    re, im = data.draw(totals), data.draw(totals)
+    err = data.draw(st.one_of(st.just(0), st.integers(0, 2 ** (prec + 64))))
+    with working_precision(prec):
+        z = _fixed_complex(re, im, err, w)
+    unit = Fraction(1, 2**w)
+    for part, t in ((z.re, re), (z.im, im)):
+        lo, hi = _ends(part)
+        assert lo <= (t - err) * unit and (t + err) * unit <= hi
+        # err 2^-w plus the midpoint's rounding |v| 2^-prec, rounded up twice
+        exact = err * unit + abs(_q(part.value)) / 2**prec
+        assert _q(part.err) <= exact * (1 + Fraction(2, 2**prec)) ** 2
 
 
 @pytest.mark.parametrize("prec", [64, 128, 256])

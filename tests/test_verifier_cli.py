@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -15,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 import qsign
-from qsign import cli, exactformula, qseries, verifier
+from qsign import arithmetic, cli, exactformula, qseries, verifier
 from qsign.cli import main
-from qsign.numerics import ErrReal
+from qsign.numerics import ErrReal, working_precision
 from qsign.qseries import ZERO_EXCEPTIONS, Verdict, sign_pattern_verdict
 from qsign.verifier import (
     PipelineConfig,
@@ -116,6 +117,19 @@ def test_small_sweep_passes():
     assert len(rows) > 1
 
 
+def test_sweep_csv_bound_is_the_twisted_bound_on_the_default_grid():
+    # the bound column depends on k alone: the default k grid, one sample
+    report = run_bound_sweeps(identity_k_max=5, n_samples=1)
+    assert sorted({row[0] for row in report.rows}) == list(range(5, 501, 5))
+    with working_precision(256):
+        for k, _, _, _, bound, _ in report.rows:
+            square = arithmetic._twisted_square(k)
+            assert bound == math.sqrt(square), k
+            # the double nearest every point of the 256-bit ball
+            ball = ErrReal(square).sqrt()
+            assert float(ball.lo) == float(ball.hi) == bound, k
+
+
 # -- exact oracle -----------------------------------------------------------------
 
 
@@ -195,6 +209,16 @@ def test_pipeline_rejects_invalid_config(tmp_path):
     config.precision_bits = 32
     with pytest.raises(ValueError):
         full_pipeline(config)
+
+
+def test_pipeline_refuses_an_exact_range_outside_the_formula_before_writing(tmp_path, capsys):
+    # c_exact(-1, n) needs n >= 2: refused up front, with no artifact written
+    out = tmp_path / "out"
+    argv = ["pipeline", "--exact-lo", "1", "--exact-hi", "5", "--n-max", "60", "--sweep-k-max", "10",
+            "--identity-k-max", "10", "--n-samples", "1", "--output-dir", str(out)]
+    assert main(argv) == 1
+    assert not out.exists() or not any(out.iterdir())
+    assert "delta=-1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes", [(0, 20, 2), (20, 4, 2), (20, 20, 0)])
