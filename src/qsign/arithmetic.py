@@ -14,7 +14,10 @@ as the exact conjugate of the entry at e. So K_q(n, m) is summed over the
 pairs with 2h < q only, as twice their fixed-point cosines. K_k of a k with
 two or more prime factors is the product of such sums over the prime
 powers q of k (twisted multiplicativity), each at 16 more bits, with the
-product's error bound formed exactly (_kloosterman_total).
+product's error bound formed exactly (_product). The reduced forms of the
+twisted sums, sum_l ζ_5^(t l) K_M(n + l M/5, m), are one such product:
+the factors prime to 5 do not depend on l, and the 5-part collapses to one
+sum over a class of residues mod 5 (_fifth_root_sum).
 
 Everything here stays in fixed point up to the public return, which forms
 the one ball. Every bound checked here is the square root of an integer B,
@@ -169,6 +172,7 @@ _SPLIT_BITS = 16  # the factor tables of a split Kloosterman sum carry 16 more
 _ENTRY_ERR = 1  # each table part is within this many units of 2^-w (see _roots)
 _ROOT_TABLES: dict[tuple[int, int], list] = {}  # per (modulus, prec)
 _INVERSE_PAIRS: dict[int, list] = {}
+_CLASS_PAIRS: dict[tuple[int, int], list] = {}  # per (power of 5, class mod 5)
 _AKJ_TERMS: dict[tuple[int, int, int, int], list] = {}
 _FACTORS: dict[int, tuple] = {}
 
@@ -176,6 +180,7 @@ _FACTORS: dict[int, tuple] = {}
 def clear_caches() -> None:
     _ROOT_TABLES.clear()
     _INVERSE_PAIRS.clear()
+    _CLASS_PAIRS.clear()
     _AKJ_TERMS.clear()
     _FACTORS.clear()
 
@@ -243,11 +248,12 @@ def _roots(modulus: int, prec: int | None = None) -> list:
     return table
 
 
-def _root_sum(modulus: int, exponents) -> tuple[int, int, int]:
+def _root_sum(modulus: int, exponents, prec: int | None = None) -> tuple[int, int, int]:
     """Sum of ζ_modulus^e over e in exponents as exact fixed-point totals:
-    (re, im, err), the table integers at 2^-w added exactly, so each part is
-    within err = count * _ENTRY_ERR units of the truth over count entries."""
-    table = _roots(modulus)
+    (re, im, err), the integers of the table of precision prec (mp.prec
+    unless given) at 2^-w added exactly, so each part is within err =
+    count * _ENTRY_ERR units of the truth over count entries."""
+    table = _roots(modulus, prec)
     re = im = count = 0
     for e in exponents:
         c, s = table[e % modulus]
@@ -266,6 +272,15 @@ def _inverse_pairs(modulus: int) -> list:
         # h = 0 is coprime to the modulus only when it is 1
         pairs = [(h, neg_inverse(h, modulus)) for h in range(modulus // 2 + 1) if gcd(h, modulus) == 1]
         _INVERSE_PAIRS[modulus] = pairs
+    return pairs
+
+
+def _class_pairs(q: int, c: int) -> list:
+    """Pairs (h, h') with h h' == -1 (mod q) over the h == c (mod 5) in
+    [0, q), for q a power of 5 and 5 ∤ c: q/5 = phi(q)/4 pairs."""
+    pairs = _CLASS_PAIRS.get((q, c))
+    if pairs is None:
+        pairs = _CLASS_PAIRS[q, c] = [(h, neg_inverse(h, q)) for h in range(c, q, 5)]
     return pairs
 
 
@@ -289,6 +304,27 @@ def _half_pair_total(q: int, n: int, m: int, prec: int) -> tuple[int, int]:
     return (re, _ENTRY_ERR) if q <= 2 else (2 * re, 2 * len(pairs) * _ENTRY_ERR)
 
 
+def _product(factors) -> tuple[int, int]:
+    """(P, E) for fixed-point factors (T, c), each total T within c units
+    of its true value at its own scale: the exact product P, and E =
+    prod(|T| + c) - |P|, so that the product of the true values is within E
+    units of P at the product of the scales. Writing each true value as
+    T + δ with |δ| <= c, the product minus P is a sum of products each
+    holding some δ, and each is bounded by its term in prod(|T| + c)."""
+    product = bound = 1
+    for total, err in factors:
+        product *= total
+        bound *= abs(total) + err
+    return product, bound - abs(product)
+
+
+def _cofactor_args(k: int, q: int, n: int, m: int) -> tuple[int, int]:
+    """(n r', m r') mod q for a prime power q of k, r = k/q, r r' == 1
+    (mod q): the arguments of the factor K_q of K_k(n, m)."""
+    r_inv = pow(k // q, -1, q)
+    return n * r_inv % q, m * r_inv % q
+
+
 def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
     """K_k(n, m) over h coprime to k with h h' == -1 (mod k), at the ambient
     precision: (total, err), a real total at 2^-w within err units of the
@@ -299,8 +335,8 @@ def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
     with r = k/q and r r' == 1 (mod q): K_k(n, m) = prod_q K_q(n r', m r').
     Each factor is a total T_q at 2^-W, W = w + _SPLIT_BITS, within c_q =
     phi(q) units; their product P at 2^-(sW), s factors, is within
-    E = prod(|T_q| + c_q) - prod |T_q| units of 2^(sW) K, and P rounded to
-    nearest at 2^-w is within err = ceil(1/2 + E 2^(w-sW)) units. With
+    E = prod(|T_q| + c_q) - prod |T_q| units of 2^(sW) K (_product), and P
+    rounded to nearest at 2^-w is within err = ceil(1/2 + E 2^(w-sW)) units. With
     |T_q| <= (2^W + 1) phi(q), E <= s phi(k) (2^W + 2)^(s-1), and so
     E 2^(w-sW) <= s phi(k) 2^-16 (1 + 2^(1-W))^(s-1) < phi(k) - 1/2 as
     phi(k) >= 2: err never exceeds the phi(k) of the unsplit sum."""
@@ -309,17 +345,14 @@ def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
     factors = _factorization(k)
     if len(factors) < 2:
         return _half_pair_total(k, n, m, mp.prec)
-    product = bound = 1
-    for p, e in factors:
-        q = p**e
-        r_inv = pow(k // q, -1, q)
-        total, err = _half_pair_total(q, n * r_inv % q, m * r_inv % q, mp.prec + _SPLIT_BITS)
-        product *= total
-        bound *= abs(total) + err
+    split = mp.prec + _SPLIT_BITS
+    product, bound = _product(
+        _half_pair_total(q, *_cofactor_args(k, q, n, m), split) for q in (p**e for p, e in factors)
+    )
     w = mp.prec + _GUARD_BITS
     shift = len(factors) * (w + _SPLIT_BITS) - w
     half = 1 << (shift - 1)
-    return (product + half) >> shift, ((bound - abs(product) + half - 1) >> shift) + 1
+    return (product + half) >> shift, ((bound + half - 1) >> shift) + 1
 
 
 def kloosterman(k: int, n: int, m: int, prec: int = 128) -> ErrComplex:
@@ -441,24 +474,47 @@ def a_kj_rewrite(
         return _fixed_complex(*_akj_totals(k, j, n, h_shift, hp_shift), prec + _GUARD_BITS)
 
 
-def _fifth_root_sum(t: int, modulus: int, first: int, step: int, second: int) -> ErrComplex:
-    """sum_l ζ_5^(t l) K_modulus(first + l step, second), l = 0..4, at the
-    ambient precision: each real Kloosterman total T times the table entry
-    (a, b) of ζ_5^(t l), summed exactly at 2^-2w and rounded once per part.
+def _fifth_root_sum(t: int, modulus: int, first: int, second: int) -> tuple:
+    """S = sum_l ζ_5^(t l) K_M(first + l M/5, second), l = 0..4, for
+    M = modulus with 25 | M and 5 ∤ t, at the ambient precision:
+    (((re, err_re), (im, err_im)), w), each part of S a total at 2^-w
+    within its err units of the truth.
 
-    With T within c units and a, b within E = _ENTRY_ERR, the product a T is
-    within |a| c + (|T| + c) E units of 2^2w times the truth, and so is b T
-    with |b|."""
-    roots = _roots(5)
-    re = im = re_err = im_err = 0
-    for ell in range(5):
-        total, err = _kloosterman_total(modulus, first + ell * step, second)
-        a, b = roots[t * ell % 5]
-        re, im = re + a * total, im + b * total
-        re_err += abs(a) * err + (abs(total) + err) * _ENTRY_ERR
-        im_err += abs(b) * err + (abs(total) + err) * _ENTRY_ERR
-    w2 = 2 * (mp.prec + _GUARD_BITS)
-    return ErrComplex(_fixed_ball(re, re_err, w2), _fixed_ball(im, im_err, w2))
+    Write M = Q R with Q = 5^a and 5 ∤ R. Twisted multiplicativity splits
+    each K_M(n, m) into K_Q(n R', m R'), R R' == 1 (mod Q), times a factor
+    K_q for each prime power q of R; the step M/5 is 0 mod q, so those
+    factors, with product K_R, are the same for all five l and are summed
+    once. In the 5-part, n R' == u + l 5^(a-1) (mod Q) with u = first R',
+    and summing over l first, sum_l ζ_5^((t + h) l) is 5 when h == -t
+    (mod 5) and 0 otherwise: with v = second R',
+
+        S = 5 K_R F,   F = sum over h in (Z/Q)^x, h == -t (mod 5), of
+                           e((u h + v h')/Q),  h h' == -1 (mod Q),
+
+    a sum of phi(Q)/4 terms. Every factor is a total at 2^-W, W = mp.prec +
+    _GUARD_BITS + _SPLIT_BITS, within its table charge, and the parts of S
+    are the exact products at 2^-w, w = (s + 1) W over the s prime powers
+    of R, with _product's error bounds."""
+    split = mp.prec + _SPLIT_BITS
+    factors = []
+    for p, e in _factorization(modulus):
+        q = p**e
+        if p == 5:
+            five, (u, v) = q, _cofactor_args(modulus, q, first, second)
+        else:
+            factors.append(_half_pair_total(q, *_cofactor_args(modulus, q, first, second), split))
+    k_r = _product(factors)
+    pairs = _class_pairs(five, -t % 5)
+    re, im, err = _root_sum(five, (u * h + v * hp for h, hp in pairs), split)
+    parts = tuple(_product((k_r, (5 * x, 5 * err))) for x in (re, im))
+    return parts, (len(factors) + 1) * (split + _GUARD_BITS)
+
+
+def _fixed_quotient(total: int, err: int, den: int, w: int) -> ErrReal:
+    """The ball of total/den for a fixed-point total at 2^-w within err
+    units of the truth: the floor division moves the quotient by under one
+    unit, and err/den < err // den + 1."""
+    return _fixed_ball(total // den, err // den + 2, w)
 
 
 def a_kj_reduced_d5(
@@ -466,6 +522,10 @@ def a_kj_reduced_d5(
 ) -> ErrComplex:
     """A_{k,j}(n) for gcd(k,10)=5 rewritten through classical Kloosterman sums:
     -(1/25) sum_l e^(2 pi i j l / 5) K_{5k}((5n+3)(k^2-1)/4 + l k, j^2-5j-alpha^2+5alpha).
+
+    (1-k^2)/4 == 4^-1 (mod 5k): k is odd, so 8 | k^2 - 1, and 5k | k^2.
+    The sum is _fifth_root_sum's S, -1/25 folded into its totals, each part
+    rounded once.
 
     alpha_shift deliberately corrupts alpha_j; nonzero values are the
     negative control used by the sweep suite.
@@ -475,13 +535,11 @@ def a_kj_reduced_d5(
     jr = j % 5
     if gcd(jr, 5) != 1:
         raise ValueError("j must be coprime to 5")
-    # (1-k^2)/4 is the inverse of 4 modulo 5k
-    inv4 = (1 - k * k) // 4
-    assert (4 * inv4) % (5 * k) == 1 % (5 * k)
     al = alpha_of(jr, 5) + alpha_shift
     cj = jr * jr - 5 * jr - al * al + 5 * al
     with working_precision(prec):
-        return -_fifth_root_sum(jr, 5 * k, (5 * n + 3) * (k * k - 1) // 4, k, cj) / 25
+        parts, w = _fifth_root_sum(jr, 5 * k, (5 * n + 3) * (k * k - 1) // 4, cj)
+        return ErrComplex(*(_fixed_quotient(-total, err, 25, w) for total, err in parts))
 
 
 def a_kj_reduced_d10_abs(
@@ -489,6 +547,11 @@ def a_kj_reduced_d10_abs(
 ) -> ErrReal:
     """|A_{k,j}(n)| for gcd(k,10)=10 through classical Kloosterman sums:
     (1/50) |sum_l e^(-2 pi i j l / 5) K_{10k}(2(k l - 5n - 3), (j^2-10j-alpha^2+10alpha)/2)|.
+
+    The sum is _fifth_root_sum's S. Its modulus is taken on the totals:
+    isqrt(re^2 + im^2) is under one unit below |re + i im|, which is within
+    sqrt(err_re^2 + err_im^2) of |S|; then 1/50 is folded in and the one
+    part rounded once.
     """
     if gcd(k, 10) != 10:
         raise ValueError("k must have gcd(k,10) = 10")
@@ -500,7 +563,8 @@ def a_kj_reduced_d10_abs(
     if num % 2:
         raise ValueError("corrupted alpha made the twist parameter a half-integer")
     with working_precision(prec):
-        return _fifth_root_sum(-jr, 10 * k, -2 * (5 * n + 3), 2 * k, num // 2).abs() / 50
+        ((re, err_re), (im, err_im)), w = _fifth_root_sum(-jr, 10 * k, -2 * (5 * n + 3), num // 2)
+        return _fixed_quotient(isqrt(re * re + im * im), isqrt(err_re * err_re + err_im * err_im) + 2, 50, w)
 
 
 def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int, int]:

@@ -33,7 +33,6 @@ ball, once; _fixed_complex does so for both parts of a complex one.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,16 +78,26 @@ __all__ = [
 ]
 
 
-@contextmanager
-def working_precision(bits: int):
-    if bits < 4:
-        raise ValueError("working precision must be at least 4 bits")
-    old = mp.prec
-    mp.prec = bits
-    try:
-        yield
-    finally:
-        mp.prec = old
+class working_precision:
+    """Context manager: mp.prec is bits inside the block and its old value
+    again on leaving it, also on an exception and when nested. mp.prec is
+    set only when it differs, as setting it costs more than the check."""
+
+    __slots__ = ("bits", "old")
+
+    def __init__(self, bits: int):
+        if bits < 4:
+            raise ValueError("working precision must be at least 4 bits")
+        self.bits = bits
+
+    def __enter__(self) -> None:
+        self.old = mp.prec
+        if self.old != self.bits:
+            mp.prec = self.bits
+
+    def __exit__(self, *exc) -> None:
+        if mp.prec != self.old:
+            mp.prec = self.old
 
 
 def _eps(shift: int = 1) -> mpf:

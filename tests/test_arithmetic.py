@@ -8,7 +8,10 @@ Hand-derived expectations:
   * The k=5 sum has single terms at h=2,3 giving 2 cos(2 pi (1-20n)/50).
 """
 
+import inspect
 import math
+import sys
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -35,7 +38,7 @@ from qsign.arithmetic import (
     select_hprime,
     weil_bound_check,
 )
-from qsign.numerics import ErrComplex, _fixed_complex, working_precision
+from qsign.numerics import ErrComplex, _fixed_ball, _fixed_complex, working_precision
 
 TOL = mpf("1e-30")
 
@@ -530,6 +533,125 @@ def test_reduced_forms_enclose_the_direct_sum(prec):
                         assert abs(ball.value - true) <= ball.err, (k, j, n)
                         rounding = 8 * abs(ball.value) * mpf(2) ** -prec
                         assert ball.err <= (counts + 2) * unit / 25 + rounding, (k, j, n)
+
+
+def _five_sum_reference(t, modulus, first, step, second):
+    """sum_l ζ_5^(t l) K_modulus(first + l step, second), l = 0..4, as
+    five Kloosterman sums, each one split over every prime power of the
+    modulus: the unfactored form, at the ambient precision. Each real
+    total T within c units times the table entry (a, b) of ζ_5^(t l) is
+    within |a| c + (|T| + c) E units of 2^2w times the truth, E =
+    _ENTRY_ERR, and so is b T with |b|."""
+    roots = arithmetic._roots(5)
+    re = im = re_err = im_err = 0
+    for ell in range(5):
+        total, err = arithmetic._kloosterman_total(modulus, first + ell * step, second)
+        a, b = roots[t * ell % 5]
+        re, im = re + a * total, im + b * total
+        re_err += abs(a) * err + (abs(total) + err) * arithmetic._ENTRY_ERR
+        im_err += abs(b) * err + (abs(total) + err) * arithmetic._ENTRY_ERR
+    w2 = 2 * (mpmath.mp.prec + arithmetic._GUARD_BITS)
+    return ErrComplex(_fixed_ball(re, re_err, w2), _fixed_ball(im, im_err, w2))
+
+
+def _reference_reduced(k, j, n, prec, step_factor=1):
+    """The reduced form of A_{k,j}(n) (d = 5) or |A_{k,j}(n)| (d = 10)
+    from _five_sum_reference with step step_factor * modulus/5, scaled as
+    balls: its parts as a tuple of ErrReal."""
+    d = math.gcd(k, 10)
+    jr = j % d
+    al = alpha_of(jr, d)
+    with working_precision(prec):
+        if d == 5:
+            cj = jr * jr - 5 * jr - al * al + 5 * al
+            first = (5 * n + 3) * (k * k - 1) // 4
+            value = -_five_sum_reference(jr, 5 * k, first, step_factor * k, cj) / 25
+            return value.re, value.im
+        num = (jr * jr - 10 * jr - al * al + 10 * al) // 2
+        return (_five_sum_reference(-jr, 10 * k, -2 * (5 * n + 3), step_factor * 2 * k, num).abs() / 50,)
+
+
+def _reduced_parts(module, k, j, n, prec):
+    if math.gcd(k, 10) == 5:
+        value = module.a_kj_reduced_d5(k, j, n, prec)
+        return value.re, value.im
+    return (module.a_kj_reduced_d10_abs(k, j, n, prec),)
+
+
+def _reduced_mismatches(module, ks, ns, prec, step_factor=1):
+    """Over the grid, the numbers of reduced-form balls of module that are
+    disjoint from the unfactored reference's and that are wider than it."""
+    disjoint = wider = 0
+    for k in ks:
+        for j in (1, 2, 3, 4) if math.gcd(k, 10) == 5 else (1, 3, 7, 9):
+            for n in ns:
+                got = _reduced_parts(module, k, j, n, prec)
+                for ball, ref in zip(got, _reference_reduced(k, j, n, prec, step_factor)):
+                    with mpmath.workprec(1024):
+                        disjoint += abs(ball.value - ref.value) > ball.err + ref.err
+                    wider += ball.err > ref.err
+    return disjoint, wider
+
+
+_SWEEP_K = range(5, 201, 5)  # run_bound_sweeps' identity moduli
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_factored_reduced_forms_meet_the_five_sum_form_on_the_sweep_grid(prec):
+    # every k <= 200, 4 j and 20 n, both d: each factored ball meets the
+    # ball of the five-sum form, and its radius is no wider
+    assert _reduced_mismatches(arithmetic, _SWEEP_K, range(20), prec) == (0, 0)
+
+
+def _mutant(old, new, monkeypatch):
+    """A fresh copy of qsign.arithmetic with its source's one occurrence of
+    old replaced by new."""
+    source = inspect.getsource(arithmetic)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("qsign._arithmetic_mutant")
+    module.__package__ = "qsign"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("_class_pairs(five, -t % 5)", "_class_pairs(five, t % 5)"),  # h == +t (mod 5)
+        ("(5 * x, 5 * err)", "(x, err)"),  # the factor 5 of orthogonality dropped
+    ],
+)
+def test_factored_kernel_mutants_are_caught(old, new, monkeypatch):
+    disjoint, _ = _reduced_mismatches(_mutant(old, new, monkeypatch), _SWEEP_K[:10], range(3), 128)
+    assert disjoint > 0
+
+
+def test_factored_kernel_differs_from_five_sums_at_another_step():
+    # the class h == -t (mod 5) is that of the step modulus/5: against five
+    # sums stepped by twice that, the factored forms must disagree
+    disjoint, _ = _reduced_mismatches(arithmetic, _SWEEP_K[:10], range(3), 128, step_factor=2)
+    assert disjoint > 0
+
+
+def test_quarter_is_the_inverse_of_4_mod_5k():
+    # the d = 5 reduced form's first argument is -(5n+3) 4^-1 mod 5k
+    for k in range(5, 5001, 10):
+        assert (1 - k * k) % 4 == 0
+        assert 4 * ((1 - k * k) // 4) % (5 * k) == 1, k
+
+
+def test_clear_caches_empties_every_module_cache():
+    kloosterman(210, 3, 5)
+    weil_bound_check(15, 1, 2)
+    a_kj(15, 2, 1)
+    a_kj_reduced_d5(15, 2, 1)
+    a_kj_reduced_d10_abs(20, 3, 1)
+    caches = {name: v for name, v in vars(arithmetic).items() if isinstance(v, dict) and name.strip("_").isupper()}
+    assert "_CLASS_PAIRS" in caches
+    assert all(caches.values()), [name for name, v in caches.items() if not v]
+    arithmetic.clear_caches()
+    assert not any(caches.values()), [name for name, v in caches.items() if v]
 
 
 def test_domain_errors():

@@ -34,6 +34,36 @@ I1_THREE = "3.95337021740260939647863574058"
 ZETA_3_2 = "2.61237534868548834334856756792"
 
 
+def test_working_precision_restores_on_exception_and_when_nested():
+    mp = mpmath.mp
+    before = mp.prec
+    with working_precision(before):
+        assert mp.prec == before
+    with working_precision(200):
+        assert mp.prec == 200
+        with working_precision(64):
+            with working_precision(64):
+                assert mp.prec == 64
+            assert mp.prec == 64
+        assert mp.prec == 200
+        with pytest.raises(ZeroDivisionError):
+            with working_precision(300):
+                assert mp.prec == 300
+                1 / 0
+        assert mp.prec == 200
+        with working_precision(200):  # equal precision, changed in the block
+            mp.prec = 90
+        assert mp.prec == 200
+        with pytest.raises(KeyError):
+            with working_precision(200):
+                mp.prec = 90
+                raise KeyError
+        assert mp.prec == 200
+    assert mp.prec == before
+    with pytest.raises(ValueError):
+        working_precision(3)
+
+
 def test_errreal_addition_propagates():
     with working_precision(128):
         a = ErrReal(1, mpf("1e-30"))
