@@ -11,13 +11,14 @@ costs two cos/sin evaluations and about modulus/2 integer products.
 A Kloosterman sum is real: the pair (-h, -h') is a term of it whenever
 (h, h') is, with the opposite exponent, and the table holds the entry at -e
 as the exact conjugate of the entry at e. So K_q(n, m) is summed over the
-pairs with 2h < q only, as twice their fixed-point cosines. K_k of a k with
-two or more prime factors is the product of such sums over the prime
-powers q of k (twisted multiplicativity), each at 16 more bits, with the
-product's error bound formed exactly (_product). The reduced forms of the
-twisted sums, sum_l ζ_5^(t l) K_M(n + l M/5, m), are one such product:
-the factors prime to 5 do not depend on l, and the 5-part collapses to one
-sum over a class of residues mod 5 (_fifth_root_sum).
+pairs with 2h < q only, as twice their fixed-point cosines; the exact
+formula's twist is real in the same way and sums one class (_twist_totals).
+K_k of a k with two or more prime factors is the product of such sums over
+the prime powers q of k (twisted multiplicativity), each at 16 more bits,
+with the product's error bound formed exactly (_product). The reduced
+forms of the twisted sums, sum_l ζ_5^(t l) K_M(n + l M/5, m), are one such
+product: the factors prime to 5 do not depend on l, and the 5-part
+collapses to one sum over a class of residues mod 5 (_fifth_root_sum).
 
 Everything here stays in fixed point up to the public return, which forms
 the one ball. Every bound checked here is the square root of an integer B,
@@ -567,26 +568,38 @@ def a_kj_reduced_d10_abs(
         return _fixed_quotient(isqrt(re * re + im * im), isqrt(err_re * err_re + err_im * err_im) + 2, 50, w)
 
 
-def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int, int]:
-    """The twist of the exact formula as _root_sum's totals (re, im, err):
-    A_k(n) = A_{k,3}(n) + A_{k,-3}(n), or, when twisted, the reciprocal's
-    cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n))."""
-    js, m = ((1, -1), -n) if twisted else ((3, -3), n)
-    (re1, im1, e1), (re2, im2, e2) = (_akj_totals(k, j, m) for j in js)
-    return re1 + re2, -(im1 + im2) if twisted else im1 + im2, e1 + e2
+def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int]:
+    """The twist of the exact formula, A_k(n) = A_{k,3}(n) + A_{k,-3}(n) or,
+    when twisted, cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n)), at the
+    ambient precision: (2 re, 2 err) of class j = 3 at n, or j = 1 at -n, a
+    real total at 2^-w within err units, w = mp.prec + _GUARD_BITS.
+
+    Proof. With g = k - h: g1 = 2 - h1, g2 = k - h2, g nu1 = k/d - 1 - nu1,
+    g nu2 = d - nu2, g mu1 = k/d - 1 - mu1 and g mu2 = d - mu2, as h2, nu2
+    and mu2 are nonzero when gcd(h, k) = 1. So 3 mu2 - nu2 - d changes sign,
+    h1 + nu1 + mu1 keeps its parity, poly(h) - poly(g) = 2 (nu1 - mu1) k/d
+    and g' == -h' (mod (10/d) k); the two quadratic terms then sum to
+    10 h' (nu1 - mu1) k (d = 10) or 5 h' (nu1 - mu1) k with h' even (d = 5),
+    0 mod 10k; and -10g == 10h. So class -j's (base, step) are class j's
+    negated, entry by entry, and _roots holds the entry at -e as the exact
+    conjugate of the entry at e: class -j's totals are exactly (re, -im, err)."""
+    re, _, err = _akj_totals(k, 1 if twisted else 3, -n if twisted else n)
+    return 2 * re, 2 * err
 
 
 def a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
-    """A_k(n) = A_{k,3}(n) + A_{k,-3}(n)."""
+    """A_k(n) = A_{k,3}(n) + A_{k,-3}(n), which is real (_twist_totals)."""
     with working_precision(prec):
-        return _fixed_complex(*_twist_totals(k, n, False), prec + _GUARD_BITS)
+        total, err = _twist_totals(k, n, False)
+        return _fixed_complex(total, 0, err, prec + _GUARD_BITS)
 
 
 def cal_a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
-    """The conjugated twist entering the reciprocal's formula:
-    conj(A_{k,1}(-n)) + conj(A_{k,-1}(-n))."""
+    """The conjugated twist entering the reciprocal's formula, which is real
+    (_twist_totals): conj(A_{k,1}(-n)) + conj(A_{k,-1}(-n))."""
     with working_precision(prec):
-        return _fixed_complex(*_twist_totals(k, n, True), prec + _GUARD_BITS)
+        total, err = _twist_totals(k, n, True)
+        return _fixed_complex(total, 0, err, prec + _GUARD_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -628,4 +641,5 @@ def aggregated_bound_check(k: int, n: int, prec: int = 128, twisted: bool = Fals
     """|A_k(n)| (or |cal A_k(n)| when twisted) against the aggregated bound
     2 sqrt(_twisted_square(k)), decided on the totals as in weil_bound_check."""
     with working_precision(prec):
-        return not _exceeds(*_twist_totals(k, n, twisted), 4 * _twisted_square(k))
+        total, err = _twist_totals(k, n, twisted)
+        return not _exceeds(total, 0, err, 4 * _twisted_square(k))

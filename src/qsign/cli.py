@@ -218,8 +218,8 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc))
     except (RuntimeError, ArithmeticError) as exc:
-        # a convergence cap, an overflow or an unresolved sign (PoleError and
-        # ImaginaryResidueError are ArithmeticErrors); ZeroDivisionError exits 1 above
+        # a convergence cap, an overflow or an unresolved sign (PoleError is
+        # an ArithmeticError); ZeroDivisionError exits 1 above
         return _fail(str(exc), EXIT_NON_DEFINITIVE)
 
 

@@ -39,7 +39,6 @@ from .numerics import (
 from .qseries import PAPER_THRESHOLD  # re-exported; it is defined next to ZERO_EXCEPTIONS
 
 __all__ = [
-    "ImaginaryResidueError",
     "ExactEval",
     "MainErrorSplit",
     "shifted_index",
@@ -51,10 +50,6 @@ __all__ = [
     "main_error_split",
     "default_k_max",
 ]
-
-
-class ImaginaryResidueError(ArithmeticError):
-    """A sum that must be real has an imaginary part beyond its error bars."""
 
 
 def shifted_index(delta: int, n: int) -> int:
@@ -75,20 +70,12 @@ def _validate_n(delta: int, n: int) -> int:
     return nn
 
 
-def _imag_guard(im: ErrReal) -> None:
-    """Raise unless the ball im of a sum that must be real contains 0."""
-    if abs(im.value) > im.err:
-        raise ImaginaryResidueError(
-            f"imaginary residue {mp.nstr(im.value, 5)} exceeds its error {mp.nstr(im.err, 5)}"
-        )
-
-
 def _term_plan(delta: int, n: int, prec: int):
     """The summands of the exact formula in fixed point, as a function of k;
     call at the ambient precision prec. Returns w = prec + _GUARD_BITS, the
-    root tables' width, and term, where term(k) gives integers
-    (re, im, re_err, im_err) at 2^-2w: each part of the k-th summand
-    twist * (prefix / k) * I1(x_k) within its err units of the truth.
+    root tables' width, and term, where term(k) gives integers (value, err)
+    at 2^-2w: the k-th summand twist * (prefix / k) * I1(x_k), which is
+    real, within err units of the truth.
 
     Proof of the bounds. Per index, with u = w + 16, v = 2u - w and, for
     d = 5, 10, R_d = sqrt(2 (d-4) nn):
@@ -108,10 +95,9 @@ def _term_plan(delta: int, n: int, prec: int):
       |2^w I1(x_k) - s| <= bound + x_err 2^t =: i1_err.
     * f = floor(pre s / (k 2^u)) is 2^w (prefix / k) I1(x_k) within
       f_err = floor((pre i1_err + s pre_err + pre_err i1_err) / (k 2^u)) + 2.
-    * The twist's totals (re, im) at 2^-w are each within c units, one per
-      table entry (_root_sum). The summand's part re f is then within
-      |re| f_err + c f + c f_err units of 2^2w times the truth, and so is
-      im f with |im|.
+    * The twist's real total t at 2^-w is within c units, two per table
+      entry of the class it sums (_twist_totals); the summand t f is then
+      within |t| f_err + c f + c f_err units of 2^2w times the truth.
     The twist is A_k(n) for delta = 1 and cal A_k(n) for delta = -1, the
     totals of _twist_totals.
 
@@ -119,8 +105,8 @@ def _term_plan(delta: int, n: int, prec: int):
     L = 1.4428 x + 1/128, p = pi sqrt(12/nn) + 2^-10 above every prefix,
     m = k_max // 5 and Q = m (p 2^L + k_max), a pass at prec >= B =
     ceil(log2 Q) + 2 (_pass_bits) has err <= 1/4; there 2^w >= 2^10 Q.
-    * The twist sums c = phi(k)/2 <= k/2 entries (the units mod k fall
-      evenly on the 4 units mod d), and |re| <= c (2^w + 1).
+    * c = phi(k)/2 <= k/2, two per entry of one class (the units mod k fall
+      evenly on the 4 units mod d), and |t| <= c (2^w + 1).
     * As R_d/nn < 2: pre <= 2^u (p_d + 2^-w) for the prefix p_d, pre_err
       <= 5 and x_err <= 2 + x 2^-15; so x' = X 2^-w has e^x' <= 2^L, and
       x_err 2^t <= 2^(L+2).
@@ -129,7 +115,7 @@ def _term_plan(delta: int, n: int, prec: int):
       sum to at most 10 2^L + 32/15 per term. Past a, T_k + E_k <=
       2^(w+L+1) 16^(a-k) + 32/15 meets the tail test's 8 within (w+L)/4 + 1
       terms, so there are at most 2x' + (w+L)/4 + 3, and i1_err <= 22 2^L + w.
-    * With c/k <= 1/2, the parts re f sum to at most 2^2w (1 + 2^-w) Q/2 and
+    * With c/k <= 1/2, the summands t f sum to at most 2^2w (1 + 2^-w) Q/2 and
       their bounds to 2^w (12 Q + m p w); m p w 2^-w <= 2^-7, as w 2^-w falls
       and m p (log2 Q + 11) <= 8 Q (p < 4.2, k_max >= 10, x > 1.1).
     Rounding to prec bits adds |value| 2^-prec, rounding up the radius a
@@ -147,7 +133,7 @@ def _term_plan(delta: int, n: int, prec: int):
         prod, err = pi * root, 2 * root + pi + 2
         plan[d] = (2 * prod, 2 * err, prod // (nn << u), err // (nn << u) + 2)
 
-    def term(k: int) -> tuple[int, int, int, int]:
+    def term(k: int) -> tuple[int, int]:
         d = gcd(k, 10)
         if d not in (5, 10):
             raise ValueError("term defined only for gcd(k,10) in {5,10}")
@@ -160,9 +146,8 @@ def _term_plan(delta: int, n: int, prec: int):
         i1_err = bound + (x_err << t)
         f = pre * s // (k << u)
         f_err = (pre * i1_err + s * pre_err + pre_err * i1_err) // (k << u) + 2
-        re, im, c = _twist_totals(k, n, delta == -1)
-        spread = c * (f + f_err)
-        return re * f, im * f, abs(re) * f_err + spread, abs(im) * f_err + spread
+        twist, c = _twist_totals(k, n, delta == -1)
+        return twist * f, abs(twist) * f_err + c * (f + f_err)
 
     return w, term
 
@@ -278,8 +263,8 @@ def c_exact(
     One pass at prec 2^e bits, e >= 0 the least that reaches
     _pass_bits(delta, n, k_max), where the numeric error is at most 1/4
     (_term_plan); e is reported as escalations, and k_max stays as given.
-    The summands are integers at 2^-2w, their total rounded once to the
-    working precision, which charges that rounding to the numeric error.
+    The summands are real integers at 2^-2w (_twist_totals), their total
+    rounded once to the working precision, charging that to the numeric error.
     Note: the certified tail bound is of Weil type and is orders of
     magnitude above 1/2 at any desk-scale cutoff, so the definitive flag is
     not reachable in practice; rounding is nevertheless reported, alongside
@@ -296,9 +281,8 @@ def c_exact(
     prec <<= escalations
     with working_precision(prec):
         w, term = _term_plan(delta, n, prec)
-        re, im, re_err, im_err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
-        _imag_guard(_fixed_ball(im, im_err, 2 * w))
-        total = _fixed_ball(re, re_err, 2 * w)
+        value, err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
+        total = _fixed_ball(value, err, 2 * w)
         tail = tail_bound_op(delta, n, k_max, prec)
         rounded = int(mp.nint(total.value))
         gap = abs(total.value - rounded)

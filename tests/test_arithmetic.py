@@ -470,6 +470,74 @@ def test_per_term_shift_invariance_is_exact():
             assert shifted == base, (k, j, h_shift, hp_shift)
 
 
+def _valid_js(k):
+    return (1, 2, 3, 4) if math.gcd(k, 10) == 5 else (1, 3, 7, 9)
+
+
+def test_class_minus_j_table_is_the_negated_class_j_table():
+    # h -> k - h maps class j onto class -j, negating each (base, step)
+    # mod 10k; h runs up as k - h runs down
+    from qsign.arithmetic import _akj_exponent_table
+
+    for k in range(5, 1001, 5):
+        mod = 10 * k
+        for j in _valid_js(k):
+            negated = [(-b % mod, -s % mod) for b, s in reversed(_akj_exponent_table(k, j))]
+            assert _akj_exponent_table(k, -j) == negated, (k, j)
+    arithmetic.clear_caches()
+
+
+def _two_class_twist(k, n, twisted):
+    """A_k(n) = A_{k,3}(n) + A_{k,-3}(n), or cal A_k(n) = conj(A_{k,1}(-n) +
+    A_{k,-1}(-n)) when twisted, as the sum of both classes' totals:
+    (re, im, err)."""
+    js, m = ((1, -1), -n) if twisted else ((3, -3), n)
+    (re1, im1, e1), (re2, im2, e2) = (arithmetic._akj_totals(k, j, m) for j in js)
+    return re1 + re2, -(im1 + im2) if twisted else im1 + im2, e1 + e2
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_twist_totals_are_the_two_class_sum_bit_for_bit(prec):
+    with working_precision(prec):
+        for k in range(5, 501, 5):
+            for n in (0, 1, 7, 300, 2929, -5):
+                for twisted in (False, True):
+                    re, im, err = _two_class_twist(k, n, twisted)
+                    assert im == 0, (k, n, twisted)
+                    assert arithmetic._twist_totals(k, n, twisted) == (re, err), (k, n, twisted)
+
+
+def test_class_minus_j_sum_is_the_exact_conjugate_ball():
+    for k in _SWEEP_K:
+        for j in _valid_js(k):
+            for n in range(20):
+                z, w = a_kj(k, j, n), a_kj(k, -j, n)
+                assert _bits(w) == _bits(ErrComplex(z.re, -z.im)), (k, j, n)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("return 2 * re, 2 * err", "return re, err"),  # the factor 2 dropped
+        # class -j summed at the index un-negated: right for A_k, not for cal A_k
+        ("_akj_totals(k, 1 if twisted else 3, -n if twisted else n)", "_akj_totals(k, -1 if twisted else -3, n)"),
+    ],
+)
+def test_twist_mutants_fail_the_exact_formula_oracle(old, new, monkeypatch):
+    # the indices of test_c_exact_rounds_to_oracle: some row rounds away
+    # from the brute-force integer, or its gap and error reach 1/2
+    from qsign import exactformula
+    from qsign.qseries import q10_series
+
+    monkeypatch.setattr(exactformula, "_twist_totals", _mutant(old, new, monkeypatch)._twist_totals)
+    failed = []
+    for delta, n in ((1, 30), (1, 47), (-1, 25), (-1, 12)):
+        ev = exactformula.c_exact(delta, n)
+        if ev.rounded != q10_series(delta, n).coefficient(n) or ev.gap + ev.err >= mpf("0.5"):
+            failed.append((delta, n))
+    assert failed
+
+
 def test_twist_constants_d5():
     # j^2 - 5j - alpha^2 + 5 alpha = +2 for j in {1,4}, -2 for j in {2,3}
     for j, expected in ((1, 2), (4, 2), (2, -2), (3, -2)):
@@ -708,14 +776,15 @@ def test_bound_checks_fail_with_the_square_just_below(monkeypatch):
     # largest integer below the squared length of the nearest point its
     # totals admit, and passes at the next integer
     with working_precision(128):
-        total, count = arithmetic._kloosterman_total(7, 1, 1)
         totals = [
-            (total, 0, count),  # K is real
+            arithmetic._kloosterman_total(7, 1, 1),
             arithmetic._akj_totals(15, 2, 3),
             arithmetic._akj_totals(20, 3, 0),
             arithmetic._twist_totals(25, 4, False),
             arithmetic._twist_totals(30, 2, True),
         ]
+        # K and the twists are real: their (total, err) is (total, 0, err)
+        totals = [(t[0], 0, t[1]) if len(t) == 2 else t for t in totals]
     cases = [
         (weil_bound_check, (7, 1, 1), "_weil_square", 1),
         (bound_check_d5, (15, 2, 3), "_twisted_square", 1),

@@ -20,8 +20,6 @@ from mpmath import mpf
 from qsign.exactformula import (
     _DIVISOR_PARTIALS,
     _TAIL_BOUNDS,
-    ImaginaryResidueError,
-    _imag_guard,
     _pass_bits,
     _term_plan,
     c_exact,
@@ -34,7 +32,7 @@ from qsign.exactformula import (
     threshold_lhs,
 )
 from qsign.arithmetic import _GUARD_BITS, _ROOT_TABLES, _akj_exponent_table, clear_caches
-from qsign.numerics import ErrComplex, ErrReal, _fixed_ball, working_precision, zeta_3_2
+from qsign.numerics import ErrReal, _fixed_ball, working_precision, zeta_3_2
 from qsign.qseries import POSITIVE_RESIDUES, q10_series
 
 
@@ -46,20 +44,18 @@ def test_shifted_index():
 
 
 def term(delta, n, k, prec=128):
-    """The k-th summand of the exact formula, as c_exact forms it, with each
-    fixed-point part rounded into a ball."""
+    """The k-th summand of the exact formula, as c_exact forms it, rounded
+    into a ball."""
     with working_precision(prec):
         w, plan = _term_plan(delta, n, prec)
-        re, im, re_err, im_err = plan(k)
-        return ErrComplex(_fixed_ball(re, re_err, 2 * w), _fixed_ball(im, im_err, 2 * w))
+        return _fixed_ball(*plan(k), 2 * w)
 
 
 def test_term_k10_equals_main_term():
     for delta, n in ((1, 10), (1, 17), (1, 100), (-1, 25)):
         t = term(delta, n, 10)
-        _imag_guard(t.im)
         m = main_term(delta, n)
-        assert abs(t.re.value - m.value) <= 4 * (t.re.err + m.err) + mpf("1e-30")
+        assert abs(t.value - m.value) <= 4 * (t.err + m.err) + mpf("1e-30")
 
 
 def test_term_k_domain():
@@ -69,16 +65,6 @@ def test_term_k_domain():
         term(-1, 1, 10)  # inner index not positive
     with pytest.raises(ValueError):
         term(1, 0, 10)
-
-
-def test_imaginary_guard():
-    _imag_guard(ErrReal(mpf("1e-40"), mpf("1e-30")))
-    with pytest.raises(ImaginaryResidueError):
-        _imag_guard(ErrReal(mpf("0.5"), mpf("1e-30")))
-    # exactly when 0 lies outside the ball, however small the residue
-    _imag_guard(ErrReal(mpf("1e-13"), mpf("1e-13")))
-    with pytest.raises(ImaginaryResidueError):
-        _imag_guard(ErrReal(mpf("1e-13"), 0))
 
 
 @pytest.mark.parametrize("delta,n", [(1, 30), (1, 47), (-1, 25), (-1, 12)])
@@ -183,7 +169,8 @@ def _reference_factor(delta, n, k):
 
 
 def _reference_twist(delta, n, k):
-    """A_k(n) or cal A_k(n), term by term at the ambient mpmath precision."""
+    """A_k(n) or cal A_k(n), term by term over both classes at the ambient
+    mpmath precision."""
     js, m = ((3, -3), n) if delta == 1 else ((1, -1), -n)
     exps = [base + m * step for j in js for base, step in _akj_exponent_table(k, j)]
     total = mpmath.fsum(mpmath.expjpi(mpf(2 * e) / (10 * k)) for e in exps)
@@ -200,10 +187,10 @@ def test_term_parts_enclose_the_reference(prec):
             w, plan = _term_plan(delta, n, prec)
             parts = {k: plan(k) for k in range(5, default_k_max(delta, n) + 1, 5)}
         with mpmath.workprec(2 * w + 200):
-            for k, (re, im, re_err, im_err) in parts.items():
+            for k, (value, err) in parts.items():
                 ref = _reference_twist(delta, n, k) * _reference_factor(delta, n, k) * 2 ** (2 * w)
-                assert abs(ref.real - re) <= re_err, (delta, n, k)
-                assert abs(ref.imag - im) <= im_err, (delta, n, k)
+                assert abs(ref.real - value) <= err, (delta, n, k)
+                assert abs(ref.imag) <= err, (delta, n, k)
 
 
 @pytest.mark.parametrize("prec", [16, 64, 128])
@@ -212,16 +199,15 @@ def test_term_factor_encloses_the_reference(prec, monkeypatch):
     # prefix, the Bessel argument's floor and its charge, and the floors
     import qsign.exactformula as ef
 
-    monkeypatch.setattr(ef, "_twist_totals", lambda k, n, twisted: (2 << (mpmath.mp.prec + _GUARD_BITS), 0, 0))
+    monkeypatch.setattr(ef, "_twist_totals", lambda k, n, twisted: (2 << (mpmath.mp.prec + _GUARD_BITS), 0))
     for delta, n in TERM_INDICES + [(1, 29), (1, 160), (-1, 103), (-1, 256)]:
         with working_precision(prec):
             w, plan = _term_plan(delta, n, prec)
             parts = {k: plan(k) for k in range(5, default_k_max(delta, n) + 1, 5)}
         with mpmath.workprec(2 * w + 200):
-            for k, (re, im, re_err, im_err) in parts.items():
+            for k, (value, err) in parts.items():
                 ref = 2 * _reference_factor(delta, n, k) * 2 ** (2 * w)
-                assert abs(ref - re) <= re_err, (delta, n, k)
-                assert im == im_err == 0
+                assert abs(ref - value) <= err, (delta, n, k)
 
 
 def test_c_exact_domain():

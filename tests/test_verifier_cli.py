@@ -117,6 +117,22 @@ def test_small_sweep_passes():
     assert len(rows) > 1
 
 
+def test_sweep_reports_rewrite_failures_when_a_summand_depends_on_its_representative(monkeypatch):
+    # adding h to every exponent makes a summand change under h -> h + k, so
+    # the shifted tables differ and every sampled n of every (k, j) fails
+    parts = arithmetic._term_exponent_parts
+    monkeypatch.setattr(arithmetic, "_term_exponent_parts", lambda h, hp, k: parts(h, hp, k) + h)
+    arithmetic.clear_caches()
+    try:
+        report = run_bound_sweeps(k_max=10, n_samples=2, identity_k_max=10)
+    finally:
+        arithmetic.clear_caches()
+    rewrite = [(f["k"], f["j"], f["n"]) for f in report.identity_failures if f["kind"] == "rewrite"]
+    assert len(rewrite) == report.identity_checks // 2 == 16
+    assert len(set(rewrite)) == 16
+    assert not report.passed
+
+
 def test_sweep_csv_bound_is_the_twisted_bound_on_the_default_grid():
     # the bound column depends on k alone: the default k grid, one sample
     report = run_bound_sweeps(identity_k_max=5, n_samples=1)
