@@ -402,11 +402,12 @@ def _package_errors():
     ]
 
 
-# a convergence cap, then every error class the package exports: each is a
-# numeric result that could not be resolved, so each exits 2
+# a convergence cap, a bare ArithmeticError (the base of every unresolved
+# sign), then every error class the package exports: each is a numeric result
+# that could not be resolved, so each exits 2
 @pytest.mark.parametrize(
     "error, code",
-    [(RuntimeError("Bessel series failed to converge"), 2)]
+    [(RuntimeError("Bessel series failed to converge"), 2), (ArithmeticError("sign not resolved"), 2)]
     + [(cls(f"{cls.__name__} raised"), 2) for cls in _package_errors()],
 )
 def test_cli_maps_numeric_errors_to_exit_codes(monkeypatch, capsys, error, code):
