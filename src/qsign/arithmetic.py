@@ -21,9 +21,10 @@ product: the factors prime to 5 do not depend on l, and the 5-part
 collapses to one sum over a class of residues mod 5 (_fifth_root_sum).
 
 Everything here stays in fixed point up to the public return, which forms
-the one ball. Every bound checked here is the square root of an integer B,
-so |x| <= sqrt(B) is decided on the totals themselves: the box of values
-they admit is compared with the circle of radius sqrt(B) in integers.
+the one ball, and every check is decided on the totals, in integers. Each
+bound is the square root of an integer B: the box of values the totals admit
+is compared with the circle of radius sqrt(B). A reduction identity D A = S
+fails only when the boxes of both sides, at one scale, are disjoint.
 """
 
 from __future__ import annotations
@@ -518,53 +519,65 @@ def _fixed_quotient(total: int, err: int, den: int, w: int) -> ErrReal:
     return _fixed_ball(total // den, err // den + 2, w)
 
 
+def _reduced_totals(k: int, j: int, n: int, alpha_shift: int = 0) -> tuple:
+    """(D, parts, w) with D A_{k,j}(n) = S, a sum of Kloosterman sums, for
+    gcd(k,10) in {5, 10} (every caller checks it): S and its parts at 2^-w
+    from _fifth_root_sum, at the ambient precision. For gcd(k,10) = 5, D = -25 and S =
+    sum_l e^(2 pi i j l/5) K_{5k}((5n+3)(k^2-1)/4 + l k, j^2-5j-alpha^2+5alpha),
+    where (1-k^2)/4 == 4^-1 (mod 5k): k is odd, so 8 | k^2 - 1, and 5k | k^2.
+    For gcd(k,10) = 10, D = 50 and S =
+    sum_l e^(-2 pi i j l/5) K_{10k}(2(k l - 5n - 3), (j^2-10j-alpha^2+10alpha)/2).
+    alpha_shift corrupts alpha_j: nonzero values are the sweep's negative controls."""
+    d = gcd(k, 10)
+    jr = j % d
+    if gcd(jr, d) != 1:
+        raise ValueError(f"j must be coprime to {d}")
+    al = alpha_of(jr, d) + alpha_shift
+    num = jr * jr - d * jr - al * al + d * al
+    if d == 5:
+        return (-25, *_fifth_root_sum(jr, 5 * k, (5 * n + 3) * (k * k - 1) // 4, num))
+    if num % 2:
+        raise ValueError("corrupted alpha made the twist parameter a half-integer")
+    return (50, *_fifth_root_sum(-jr, 10 * k, -2 * (5 * n + 3), num // 2))
+
+
+def _reduced_identity_holds(k: int, j: int, n: int, alpha_shift: int = 0) -> bool:
+    """Whether D A_{k,j}(n) = S (_reduced_totals) can hold, at the ambient
+    precision. A's totals a at 2^-v, v = mp.prec + _GUARD_BITS, are within
+    err units, so D a 2^(w-v) is within |D| err 2^(w-v) units of 2^w D A, and
+    each part s of S within its e units: the identity is refuted only when
+    some part's |D a 2^(w-v) - s| exceeds the sum of the two (w - v >= 16).
+    For d = 10 this decides the value A = S/50, not only its modulus."""
+    re, im, err = _akj_totals(k, j, n)
+    den, parts, w = _reduced_totals(k, j, n, alpha_shift)
+    shift = w - mp.prec - _GUARD_BITS
+    slack = abs(den) * err << shift
+    return all(abs((den * a << shift) - s) <= slack + e for a, (s, e) in zip((re, im), parts))
+
+
 def a_kj_reduced_d5(
     k: int, j: int, n: int, prec: int = 128, alpha_shift: int = 0
 ) -> ErrComplex:
-    """A_{k,j}(n) for gcd(k,10)=5 rewritten through classical Kloosterman sums:
-    -(1/25) sum_l e^(2 pi i j l / 5) K_{5k}((5n+3)(k^2-1)/4 + l k, j^2-5j-alpha^2+5alpha).
-
-    (1-k^2)/4 == 4^-1 (mod 5k): k is odd, so 8 | k^2 - 1, and 5k | k^2.
-    The sum is _fifth_root_sum's S, -1/25 folded into its totals, each part
-    rounded once.
-
-    alpha_shift deliberately corrupts alpha_j; nonzero values are the
-    negative control used by the sweep suite.
-    """
+    """A_{k,j}(n) = -S/25 for gcd(k,10)=5, S the Kloosterman form of
+    _reduced_totals: -1/25 is folded into its totals, each part rounded once."""
     if gcd(k, 10) != 5:
         raise ValueError("k must have gcd(k,10) = 5")
-    jr = j % 5
-    if gcd(jr, 5) != 1:
-        raise ValueError("j must be coprime to 5")
-    al = alpha_of(jr, 5) + alpha_shift
-    cj = jr * jr - 5 * jr - al * al + 5 * al
     with working_precision(prec):
-        parts, w = _fifth_root_sum(jr, 5 * k, (5 * n + 3) * (k * k - 1) // 4, cj)
+        _, parts, w = _reduced_totals(k, j, n, alpha_shift)
         return ErrComplex(*(_fixed_quotient(-total, err, 25, w) for total, err in parts))
 
 
 def a_kj_reduced_d10_abs(
     k: int, j: int, n: int, prec: int = 128, alpha_shift: int = 0
 ) -> ErrReal:
-    """|A_{k,j}(n)| for gcd(k,10)=10 through classical Kloosterman sums:
-    (1/50) |sum_l e^(-2 pi i j l / 5) K_{10k}(2(k l - 5n - 3), (j^2-10j-alpha^2+10alpha)/2)|.
-
-    The sum is _fifth_root_sum's S. Its modulus is taken on the totals:
-    isqrt(re^2 + im^2) is under one unit below |re + i im|, which is within
-    sqrt(err_re^2 + err_im^2) of |S|; then 1/50 is folded in and the one
-    part rounded once.
-    """
+    """|A_{k,j}(n)| = |S|/50 for gcd(k,10)=10, S the Kloosterman form of
+    _reduced_totals, its modulus taken on the totals: isqrt(re^2 + im^2) is
+    under one unit below |re + i im|, which is within sqrt(err_re^2 +
+    err_im^2) of |S|; then 1/50 is folded in and the one part rounded once."""
     if gcd(k, 10) != 10:
         raise ValueError("k must have gcd(k,10) = 10")
-    jr = j % 10
-    if gcd(jr, 10) != 1:
-        raise ValueError("j must be coprime to 10")
-    al = alpha_of(jr, 10) + alpha_shift
-    num = jr * jr - 10 * jr - al * al + 10 * al
-    if num % 2:
-        raise ValueError("corrupted alpha made the twist parameter a half-integer")
     with working_precision(prec):
-        ((re, err_re), (im, err_im)), w = _fifth_root_sum(-jr, 10 * k, -2 * (5 * n + 3), num // 2)
+        _, ((re, err_re), (im, err_im)), w = _reduced_totals(k, j, n, alpha_shift)
         return _fixed_quotient(isqrt(re * re + im * im), isqrt(err_re * err_re + err_im * err_im) + 2, 50, w)
 
 

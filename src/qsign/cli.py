@@ -42,24 +42,24 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qsign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, precision=True, formats=False, output=True):  # only the flags p's command reads
+    def add_common(p, precision=True, formats=(), output=True):  # only the flags and formats p's command reads
         if precision:
             p.add_argument("--precision-bits", type=int, default=128)
         if formats:
-            p.add_argument("--format", dest="fmt", choices=("json", "csv", "plain"), default="json")
+            p.add_argument("--format", dest="fmt", choices=formats, default="json")
         if output:
             p.add_argument("--output", default=None)
 
     p = sub.add_parser("expand", help="expand the coefficient series")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
     p.add_argument("--order", type=int, required=True)
-    add_common(p, precision=False, formats=True)
+    add_common(p, precision=False, formats=("json", "csv", "plain"))
 
     p = sub.add_parser("exact", help="evaluate the exact formula at one index")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k-max", type=int, default=None)
-    add_common(p, formats=True)
+    add_common(p, formats=("json", "csv", "plain"))
 
     p = sub.add_parser("verify", help="brute-force sign verification up to n-max")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))
@@ -70,7 +70,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=int, default=500)
     p.add_argument("--identity-k-max", type=int, default=200)
     p.add_argument("--n-samples", type=int, default=20)
-    add_common(p, formats=True)
+    add_common(p, formats=("json", "csv"))
 
     p = sub.add_parser("threshold", help="closed-form threshold inequality at n")
     p.add_argument("--delta", type=int, required=True, choices=(1, -1))

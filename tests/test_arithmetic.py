@@ -551,11 +551,21 @@ def test_twist_constants_d10():
         assert j * j - 10 * j - al * al + 10 * al == expected
 
 
+def _identity_holds_at_every_precision(k, j, n, alpha_shift=0):
+    """_reduced_identity_holds at 64, 128 and 256 bits, as a set of results."""
+    results = set()
+    for prec in (64, 128, 256):
+        with working_precision(prec):
+            results.add(arithmetic._reduced_identity_holds(k, j, n, alpha_shift))
+    return results
+
+
 def test_reduced_identity_d5():
     with working_precision(128):
         for k, j, n in ((5, 3, 0), (15, 1, 7), (25, 2, 3), (45, 4, 12)):
             diff = (a_kj(k, j, n) - a_kj_reduced_d5(k, j, n)).abs()
             assert diff.value < TOL
+            assert _identity_holds_at_every_precision(k, j, n) == {True}, (k, j, n)
 
 
 def test_reduced_identity_d10():
@@ -564,6 +574,8 @@ def test_reduced_identity_d10():
             direct = a_kj(k, j, n).abs()
             reduced = a_kj_reduced_d10_abs(k, j, n)
             assert abs(direct.value - reduced.value) < TOL
+            # the value A = S/50, not only its modulus
+            assert _identity_holds_at_every_precision(k, j, n) == {True}, (k, j, n)
 
 
 def test_reduced_identity_negative_controls():
@@ -572,6 +584,8 @@ def test_reduced_identity_negative_controls():
         assert (a_kj(15, 2, 1) - bad5).abs().value > mpf("1e-6")
         bad10 = a_kj_reduced_d10_abs(20, 3, 1, alpha_shift=2)
         assert abs(a_kj(20, 3, 1).abs().value - bad10.value) > mpf("1e-6")
+    assert _identity_holds_at_every_precision(15, 2, 1, alpha_shift=1) == {False}
+    assert _identity_holds_at_every_precision(20, 3, 1, alpha_shift=2) == {False}
 
 
 @pytest.mark.parametrize("prec", [64, 128, 256])

@@ -133,6 +133,40 @@ def test_sweep_reports_rewrite_failures_when_a_summand_depends_on_its_representa
     assert not report.passed
 
 
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_sweep_identities_pass_at_every_precision(prec):
+    # the whole identity grid: each reduced form fails only when its
+    # enclosure and the direct sum's are disjoint, whatever the precision
+    report = run_bound_sweeps(k_max=5, identity_k_max=200, n_samples=20, prec=prec)
+    assert report.identity_checks == 6400
+    assert report.identity_failures == []
+    assert report.negative_control_detected
+    assert report.passed
+
+
+def test_cli_sweeps_at_64_bits(capsys):
+    assert main(["sweeps", "--precision-bits", "64", "--k-max", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_sweep_decides_the_d10_reduced_form_as_a_value(monkeypatch):
+    # conjugating S for the even moduli 10k keeps |S|, so only a check of
+    # the value A = S/50 sees it; the d = 5 forms are untouched
+    fifth_root_sum = arithmetic._fifth_root_sum
+
+    def conjugated(t, modulus, first, second):
+        (re, (im, err)), w = fifth_root_sum(t, modulus, first, second)
+        return (re, (-im if modulus % 2 == 0 else im, err)), w
+
+    monkeypatch.setattr(arithmetic, "_fifth_root_sum", conjugated)
+    arithmetic.clear_caches()
+    report = run_bound_sweeps(k_max=5, identity_k_max=40, n_samples=4)
+    reduced = [f for f in report.identity_failures if f["kind"] == "reduced"]
+    assert reduced
+    assert {f["k"] % 10 for f in reduced} == {0}
+    assert not report.passed
+
+
 def test_sweep_csv_bound_is_the_twisted_bound_on_the_default_grid():
     # the bound column depends on k alone: the default k grid, one sample
     report = run_bound_sweeps(identity_k_max=5, n_samples=1)
@@ -353,6 +387,16 @@ def test_cli_format_only_on_commands_that_read_it(argv, capsys):
     assert out.out == ""
     errors = [line for line in out.err.splitlines() if line.startswith("qsign: error:")]
     assert errors == ["qsign: error: unrecognized arguments: --format csv"]
+    assert "Traceback" not in out.err
+
+
+def test_cli_sweeps_refuses_the_plain_format(capsys):
+    argv = ["sweeps", "--k-max", "5", "--identity-k-max", "5", "--n-samples", "1", "--format", "plain"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [line for line in out.err.splitlines() if line.startswith("qsign: error:")]
+    assert len(errors) == 1 and "'plain'" in errors[0]
     assert "Traceback" not in out.err
 
 
