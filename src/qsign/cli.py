@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text + "\n", encoding="utf-8")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, not at interpreter exit
 
 
 def build_parser() -> _Parser:
@@ -215,7 +216,11 @@ def main(argv=None) -> int:
         if getattr(args, "precision_bits", 128) < 64:
             return _fail("precision-bits must be >= 64")
         return _COMMANDS[args.command](args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        # OSError: output that cannot be written. After a closed pipe the rest
+        # of stdout goes to devnull, so the interpreter's final flush is silent
+        if isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _fail(str(exc))
     except (RuntimeError, ArithmeticError) as exc:
         # a convergence cap, an overflow or an unresolved sign (PoleError is

@@ -15,21 +15,22 @@ it. theta and the triple product's q-Pochhammer side step such values by
 a ratio recurrence (_fixed_mul) and add rigorous truncation tails. Every
 non-rational exponential, the starting values and all the phases and
 prefactors alike, is mpmath's exp charged by one stated trust
-(_fixed_exp); rational-angle roots are ErrComplex.unit_root. The default
-working precision (256 bits) leaves many orders of magnitude between
-numerical noise (~1e-70) and the 1e-15 comparison tolerances.
+(_fixed_exp); rational-angle roots are ErrComplex.unit_root. Every ball
+record has one decision rule, _agreement: it fails only when the two
+sides' enclosures are disjoint, with no tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import asdict, dataclass
 from math import gcd, isqrt
 
-from mpmath import ceil, exp, floor, log, loggamma, mp, mpc, mpf, pi
-from mpmath.libmp import to_fixed
+from mpmath import ceil, exp, floor, hypot, log, loggamma, mp, mpc, mpf, pi
+from mpmath.libmp import fone, mpf_div, mpf_lt, mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor, to_fixed
 
 from .arithmetic import _GUARD_BITS, decompose, neg_inverse
-from .numerics import ErrComplex, _fixed_complex, working_precision
+from .numerics import ErrComplex, ErrReal, _fixed_complex, working_precision
 from .qseries import q10_series_product
 
 __all__ = [
@@ -221,39 +222,51 @@ def f_eval(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
         return num / den
 
 
-def f_series_agreement(tau, order: int = 60, prec: int = DEFAULT_PREC) -> mpf:
-    """|q^{-1} f(tau) - sum_{n<=order} c_1(n) q^n| (series tail not included;
-    callers choose tau with |q| small enough that it is negligible).
+_SERIES_ORDER = 60
+
+
+def f_series_agreement(tau, prec: int = DEFAULT_PREC) -> "CheckRecord":
+    """q^-1 f(tau) against sum_n c_1(n) q^n with q = e^(2 pi i tau): the
+    f_eval ball over the q ball, against c_1(0..60) summed on that q ball
+    by Horner's rule plus a bound on the rest. The quotient is a product
+    of factors (1 - q^n)^(+-1), at most one per n, so |c_1(n)| is at most
+    the coefficient of prod 1/(1 - q^n), the partition number
+    p(n) <= 2^(n-1) (every partition is a composition). For r >= |q| with
+    2r < 1 the rest is thus at most (2r)^61 / (1 - 2r), formed rounded up.
 
     The coefficients come from the product route, not from ``q10_series``:
     that one is built from this same theta quotient, so comparing against
     it would restate the triple-product identity instead of testing it."""
-    coeffs = q10_series_product(1, order).coeffs
+    params = {"tau": str(tau), "order": _SERIES_ORDER}
+    coeffs = q10_series_product(1, _SERIES_ORDER).coeffs
     with working_precision(prec):
         tau = mpc(tau)
-        q = exp(2j * pi * tau)
-        f = f_eval(tau, mpf(2) ** (-prec // 2), prec)
-        lhs = mpc(f.re.value, f.im.value) / q
-        rhs = mpc(0)
-        for n in range(order, -1, -1):
-            rhs = rhs * q + coeffs[n]
-        return abs(lhs - rhs)
+        q = _exp_ball(lambda: 2j * pi * tau, 2 * pi * (abs(tau) + 1))
+        lhs = f_eval(tau, mpf(2) ** (-prec // 2), prec) / q
+        rhs = ErrComplex(0)
+        for c in reversed(coeffs):
+            rhs = rhs * q + c
+        x = mpf_shift(q.abs().hi._mpf_, 1)  # 2r, exact
+        if not mpf_lt(x, fone):
+            raise ValueError("|q| must be below 1/2 for the series tail bound")
+        top = mpf_pow_int(x, _SERIES_ORDER + 1, prec, round_ceiling)
+        tail = ErrReal(0, mp.make_mpf(mpf_div(top, mpf_sub(fone, x, prec, round_floor), prec, round_ceiling)))
+        return _agreement("series-agreement", params, lhs, rhs + ErrComplex(tail, tail))
 
 
-def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int = DEFAULT_PREC) -> "CheckRecord":
+def transformation_check_detail(h: int, k: int, z, prec: int = DEFAULT_PREC) -> "CheckRecord":
     """Evaluate both sides of the cusp transformation of f at (h, k, z).
 
     Left: f((h+iz)/k).  Right: the sign/phase/growth prefactor times the
     quotient of thetas at the transformed arguments, using the cusp data of
-    h/k. Agreement within combined error bars (plus target slack) passes.
-    """
+    h/k. Decided by _agreement."""
     cusp = decompose(h, k)
     d, hp = cusp.d, cusp.hprime
     with working_precision(prec):
         z = mpc(z)
         if not z.real > 0:
             raise ValueError("Re(z) must be positive")
-        target = mpf(target_err) if target_err is not None else mpf(2) ** (-prec // 2)
+        target = mpf(2) ** (-prec // 2)
         lhs = f_eval((h + 1j * z) / k, target / 8, prec)
 
         sign = -1 if (cusp.h1 + cusp.nu1 + cusp.mu1) % 2 else 1
@@ -274,7 +287,7 @@ def transformation_check_detail(h: int, k: int, z, target_err=None, prec: int = 
             raise PoleError("transformed theta denominator indistinguishable from zero")
 
         rhs = root_phase * quad * analytic * (th_num / th_den) * sign
-        return _agreement("cusp-transformation", {"h": h, "k": k, "z": str(z)}, lhs, rhs, target)
+        return _agreement("cusp-transformation", {"h": h, "k": k, "z": str(z)}, lhs, rhs)
 
 
 def growth_classifier(d: int, nu2: int, delta: int = 1) -> bool:
@@ -305,29 +318,25 @@ class CheckRecord:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_diff": self.abs_diff,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        record = asdict(self)
+        record["pass"] = record.pop("passed")
+        return record
 
 
-def _agreement(check: str, params: dict, lhs: ErrComplex, rhs: ErrComplex, tol) -> CheckRecord:
-    """Passes when |lhs - rhs| is within both error bars plus tol."""
-    diff = (lhs - rhs).abs()
-    tolerance = lhs.max_err() + rhs.max_err() + tol
+def _agreement(check: str, params: dict, lhs: ErrComplex, rhs: ErrComplex) -> CheckRecord:
+    """The one rule of the ball records: fail only when the enclosures are
+    disjoint, when a part of the ball lhs - rhs (whose radii include its
+    own rounding) excludes 0. abs_diff is that ball's midpoint modulus and
+    tolerance the hypot of its radii, so a pass has abs_diff <= tolerance."""
+    diff = lhs - rhs
     return CheckRecord(
         check=check,
         params=params,
         lhs=mp.nstr(mpc(lhs.re.value, lhs.im.value), 20),
         rhs=mp.nstr(mpc(rhs.re.value, rhs.im.value), 20),
-        abs_diff=float(diff.value),
-        tolerance=float(tolerance),
-        passed=bool(diff.value <= tolerance),
+        abs_diff=float(diff.abs().value),
+        tolerance=float(hypot(diff.re.err, diff.im.err)),
+        passed=diff.re.contains(0) and diff.im.contains(0),
     )
 
 
@@ -360,7 +369,7 @@ def _qpochhammer(a: tuple[int, int, int], q: tuple[int, int, int], target_rel, w
     raise RuntimeError("q-Pochhammer truncation failed to converge")
 
 
-def _triple_product_record(w, tau, prec: int, tol: float) -> CheckRecord:
+def _triple_product_record(w, tau, prec: int) -> CheckRecord:
     """theta against -i q^(1/8) zeta^(-1/2) (q; q) (zeta; q) (q/zeta; q), the
     three products in fixed point at 2^-W from starting values as in theta."""
     with working_precision(prec):
@@ -379,7 +388,7 @@ def _triple_product_record(w, tau, prec: int, tol: float) -> CheckRecord:
         # theta(w + 1) = -theta(w) while the products have period 1
         pref = _exp_ball(lambda: pi * 1j * (tau / 4 - w - mpf(1) / 2), size)
         rhs = pref * _fixed_complex(*prod, W)
-        return _agreement("triple-product", {"w": str(w), "tau": str(tau)}, lhs, rhs, tol)
+        return _agreement("triple-product", {"w": str(w), "tau": str(tau)}, lhs, rhs)
 
 
 # (h, k, z, w) for the eta and theta transformation records; z and w are
@@ -398,7 +407,7 @@ _MULTIPLIER_TUPLES = [
 ]
 
 
-def _multiplier_records(h: int, k: int, z, w, prec: int, tol) -> list[CheckRecord]:
+def _multiplier_records(h: int, k: int, z, w, prec: int) -> list[CheckRecord]:
     """The eta transformation, which checks the closed-form multiplier
     omega = zeta_{12k}^D numerically, and the theta transformation that
     uses it, at (h, k, z) and theta's argument w, both (re, im) tuples."""
@@ -413,7 +422,7 @@ def _multiplier_records(h: int, k: int, z, w, prec: int, tol) -> list[CheckRecor
         lhs = eta((h + 1j * z) / k, target / 4, prec)
         root = _exp_ball(lambda: -log(z) / 2, abs(log(z)) + 1)  # z^(-1/2)
         rhs = ErrComplex.unit_root(h - hp - 2 * D, 24 * k) * root * eta((hp + 1j / z) / k, target / 4, prec)
-        eta_record = _agreement("eta-transformation", params, lhs, rhs, tol)
+        eta_record = _agreement("eta-transformation", params, lhs, rhs)
 
         # e^(pi i (h-h')/4k) e^(-3 pi i/4) omega^-3 as one 24k-th root. The
         # constant e^(-3 pi i/4) is forced by the trivial level h=0, k=1
@@ -428,21 +437,20 @@ def _multiplier_records(h: int, k: int, z, w, prec: int, tol) -> list[CheckRecor
             * pref
             * theta(1j * w / z, (hp + 1j / z) / k, target, prec)
         )
-        theta_record = _agreement("theta-transformation", {**params, "w": str(w)}, lhs, rhs, tol)
+        theta_record = _agreement("theta-transformation", {**params, "w": str(w)}, lhs, rhs)
     return [eta_record, theta_record]
 
 
-def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[CheckRecord]:
+def validation_suite(prec: int = DEFAULT_PREC) -> list[CheckRecord]:
     """The full modular-backbone validation: triple product, quasi-periodicity,
     the eta and theta transformations with the closed-form multiplier, the
     cusp transformation of f, series agreement, the exhaustive growth
     classification and eta(i) in closed form. Runs at max(prec, DEFAULT_PREC) bits."""
     prec = max(prec, DEFAULT_PREC)
+    target = mpf(2) ** (-prec // 2)  # exact at any precision
     records: list[CheckRecord] = []
 
     # triple product at fixed plus pseudo-random points
-    import random
-
     rng = random.Random(271828)
     pts = [(mpc("0.3", "0.1"), mpc("0.2", "0.9"))]
     for _ in range(19):
@@ -450,11 +458,10 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
         tau = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.4))
         pts.append((w, tau))
     for w, tau in pts:
-        records.append(_triple_product_record(w, tau, prec, tol))
+        records.append(_triple_product_record(w, tau, prec))
 
     # quasi-periodicity theta(w + lambda tau + mu) = (-1)^(lambda+mu) q^(-lambda^2/2) zeta^(-lambda) theta(w)
     with working_precision(prec):
-        target = mpf(2) ** (-prec // 2)
         w = mpc("0.23", "0.11")
         tau = mpc("0.13", "0.83")
         base = theta(w, tau, target, prec)
@@ -463,15 +470,14 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
             size = pi * (lam + mu + lam * lam * abs(tau) + 2 * lam * abs(w) + 1)
             fac = _exp_ball(lambda: pi * 1j * (lam + mu - lam * lam * tau - 2 * lam * w), size)
             rhs = fac * base
-            records.append(_agreement("quasi-periodicity", {"lambda": lam, "mu": mu}, lhs, rhs, tol))
+            records.append(_agreement("quasi-periodicity", {"lambda": lam, "mu": mu}, lhs, rhs))
 
     # eta and theta transformations with the closed-form multiplier
     for h, k, zz, w in _MULTIPLIER_TUPLES:
-        records += _multiplier_records(h, k, zz, w, prec, tol)
+        records += _multiplier_records(h, k, zz, w, prec)
 
     # leading asymptotic of theta(a tau + b; tau): fitted-constant check
     with working_precision(prec):
-        target = mpf(2) ** (-prec // 2)
         b = mpf("0.2")
         for a in (mpf("0.1"), mpf("0.3")):
             worst = mpf(0)
@@ -509,30 +515,18 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
         (7, 15, mpc("1.1", "-0.2")),
         (3, 20, mpc("0.95")),
     ):
-        records.append(transformation_check_detail(h, k, zz, tol, prec))
+        records.append(transformation_check_detail(h, k, zz, prec))
 
     # q^{-1} f vs the integer series
     for tau in (mpc("0.1", "0.5"), mpc("0.37", "0.8")):
-        diff = f_series_agreement(tau, order=60, prec=prec)
-        records.append(
-            CheckRecord(
-                check="series-agreement",
-                params={"tau": str(tau), "order": 60},
-                lhs="q^-1 f(tau)",
-                rhs="sum c_1(n) q^n",
-                abs_diff=float(diff),
-                tolerance=tol,
-                passed=bool(diff <= tol),
-            )
-        )
+        records.append(f_series_agreement(tau, prec))
 
     # conjugation symmetry f(-conj(tau)) = conj(f(tau))
     with working_precision(prec):
-        target = mpf(2) ** (-prec // 2)
         for tau in (mpc("0.21", "0.6"), mpc("-0.32", "0.75")):
             lhs = f_eval(-mpc(tau).conjugate(), target, prec)
             rhs = f_eval(tau, target, prec).conjugate()
-            records.append(_agreement("conjugation-symmetry", {"tau": str(tau)}, lhs, rhs, tol))
+            records.append(_agreement("conjugation-symmetry", {"tau": str(tau)}, lhs, rhs))
 
     # exhaustive growth classification against the expected residue sets
     expected = {1: [(5, [2, 3]), (10, [3, 7])], -1: [(5, [1, 4]), (10, [1, 9])]}
@@ -555,8 +549,8 @@ def validation_suite(prec: int = DEFAULT_PREC, tol: float = 1e-15) -> list[Check
 
     # a closed-form value of eta, where a constant factor cannot cancel
     with working_precision(prec):
-        lhs = eta(mpc(0, 1), mpf(2) ** (-prec // 2), prec)
+        lhs = eta(mpc(0, 1), target, prec)
         # Gamma(1/4) / (2 pi^(3/4)); each value the exponent is formed from is below 4
         rhs = _exp_ball(lambda: loggamma(mpf(1) / 4) - log(2) - 3 * log(pi) / 4, 4)
-        records.append(_agreement("eta-at-i", {"tau": str(mpc(0, 1))}, lhs, rhs, tol))
+        records.append(_agreement("eta-at-i", {"tau": str(mpc(0, 1))}, lhs, rhs))
     return records

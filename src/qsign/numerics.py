@@ -347,6 +347,10 @@ class ErrComplex:
     def conjugate(self) -> "ErrComplex":
         return ErrComplex(self.re, -self.im)
 
+    def __add__(self, other):
+        other = _coerce_complex(other)
+        return ErrComplex(self.re + other.re, self.im + other.im)
+
     def __sub__(self, other):
         other = _coerce_complex(other)
         return ErrComplex(self.re - other.re, self.im - other.im)
@@ -385,9 +389,6 @@ class ErrComplex:
         re, im = self.re, self.im
         v = mpf_hypot(re._v, im._v, prec, round_nearest)
         return _ball(v, _radius(mpf_add(re._e, im._e, prec, round_ceiling), v, prec, 2))
-
-    def max_err(self) -> mpf:
-        return max(self.re.err, self.im.err)
 
     def __repr__(self):
         return f"ErrComplex({self.re!r}, {self.im!r})"

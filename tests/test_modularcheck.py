@@ -37,6 +37,7 @@ from qsign.modularcheck import (
     transformation_check_detail,
 )
 from qsign.numerics import ErrComplex, ErrReal, working_precision
+from qsign.qseries import TruncatedSeries
 
 PREC = 256
 TARGET = mpf(10) ** -40
@@ -238,7 +239,7 @@ def test_exp_ball_encloses_mpmaths_exp(prec):
             ref = exp(x)
             assert abs(ball.re.value - ref.real) <= ball.re.err, x
             assert abs(ball.im.value - ref.imag) <= ball.im.err, x
-            assert ball.max_err() <= abs(ref) * mpf(2) ** (4 - prec), x
+            assert max(ball.re.err, ball.im.err) <= abs(ref) * mpf(2) ** (4 - prec), x
 
 
 @pytest.fixture(scope="module")
@@ -247,9 +248,9 @@ def triple_product_points():
     points = []
     real = modularcheck._triple_product_record
 
-    def recording(w, tau, prec, tol):
+    def recording(w, tau, prec):
         points.append((w, tau))
-        return real(w, tau, prec, tol)
+        return real(w, tau, prec)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modularcheck, "_triple_product_record", recording)
@@ -276,7 +277,7 @@ def assert_encloses(ball, z):
     with working_precision(512):
         assert abs(ball.re.value - z.real) <= ball.re.err, z
         assert abs(ball.im.value - z.imag) <= ball.im.err, z
-        assert ball.max_err() <= abs(z) * mpf(2) ** (4 - PREC), z
+        assert max(ball.re.err, ball.im.err) <= abs(z) * mpf(2) ** (4 - PREC), z
 
 
 def test_prefactor_balls_enclose_the_mpmath_expressions(monkeypatch, triple_product_points):
@@ -284,12 +285,12 @@ def test_prefactor_balls_enclose_the_mpmath_expressions(monkeypatch, triple_prod
     # 512 bits on the same arguments; radii within the narrowest old pad
     assert len(triple_product_points) == 20
     for w, tau in triple_product_points:
-        record, balls = exp_balls(monkeypatch, lambda: _triple_product_record(w, tau, PREC, 1e-15))
+        record, balls = exp_balls(monkeypatch, lambda: _triple_product_record(w, tau, PREC))
         assert record.passed and len(balls) == 1
         with working_precision(512):
             assert_encloses(balls[0], -1j * exp(pi * 1j * tau / 4) / sqrt(exp(2j * pi * w)))
     for h, k, z, w in _MULTIPLIER_TUPLES:
-        records, balls = exp_balls(monkeypatch, lambda: _multiplier_records(h, k, z, w, PREC, 1e-15))
+        records, balls = exp_balls(monkeypatch, lambda: _multiplier_records(h, k, z, w, PREC))
         assert all(r.passed for r in records) and len(balls) == 4
         with working_precision(PREC):
             zc, wc = mpc(*z), mpc(*w)
@@ -306,7 +307,7 @@ def test_triple_product_records_fail_on_the_other_branch(monkeypatch, triple_pro
     # wrong branch negates the right side
     real = modularcheck._exp_ball
     monkeypatch.setattr(modularcheck, "_exp_ball", lambda x, size: real(lambda: x() + pi * 1j, size + 4))
-    records = [_triple_product_record(w, tau, PREC, 1e-15) for w, tau in triple_product_points]
+    records = [_triple_product_record(w, tau, PREC) for w, tau in triple_product_points]
     assert len(records) == 20 and not any(r.passed for r in records)
 
 
@@ -314,7 +315,7 @@ def test_triple_product_records_fail_on_the_other_branch(monkeypatch, triple_pro
 def test_triple_product_holds_beyond_the_principal_strip(w_re):
     # theta(w + 1) = -theta(w) while the products have period 1, so the
     # prefactor's zeta^(-1/2) is e^(-pi i w), not the principal root of zeta
-    record = _triple_product_record(mpc(w_re, "0.1"), mpc("0.2", "0.9"), PREC, 1e-15)
+    record = _triple_product_record(mpc(w_re, "0.1"), mpc("0.2", "0.9"), PREC)
     assert record.passed, record
 
 
@@ -463,9 +464,9 @@ def test_omega_sample_point_independence():
             closed = ErrComplex.unit_root(omega_hk(h, k), 12 * k)
             for zz in (mpc(*z), mpc(*z) + mpf(1) / 4):
                 solved = solved_omega(h, k, zz)
-                assert solved.max_err() < mpf(10) ** -35, (h, k, zz)
+                assert max(solved.re.err, solved.im.err) < mpf(10) ** -35, (h, k, zz)
                 diff = (solved - closed).abs()
-                assert diff.value <= solved.max_err() + closed.max_err() + diff.err, (h, k, zz)
+                assert diff.value <= max(solved.re.err, solved.im.err) + max(closed.re.err, closed.im.err) + diff.err, (h, k, zz)
 
 
 def test_omega_multiplier_unit_circle_various():
@@ -484,13 +485,13 @@ def test_omega_multiplier_unit_circle_various():
 
 def test_multiplier_records_fail_with_the_conjugate_multiplier(monkeypatch):
     with working_precision(PREC):
-        good = _multiplier_records(1, 5, ("1",), ("0.3", "0.1"), PREC, 1e-15)
+        good = _multiplier_records(1, 5, ("1",), ("0.3", "0.1"), PREC)
     assert [r.check for r in good] == ["eta-transformation", "theta-transformation"]
     assert all(r.passed for r in good)
     real = modularcheck.omega_hk
     monkeypatch.setattr(modularcheck, "omega_hk", lambda h, k: -real(h, k))
     with working_precision(PREC):
-        bad = _multiplier_records(1, 5, ("1",), ("0.3", "0.1"), PREC, 1e-15)
+        bad = _multiplier_records(1, 5, ("1",), ("0.3", "0.1"), PREC)
     assert [r.passed for r in bad] == [False, False]
 
 
@@ -511,6 +512,45 @@ def test_suite_checks_eta_at_i_against_its_closed_form(monkeypatch):
     assert failed == ["eta-at-i"]
 
 
+# the records that evaluate no _exp_ball: f_eval or theta alone, or integers
+_NO_EXP_BALL = {"conjugation-symmetry", "leading-asymptotic", "growth-classification"}
+
+
+@pytest.mark.parametrize("prec", [256, 384, 512])
+def test_suite_passes_within_its_reported_tolerance(prec):
+    # a passing record's two enclosures meet, so its midpoint gap lies
+    # within the hypot of the difference's radii, which no fixed slack widens
+    records = modularcheck.validation_suite(prec)
+    assert len(records) == 64 and all(r.passed for r in records)
+    assert all(r.abs_diff <= r.tolerance for r in records)
+    balls = [r for r in records if r.check not in ("leading-asymptotic", "growth-classification")]
+    assert len(balls) == 60 and all(r.tolerance < 1e-35 for r in balls)
+
+
+def test_every_record_using_a_shifted_exp_ball_fails(monkeypatch):
+    # a 1e-30 shift on every _exp_ball value is far outside radii near 1e-40
+    real = modularcheck._exp_ball
+    monkeypatch.setattr(modularcheck, "_exp_ball", lambda x, size: real(x, size) + ErrReal(mpf(10) ** -30))
+    records = modularcheck.validation_suite(PREC)
+    assert sum(not r.passed for r in records) == 58
+    assert all(r.passed == (r.check in _NO_EXP_BALL) for r in records)
+
+
+def test_series_records_fail_with_a_corrupted_coefficient(monkeypatch):
+    # c_1(10) off by one moves the right side by |q|^10, 1.5e-22 at the
+    # larger Im tau, far outside the series records' radii (below 1e-50)
+    real = modularcheck.q10_series_product
+
+    def corrupted(delta, order):
+        coeffs = list(real(delta, order).coeffs)
+        coeffs[10] += 1
+        return TruncatedSeries(coeffs, order)
+
+    monkeypatch.setattr(modularcheck, "q10_series_product", corrupted)
+    failed = [r.check for r in modularcheck.validation_suite(PREC) if not r.passed]
+    assert failed == ["series-agreement", "series-agreement"]
+
+
 def test_omega_rejects_bad_inverse():
     with pytest.raises(ValueError):
         omega_hk(2, 10)  # gcd(h,k) != 1
@@ -520,7 +560,7 @@ def test_omega_rejects_bad_inverse():
 
 def test_f_eval_matches_series():
     for tau in (mpc("0.1", "0.5"), mpc("0.37", "0.8")):
-        assert f_series_agreement(tau, order=60, prec=PREC) < mpf(10) ** -15
+        assert f_series_agreement(tau, PREC).passed
 
 
 def test_f_conjugation_symmetry():
@@ -542,14 +582,14 @@ def test_f_conjugation_symmetry():
     ],
 )
 def test_transformation_check(h, k, z):
-    record = transformation_check_detail(h, k, z, 1e-15, PREC)
+    record = transformation_check_detail(h, k, z, PREC)
     assert record.passed
     assert record.abs_diff < 1e-15
 
 
 def test_transformation_rejects_bad_z():
     with pytest.raises(ValueError):
-        transformation_check_detail(2, 5, mpc("-1"), 1e-15, PREC)
+        transformation_check_detail(2, 5, mpc("-1"), PREC)
 
 
 def test_growth_classification_exhaustive():

@@ -637,11 +637,13 @@ _RUN_MAIN = (
 )
 
 
-def _fresh(args, cwd):
+def _fresh(args, cwd, stdout=subprocess.PIPE, **env):
     """`python *args` in a new interpreter that imports qsign from this checkout."""
     path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300
+    )
 
 
 _SERIES_ONLY = {"mpmath"} | (_QSIGN_MODULES - {"qsign.cli", "qsign.qseries", "qsign.verifier"})
@@ -697,6 +699,45 @@ def test_python_m_qsign_keeps_the_exit_contract(tmp_path, argv, code):
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("qsign: error:")]
     assert len(errors) == (code == 1)
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
+    assert sum(line.startswith("qsign: error:") for line in proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--delta", "1", "--order", "2000", "--format", "plain"],
+        ["sweeps", "--k-max", "5", "--identity-k-max", "5", "--n-samples", "1", "--format", "csv"],
+    ],
+)
+def test_python_m_qsign_to_a_closed_pipe_exits_1_with_one_line(tmp_path, argv, unbuffered):
+    # the reader is gone before the first write, as when `| head -1` has
+    # exited; buffered, the write fails only at the flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _fresh(["-m", "qsign", *argv], tmp_path, stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert_one_error_line(proc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--delta", "1", "--order", "5", "--output", "missing/x.json"],
+        ["pipeline", "--delta", "1", "--n-max", "60", "--sweep-k-max", "5", "--identity-k-max", "5",
+         "--n-samples", "1", "--exact-lo", "10", "--exact-hi", "11", "--output-dir", "taken"],
+    ],
+)
+def test_python_m_qsign_to_an_unwritable_path_exits_1_with_one_line(tmp_path, argv):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    assert_one_error_line(_fresh(["-m", "qsign", *argv], tmp_path))
 
 
 # -- package -----------------------------------------------------------------------
