@@ -146,7 +146,7 @@ def _cmd_sweeps(args) -> int:
         prec=args.precision_bits,
     )
     if args.fmt == "csv":
-        _emit("\n".join(",".join(str(x) for x in row) for row in report.csv_rows()), args.output)
+        _emit(report.csv_text(), args.output)
     else:
         _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args.output)
     print(f"sweeps: {'PASS' if report.passed else 'FAIL'}", file=sys.stderr)
@@ -182,7 +182,7 @@ def _cmd_pipeline(args) -> int:
     deltas = (args.delta,) if args.delta else (1, -1)
     config = verifier.PipelineConfig(
         deltas=deltas,
-        n_max={d: args.n_max for d in deltas} if args.n_max is not None else None,
+        n_max=args.n_max,
         sweep_k_max=args.sweep_k_max,
         identity_k_max=args.identity_k_max,
         sweep_n_samples=args.n_samples,

@@ -237,18 +237,14 @@ class ExactEval:
     escalations: int  # doublings of the requested prec that reach _pass_bits
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n": self.n,
-            "k_max": self.k_max,
-            "value": mp.nstr(self.value, 30),
-            "err": mp.nstr(self.err, 8),
-            "tail_bound": mp.nstr(self.tail_bound, 8),
-            "rounded": self.rounded,
-            "definitive": self.definitive,
-            "prec": self.prec,
-            "escalations": self.escalations,
-        }
+        return _eval_dict(vars(self))
+
+
+def _eval_dict(row: dict) -> dict:
+    """An ExactEval's fields, and any others row holds, with the value as a
+    30-digit string and its gap / err / tail breakdown as 8-digit strings."""
+    breakdown = {key: mp.nstr(row[key], 8) for key in ("gap", "err", "tail_bound")}
+    return {**row, "value": mp.nstr(row["value"], 30), **breakdown}
 
 
 def c_exact(

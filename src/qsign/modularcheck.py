@@ -450,9 +450,11 @@ def validation_suite(prec: int = DEFAULT_PREC) -> list[CheckRecord]:
     target = mpf(2) ** (-prec // 2)  # exact at any precision
     records: list[CheckRecord] = []
 
-    # triple product at fixed plus pseudo-random points
+    # triple product at fixed plus pseudo-random points; the stated decimals
+    # here and below are read at the suite's precision
     rng = random.Random(271828)
-    pts = [(mpc("0.3", "0.1"), mpc("0.2", "0.9"))]
+    with working_precision(prec):
+        pts = [(mpc("0.3", "0.1"), mpc("0.2", "0.9"))]
     for _ in range(19):
         w = mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
         tau = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.4))
@@ -502,24 +504,24 @@ def validation_suite(prec: int = DEFAULT_PREC) -> list[CheckRecord]:
             )
 
     # cusp transformation of f at >= 10 parameter tuples
-    for h, k, zz in (
-        (1, 5, mpc(1)),
-        (2, 5, mpc(1)),
-        (3, 5, mpc("0.8")),
-        (4, 5, mpc("1.2")),
-        (1, 10, mpc(1)),
-        (3, 10, mpc("0.8")),
-        (7, 10, mpc("1.2", "0.3")),
-        (9, 10, mpc("0.9")),
-        (2, 15, mpc(1)),
-        (7, 15, mpc("1.1", "-0.2")),
-        (3, 20, mpc("0.95")),
-    ):
-        records.append(transformation_check_detail(h, k, zz, prec))
-
-    # q^{-1} f vs the integer series
-    for tau in (mpc("0.1", "0.5"), mpc("0.37", "0.8")):
-        records.append(f_series_agreement(tau, prec))
+    with working_precision(prec):
+        for h, k, zz in (
+            (1, 5, mpc(1)),
+            (2, 5, mpc(1)),
+            (3, 5, mpc("0.8")),
+            (4, 5, mpc("1.2")),
+            (1, 10, mpc(1)),
+            (3, 10, mpc("0.8")),
+            (7, 10, mpc("1.2", "0.3")),
+            (9, 10, mpc("0.9")),
+            (2, 15, mpc(1)),
+            (7, 15, mpc("1.1", "-0.2")),
+            (3, 20, mpc("0.95")),
+        ):
+            records.append(transformation_check_detail(h, k, zz, prec))
+        # q^{-1} f vs the integer series
+        for tau in (mpc("0.1", "0.5"), mpc("0.37", "0.8")):
+            records.append(f_series_agreement(tau, prec))
 
     # conjugation symmetry f(-conj(tau)) = conj(f(tau))
     with working_precision(prec):

@@ -21,11 +21,11 @@ from bisect import bisect_left
 from enum import Enum
 
 
-class Verdict(Enum):
-    MATCH_POSITIVE = "MatchPositive"
-    MATCH_NEGATIVE = "MatchNegative"
-    ZERO_EXCEPTION = "ZeroException"
-    MISMATCH = "Mismatch"
+class Verdict(Enum):  # each value is the letter of a sign report's verdict string
+    MATCH_POSITIVE = "P"
+    MATCH_NEGATIVE = "N"
+    ZERO_EXCEPTION = "Z"
+    MISMATCH = "X"
 
 
 # Residue classes n mod 10 on which the coefficient is positive.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import gcd, sqrt
 from pathlib import Path
 
@@ -29,18 +29,9 @@ __all__ = [
     "full_pipeline",
 ]
 
-_VERDICT_CODE = {"MatchPositive": "P", "MatchNegative": "N", "ZeroException": "Z", "Mismatch": "X"}
-
-
-def _verdict_code(delta: int, n: int, c: int) -> str:
-    """The one-letter code of sign_pattern_verdict(delta, n, c)."""
-    return _VERDICT_CODE[sign_pattern_verdict(delta, n, c).value]
-
-
 @dataclass
 class SignReport:
     delta: int
-    n_lo: int
     n_hi: int
     verdicts: list[str]
     zero_set_found: list[int]
@@ -53,7 +44,7 @@ class SignReport:
     def to_dict(self) -> dict:
         return {
             "delta": self.delta,
-            "range": [self.n_lo, self.n_hi],
+            "range": [0, self.n_hi],
             "verdicts": "".join(self.verdicts),
             "zero_set_found": self.zero_set_found,
             "mismatches": self.mismatches,
@@ -76,7 +67,7 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
 
     t0 = time.perf_counter()
     # a nonzero coefficient's verdict depends on n only through n mod 10
-    pos, neg = ([_verdict_code(delta, r, sign) for r in range(10)] for sign in (1, -1))
+    pos, neg = ([sign_pattern_verdict(delta, r, sign).value for r in range(10)] for sign in (1, -1))
     verdicts: list[str] = []
     zero_set: list[int] = []
     mismatches: list[int] = []
@@ -85,7 +76,7 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
         if c:
             code = pos[n % 10] if c > 0 else neg[n % 10]
         else:
-            code = _verdict_code(delta, n, 0)
+            code = sign_pattern_verdict(delta, n, 0).value
             zero_set.append(n)
         verdicts.append(code)
         if code == "X":
@@ -115,7 +106,6 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
         passed = passed and thresholds["lhs_below_one"]
     return SignReport(
         delta=delta,
-        n_lo=0,
         n_hi=n_max,
         verdicts=verdicts,
         zero_set_found=zero_set,
@@ -155,25 +145,13 @@ class SweepReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "identity_k_max": self.identity_k_max,
-            "bound_k_max": self.bound_k_max,
-            "n_samples": self.n_samples,
-            "identity_checks": self.identity_checks,
-            "identity_failures": self.identity_failures,
-            "weil_checks": self.weil_checks,
-            "weil_failures": self.weil_failures,
-            "bound_checks": self.bound_checks,
-            "bound_failures": self.bound_failures,
-            "bessel_checks": self.bessel_checks,
-            "bessel_failures": self.bessel_failures,
-            "negative_control_detected": self.negative_control_detected,
-            "timing": self.timing,
-            "pass": self.passed,
-        }
+        report = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        return {**report, "pass": self.passed}
 
-    def csv_rows(self) -> list[tuple]:
-        return [("k", "j", "n", "abs_akj", "bound", "ok")] + self.rows
+    def csv_text(self) -> str:
+        """The rows under their header line, one line each, no final newline."""
+        rows = [("k", "j", "n", "abs_akj", "bound", "ok")] + self.rows
+        return "\n".join(",".join(str(x) for x in row) for row in rows)
 
 
 def _valid_j(d: int) -> tuple[int, ...]:
@@ -323,7 +301,7 @@ class ExactOracleReport:
         return not self.mismatches and self.max_gap_plus_err < 0.5
 
     def to_dict(self) -> dict:
-        from mpmath import mp
+        from .exactformula import _eval_dict
 
         return {
             "range": [self.n_lo, self.n_hi],
@@ -333,14 +311,7 @@ class ExactOracleReport:
             "definitive_count": self.definitive_count,
             "mismatches": self.mismatches,
             "max_gap_plus_err": self.max_gap_plus_err,
-            "rows": [
-                {
-                    **row,
-                    "value": mp.nstr(row["value"], 30),
-                    **{key: mp.nstr(row[key], 8) for key in ("gap", "err", "tail_bound")},
-                }
-                for row in self.rows
-            ],
+            "rows": [_eval_dict(row) for row in self.rows],
             "timing": self.timing,
             "pass": self.oracle_passed,
         }
@@ -356,9 +327,12 @@ def run_exact_oracle(
     values against the brute-force integers.
 
     One row per index holds c_exact's ExactEval fields, its uncertainty
-    breakdown included, next to the brute-force integer `true`."""
+    breakdown included, next to the brute-force integer `true`. Raises
+    ValueError when n_lo > n_hi: a range that checks nothing cannot pass."""
     from . import exactformula
 
+    if n_lo > n_hi:
+        raise ValueError("invalid exact-formula range")
     t0 = time.perf_counter()
     rows: list = []
     for delta in deltas:
@@ -388,7 +362,7 @@ def run_exact_oracle(
 @dataclass
 class PipelineConfig:
     deltas: tuple = (1, -1)
-    n_max: dict | None = None  # per-delta; each defaults to PAPER_THRESHOLD[delta] - 1
+    n_max: int | None = None  # defaults to PAPER_THRESHOLD[delta] for each delta
     sweep_k_max: int = 500
     identity_k_max: int = 200
     sweep_n_samples: int = 20
@@ -396,41 +370,18 @@ class PipelineConfig:
     precision_bits: int = 128
     output_dir: str | Path = "qsign_artifacts"
 
-    def resolved_n_max(self, delta: int) -> int:
-        return (self.n_max or {}).get(delta, PAPER_THRESHOLD[delta] - 1)
-
-    def validate(self) -> None:
-        from .exactformula import _validate_n
-
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
-        lo, hi = self.exact_range
-        if lo > hi:
-            raise ValueError("invalid exact-formula range")
-        for delta in self.deltas:
-            if delta not in (1, -1):
-                raise ValueError("deltas must be +1 / -1")
-            if self.resolved_n_max(delta) < 50:
-                raise ValueError("n_max must be at least 50")
-            _validate_n(delta, lo)
-        if min(self.sweep_k_max, self.identity_k_max) < 5 or self.sweep_n_samples < 1:
-            raise ValueError("sweeps need k_max and identity_k_max >= 5 and n_samples >= 1")
-
 
 @dataclass
 class PipelineResult:
     exit_status: int
     phases: dict
-    artifacts: list
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def full_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Run every phase, write the artifacts, and report per-phase success.
+    """Run every phase, then write the artifacts, and report per-phase success.
 
+    Each phase checks its own input, and nothing is written unless every
+    phase ran: a refused input or a phase that raises leaves no artifact.
     Exit status 0 iff all phases pass; 3 otherwise. The exact-formula
     phase passes on oracle equality (rounded == brute force with
     gap + numeric error < 1/2); the fraction of certified-definitive
@@ -439,53 +390,43 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
     """
     from . import modularcheck
 
-    config.validate()
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    phases: dict = {}
-    artifacts: list = []
+    if config.precision_bits < 64:
+        raise ValueError("precision_bits must be >= 64")
+    if not config.deltas or any(delta not in (1, -1) for delta in config.deltas):
+        raise ValueError("deltas must be +1 / -1")
+    prec = config.precision_bits
+    signs = {
+        delta: verify_conjecture(delta, PAPER_THRESHOLD[delta] if config.n_max is None else config.n_max)
+        for delta in config.deltas
+    }
+    sweeps = run_bound_sweeps(config.sweep_k_max, config.sweep_n_samples, config.identity_k_max, prec)
+    modular = modularcheck.validation_suite(prec=prec)
+    oracle = run_exact_oracle(*config.exact_range, config.deltas, prec)
 
-    for delta in config.deltas:
-        report = verify_conjecture(delta, config.resolved_n_max(delta))
-        name = f"sign_delta_{delta}.json"
-        _write_json(outdir / name, report.to_dict())
-        artifacts.append(name)
-        phases[f"verify_delta_{delta}"] = report.passed
-
-    sweeps = run_bound_sweeps(
-        k_max=config.sweep_k_max,
-        n_samples=config.sweep_n_samples,
-        identity_k_max=config.identity_k_max,
-        prec=config.precision_bits,
-    )
-    _write_json(outdir / "sweeps.json", sweeps.to_dict())
-    with (outdir / "sweeps.csv").open("w", encoding="utf-8") as fh:
-        for row in sweeps.csv_rows():
-            fh.write(",".join(str(x) for x in row) + "\n")
-    artifacts += ["sweeps.json", "sweeps.csv"]
-    phases["bound_sweeps"] = sweeps.passed
-
-    modular = modularcheck.validation_suite(prec=config.precision_bits)
-    _write_json(outdir / "modular.json", [r.to_dict() for r in modular])
-    artifacts.append("modular.json")
-    phases["modular"] = all(r.passed for r in modular)
-
-    lo, hi = config.exact_range
-    oracle = run_exact_oracle(lo, hi, config.deltas, config.precision_bits)
-    _write_json(outdir / "exact_oracle.json", oracle.to_dict())
-    artifacts.append("exact_oracle.json")
-    phases["exact_oracle"] = oracle.oracle_passed
-
+    phases = {
+        **{f"verify_delta_{delta}": report.passed for delta, report in signs.items()},
+        "bound_sweeps": sweeps.passed,
+        "modular": all(r.passed for r in modular),
+        "exact_oracle": oracle.oracle_passed,
+    }
+    artifacts = {
+        **{f"sign_delta_{delta}.json": report.to_dict() for delta, report in signs.items()},
+        "sweeps.json": sweeps.to_dict(),
+        "sweeps.csv": sweeps.csv_text(),
+        "modular.json": [r.to_dict() for r in modular],
+        "exact_oracle.json": oracle.to_dict(),
+    }
     failed = sorted(name for name, ok in phases.items() if not ok)
-    summary = {
+    artifacts["summary.json"] = {
         "phases": phases,
         "failed_phases": failed,
         "artifacts": sorted(artifacts),
-        "exact_definitive_fraction": (
-            oracle.definitive_count / oracle.total if oracle.total else None
-        ),
+        "exact_definitive_fraction": oracle.definitive_count / oracle.total,
     }
-    _write_json(outdir / "summary.json", summary)
-    artifacts.append("summary.json")
 
-    return PipelineResult(exit_status=0 if not failed else 3, phases=phases, artifacts=artifacts)
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, payload in artifacts.items():
+        text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True, indent=2)
+        (outdir / name).write_text(text + "\n", encoding="utf-8")
+    return PipelineResult(exit_status=0 if not failed else 3, phases=phases)

@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 import qsign
-from qsign import arithmetic, cli, exactformula, qseries, verifier
+from qsign import arithmetic, cli, exactformula, modularcheck, qseries, verifier
 from qsign.cli import main
 from qsign.numerics import ErrReal, working_precision
-from qsign.qseries import ZERO_EXCEPTIONS, Verdict, sign_pattern_verdict
+from qsign.qseries import PAPER_THRESHOLD, ZERO_EXCEPTIONS, Verdict, sign_pattern_verdict
 from qsign.verifier import (
     PipelineConfig,
     full_pipeline,
@@ -112,9 +112,10 @@ def test_small_sweep_passes():
     assert report.negative_control_detected
     assert not report.identity_failures
     jsonschema.validate(report.to_dict(), load_schema("sweeps.schema.json"))
-    rows = report.csv_rows()
-    assert rows[0][0] == "k"
-    assert len(rows) > 1
+    lines = report.csv_text().split("\n")
+    assert lines[0] == "k,j,n,abs_akj,bound,ok"
+    assert lines[1:] == [",".join(str(x) for x in row) for row in report.rows]
+    assert len(lines) > 1
 
 
 def test_sweep_reports_rewrite_failures_when_a_summand_depends_on_its_representative(monkeypatch):
@@ -207,13 +208,25 @@ def test_exact_oracle_small_range():
             assert abs(mpf(row[key]) - r[key]) <= mpf("1e-7") * abs(r[key]), key
 
 
+def test_exact_oracle_refuses_an_empty_range(tmp_path, capsys):
+    # an oracle over no index would pass having compared nothing
+    with pytest.raises(ValueError, match="invalid exact-formula range"):
+        run_exact_oracle(12, 11)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--exact-lo", "12", "--exact-hi", "11", "--n-max", "60", "--sweep-k-max", "5",
+            "--identity-k-max", "5", "--n-samples", "1", "--output-dir", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == "qsign: error: invalid exact-formula range"
+
+
 # -- pipeline ---------------------------------------------------------------------
 
 
 def small_config(tmp_path, name):
     return PipelineConfig(
         deltas=(1, -1),
-        n_max={1: 60, -1: 60},
+        n_max=60,
         sweep_k_max=20,
         identity_k_max=20,
         sweep_n_samples=2,
@@ -238,27 +251,34 @@ def test_pipeline_small_and_deterministic(tmp_path):
         a = strip_timing(json.loads((tmp_path / "run1" / name).read_text()))
         b = strip_timing(json.loads((tmp_path / "run2" / name).read_text()))
         assert a == b, name
-    # artifact schema spot checks
-    jsonschema.validate(
-        json.loads((tmp_path / "run1" / "sign_delta_1.json").read_text()),
-        load_schema("signreport.schema.json"),
-    )
-    for name in ("modular", "exact_oracle", "summary"):
-        jsonschema.validate(
-            json.loads((tmp_path / "run1" / f"{name}.json").read_text()),
-            load_schema(f"{name}.schema.json"),
-        )
+    # every JSON artifact against its schema
+    schemas = {
+        "sign_delta_1.json": "signreport",
+        "sign_delta_-1.json": "signreport",
+        "sweeps.json": "sweeps",
+        "modular.json": "modular",
+        "exact_oracle.json": "exact_oracle",
+        "summary.json": "summary",
+    }
+    assert sorted(p.name for p in (tmp_path / "run1").glob("*.json")) == sorted(schemas)
+    for name, schema in schemas.items():
+        jsonschema.validate(json.loads((tmp_path / "run1" / name).read_text()), load_schema(f"{schema}.schema.json"))
 
 
 def test_pipeline_rejects_invalid_config(tmp_path):
     config = small_config(tmp_path, "bad")
-    config.n_max = {1: 10, -1: 10}
+    config.n_max = 10
     with pytest.raises(ValueError):
         full_pipeline(config)
     config = small_config(tmp_path, "bad2")
     config.precision_bits = 32
     with pytest.raises(ValueError):
         full_pipeline(config)
+    config = small_config(tmp_path, "bad3")
+    config.deltas = ()  # no sign report, and an oracle over no index
+    with pytest.raises(ValueError, match="deltas"):
+        full_pipeline(config)
+    assert not any((tmp_path / name).exists() for name in ("bad", "bad2", "bad3"))
 
 
 def test_pipeline_refuses_an_exact_range_outside_the_formula_before_writing(tmp_path, capsys):
@@ -285,6 +305,41 @@ def test_sweeps_refuse_a_grid_that_checks_nothing(tmp_path, sizes, capsys):
     with pytest.raises(ValueError):
         full_pipeline(config)
     assert not (tmp_path / "empty").exists()  # refused before any artifact
+
+
+def test_pipeline_phase_that_raises_leaves_no_artifact(tmp_path, monkeypatch, capsys):
+    # the modular phase runs after the sign reports and the sweeps, whose
+    # artifacts are held back until every phase has run
+    def failing(prec):
+        raise RuntimeError("modular suite failed")
+
+    monkeypatch.setattr(modularcheck, "validation_suite", failing)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--n-max", "60", "--sweep-k-max", "5", "--identity-k-max", "5", "--n-samples", "1",
+            "--exact-lo", "10", "--exact-hi", "11", "--output-dir", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["qsign: error: modular suite failed"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_pipeline_default_range_leaves_no_index_between_the_two_steps(tmp_path):
+    """The default brute-force range reaches PAPER_THRESHOLD[delta] + delta - 1:
+    in the exact formula's 5n +- 3 convention the closed form's first index
+    is PAPER_THRESHOLD[delta] + delta (2930 / 2233), so every index below it
+    is brute-forced, and each default sign report carries the closed-form
+    check at PAPER_THRESHOLD[delta]. That check is one index of the closed
+    form; that its lhs stays below one for every later n is not shown here
+    and stays with the all-n certificate (ROADMAP item 14(b))."""
+    config = small_config(tmp_path, "defaults")
+    config.n_max = None
+    assert full_pipeline(config).exit_status == 0
+    for delta in (1, -1):
+        report = json.loads((tmp_path / "defaults" / f"sign_delta_{delta}.json").read_text())
+        assert report["range"][1] >= PAPER_THRESHOLD[delta] + delta - 1, delta
+        assert report["thresholds"]["paper_threshold"] == PAPER_THRESHOLD[delta]
+        assert report["thresholds"]["lhs_below_one"] is True
+        assert report["pass"] is True
 
 
 def test_pipeline_single_delta(tmp_path):
@@ -342,6 +397,7 @@ def test_cli_exact(capsys):
     assert code == 2
     assert payload["rounded"] == 0
     assert payload["definitive"] is False
+    assert float(payload["gap"]) + float(payload["err"]) < 0.5  # the breakdown the oracle rows carry
     jsonschema.validate(payload, load_schema("exact.schema.json"))
 
 
