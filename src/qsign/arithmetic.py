@@ -595,9 +595,17 @@ def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int]:
     10 h' (nu1 - mu1) k (d = 10) or 5 h' (nu1 - mu1) k with h' even (d = 5),
     0 mod 10k; and -10g == 10h. So class -j's (base, step) are class j's
     negated, entry by entry, and _roots holds the entry at -e as the exact
-    conjugate of the entry at e: class -j's totals are exactly (re, -im, err)."""
-    re, _, err = _akj_totals(k, 1 if twisted else 3, -n if twisted else n)
-    return 2 * re, 2 * err
+    conjugate of the entry at e: class -j's totals are exactly (re, -im, err).
+    Only the cosines of class j's entries are summed."""
+    if gcd(k, 10) not in (5, 10):
+        raise ValueError("gcd(k,10) must be 5 or 10")
+    mod = 10 * k
+    table = _roots(mod)
+    rows, m = (_akj_exponent_table(k, 1), -n) if twisted else (_akj_exponent_table(k, 3), n)
+    re = 0
+    for base, step in rows:
+        re += table[(base + m * step) % mod][0]
+    return 2 * re, 2 * len(rows) * _ENTRY_ERR
 
 
 def a_k(k: int, n: int, prec: int = 128) -> ErrComplex:

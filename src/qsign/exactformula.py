@@ -11,16 +11,20 @@ crossovers n >= 2929 / n >= 2234 are exact for that form.
 
 The partial sum of the formula is an integer loop: each summand
 twist * (prefix / k) * I1(x_k) is formed from the twist's fixed-point
-table totals, the fixed-point Bessel series and integer pi, square roots
-and prefix, all at 2^-w, and carries one integer error bound
+table totals, integer pi, square roots and prefix, and the Bessel value
+read from one table per class d = gcd(k, 10) (every x_k of a class is
+2 y_d / k), all in fixed point, and carries one integer error bound
 (_term_plan). The sum is rounded once per index into its ball.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, isqrt
+from operator import add
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_pi, to_fixed
@@ -75,10 +79,11 @@ def _term_plan(delta: int, n: int, prec: int):
     call at the ambient precision prec. Returns w = prec + _GUARD_BITS, the
     root tables' width, and term, where term(k) gives integers (value, err)
     at 2^-2w: the k-th summand twist * (prefix / k) * I1(x_k), which is
-    real, within err units of the truth.
+    real, within err units of the truth. term keeps no state: its result
+    does not depend on which k were read before.
 
-    Proof of the bounds. Per index, with u = w + 16, v = 2u - w and, for
-    d = 5, 10, R_d = sqrt(2 (d-4) nn):
+    Proof of the bounds. Per index, with u = w + 16 and, for d = 5, 10,
+    R_d = sqrt(2 (d-4) nn) and y_d = pi R_d / 5:
     * Pi = floor(2^u mpf_pi) is within 2 units of 2^u pi (mpf_pi at u + 10
       bits is within pi 2^(-8-u), the trust pi_err takes), and
       S_d = isqrt(2 (d-4) nn 2^2u) is 2^u R_d less [0, 1); so
@@ -87,14 +92,30 @@ def _term_plan(delta: int, n: int, prec: int):
       2^-u: pre = floor(P_d / (nn 2^u)) is within e_d / (nn 2^u) + 1 units
       of 2^u times it, and pre_err rounds that up. Each floor below loses
       less than one unit in the same way.
-    Per k, with d = gcd(k, 10):
-    * x_k = 2 pi R_d / (5k): X = floor(2 P_d / (5k 2^v)) is within
-      x_err = floor(2 e_d / (5k 2^v)) + 2 units of 2^w x_k.
-    * _i1_series gives s <= 2^w I1(X 2^-w) <= s + bound. Over the argument's
-      interval I1' <= I0 <= e^x < 2^t, log2 e < 1.4427, so
-      |2^w I1(x_k) - s| <= bound + x_err 2^t =: i1_err.
-    * f = floor(pre s / (k 2^u)) is 2^w (prefix / k) I1(x_k) within
-      f_err = floor((pre i1_err + s pre_err + pre_err i1_err) / (k 2^u)) + 2.
+    * Every Bessel argument of the class d = gcd(k, 10) is x_k = 2 y_d / k.
+      Y = floor(2 P_d / (5 2^w)) is within y_err = floor(2 e_d / (5 2^w)) + 2
+      units of 2^(u+16) 2y_d (2u - w = u + 16), and z = Y
+      2^-(u+16) is the point of the class's table: _i1_series(Y, u + 16, u,
+      1, d) gives A_j, E_j and tail at 2^-u with 2^u a_j - A_j in [0, E_j),
+      where H(z) = sum_j 2^u a_j k^-2j is k 2^u I1(z/k), and the entries past
+      the last add at most tail <= 1 at every k of the class, as all are at
+      least d, its smallest.
+    * q = max_j ceil(2^u E_j / (A_j + A_0)), so E_j <= q (A_j + A_0) 2^-u for
+      every j, and rest_j = sum_(i >= j) (A_i + E_i).
+    Per k:
+    * h = A_j + floor(h / k^2), from the top index J down to j = 0, is
+      sum_(j <= J) A_j k^-2j less [0, 2): the floors lose less than
+      sum_j k^-2j <= 25/24. J is the first index with rest_(J+1) < k^(2J+2),
+      found in floats; only the charge below depends on it, in integers.
+    * So H(z) - h is in [0, g], g = (q (h + 2 A_0 + 2) >> u) + 1 (the E_j,
+      as sum_(j <= J) A_j k^-2j < h + 2), plus 2 (the floors), plus
+      floor(rest_(J+1) / k^(2J+2)) + 1 (the entries past J), plus tail.
+    * |x_k - z/k| <= y_err 2^-(u+16) / k, and over both points
+      I1' <= I0 <= e^x < 2^t, log2 e < 1.4427; so |H(2 y_d) - H(z)| <=
+      y_err 2^(t-16), and h is within h_err = g + that + 1 of
+      H(2 y_d) = k 2^u I1(x_k).
+    * f = floor(pre h / (k^2 2^(u+16))) is 2^w (prefix / k) I1(x_k) within
+      f_err = floor((pre h_err + h pre_err + pre_err h_err) / (k^2 2^(u+16))) + 2.
     * The twist's real total t at 2^-w is within c units, two per table
       entry of the class it sums (_twist_totals); the summand t f is then
       within |t| f_err + c f + c f_err units of 2^2w times the truth.
@@ -107,14 +128,23 @@ def _term_plan(delta: int, n: int, prec: int):
     ceil(log2 Q) + 2 (_pass_bits) has err <= 1/4; there 2^w >= 2^10 Q.
     * c = phi(k)/2 <= k/2, two per entry of one class (the units mod k fall
       evenly on the 4 units mod d), and |t| <= c (2^w + 1).
-    * As R_d/nn < 2: pre <= 2^u (p_d + 2^-w) for the prefix p_d, pre_err
-      <= 5 and x_err <= 2 + x 2^-15; so x' = X 2^-w has e^x' <= 2^L, and
-      x_err 2^t <= 2^(L+2).
-    * In _i1_series at x', E_k <= 2 sum_{i<=k} t_k/t_i, and sum_{k>=i} t_k/t_i
-      <= 2 I1(x')/x', or 16/15 once i >= a = ceil(2x') (r_i < 1/16): the E_k
-      sum to at most 10 2^L + 32/15 per term. Past a, T_k + E_k <=
-      2^(w+L+1) 16^(a-k) + 32/15 meets the tail test's 8 within (w+L)/4 + 1
-      terms, so there are at most 2x' + (w+L)/4 + 3, and i1_err <= 22 2^L + w.
+    * As R_d/nn < 2: pre <= 2^u (p_d + 2^-w) for the prefix p_d and
+      pre_err <= 5. With s = h / (k 2^16) and i1_err = h_err / (k 2^16),
+      f and f_err are floor(pre s / (k 2^u)) and floor((pre i1_err +
+      s pre_err + pre_err i1_err) / (k 2^u)) + 2, the forms of a per-k
+      Bessel series at 2^-w, so what follows holds once i1_err stays within
+      that series' bound 22 2^L + w, and s <= 2^(w+L).
+    * y_err <= 2^17 (2 R_d + 3.2) / 5, so the larger point (Y + y_err)
+      2^-(u+16) / k is below x_k + 2^-u (2 R_d + 3) / k: 2^t <= 2^(L+1),
+      and as R_d / k <= 0.8 x the argument adds at most
+      2^(L-14) (0.32 x + 0.2) to i1_err.
+    * E_j <= 2 sum_(i <= j) a_j / a_i <= 2 (j+1) (a_j + a_0) / a_0 (the a_i
+      rise, then fall), so q <= 1 + 4 (j_max + 1) / y_d <= w + L + 23
+      (y_d >= 2x, y_d > 2.3; the table ends within 2x + (w+L)/4 + 9 entries,
+      as the series did), and g, the floors, the skip (at most 2 units)
+      and the tail add at most 2^(L-16) (w + L + 23) + 2^-16 (5x + w + L + 18)
+      to i1_err: with the argument's share, far below 22 2^L + w for
+      w, x < 2^16.
     * With c/k <= 1/2, the summands t f sum to at most 2^2w (1 + 2^-w) Q/2 and
       their bounds to 2^w (12 Q + m p w); m p w 2^-w <= 2^-7, as w 2^-w falls
       and m p (log2 Q + 11) <= 8 Q (p < 4.2, k_max >= 10, x > 1.1).
@@ -125,27 +155,38 @@ def _term_plan(delta: int, n: int, prec: int):
     nn = _validate_n(delta, n)
     w = prec + _GUARD_BITS
     u = w + 16
-    v = 2 * u - w
     pi = to_fixed(mpf_pi(u + 10), u)
     plan = {}
     for d in (5, 10):
         root = isqrt(2 * (d - 4) * nn << 2 * u)
         prod, err = pi * root, 2 * root + pi + 2
-        plan[d] = (2 * prod, 2 * err, prod // (nn << u), err // (nn << u) + 2)
+        y, y_err = 2 * prod // (5 << w), 2 * err // (5 << w) + 2  # 2 y_d at 2^-(u+16)
+        terms, losts, tail = _i1_series(y, u + 16, u, 1, d)
+        a0 = terms[0]
+        q = max(-(-(lost << u) // (a + a0)) for a, lost in zip(terms, losts))
+        rest = list(accumulate(map(add, reversed(terms), reversed(losts)), initial=0))[::-1]
+        # tops[J] = -log2(rest_(J+1)) / (2J+2) is at most -log2 k while rest_(J+1) >= k^(2J+2)
+        tops = [-math.log2(r) / (2 * j) if r else math.inf for j, r in enumerate(rest) if j]
+        t_num = (y + y_err) * 14427 >> u + 16
+        pre, pre_err = prod // (nn << u), err // (nn << u) + 2
+        # tail + 5: the Horner floors' 2 and the roundings up of g, the skip and the argument
+        plan[d] = (terms, tops, rest, q, 2 * a0 + 2, tail + 5, t_num, y_err, pre, pre_err)
 
     def term(k: int) -> tuple[int, int]:
         d = gcd(k, 10)
         if d not in (5, 10):
             raise ValueError("term defined only for gcd(k,10) in {5,10}")
-        prod2, err2, pre, pre_err = plan[d]
-        den = 5 * k << v
-        x = prod2 // den
-        x_err = err2 // den + 2
-        s, bound = _i1_series(x, w, 1)
-        t = ((x + x_err) * 14427 >> w) // 10000 + 1
-        i1_err = bound + (x_err << t)
-        f = pre * s // (k << u)
-        f_err = (pre * i1_err + s * pre_err + pre_err * i1_err) // (k << u) + 2
+        terms, tops, rest, q, lift, fixed_err, t_num, y_err, pre, pre_err = plan[d]
+        k2 = k * k
+        top = bisect_right(tops, -math.log2(k))
+        h = 0
+        for a in terms[top::-1]:
+            h = a + h // k2
+        t = t_num // (10000 * k) + 1
+        h_err = (q * (h + lift) >> u) + rest[top + 1] // k2 ** (top + 1) + ((y_err << t) >> 16) + fixed_err
+        den = k2 << u + 16
+        f = pre * h // den
+        f_err = (pre * h_err + h * pre_err + pre_err * h_err) // den + 2
         twist, c = _twist_totals(k, n, delta == -1)
         return twist * f, abs(twist) * f_err + c * (f + f_err)
 

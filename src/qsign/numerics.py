@@ -22,11 +22,13 @@ This is the midpoint-radius scheme of Arb (Johansson, IEEE TC 2017).
 Operations round at the ambient mpmath precision; wrap computations in
 ``working_precision(bits)`` to choose it.
 
-Bessel I1 has one kernel, _i1_series: the ascending series at a point of
-the 2^-w grid, summed as Python integers in units of 2^-w, one floor per
-term, with an integer bound on the floor errors carried alongside. The
-exact formula's term loop calls it directly on integers; bessel_i1 calls
-it at the exact ends of a ball and returns their enclosure unrounded.
+Bessel I1 has one kernel, _i1_series: the ascending series at a dyadic
+point z as a table of Python integers at 2^-w, one floor per coefficient,
+with an integer bound on the floor errors carried alongside, to be read
+at z/m for every integer m from the one it was built for. bessel_i1 reads
+it at m = 1, the plain sum, at the exact ends of a ball and returns their
+enclosure unrounded; the exact formula builds one table per index and
+class and reads each k by Horner's rule in 1/k^2.
 _fixed_ball rounds a fixed-point total with an integer error bound into a
 ball, once; _fixed_complex does so for both parts of a complex one.
 """
@@ -407,45 +409,53 @@ def _coerce_complex(x) -> ErrComplex:
 # ---------------------------------------------------------------------------
 
 
-def _i1_series(x: int, w: int, goal: int) -> tuple[int, int]:
-    """I1 at the point x 2^-w >= 0 by its ascending series, in fixed point
-    at 2^-w: integers (s, bound) with s <= 2^w I1(x 2^-w) <= s + bound.
+def _i1_series(x: int, shift: int, w: int, goal: int, m: int) -> tuple[list, list, int]:
+    """The ascending series of I1 at z = x 2^-shift >= 0 as a table at 2^-w
+    (shift + 1 >= w), to be read at z/m' for any integer m' >= m >= 1:
+    integers A_j, E_j and tail with 2^w a_j - A_j in [0, E_j), where
+    a_j = (z/2)^(2j+1) / (j! (j+1)!), so I1(z/m') = sum_j a_j m'^-(2j+1),
+    and sum_{j > J} 2^w a_j m'^-2j <= tail past the last entry J.
 
-    The terms t_k = (x/2)^(2k+1) / (k! (k+1)!) of I1 at x 2^-w are positive
-    with exact ratios r_k = x^2 / (2^(2w+2) (k+1)(k+2)). In units of 2^-w,
-    T_0 = floor(x/2) and T_{k+1} = floor(T_k r_k); each floor loses less
-    than one unit and later ratios carry what was lost, so 2^w t_k - T_k
-    lies in [0, E_k) with E_0 = 1, E_{k+1} = ceil(E_k r_k) + 1 (`lost`
-    below). Once r_k < 1/2 the tail after term k is at most
-    2^w t_k r_k / (1 - r_k) <= 2 r_k (T_k + E_k) units; the sum stops when
-    that is at most goal units, and bound is the tail plus the sum of the
-    E_k. The E_k grow with the terms (up to about e^x / x), so w needs
-    about 1.5x bits beyond the goal's.
+    The a_j have exact ratios r_j = x^2 / (2^(2 shift + 2) (j+1)(j+2)), so
+    A_0 = floor(2^w x / 2^(shift+1)) and A_(j+1) = floor(A_j r_j); each
+    floor loses less than one unit and later ratios carry what was lost, so
+    E_0 = 1 and E_(j+1) = ceil(E_j r_j) + 1 (`lost` below). Once
+    rho_j = r_j / m^2 < 1/2, the rest after entry j, read at m' >= m, is at
+    most 2^w a_j m^-2j rho_j / (1 - rho_j) <= 2 rho_j (A_j + E_j) m^-2j units;
+    the table stops when that is at most goal. Read at m' = 1 (m = 1) the
+    table is I1(z) itself: sum A_j <= 2^w I1(z) <= sum A_j + sum E_j + tail.
+    The E_j grow with the terms (up to about e^z / z at m = 1), so w needs
+    about 1.5z bits beyond the goal's there.
     """
     if x < 0:
         raise ValueError("Bessel argument must be nonnegative")
     if not x:
-        return 0, 0
-    num, s = x * x, 2 * w + 2
-    term = x >> 1
+        return [0], [0], 0
+    num, s, m2 = x * x, 2 * shift + 2, m * m
+    cut = 2 * num // (m2 << s)  # rho_j < 1/2 iff (j+1)(j+2) > cut
+    excess = num.bit_length() - s - goal.bit_length()
+    term = x >> (shift + 1 - w)
     lost = 1
-    total, lost_total = term, lost
-    k = 0
+    terms, losts = [term], [lost]
+    scale = m2  # m^(2j+2)
+    j = 0
     while True:
-        den = (k + 1) * (k + 2)
-        # floor(floor(a / 2^s) / den) = floor(a / (2^s den)), and likewise ceil
-        if 2 * num < den << s:
-            tail = -(((-2 * (term + lost) * num) >> s) // den)
+        den = (j + 1) * (j + 2)
+        # floor(floor(a / 2^s) / den) = floor(a / (2^s den)), and likewise ceil;
+        # the tail is over 2^(bitlen(term + lost) + bitlen(num) - s - bitlen(den scale) - 1),
+        # so it is formed only when that is at most goal
+        if den > cut and (term + lost).bit_length() + excess <= (den * scale).bit_length():
+            tail = -(((-2 * (term + lost) * num) >> s) // (den * scale))
             if tail <= goal:
-                break
+                return terms, losts, tail
         term = ((term * num) >> s) // den
         lost = 1 - (((-lost * num) >> s) // den)
-        total += term
-        lost_total += lost
-        k += 1
-        if k > 10_000_000:
+        terms.append(term)
+        losts.append(lost)
+        scale *= m2
+        j += 1
+        if j > 10_000_000:
             raise RuntimeError("Bessel series failed to converge")
-    return total, tail + lost_total
 
 
 def bessel_i1(x: ErrReal, target_err) -> ErrReal:
@@ -453,10 +463,11 @@ def bessel_i1(x: ErrReal, target_err) -> ErrReal:
 
     The ends of x are exact dyadics. Each is read exactly as an integer at
     2^-w, w = 58 - floor(log2 target_err) + floor(1.5 x_hi) or more if an
-    end has more fractional bits, and summed by _i1_series with its tail at
-    most target_err / 2^12 (target_err / 2^11 for a point ball); at that w
-    the floor errors stay far below the target. I1 increases on [0, inf),
-    so over x it lies in [s_lo, s_hi + bound_hi] units, and the result is
+    end has more fractional bits, and read from its _i1_series table at
+    m = 1, with the tail at most target_err / 2^12 (target_err / 2^11 for a
+    point ball); at that w the floor errors stay far below the target. I1
+    increases on [0, inf), so over x it lies in [sum A_j at the low end,
+    sum A_j + sum E_j + tail at the high end] units, and the result is
     that interval as an exact ball, midpoint and radius at 2^-(w+1).
     Nothing is rounded.
     """
@@ -474,8 +485,9 @@ def bessel_i1(x: ErrReal, target_err) -> ErrReal:
     w = max([58 - (exp + bc - 1) + int(1.5 * to_float(hi))] + [-p[2] for p in points if p[1]])
     # the tail goal: target/2 for a point ball, target/4 at each end, over 2^10
     goal = to_fixed(mpf_shift(target._mpf_, -10 - len(points)), w)
-    series = [_i1_series(p[1] << (p[2] + w), w, goal) for p in points]
-    bottom, top = series[0][0], sum(series[-1])
+    tables = [_i1_series(p[1] << (p[2] + w), w, w, goal, 1) for p in points]
+    terms, losts, tail = tables[-1]
+    bottom, top = sum(tables[0][0]), sum(terms) + sum(losts) + tail
     return _ball(from_man_exp(bottom + top, -w - 1), from_man_exp(top - bottom, -w - 1))
 
 

@@ -9,7 +9,9 @@ never loads mpmath.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields
 from math import gcd, sqrt
@@ -377,11 +379,25 @@ class PipelineResult:
     phases: dict
 
 
+def _refuse_unusable_dir(path: Path) -> None:
+    """Raise what path.mkdir(parents=True, exist_ok=True) raises when path
+    exists and is not a directory, or when its nearest existing ancestor is
+    not one, without creating anything."""
+    if path.exists():
+        if not path.is_dir():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
+        return
+    ancestor = next((parent for parent in path.parents if parent.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+
+
 def full_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run every phase, then write the artifacts, and report per-phase success.
 
     Each phase checks its own input, and nothing is written unless every
     phase ran: a refused input or a phase that raises leaves no artifact.
+    An output_dir that mkdir would refuse is refused before the first phase.
     Exit status 0 iff all phases pass; 3 otherwise. The exact-formula
     phase passes on oracle equality (rounded == brute force with
     gap + numeric error < 1/2); the fraction of certified-definitive
@@ -394,6 +410,8 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
         raise ValueError("precision_bits must be >= 64")
     if not config.deltas or any(delta not in (1, -1) for delta in config.deltas):
         raise ValueError("deltas must be +1 / -1")
+    outdir = Path(config.output_dir)
+    _refuse_unusable_dir(outdir)
     prec = config.precision_bits
     signs = {
         delta: verify_conjecture(delta, PAPER_THRESHOLD[delta] if config.n_max is None else config.n_max)
@@ -424,7 +442,6 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
         "exact_definitive_fraction": oracle.definitive_count / oracle.total,
     }
 
-    outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in artifacts.items():
         text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True, indent=2)

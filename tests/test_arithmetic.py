@@ -518,10 +518,14 @@ def test_class_minus_j_sum_is_the_exact_conjugate_ball():
 @pytest.mark.parametrize(
     "old, new",
     [
-        ("return 2 * re, 2 * err", "return re, err"),  # the factor 2 dropped
+        ("return 2 * re, 2 * len(rows)", "return re, len(rows)"),  # the factor 2 dropped
         # class -j summed at the index un-negated: right for A_k, not for cal A_k
-        ("_akj_totals(k, 1 if twisted else 3, -n if twisted else n)", "_akj_totals(k, -1 if twisted else -3, n)"),
+        (
+            "(_akj_exponent_table(k, 1), -n) if twisted else (_akj_exponent_table(k, 3), n)",
+            "(_akj_exponent_table(k, -1), n) if twisted else (_akj_exponent_table(k, -3), n)",
+        ),
     ],
+    ids=["factor-2-dropped", "class-minus-j-at-unnegated-n"],
 )
 def test_twist_mutants_fail_the_exact_formula_oracle(old, new, monkeypatch):
     # the indices of test_c_exact_rounds_to_oracle: some row rounds away

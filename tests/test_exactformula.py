@@ -177,10 +177,10 @@ def _reference_twist(delta, n, k):
     return total if delta == 1 else mpmath.conj(total)
 
 
-TERM_INDICES = [(1, 10), (1, 83), (1, 300), (-1, 12), (-1, 47), (-1, 211)]
+TERM_INDICES = [(1, 10), (1, 83), (1, 300), (1, 3000), (-1, 12), (-1, 47), (-1, 211)]
 
 
-@pytest.mark.parametrize("prec", [16, 64, 128])
+@pytest.mark.parametrize("prec", [16, 64, 128, 256])
 def test_term_parts_enclose_the_reference(prec):
     for delta, n in TERM_INDICES:
         with working_precision(prec):
@@ -193,7 +193,7 @@ def test_term_parts_enclose_the_reference(prec):
                 assert abs(ref.imag) <= err, (delta, n, k)
 
 
-@pytest.mark.parametrize("prec", [16, 64, 128])
+@pytest.mark.parametrize("prec", [16, 64, 128, 256])
 def test_term_factor_encloses_the_reference(prec, monkeypatch):
     # with an exact twist of 2 only the factor's own error is left: the
     # prefix, the Bessel argument's floor and its charge, and the floors
@@ -208,6 +208,19 @@ def test_term_factor_encloses_the_reference(prec, monkeypatch):
             for k, (value, err) in parts.items():
                 ref = 2 * _reference_factor(delta, n, k) * 2 ** (2 * w)
                 assert abs(ref - value) <= err, (delta, n, k)
+
+
+def test_term_does_not_depend_on_the_order_of_the_k():
+    # ascending, descending, and each k from a plan of its own
+    for delta, n in ((1, 10), (1, 300), (1, 3000), (-1, 211)):
+        ks = range(5, default_k_max(delta, n) + 1, 5)
+        with working_precision(128):
+            reads = []
+            for order in (ks, reversed(ks)):
+                _, plan = _term_plan(delta, n, 128)
+                reads.append({k: plan(k) for k in order})
+            alone = {k: _term_plan(delta, n, 128)[1](k) for k in ks}
+        assert reads[0] == reads[1] == alone, (delta, n)
 
 
 def test_c_exact_domain():
@@ -237,13 +250,13 @@ def test_c_exact_json_schema():
 # (man, exp), and err rounded up at five digits. Error bars may only shrink;
 # the tail bound is the same sum in the same order, so it stays bit-identical.
 PINNED_ROWS = {
-    (1, 10): (1, (2349783457054247324208964364651153122134759585137641987949, -184), "3.2102e-37"),
-    (1, 29): (2, (2349783457054247324208964364651153122134759585137641987949, -184), "1.3278e-36"),
-    (1, 117): (-16, (7596687482809915961475965161437159431500194443366164919143, -186), "1.4814e-35"),
-    (1, 300): (65561, (1621807851244383513715652995506114101205059827855923463679, -184), "5.4283e-32"),
-    (-1, 10): (1, (2349783457054247324208964364651153122134759585137641987949, -184), "3.048e-37"),
-    (-1, 103): (63, (1901746946174174371162319055120150529223051978551496479389, -184), "5.3475e-35"),
-    (-1, 300): (83312, (1621807851244383513715652995506114101205059827855923463679, -184), "6.9296e-32"),
+    (1, 10): (1, (2349783457054247324208964364651153122134759585137641987949, -184), "3.495e-39"),
+    (1, 29): (2, (2349783457054247324208964364651153122134759585137641987949, -184), "6.7515e-39"),
+    (1, 117): (-16, (7596687482809915961475965161437159431500194443366164919143, -186), "5.3633e-38"),
+    (1, 300): (65561, (1621807851244383513715652995506114101205059827855923463679, -184), "1.9404e-34"),
+    (-1, 10): (1, (2349783457054247324208964364651153122134759585137641987949, -184), "3.2009e-39"),
+    (-1, 103): (63, (1901746946174174371162319055120150529223051978551496479389, -184), "1.8893e-37"),
+    (-1, 300): (83312, (1621807851244383513715652995506114101205059827855923463679, -184), "2.4616e-34"),
 }
 
 # the tail bound's bits when each ErrReal operation rounded its radius to

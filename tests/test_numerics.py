@@ -441,11 +441,12 @@ def test_bessel_endpoints_bracket_the_argument_interval(prec):
 def test_i1_series_bound_covers_the_floors_at_narrow_widths():
     # at w = 20..40 bits the floor errors, amplified by the terms' growth,
     # dwarf the truncated tail: the enclosure holds only through the E_k
-    # (argument and results are integers at 2^-w; the tail goal is 2^-10)
+    # (argument and table are integers at 2^-w, read at m = 1; the tail goal is 2^-10)
     for s in ("0.75", "5.3", "33.7", "60"):
         for w in (20, 40):
             x = to_fixed(mpf(s)._mpf_, w)
-            lo, bound = _i1_series(x, w, 1 << (w - 10))
+            terms, losts, tail = _i1_series(x, w, w, 1 << (w - 10), 1)
+            lo, bound = sum(terms), sum(losts) + tail
             with mpmath.workprec(400):
                 ref = mpmath.besseli(1, mpmath.ldexp(x, -w)) * 2**w
                 assert lo <= ref <= lo + bound, (s, w)
@@ -477,6 +478,35 @@ def test_bessel_encloses_the_reference_at_both_ends(prec, units, width, relative
 # bessel_i1's radius when each end was summed at its exact dyadic and the
 # ball assembled from mpf endpoints at a raised precision, at _i1_target:
 # (prec, x = man 2^exp, width: radius 2^-width, 0 for a point) -> (man, exp)
+# bessel_i1 at three points of the 313-point bessel_bound_checks grid, called
+# as that check calls it at 192 bits: (man, exp) of the midpoint and of the
+# radius, keyed by (start, den, i) of the point start + i / den
+BESSEL_GRID_BALLS = {
+    (0, 100, 37): (
+        (1181249625958120018926005511463536443792337146569073682371, -192),
+        (9167401119195756933920639, -193),
+    ),
+    (1, 2, 49): (
+        (1687882228437460598357140988563804602457054793867482876457, -157),
+        (63490108036450937811621593, -157),
+    ),
+    (3, 2, 114): (
+        (66735265751758319883921561141382641099198290357478487095238842078687575, -153),
+        (12461331081366851589553297738989988573617, -157),
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(BESSEL_GRID_BALLS))
+def test_bessel_i1_balls_are_pinned_on_the_bound_check_grid(point):
+    start, den, i = point
+    with working_precision(192):
+        x = start + mpf(i) / den
+        ball = bessel_i1(ErrReal(x), mpf(2) ** (-192 // 2) * mpmath.exp(max(x, mpf(1))))
+        parts = tuple((int(p.man), int(p.exp)) for p in (ball.value, ball.err))
+    assert parts == BESSEL_GRID_BALLS[point]
+
+
 ASSEMBLED_I1_RADII = {
     (64, 1, -10, 0): (477218591, -112),
     (64, 1, -10, 32): (5070604214301771127154699927553, -135),

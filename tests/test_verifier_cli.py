@@ -223,6 +223,24 @@ def test_exact_oracle_refuses_an_empty_range(tmp_path, capsys):
 # -- pipeline ---------------------------------------------------------------------
 
 
+def test_pipeline_refuses_an_unusable_output_dir_before_any_phase(tmp_path, monkeypatch, capsys):
+    # a file, or a path below one: exit 1 with mkdir's message, no phase run
+    # and nothing created
+    def no_phase(*args):
+        raise AssertionError("a phase ran")
+
+    monkeypatch.setattr(verifier, "verify_conjecture", no_phase)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    for out, message in (
+        (taken, f"[Errno 17] File exists: '{taken}'"),
+        (taken / "sub" / "deeper", f"[Errno 20] Not a directory: '{taken / 'sub' / 'deeper'}'"),
+    ):
+        assert main(["pipeline", "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"qsign: error: {message}"]
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 def small_config(tmp_path, name):
     return PipelineConfig(
         deltas=(1, -1),
