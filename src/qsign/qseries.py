@@ -8,8 +8,9 @@ The quotient Q^(delta) has two expansions. ``q10_series``, which the sign
 verification and the exact-formula oracle use, divides two sparse theta
 series given by the Jacobi triple product in O(order^1.5), by a long
 division that finds the coefficients in blocks: the denominator terms that
-reach back past the block are summed as list windows in C, and only the
-few short-reach terms run a scalar recurrence.
+reach back past the block are summed column by column over list windows
+and applied to the block in C, and only the few short-reach terms run a
+scalar recurrence of bare additions.
 ``q10_series_product`` multiplies out the residue product factor by factor
 in O(order^2); it shares none of the first one's arithmetic and serves as
 its independent cross-check.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
+from operator import add, sub
 
 
 class Verdict(Enum):  # each value is the letter of a sign report's verdict string
@@ -50,8 +52,10 @@ PAPER_THRESHOLD = {1: 2929, -1: 2234}
 _NUMERATOR_RESIDUES = (1, 9)
 _DENOMINATOR_RESIDUES = (3, 7)
 
-# Coefficients per block of _sparse_divide's long division: 64 measured
-# fastest for orders 2233 to 20000, and 32 to 128 within about 10% of it.
+# Coefficients per block of _sparse_divide's long division. For q10_series
+# at orders 2233, 2928, 4000, 6000 and 20000 (both signs, medians of 15
+# interleaved runs on one CPU), 48 and 64 measured fastest, within 3% of
+# each other, and every size from 32 to 128 within 7% of the fastest.
 _BLOCK = 64
 
 
@@ -114,38 +118,59 @@ def _sparse_divide(
     coefficient m less c times coefficient m - e for each other term (e, c)
     of ``den`` with e <= m.
 
+    No step multiplies: a term (e, c) is listed |c| times, with the terms to
+    subtract (c > 0) or with those to add (c < 0), so it costs |c|
+    additions per coefficient. That suits small coefficients; every term
+    q10_series divides by has c = 1.
+
     The coefficients are found in blocks of _BLOCK. For a term with
     e >= _BLOCK, coefficient m - e lies in an earlier block for every m of
     the block, so it is already final: the term's share of the whole block
-    is one window (a list slice) of the buffer, and the windows of the terms
-    with equal c are summed column by column in C. Only the terms with
-    e < _BLOCK (six for either theta series) read coefficients of the block
-    itself, and they run the scalar recurrence. _BLOCK zeros before
-    coefficient 0 stand for the coefficients at negative indices, so that
-    neither a window nor a scalar step needs a bounds check.
+    is one window (a list slice) of the buffer. The windows of each group
+    are summed column by column by sum() and taken off (or added to) the
+    block by map(), all in C. Only the terms with e < _BLOCK (six for
+    either theta series) read coefficients of the block itself, and they
+    run the scalar recurrence. _BLOCK zeros before coefficient 0 stand for
+    the coefficients at negative indices, so that neither a window nor a
+    scalar step needs a bounds check.
+
+    Each group lists its windows oldest first, for speed alone: CPython's
+    sum() adds exact ints as machine words until the first item or partial
+    sum that does not fit in a C long, then as big ints to the end, and the
+    coefficients grow with their index (past 2^62 at about 2620 in
+    q10_series), so the old windows' small ones come first. The sums are
+    exact in any order.
     """
     if not den or den[0][0] != 0 or den[0][1] not in (1, -1):
         raise ValueError("non-invertible series: constant term must be +1 or -1")
     unit = den[0][1]
-    near = [(e, c) for e, c in den[1:] if e < _BLOCK]
-    far: dict[int, list[int]] = {}
-    for e, c in den[1:]:
-        if e >= _BLOCK:
-            far.setdefault(c, []).append(e)
+    # the exponents of the terms to subtract (c > 0) and to add (c < 0),
+    # ascending, a term (e, c) listed |c| times, each split at _BLOCK
+    near, far = [], []
+    for op, sign in ((sub, 1), (add, -1)):
+        exps = [e for e, c in den[1:] for _ in range(sign * c)]
+        cut = bisect_left(exps, _BLOCK)
+        near.append(exps[:cut])
+        far.append((op, exps[cut:]))
+    minus, plus = near
     buf = [0] * (_BLOCK + order + 1)
     for e, c in num:
         buf[_BLOCK + e] += c
     for start in range(_BLOCK, len(buf), _BLOCK):
         stop = min(start + _BLOCK, len(buf))
         block = buf[start:stop]
-        for c, exps in far.items():
+        for op, exps in far:
             # terms with e >= stop - _BLOCK would read only the zeros
-            windows = [buf[start - e : stop - e] for e in exps[: bisect_left(exps, stop - _BLOCK)]]
-            if windows:
-                block = [b - c * t for b, t in zip(block, map(sum, zip(*windows)))]
+            live = exps[: bisect_left(exps, stop - _BLOCK)]
+            if live:
+                # oldest window first: see the docstring
+                windows = [buf[start - e : stop - e] for e in reversed(live)]
+                block = list(map(op, block, map(sum, zip(*windows))))
         for i, acc in enumerate(block, start):
-            for e, c in near:
-                acc -= c * buf[i - e]
+            for e in minus:
+                acc -= buf[i - e]
+            for e in plus:
+                acc += buf[i - e]
             buf[i] = acc if unit == 1 else -acc
     return TruncatedSeries(buf[_BLOCK:], order)
 
@@ -183,12 +208,22 @@ def q10_series(delta: int, order: int) -> TruncatedSeries:
     expansion is O(order^1.5) integer operations.  ``_sparse_divide`` runs
     it in blocks of _BLOCK coefficients: all but the six terms of exponent
     below _BLOCK read only finished blocks, so their sums are formed in C.
+
+    It divides the two series at -q, which gives c_delta(m) times (-1)^m.
+    There every coefficient is +1: the term of index k has the sign
+    (-1)^k (-1)^(5k^2 -/+ shift*k) = (-1)^(k(5k + 1)) = 1 for even shift.
+    So the division has one group of windows, all subtracted, and the odd
+    coefficients are negated afterwards, one at a time, so that no second
+    set of them is alive at once.
     """
     _check_args(delta, order)
-    num, den = _theta_terms(4, order), _theta_terms(2, order)
+    num, den = ([(e, 1) for e, _ in _theta_terms(shift, order)] for shift in (4, 2))
     if delta == -1:
         num, den = den, num
-    return _sparse_divide(num, den, order)
+    coeffs = list(_sparse_divide(num, den, order).coeffs)
+    for m in range(1, order + 1, 2):
+        coeffs[m] = -coeffs[m]
+    return TruncatedSeries(coeffs, order)
 
 
 def _apply_factor(coeffs: list[int], a: int, exponent: int) -> None:

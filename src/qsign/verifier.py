@@ -379,17 +379,30 @@ class PipelineResult:
     phases: dict
 
 
-def _refuse_unusable_dir(path: Path) -> None:
-    """Raise what path.mkdir(parents=True, exist_ok=True) raises when path
-    exists and is not a directory, or when its nearest existing ancestor is
-    not one, without creating anything."""
+def _refuse_unusable_dir(path: Path, first_file: Path) -> None:
+    """Raise what path.mkdir(parents=True, exist_ok=True), or then writing
+    first_file into path, raises when path exists and is not a directory or
+    cannot be written into and searched, or when its nearest existing
+    ancestor is not a directory or cannot be written into and searched,
+    without creating anything."""
+    usable = os.W_OK | os.X_OK
     if path.exists():
         if not path.is_dir():
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
+        if not os.access(path, usable):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(first_file))
         return
     ancestor = next((parent for parent in path.parents if parent.exists()), None)
-    if ancestor is not None and not ancestor.is_dir():
+    if ancestor is None:
+        return
+    if not ancestor.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if not os.access(ancestor, usable):
+        # mkdir fails on the first missing directory, or on path itself
+        # when the ancestor cannot be searched
+        first_missing = ancestor / path.relative_to(ancestor).parts[0]
+        denied = first_missing if os.access(ancestor, os.X_OK) else path
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(denied))
 
 
 def full_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -397,7 +410,8 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
 
     Each phase checks its own input, and nothing is written unless every
     phase ran: a refused input or a phase that raises leaves no artifact.
-    An output_dir that mkdir would refuse is refused before the first phase.
+    An output_dir that mkdir or the first write would refuse is refused
+    before the first phase.
     Exit status 0 iff all phases pass; 3 otherwise. The exact-formula
     phase passes on oracle equality (rounded == brute force with
     gap + numeric error < 1/2); the fraction of certified-definitive
@@ -411,7 +425,7 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
     if not config.deltas or any(delta not in (1, -1) for delta in config.deltas):
         raise ValueError("deltas must be +1 / -1")
     outdir = Path(config.output_dir)
-    _refuse_unusable_dir(outdir)
+    _refuse_unusable_dir(outdir, outdir / f"sign_delta_{config.deltas[0]}.json")
     prec = config.precision_bits
     signs = {
         delta: verify_conjecture(delta, PAPER_THRESHOLD[delta] if config.n_max is None else config.n_max)

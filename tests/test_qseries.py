@@ -131,6 +131,52 @@ def test_sparse_divide_matches_scalar_recurrence(case):
     assert _sparse_divide(num, den, order).coeffs == tuple(scalar_divide(num, den, order))
 
 
+_WORD = 2**63  # CPython's sum() adds ints as C longs while each is in [-_WORD, _WORD)
+
+
+def word_path_exits(num, den, order):
+    """The signs of the term groups (+1: c > 0, -1: c < 0) in which some
+    column of far-term windows leaves sum()'s machine-word path partway
+    through, the windows read oldest first with each term listed |c| times.
+    sum() adds exact ints as C longs until an item or the running total
+    does not fit in one, then as big ints to the end."""
+    out = scalar_divide(num, den, order)
+    exits = set()
+    for start in range(0, order + 1, _B):
+        stop = min(start + _B, order + 1)
+        for sign in (1, -1):
+            far = [e for e, c in reversed(den) if _B <= e < stop for _ in range(sign * c)]
+            for m in range(start, stop):
+                total = 0
+                for k, t in enumerate(out[m - e] if e <= m else 0 for e in far):
+                    total += t
+                    if not (-_WORD <= t < _WORD and -_WORD <= total < _WORD):
+                        if k:
+                            exits.add(sign)
+                        break
+    return exits
+
+
+@pytest.mark.parametrize("unit", [1, -1])
+def test_sparse_divide_is_exact_across_the_machine_word_edge(unit):
+    # numerator coefficients on both sides of the C long edge, |c| in
+    # {1, 2, 9} below and past _BLOCK, and an order spanning four blocks:
+    # in both groups a column's sum starts on words and leaves them
+    order = 3 * _B + 17
+    num = [
+        (0, 1), (2, 2**62 - 1), (_B - 1, -(2**62 - 1)), (_B + 5, 2**62),
+        (2 * _B - 3, -(2**62)), (2 * _B + 8, 2**63), (3 * _B - 1, -(2**63)),
+        (3 * _B + 4, 2**70), (3 * _B + 9, -(2**70)),
+    ]
+    den = [
+        (0, unit), (3, 2), (7, -9), (11, 1), (_B - 2, -1),
+        (_B + 1, 1), (_B + 6, -2), (_B + 13, 9),
+        (2 * _B + 2, -1), (2 * _B + 7, 2), (2 * _B + 11, -9),
+    ]
+    assert word_path_exits(num, den, order) == {1, -1}
+    assert _sparse_divide(num, den, order).coeffs == tuple(scalar_divide(num, den, order))
+
+
 # -- the quotient series ------------------------------------------------------
 
 

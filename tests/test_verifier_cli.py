@@ -49,17 +49,20 @@ def test_verify_small_range():
 
 def test_verify_overlaps_the_analytic_range():
     # n <= 20000 runs 7-9x past the thresholds 2929 / 2234 beyond which
-    # the exact formula settles the signs; the zero sets are the paper's,
+    # the exact formula settles the signs, and 6000 is the largest order
+    # the benchmark's series workload runs; the zero sets are the paper's,
     # written out here rather than read from qsign
     paper_zeros = {
         1: [2, 5, 7, 9, 15, 17, 22, 27, 37, 47],
         -1: [3, 4, 5, 6, 9, 13, 19, 23, 29, 39],
     }
-    for delta, zeros in paper_zeros.items():
-        report = verify_conjecture(delta, 20000)
-        assert report.passed, delta
-        assert report.zero_set_found == zeros
-        assert report.thresholds["lhs_below_one"]
+    for n_max in (6000, 20000):
+        for delta, zeros in paper_zeros.items():
+            report = verify_conjecture(delta, n_max)
+            assert report.passed, (delta, n_max)
+            assert report.zero_set_found == zeros
+            assert report.mismatches == []
+            assert report.thresholds["lhs_below_one"]
 
 
 def test_verify_flags_a_flipped_sign_and_an_extra_zero(monkeypatch):
@@ -239,6 +242,37 @@ def test_pipeline_refuses_an_unusable_output_dir_before_any_phase(tmp_path, monk
         assert main(["pipeline", "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"qsign: error: {message}"]
     assert list(tmp_path.iterdir()) == [taken]
+
+
+@pytest.mark.parametrize("denied", ["write", "search"])
+def test_pipeline_refuses_an_unwritable_output_dir_before_any_phase(tmp_path, monkeypatch, capsys, denied):
+    # a directory, or the nearest existing ancestor of a missing one, that
+    # cannot be written into or searched: exit 1 with the message of the
+    # write or mkdir that would fail, no phase run and nothing created.
+    # os.access is patched because root passes every mode check.
+    def no_phase(*args):
+        raise AssertionError("a phase ran")
+
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    lacking = os.W_OK if denied == "write" else os.X_OK
+    real_access = os.access
+
+    def access(path, mode):
+        return not (Path(path) == locked and mode & lacking) and real_access(path, mode)
+
+    monkeypatch.setattr(verifier, "verify_conjecture", no_phase)
+    monkeypatch.setattr(os, "access", access)
+    deeper = locked / "new" / "deeper"
+    for out, delta, reported in (
+        (locked, 1, locked / "sign_delta_1.json"),
+        (locked, -1, locked / "sign_delta_-1.json"),
+        (deeper, 1, locked / "new" if denied == "write" else deeper),
+    ):
+        assert main(["pipeline", "--delta", str(delta), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"qsign: error: [Errno 13] Permission denied: '{reported}'"]
+    assert list(tmp_path.iterdir()) == [locked]
+    assert list(locked.iterdir()) == []
 
 
 def small_config(tmp_path, name):
