@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from .numerics import ErrComplex, ErrReal, _fixed_ball, _fixed_complex, unit_root_parts, working_precision
@@ -169,7 +168,7 @@ def decompose(h: int, k: int) -> CuspData:
 # root-of-unity tables and exact-exponent summation
 # ---------------------------------------------------------------------------
 
-_GUARD_BITS = 8  # root tables carry mp.prec + _GUARD_BITS fractional bits
+_GUARD_BITS = 8  # the tables of precision prec carry prec + _GUARD_BITS fractional bits
 _SPLIT_BITS = 16  # the factor tables of a split Kloosterman sum carry 16 more
 _ENTRY_ERR = 1  # each table part is within this many units of 2^-w (see _roots)
 _ROOT_TABLES: dict[tuple[int, int], list] = {}  # per (modulus, prec)
@@ -199,10 +198,9 @@ def _fixed_powers(root: tuple[int, int], count: int, bits: int) -> list:
     return powers
 
 
-def _roots(modulus: int, prec: int | None = None) -> list:
+def _roots(modulus: int, prec: int) -> list:
     """Fixed-point table of e^(2*pi*i*t/modulus): (c_t, s_t) with c_t, s_t
-    within _ENTRY_ERR = 1 of 2^w cos and 2^w sin, w = prec + _GUARD_BITS,
-    prec = mp.prec unless given.
+    within _ENTRY_ERR = 1 of 2^w cos and 2^w sin, w = prec + _GUARD_BITS.
 
     Baby-step/giant-step: with M = modulus, B = isqrt(M // 2) + 1 and
     W = w + 2 bitlen(B) + 6, the only evaluations are Z = ζ_M and Y = ζ_M^B
@@ -226,7 +224,6 @@ def _roots(modulus: int, prec: int | None = None) -> list:
 
     Only t <= M/2 is evaluated; entry M - t is (c_t, -s_t), which keeps
     the same bound."""
-    prec = mp.prec if prec is None else prec
     key = (modulus, prec)
     table = _ROOT_TABLES.get(key)
     if table is None:
@@ -250,11 +247,11 @@ def _roots(modulus: int, prec: int | None = None) -> list:
     return table
 
 
-def _root_sum(modulus: int, exponents, prec: int | None = None) -> tuple[int, int, int]:
+def _root_sum(modulus: int, exponents, prec: int) -> tuple[int, int, int]:
     """Sum of ζ_modulus^e over e in exponents as exact fixed-point totals:
-    (re, im, err), the integers of the table of precision prec (mp.prec
-    unless given) at 2^-w added exactly, so each part is within err =
-    count * _ENTRY_ERR units of the truth over count entries."""
+    (re, im, err), the integers of the table of precision prec at 2^-w added
+    exactly, so each part is within err = count * _ENTRY_ERR units of the
+    truth over count entries."""
     table = _roots(modulus, prec)
     re = im = count = 0
     for e in exponents:
@@ -327,10 +324,10 @@ def _cofactor_args(k: int, q: int, n: int, m: int) -> tuple[int, int]:
     return n * r_inv % q, m * r_inv % q
 
 
-def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
-    """K_k(n, m) over h coprime to k with h h' == -1 (mod k), at the ambient
-    precision: (total, err), a real total at 2^-w within err units of the
-    truth, w = mp.prec + _GUARD_BITS.
+def _kloosterman_total(k: int, n: int, m: int, prec: int) -> tuple[int, int]:
+    """K_k(n, m) over h coprime to k with h h' == -1 (mod k): (total, err),
+    a real total at 2^-w within err units of the truth, w = prec +
+    _GUARD_BITS.
 
     A prime power or k <= 2 is _half_pair_total's sum at w, err = phi(k).
     Any other k splits by twisted multiplicativity over its prime powers q,
@@ -346,12 +343,12 @@ def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
         raise ValueError("k must be positive")
     factors = _factorization(k)
     if len(factors) < 2:
-        return _half_pair_total(k, n, m, mp.prec)
-    split = mp.prec + _SPLIT_BITS
+        return _half_pair_total(k, n, m, prec)
+    split = prec + _SPLIT_BITS
     product, bound = _product(
         _half_pair_total(q, *_cofactor_args(k, q, n, m), split) for q in (p**e for p, e in factors)
     )
-    w = mp.prec + _GUARD_BITS
+    w = prec + _GUARD_BITS
     shift = len(factors) * (w + _SPLIT_BITS) - w
     half = 1 << (shift - 1)
     return (product + half) >> shift, ((bound + half - 1) >> shift) + 1
@@ -359,17 +356,17 @@ def _kloosterman_total(k: int, n: int, m: int) -> tuple[int, int]:
 
 def kloosterman(k: int, n: int, m: int, prec: int = 128) -> ErrComplex:
     """K_k(n, m), the ball of _kloosterman_total with imaginary part 0."""
-    with working_precision(prec):
-        total, err = _kloosterman_total(k, n, m)
-        return _fixed_complex(total, 0, err, prec + _GUARD_BITS)
+    total, err = _kloosterman_total(k, n, m, prec)
+    return _fixed_complex(total, 0, err, prec + _GUARD_BITS, prec)
 
 
-def _exceeds(re: int, im: int, err: int, square: int) -> bool:
-    """Whether totals re, im at 2^-w, each part within err units of the
-    truth, place it beyond sqrt(square): whether the box's point nearest 0,
-    ((|re| - err)+, (|im| - err)+), is, decided in integers."""
+def _exceeds(re: int, im: int, err: int, square: int, prec: int) -> bool:
+    """Whether totals re, im at 2^-w, w = prec + _GUARD_BITS, each part
+    within err units of the truth, place it beyond sqrt(square): whether the
+    box's point nearest 0, ((|re| - err)+, (|im| - err)+), is, decided in
+    integers."""
     x, y = max(abs(re) - err, 0), max(abs(im) - err, 0)
-    return x * x + y * y > square << 2 * (mp.prec + _GUARD_BITS)
+    return x * x + y * y > square << 2 * (prec + _GUARD_BITS)
 
 
 def _weil_square(k: int, n: int, m: int) -> int:
@@ -383,9 +380,8 @@ def weil_bound_check(k: int, n: int, m: int, prec: int = 128) -> bool:
     The inequality can be attained exactly (k=1), so a failure is reported
     only when every value the totals admit exceeds the bound (_exceeds).
     """
-    with working_precision(prec):
-        total, err = _kloosterman_total(k, n, m)
-        return not _exceeds(total, 0, err, _weil_square(k, n, m))
+    total, err = _kloosterman_total(k, n, m, prec)
+    return not _exceeds(total, 0, err, _weil_square(k, n, m), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +435,9 @@ def _akj_exponent_table(k: int, j: int, h_shift: int = 0, hp_shift: int = 0) -> 
     return table
 
 
-def _akj_totals(k: int, j: int, n: int, h_shift: int = 0, hp_shift: int = 0) -> tuple[int, int, int]:
-    """A_{k,j}(n) as _root_sum's fixed-point totals over 1 <= h < k, at the
-    ambient precision, with the representatives of _akj_exponent_table."""
+def _akj_totals(k: int, j: int, n: int, prec: int, h_shift: int = 0, hp_shift: int = 0) -> tuple[int, int, int]:
+    """A_{k,j}(n) as _root_sum's fixed-point totals over 1 <= h < k, with
+    the representatives of _akj_exponent_table."""
     d = gcd(k, 10)
     if d not in (5, 10):
         raise ValueError("gcd(k,10) must be 5 or 10")
@@ -449,13 +445,12 @@ def _akj_totals(k: int, j: int, n: int, h_shift: int = 0, hp_shift: int = 0) -> 
         raise ValueError("j must be coprime to gcd(k,10)")
     table = _akj_exponent_table(k, j, h_shift, hp_shift)
     mod = 10 * k
-    return _root_sum(mod, ((base + n * step) % mod for base, step in table))
+    return _root_sum(mod, ((base + n * step) % mod for base, step in table), prec)
 
 
 def a_kj(k: int, j: int, n: int, prec: int = 128) -> ErrComplex:
     """Direct summation of the twisted sum A_{k,j}(n) over 1 <= h < k."""
-    with working_precision(prec):
-        return _fixed_complex(*_akj_totals(k, j, n), prec + _GUARD_BITS)
+    return _fixed_complex(*_akj_totals(k, j, n, prec), prec + _GUARD_BITS, prec)
 
 
 def a_kj_rewrite(
@@ -472,15 +467,13 @@ def a_kj_rewrite(
     k. Each shifted exponent carries its own ζ_{10k}^(3 mu2 - nu2 - d), so
     the pulled-out prefactor ζ_{10k}^(3 alpha_j - j - d) is not checked here.
     """
-    with working_precision(prec):
-        return _fixed_complex(*_akj_totals(k, j, n, h_shift, hp_shift), prec + _GUARD_BITS)
+    return _fixed_complex(*_akj_totals(k, j, n, prec, h_shift, hp_shift), prec + _GUARD_BITS, prec)
 
 
-def _fifth_root_sum(t: int, modulus: int, first: int, second: int) -> tuple:
+def _fifth_root_sum(t: int, modulus: int, first: int, second: int, prec: int) -> tuple:
     """S = sum_l ζ_5^(t l) K_M(first + l M/5, second), l = 0..4, for
-    M = modulus with 25 | M and 5 ∤ t, at the ambient precision:
-    (((re, err_re), (im, err_im)), w), each part of S a total at 2^-w
-    within its err units of the truth.
+    M = modulus with 25 | M and 5 ∤ t: (((re, err_re), (im, err_im)), w),
+    each part of S a total at 2^-w within its err units of the truth.
 
     Write M = Q R with Q = 5^a and 5 ∤ R. Twisted multiplicativity splits
     each K_M(n, m) into K_Q(n R', m R'), R R' == 1 (mod Q), times a factor
@@ -493,11 +486,11 @@ def _fifth_root_sum(t: int, modulus: int, first: int, second: int) -> tuple:
         S = 5 K_R F,   F = sum over h in (Z/Q)^x, h == -t (mod 5), of
                            e((u h + v h')/Q),  h h' == -1 (mod Q),
 
-    a sum of phi(Q)/4 terms. Every factor is a total at 2^-W, W = mp.prec +
+    a sum of phi(Q)/4 terms. Every factor is a total at 2^-W, W = prec +
     _GUARD_BITS + _SPLIT_BITS, within its table charge, and the parts of S
     are the exact products at 2^-w, w = (s + 1) W over the s prime powers
     of R, with _product's error bounds."""
-    split = mp.prec + _SPLIT_BITS
+    split = prec + _SPLIT_BITS
     factors = []
     for p, e in _factorization(modulus):
         q = p**e
@@ -512,17 +505,17 @@ def _fifth_root_sum(t: int, modulus: int, first: int, second: int) -> tuple:
     return parts, (len(factors) + 1) * (split + _GUARD_BITS)
 
 
-def _fixed_quotient(total: int, err: int, den: int, w: int) -> ErrReal:
-    """The ball of total/den for a fixed-point total at 2^-w within err
-    units of the truth: the floor division moves the quotient by under one
-    unit, and err/den < err // den + 1."""
-    return _fixed_ball(total // den, err // den + 2, w)
+def _fixed_quotient(total: int, err: int, den: int, w: int, prec: int) -> ErrReal:
+    """The ball of total/den, at prec bits, for a fixed-point total at 2^-w
+    within err units of the truth: the floor division moves the quotient by
+    under one unit, and err/den < err // den + 1."""
+    return _fixed_ball(total // den, err // den + 2, w, prec)
 
 
-def _reduced_totals(k: int, j: int, n: int, alpha_shift: int = 0) -> tuple:
+def _reduced_totals(k: int, j: int, n: int, prec: int, alpha_shift: int = 0) -> tuple:
     """(D, parts, w) with D A_{k,j}(n) = S, a sum of Kloosterman sums, for
     gcd(k,10) in {5, 10} (every caller checks it): S and its parts at 2^-w
-    from _fifth_root_sum, at the ambient precision. For gcd(k,10) = 5, D = -25 and S =
+    from _fifth_root_sum. For gcd(k,10) = 5, D = -25 and S =
     sum_l e^(2 pi i j l/5) K_{5k}((5n+3)(k^2-1)/4 + l k, j^2-5j-alpha^2+5alpha),
     where (1-k^2)/4 == 4^-1 (mod 5k): k is odd, so 8 | k^2 - 1, and 5k | k^2.
     For gcd(k,10) = 10, D = 50 and S =
@@ -535,22 +528,22 @@ def _reduced_totals(k: int, j: int, n: int, alpha_shift: int = 0) -> tuple:
     al = alpha_of(jr, d) + alpha_shift
     num = jr * jr - d * jr - al * al + d * al
     if d == 5:
-        return (-25, *_fifth_root_sum(jr, 5 * k, (5 * n + 3) * (k * k - 1) // 4, num))
+        return (-25, *_fifth_root_sum(jr, 5 * k, (5 * n + 3) * (k * k - 1) // 4, num, prec))
     if num % 2:
         raise ValueError("corrupted alpha made the twist parameter a half-integer")
-    return (50, *_fifth_root_sum(-jr, 10 * k, -2 * (5 * n + 3), num // 2))
+    return (50, *_fifth_root_sum(-jr, 10 * k, -2 * (5 * n + 3), num // 2, prec))
 
 
-def _reduced_identity_holds(k: int, j: int, n: int, alpha_shift: int = 0) -> bool:
-    """Whether D A_{k,j}(n) = S (_reduced_totals) can hold, at the ambient
-    precision. A's totals a at 2^-v, v = mp.prec + _GUARD_BITS, are within
+def _reduced_identity_holds(k: int, j: int, n: int, prec: int, alpha_shift: int = 0) -> bool:
+    """Whether D A_{k,j}(n) = S (_reduced_totals) can hold, on the totals
+    of precision prec. A's totals a at 2^-v, v = prec + _GUARD_BITS, are within
     err units, so D a 2^(w-v) is within |D| err 2^(w-v) units of 2^w D A, and
     each part s of S within its e units: the identity is refuted only when
     some part's |D a 2^(w-v) - s| exceeds the sum of the two (w - v >= 16).
     For d = 10 this decides the value A = S/50, not only its modulus."""
-    re, im, err = _akj_totals(k, j, n)
-    den, parts, w = _reduced_totals(k, j, n, alpha_shift)
-    shift = w - mp.prec - _GUARD_BITS
+    re, im, err = _akj_totals(k, j, n, prec)
+    den, parts, w = _reduced_totals(k, j, n, prec, alpha_shift)
+    shift = w - prec - _GUARD_BITS
     slack = abs(den) * err << shift
     return all(abs((den * a << shift) - s) <= slack + e for a, (s, e) in zip((re, im), parts))
 
@@ -562,9 +555,8 @@ def a_kj_reduced_d5(
     _reduced_totals: -1/25 is folded into its totals, each part rounded once."""
     if gcd(k, 10) != 5:
         raise ValueError("k must have gcd(k,10) = 5")
-    with working_precision(prec):
-        _, parts, w = _reduced_totals(k, j, n, alpha_shift)
-        return ErrComplex(*(_fixed_quotient(-total, err, 25, w) for total, err in parts))
+    _, parts, w = _reduced_totals(k, j, n, prec, alpha_shift)
+    return ErrComplex(*(_fixed_quotient(-total, err, 25, w, prec) for total, err in parts))
 
 
 def a_kj_reduced_d10_abs(
@@ -576,16 +568,15 @@ def a_kj_reduced_d10_abs(
     err_im^2) of |S|; then 1/50 is folded in and the one part rounded once."""
     if gcd(k, 10) != 10:
         raise ValueError("k must have gcd(k,10) = 10")
-    with working_precision(prec):
-        _, ((re, err_re), (im, err_im)), w = _reduced_totals(k, j, n, alpha_shift)
-        return _fixed_quotient(isqrt(re * re + im * im), isqrt(err_re * err_re + err_im * err_im) + 2, 50, w)
+    _, ((re, err_re), (im, err_im)), w = _reduced_totals(k, j, n, prec, alpha_shift)
+    return _fixed_quotient(isqrt(re * re + im * im), isqrt(err_re * err_re + err_im * err_im) + 2, 50, w, prec)
 
 
-def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int]:
+def _twist_totals(k: int, n: int, twisted: bool, prec: int) -> tuple[int, int]:
     """The twist of the exact formula, A_k(n) = A_{k,3}(n) + A_{k,-3}(n) or,
-    when twisted, cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n)), at the
-    ambient precision: (2 re, 2 err) of class j = 3 at n, or j = 1 at -n, a
-    real total at 2^-w within err units, w = mp.prec + _GUARD_BITS.
+    when twisted, cal A_k(n) = conj(A_{k,1}(-n) + A_{k,-1}(-n)): (2 re,
+    2 err) of class j = 3 at n, or j = 1 at -n, a real total at 2^-w within
+    err units, w = prec + _GUARD_BITS.
 
     Proof. With g = k - h: g1 = 2 - h1, g2 = k - h2, g nu1 = k/d - 1 - nu1,
     g nu2 = d - nu2, g mu1 = k/d - 1 - mu1 and g mu2 = d - mu2, as h2, nu2
@@ -600,7 +591,7 @@ def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int]:
     if gcd(k, 10) not in (5, 10):
         raise ValueError("gcd(k,10) must be 5 or 10")
     mod = 10 * k
-    table = _roots(mod)
+    table = _roots(mod, prec)
     rows, m = (_akj_exponent_table(k, 1), -n) if twisted else (_akj_exponent_table(k, 3), n)
     re = 0
     for base, step in rows:
@@ -610,17 +601,15 @@ def _twist_totals(k: int, n: int, twisted: bool) -> tuple[int, int]:
 
 def a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
     """A_k(n) = A_{k,3}(n) + A_{k,-3}(n), which is real (_twist_totals)."""
-    with working_precision(prec):
-        total, err = _twist_totals(k, n, False)
-        return _fixed_complex(total, 0, err, prec + _GUARD_BITS)
+    total, err = _twist_totals(k, n, False, prec)
+    return _fixed_complex(total, 0, err, prec + _GUARD_BITS, prec)
 
 
 def cal_a_k(k: int, n: int, prec: int = 128) -> ErrComplex:
     """The conjugated twist entering the reciprocal's formula, which is real
     (_twist_totals): conj(A_{k,1}(-n)) + conj(A_{k,-1}(-n))."""
-    with working_precision(prec):
-        total, err = _twist_totals(k, n, True)
-        return _fixed_complex(total, 0, err, prec + _GUARD_BITS)
+    total, err = _twist_totals(k, n, True, prec)
+    return _fixed_complex(total, 0, err, prec + _GUARD_BITS, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +631,7 @@ def _twisted_square(k: int) -> int:
 def _twisted_check(d: int, k: int, j: int, n: int, prec: int) -> bool:
     if gcd(k, 10) != d:
         raise ValueError(f"k must have gcd(k,10) = {d}")
-    with working_precision(prec):
-        return not _exceeds(*_akj_totals(k, j, n), _twisted_square(k))
+    return not _exceeds(*_akj_totals(k, j, n, prec), _twisted_square(k), prec)
 
 
 def bound_check_d5(k: int, j: int, n: int, prec: int = 128) -> bool:
@@ -661,6 +649,5 @@ def bound_check_d10(k: int, j: int, n: int, prec: int = 128) -> bool:
 def aggregated_bound_check(k: int, n: int, prec: int = 128, twisted: bool = False) -> bool:
     """|A_k(n)| (or |cal A_k(n)| when twisted) against the aggregated bound
     2 sqrt(_twisted_square(k)), decided on the totals as in weil_bound_check."""
-    with working_precision(prec):
-        total, err = _twist_totals(k, n, twisted)
-        return not _exceeds(total, 0, err, 4 * _twisted_square(k))
+    total, err = _twist_totals(k, n, twisted, prec)
+    return not _exceeds(total, 0, err, 4 * _twisted_square(k), prec)

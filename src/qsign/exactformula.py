@@ -75,12 +75,12 @@ def _validate_n(delta: int, n: int) -> int:
 
 
 def _term_plan(delta: int, n: int, prec: int):
-    """The summands of the exact formula in fixed point, as a function of k;
-    call at the ambient precision prec. Returns w = prec + _GUARD_BITS, the
-    root tables' width, and term, where term(k) gives integers (value, err)
-    at 2^-2w: the k-th summand twist * (prefix / k) * I1(x_k), which is
-    real, within err units of the truth. term keeps no state: its result
-    does not depend on which k were read before.
+    """The summands of the exact formula in fixed point, as a function of k.
+    Returns w = prec + _GUARD_BITS, the root tables' width, and term, where
+    term(k) gives integers (value, err) at 2^-2w: the k-th summand
+    twist * (prefix / k) * I1(x_k), which is real, within err units of the
+    truth. term keeps no state: its result does not depend on which k were
+    read before.
 
     Proof of the bounds. Per index, with u = w + 16 and, for d = 5, 10,
     R_d = sqrt(2 (d-4) nn) and y_d = pi R_d / 5:
@@ -187,7 +187,7 @@ def _term_plan(delta: int, n: int, prec: int):
         den = k2 << u + 16
         f = pre * h // den
         f_err = (pre * h_err + h * pre_err + pre_err * h_err) // den + 2
-        twist, c = _twist_totals(k, n, delta == -1)
+        twist, c = _twist_totals(k, n, delta == -1, prec)
         return twist * f, abs(twist) * f_err + c * (f + f_err)
 
     return w, term
@@ -207,8 +207,8 @@ def default_k_max(delta: int, n: int) -> int:
     return max(50, math.ceil(4 * math.pi / 5 * math.sqrt(3 * nn)) + 1)
 
 
-# per precision, the ErrReal partial sums P[c] = sum_{k <= c} d(k) k^(-3/2),
-# each formed from P[c-1]; extended in place up to the largest cutoff seen
+# per ambient precision, the ErrReal partial sums P[c] = sum_{k <= c} d(k) k^(-3/2)
+# formed at it, each from P[c-1]; extended in place up to the largest cutoff seen
 _DIVISOR_PARTIALS: dict[int, list[ErrReal]] = {}
 # per (K // 5, prec), the finished bound of tail_bound_op, which depends on
 # nothing else: its second cutoff is K // 10 = (K // 5) // 2
@@ -225,9 +225,10 @@ def _zeta_target(prec: int) -> mpf:
     return mpf(2) ** max(-prec // 2, -128)
 
 
-def _divisor_tail(cutoff: int, prec: int) -> ErrReal:
-    """Upper enclosure of sum_{k > cutoff} d(k) k^(-3/2) via zeta(3/2)^2, at
-    the ambient precision, which must be prec."""
+def _divisor_tail(cutoff: int) -> ErrReal:
+    """Upper enclosure of sum_{k > cutoff} d(k) k^(-3/2) via zeta(3/2)^2, a
+    ball at the ambient precision."""
+    prec = mp.prec
     z = zeta_3_2(_zeta_target(prec))
     partials = _DIVISOR_PARTIALS.setdefault(prec, [ErrReal(0)])
     for k in range(len(partials), cutoff + 1):
@@ -255,7 +256,7 @@ def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
     if key not in _TAIL_BOUNDS:
         with working_precision(prec):
             pi2 = pi_err() * pi_err()
-            r5, r10 = _divisor_tail(K // 5, prec), _divisor_tail(K // 10, prec)
+            r5, r10 = _divisor_tail(K // 5), _divisor_tail(K // 10)
             bound = pi2 * 32 / 125 * r5 + pi2 * ErrReal(6).sqrt() * 108 / 125 * r10
             _TAIL_BOUNDS[key] = bound.hi
     return _TAIL_BOUNDS[key]
@@ -316,11 +317,11 @@ def c_exact(
     need = _pass_bits(delta, n, k_max)
     escalations = (-(-need // prec) - 1).bit_length()  # the least e >= 0 with prec 2^e >= need
     prec <<= escalations
+    w, term = _term_plan(delta, n, prec)
+    value, err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
+    total = _fixed_ball(value, err, 2 * w, prec)
+    tail = tail_bound_op(delta, n, k_max, prec)
     with working_precision(prec):
-        w, term = _term_plan(delta, n, prec)
-        value, err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
-        total = _fixed_ball(value, err, 2 * w)
-        tail = tail_bound_op(delta, n, k_max, prec)
         rounded = int(mp.nint(total.value))
         gap = abs(total.value - rounded)
         definitive = bool(gap + total.err + tail < mpf(1) / 2)

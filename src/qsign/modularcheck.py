@@ -114,10 +114,11 @@ def _exp_ball(x, size) -> ErrComplex:
     with W = prec + _GUARD_BITS; size bounds the moduli of the values x()
     is formed from, as in _fixed_exp. Forming x at prec instead would
     charge about |e^x| (size + 3) 2^(4-prec)."""
-    W = mp.prec + _GUARD_BITS
+    prec = mp.prec
+    W = prec + _GUARD_BITS
     with working_precision(W + 8):
         z = _fixed_exp(x(), size, W)
-    return _fixed_complex(*z, W)
+    return _fixed_complex(*z, W, prec)
 
 
 def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
@@ -173,7 +174,7 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
                     err += term[2]
                     term = _fixed_mul(term, r, W)
                     r = _fixed_mul(r, q, W)
-        return _fixed_complex(re, im, err + to_fixed(tail._mpf_, W + 1) + 1, W)
+        return _fixed_complex(re, im, err + to_fixed(tail._mpf_, W + 1) + 1, W, prec)
 
 
 def eta(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
@@ -387,7 +388,7 @@ def _triple_product_record(w, tau, prec: int) -> CheckRecord:
         # -i q^(1/8) zeta^(-1/2) with zeta^(-1/2) = e^(-pi i w), entire in w:
         # theta(w + 1) = -theta(w) while the products have period 1
         pref = _exp_ball(lambda: pi * 1j * (tau / 4 - w - mpf(1) / 2), size)
-        rhs = pref * _fixed_complex(*prod, W)
+        rhs = pref * _fixed_complex(*prod, W, prec)
         return _agreement("triple-product", {"w": str(w), "tau": str(tau)}, lhs, rhs)
 
 

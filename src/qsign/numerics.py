@@ -30,7 +30,10 @@ it at m = 1, the plain sum, at the exact ends of a ball and returns their
 enclosure unrounded; the exact formula builds one table per index and
 class and reads each k by Horner's rule in 1/k^2.
 _fixed_ball rounds a fixed-point total with an integer error bound into a
-ball, once; _fixed_complex does so for both parts of a complex one.
+ball, once, at the precision it is given; _fixed_complex does so for both
+parts of a complex one. Integers carry their width, and balls round at the
+ambient precision: the fixed-point kernels (_i1_series, arithmetic's
+tables and sums) take their width as an argument and read no mp.prec.
 """
 
 from __future__ import annotations
@@ -134,20 +137,19 @@ def _covering(r: tuple, bottom: tuple, top: tuple, prec: int) -> "ErrReal":
     return _ball(r, down if mpf_lt(up, down) else up)
 
 
-def _fixed_ball(total: int, err: int, w: int) -> "ErrReal":
+def _fixed_ball(total: int, err: int, w: int, prec: int) -> "ErrReal":
     """The ball of a fixed-point total at 2^-w that is within err units of
-    the true value: the total rounded once to nearest at mp.prec, which
+    the true value: the total rounded once to nearest at prec bits, which
     moves it at most |v| 2^-prec, and err 2^-w rounded up plus that move as
     the radius."""
-    prec = mp.prec
     v = from_man_exp(total, -w, prec, round_nearest)
     return _ball(v, _radius(from_man_exp(err, -w, prec, round_ceiling), v, prec, 0))
 
 
-def _fixed_complex(re: int, im: int, err: int, w: int) -> "ErrComplex":
+def _fixed_complex(re: int, im: int, err: int, w: int, prec: int) -> "ErrComplex":
     """The ball of fixed-point totals re, im at 2^-w, each part within err
-    units of the truth: _fixed_ball of each part."""
-    return ErrComplex(_fixed_ball(re, err, w), _fixed_ball(im, err, w))
+    units of the truth: _fixed_ball of each part at prec bits."""
+    return ErrComplex(_fixed_ball(re, err, w, prec), _fixed_ball(im, err, w, prec))
 
 
 class ErrReal:

@@ -193,17 +193,16 @@ def run_bound_sweeps(
     identity_checks = 0
     identity_failures: list = []
     t0 = time.perf_counter()
-    with working_precision(prec):
-        for k in _grid_k(identity_k_max):
-            for j in _valid_j(gcd(k, 10)):
-                # A_{k,j}(n) depends on n and the table alone: equal tables, every n
-                rewrite_ok = arithmetic._akj_exponent_table(k, j, 1, 2) == arithmetic._akj_exponent_table(k, j)
-                for n in range(n_samples):
-                    identity_checks += 2
-                    if not rewrite_ok:
-                        identity_failures.append({"kind": "rewrite", "k": k, "j": j, "n": n})
-                    if not arithmetic._reduced_identity_holds(k, j, n):
-                        identity_failures.append({"kind": "reduced", "k": k, "j": j, "n": n})
+    for k in _grid_k(identity_k_max):
+        for j in _valid_j(gcd(k, 10)):
+            # A_{k,j}(n) depends on n and the table alone: equal tables, every n
+            rewrite_ok = arithmetic._akj_exponent_table(k, j, 1, 2) == arithmetic._akj_exponent_table(k, j)
+            for n in range(n_samples):
+                identity_checks += 2
+                if not rewrite_ok:
+                    identity_failures.append({"kind": "rewrite", "k": k, "j": j, "n": n})
+                if not arithmetic._reduced_identity_holds(k, j, n, prec):
+                    identity_failures.append({"kind": "reduced", "k": k, "j": j, "n": n})
     timing["identities"] = round(time.perf_counter() - t0, 3)
 
     weil_checks = 0
@@ -230,11 +229,11 @@ def run_bound_sweeps(
             for n in range(n_samples):
                 # bound_check_d5 / bound_check_d10 on totals summed once,
                 # which the CSV row's |A_{k,j}(n)| reuses
-                with working_precision(prec):
-                    totals = arithmetic._akj_totals(k, j, n)
-                    ok = not arithmetic._exceeds(*totals, square)
-                    if n < 3:
-                        rows.append((k, j, n, float(_fixed_complex(*totals, w).abs().value), bound, ok))
+                totals = arithmetic._akj_totals(k, j, n, prec)
+                ok = not arithmetic._exceeds(*totals, square, prec)
+                if n < 3:
+                    with working_precision(prec):
+                        rows.append((k, j, n, float(_fixed_complex(*totals, w, prec).abs().value), bound, ok))
                 bound_checks += 1
                 if not ok:
                     bound_failures.append({"kind": f"d{d}", "k": k, "j": j, "n": n})
@@ -263,9 +262,8 @@ def run_bound_sweeps(
     timing["bessel"] = round(time.perf_counter() - t0, 3)
 
     # negative control: corrupting alpha must break both reduction identities
-    with working_precision(prec):
-        controls = ((15, 2, 1, 1), (20, 3, 1, 2))  # (k, j, n, alpha_shift), d = 5 and d = 10
-        control = not any(arithmetic._reduced_identity_holds(*args) for args in controls)
+    controls = ((15, 2, 1, 1), (20, 3, 1, 2))  # (k, j, n, alpha_shift), d = 5 and d = 10
+    control = not any(arithmetic._reduced_identity_holds(k, j, n, prec, shift) for k, j, n, shift in controls)
 
     return SweepReport(
         identity_k_max=identity_k_max,

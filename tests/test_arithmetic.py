@@ -157,7 +157,7 @@ def _full_pair_kloosterman(k, n, m, prec):
     exponents of all phi(k) pairs through the module's table summation."""
     exps = [n * h + m * ((-pow(h, -1, k)) % k) for h in range(k) if math.gcd(h, k) == 1]
     with working_precision(prec):
-        return _fixed_complex(*arithmetic._root_sum(k, exps), prec + arithmetic._GUARD_BITS)
+        return _fixed_complex(*arithmetic._root_sum(k, exps, prec), prec + arithmetic._GUARD_BITS, prec)
 
 
 def _parts(v):
@@ -265,10 +265,10 @@ def test_split_error_bound_covers_the_worst_tables(monkeypatch):
     d = 1 << 20
     roots = arithmetic._roots
     monkeypatch.setattr(arithmetic, "_ENTRY_ERR", d)
-    monkeypatch.setattr(arithmetic, "_roots", lambda q, prec=None: [(c + d - 1, s) for c, s in roots(q, prec)])
+    monkeypatch.setattr(arithmetic, "_roots", lambda q, prec: [(c + d - 1, s) for c, s in roots(q, prec)])
     for k in (6, 210, 1700, 2310, 4620):
         with working_precision(128):
-            total, err = arithmetic._kloosterman_total(k, 0, 0)
+            total, err = arithmetic._kloosterman_total(k, 0, 0, 128)
         assert abs(total - (phi(k) << 128 + arithmetic._GUARD_BITS)) <= err, k
 
 
@@ -276,7 +276,7 @@ def test_root_table_entry_at_minus_t_is_the_exact_conjugate():
     for den in (1, 2, 3, 4, 5, 10, 51, 1000, 4950, 20000):
         for prec in (64, 128, 256, 512):
             with working_precision(prec):
-                table = arithmetic._roots(den)
+                table = arithmetic._roots(den, prec)
             for t in range(den):
                 c, s = table[t]
                 assert table[-t % den] == (c, -s), (den, prec, t)
@@ -319,7 +319,7 @@ def test_exceeds_is_the_box_beyond_the_circle(box, square, offset):
     if offset is not None:  # a square at the corner's squared length or next to it
         square = max(0, math.floor(corner) + offset)
     with working_precision(prec):
-        assert arithmetic._exceeds(re, im, count, square) == (corner > square)
+        assert arithmetic._exceeds(re, im, count, square, prec) == (corner > square)
 
 
 @settings(max_examples=400, deadline=None)
@@ -337,7 +337,7 @@ def test_exceeds_is_the_exact_square_comparison(prec, re, im, offset, square):
     if offset is not None:  # a square at |z|^2 itself or next to it
         square = max(0, math.floor(z_square) + offset)
     with working_precision(prec):
-        assert arithmetic._exceeds(re, im, 0, square) == (z_square > square)
+        assert arithmetic._exceeds(re, im, 0, square, prec) == (z_square > square)
 
 
 def test_exceeds_at_zero_negative_and_equality():
@@ -345,29 +345,29 @@ def test_exceeds_at_zero_negative_and_equality():
     w = prec + arithmetic._GUARD_BITS
     c = arithmetic._ENTRY_ERR
     with working_precision(prec):
-        assert not arithmetic._exceeds(0, 0, 0, 0)
-        assert not arithmetic._exceeds(0, 0, 5, 0)
+        assert not arithmetic._exceeds(0, 0, 0, 0, prec)
+        assert not arithmetic._exceeds(0, 0, 5, 0, prec)
         # a negative part lies as far from 0 as its absolute value
-        assert arithmetic._exceeds(-5 << w, 0, 0, 24)
-        assert arithmetic._exceeds(0, -5 << w, 0, 24)
-        assert not arithmetic._exceeds(-5 << w, 0, 0, 25)
+        assert arithmetic._exceeds(-5 << w, 0, 0, 24, prec)
+        assert arithmetic._exceeds(0, -5 << w, 0, 24, prec)
+        assert not arithmetic._exceeds(-5 << w, 0, 0, 25, prec)
         for r in (1, 3, 12345):
             for sign in (1, -1):
                 t = sign * (r << w)
-                assert not arithmetic._exceeds(t, 0, 0, r * r)  # |z|^2 == square
-                assert arithmetic._exceeds(t, 0, 0, r * r - 1)
+                assert not arithmetic._exceeds(t, 0, 0, r * r, prec)  # |z|^2 == square
+                assert arithmetic._exceeds(t, 0, 0, r * r - 1, prec)
                 # error bars pull the nearest point in by c units per count
-                assert not arithmetic._exceeds(t + sign * 3 * c, 0, 3, r * r)
-                assert arithmetic._exceeds(t + sign * (3 * c + 1), 0, 3, r * r)
+                assert not arithmetic._exceeds(t + sign * 3 * c, 0, 3, r * r, prec)
+                assert arithmetic._exceeds(t + sign * (3 * c + 1), 0, 3, r * r, prec)
         # 3/2 squared is 9/4: above 2, not above 3
-        assert arithmetic._exceeds(3 << (w - 1), 0, 0, 2)
-        assert not arithmetic._exceeds(3 << (w - 1), 0, 0, 3)
+        assert arithmetic._exceeds(3 << (w - 1), 0, 0, 2, prec)
+        assert not arithmetic._exceeds(3 << (w - 1), 0, 0, 3, prec)
         # 3 + 4i has squared length 25 exactly
-        assert not arithmetic._exceeds(3 << w, -4 << w, 0, 25)
-        assert arithmetic._exceeds(3 << w, -4 << w, 0, 24)
+        assert not arithmetic._exceeds(3 << w, -4 << w, 0, 25, prec)
+        assert arithmetic._exceeds(3 << w, -4 << w, 0, 24, prec)
         # a box straddling an axis counts that coordinate as 0
-        assert not arithmetic._exceeds(c - 1, 2 << w, 1, 4)
-        assert arithmetic._exceeds(c - 1, 2 << w, 1, 3)
+        assert not arithmetic._exceeds(c - 1, 2 << w, 1, 4, prec)
+        assert arithmetic._exceeds(c - 1, 2 << w, 1, 3, prec)
 
 
 def _direct_root_sum(modulus, exponents):
@@ -487,12 +487,12 @@ def test_class_minus_j_table_is_the_negated_class_j_table():
     arithmetic.clear_caches()
 
 
-def _two_class_twist(k, n, twisted):
+def _two_class_twist(k, n, twisted, prec):
     """A_k(n) = A_{k,3}(n) + A_{k,-3}(n), or cal A_k(n) = conj(A_{k,1}(-n) +
     A_{k,-1}(-n)) when twisted, as the sum of both classes' totals:
     (re, im, err)."""
     js, m = ((1, -1), -n) if twisted else ((3, -3), n)
-    (re1, im1, e1), (re2, im2, e2) = (arithmetic._akj_totals(k, j, m) for j in js)
+    (re1, im1, e1), (re2, im2, e2) = (arithmetic._akj_totals(k, j, m, prec) for j in js)
     return re1 + re2, -(im1 + im2) if twisted else im1 + im2, e1 + e2
 
 
@@ -502,9 +502,9 @@ def test_twist_totals_are_the_two_class_sum_bit_for_bit(prec):
         for k in range(5, 501, 5):
             for n in (0, 1, 7, 300, 2929, -5):
                 for twisted in (False, True):
-                    re, im, err = _two_class_twist(k, n, twisted)
+                    re, im, err = _two_class_twist(k, n, twisted, prec)
                     assert im == 0, (k, n, twisted)
-                    assert arithmetic._twist_totals(k, n, twisted) == (re, err), (k, n, twisted)
+                    assert arithmetic._twist_totals(k, n, twisted, prec) == (re, err), (k, n, twisted)
 
 
 def test_class_minus_j_sum_is_the_exact_conjugate_ball():
@@ -560,7 +560,7 @@ def _identity_holds_at_every_precision(k, j, n, alpha_shift=0):
     results = set()
     for prec in (64, 128, 256):
         with working_precision(prec):
-            results.add(arithmetic._reduced_identity_holds(k, j, n, alpha_shift))
+            results.add(arithmetic._reduced_identity_holds(k, j, n, prec, alpha_shift))
     return results
 
 
@@ -621,23 +621,23 @@ def test_reduced_forms_enclose_the_direct_sum(prec):
                         assert ball.err <= (counts + 2) * unit / 25 + rounding, (k, j, n)
 
 
-def _five_sum_reference(t, modulus, first, step, second):
+def _five_sum_reference(t, modulus, first, step, second, prec):
     """sum_l ζ_5^(t l) K_modulus(first + l step, second), l = 0..4, as
     five Kloosterman sums, each one split over every prime power of the
-    modulus: the unfactored form, at the ambient precision. Each real
+    modulus: the unfactored form, on the tables of precision prec. Each real
     total T within c units times the table entry (a, b) of ζ_5^(t l) is
     within |a| c + (|T| + c) E units of 2^2w times the truth, E =
     _ENTRY_ERR, and so is b T with |b|."""
-    roots = arithmetic._roots(5)
+    roots = arithmetic._roots(5, prec)
     re = im = re_err = im_err = 0
     for ell in range(5):
-        total, err = arithmetic._kloosterman_total(modulus, first + ell * step, second)
+        total, err = arithmetic._kloosterman_total(modulus, first + ell * step, second, prec)
         a, b = roots[t * ell % 5]
         re, im = re + a * total, im + b * total
         re_err += abs(a) * err + (abs(total) + err) * arithmetic._ENTRY_ERR
         im_err += abs(b) * err + (abs(total) + err) * arithmetic._ENTRY_ERR
-    w2 = 2 * (mpmath.mp.prec + arithmetic._GUARD_BITS)
-    return ErrComplex(_fixed_ball(re, re_err, w2), _fixed_ball(im, im_err, w2))
+    w2 = 2 * (prec + arithmetic._GUARD_BITS)
+    return ErrComplex(_fixed_ball(re, re_err, w2, prec), _fixed_ball(im, im_err, w2, prec))
 
 
 def _reference_reduced(k, j, n, prec, step_factor=1):
@@ -651,10 +651,10 @@ def _reference_reduced(k, j, n, prec, step_factor=1):
         if d == 5:
             cj = jr * jr - 5 * jr - al * al + 5 * al
             first = (5 * n + 3) * (k * k - 1) // 4
-            value = -_five_sum_reference(jr, 5 * k, first, step_factor * k, cj) / 25
+            value = -_five_sum_reference(jr, 5 * k, first, step_factor * k, cj, prec) / 25
             return value.re, value.im
         num = (jr * jr - 10 * jr - al * al + 10 * al) // 2
-        return (_five_sum_reference(-jr, 10 * k, -2 * (5 * n + 3), step_factor * 2 * k, num).abs() / 50,)
+        return (_five_sum_reference(-jr, 10 * k, -2 * (5 * n + 3), step_factor * 2 * k, num, prec).abs() / 50,)
 
 
 def _reduced_parts(module, k, j, n, prec):
@@ -795,11 +795,11 @@ def test_bound_checks_fail_with_the_square_just_below(monkeypatch):
     # totals admit, and passes at the next integer
     with working_precision(128):
         totals = [
-            arithmetic._kloosterman_total(7, 1, 1),
-            arithmetic._akj_totals(15, 2, 3),
-            arithmetic._akj_totals(20, 3, 0),
-            arithmetic._twist_totals(25, 4, False),
-            arithmetic._twist_totals(30, 2, True),
+            arithmetic._kloosterman_total(7, 1, 1, 128),
+            arithmetic._akj_totals(15, 2, 3, 128),
+            arithmetic._akj_totals(20, 3, 0, 128),
+            arithmetic._twist_totals(25, 4, False, 128),
+            arithmetic._twist_totals(30, 2, True, 128),
         ]
         # K and the twists are real: their (total, err) is (total, 0, err)
         totals = [(t[0], 0, t[1]) if len(t) == 2 else t for t in totals]
@@ -818,3 +818,39 @@ def test_bound_checks_fail_with_the_square_just_below(monkeypatch):
         assert not check(*args), check
         monkeypatch.setattr(arithmetic, name, lambda *a, b=top: b)
         assert check(*args), check
+
+
+def test_fixed_point_kernels_give_the_same_integers_at_every_ambient_precision():
+    # integers carry their width: at prec = 128 every kernel's totals, and
+    # the exact formula's summands, are the same whatever mpmath's global
+    # precision is, with every table built afresh under it
+    from qsign.exactformula import _term_plan
+
+    prec = 128
+    results = []
+    for ambient in (53, 64, 256):
+        arithmetic.clear_caches()
+        with working_precision(ambient):
+            w, plan = _term_plan(1, 300, prec)
+            results.append(
+                (
+                    w,
+                    [plan(k) for k in (5, 10, 45, 170)],
+                    _term_plan(-1, 211, prec)[1](30),
+                    arithmetic._akj_totals(15, 2, 3, prec),
+                    arithmetic._akj_totals(20, 3, 7, prec),
+                    arithmetic._twist_totals(25, 4, False, prec),
+                    arithmetic._twist_totals(30, 2, True, prec),
+                    arithmetic._kloosterman_total(125, 3, 7, prec),  # a prime power
+                    arithmetic._kloosterman_total(210, 3, 7, prec),  # split over 2, 3, 5, 7
+                    arithmetic._fifth_root_sum(2, 75, 11, 2, prec),
+                    arithmetic._fifth_root_sum(-3, 100, 11, 6, prec),
+                    [
+                        arithmetic._reduced_identity_holds(k, j, 1, prec, shift)
+                        for k, j, shift in ((15, 2, 0), (20, 3, 0), (15, 2, 1), (20, 3, 2))
+                    ],
+                )
+            )
+    assert results[0][0] == prec + arithmetic._GUARD_BITS
+    assert results[0][-1] == [True, True, False, False]
+    assert results[0] == results[1] == results[2]

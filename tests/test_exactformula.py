@@ -9,17 +9,22 @@ tail bound"), so `definitive` is expected False; rounding correctness is
 asserted against the oracle.
 """
 
+import inspect
 import json
+import sys
+import types
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 import pytest
 from mpmath import mpf
+from mpmath.libmp import mpf_pi, to_fixed
 
 from qsign.exactformula import (
     _DIVISOR_PARTIALS,
     _TAIL_BOUNDS,
+    _divisor_tail,
     _pass_bits,
     _term_plan,
     c_exact,
@@ -32,7 +37,7 @@ from qsign.exactformula import (
     threshold_lhs,
 )
 from qsign.arithmetic import _GUARD_BITS, _ROOT_TABLES, _akj_exponent_table, clear_caches
-from qsign.numerics import ErrReal, _fixed_ball, working_precision, zeta_3_2
+from qsign.numerics import ErrReal, _fixed_ball, _i1_series, working_precision, zeta_3_2
 from qsign.qseries import POSITIVE_RESIDUES, q10_series
 
 
@@ -48,7 +53,7 @@ def term(delta, n, k, prec=128):
     into a ball."""
     with working_precision(prec):
         w, plan = _term_plan(delta, n, prec)
-        return _fixed_ball(*plan(k), 2 * w)
+        return _fixed_ball(*plan(k), 2 * w, prec)
 
 
 def test_term_k10_equals_main_term():
@@ -199,7 +204,7 @@ def test_term_factor_encloses_the_reference(prec, monkeypatch):
     # prefix, the Bessel argument's floor and its charge, and the floors
     import qsign.exactformula as ef
 
-    monkeypatch.setattr(ef, "_twist_totals", lambda k, n, twisted: (2 << (mpmath.mp.prec + _GUARD_BITS), 0))
+    monkeypatch.setattr(ef, "_twist_totals", lambda k, n, twisted, prec: (2 << (prec + _GUARD_BITS), 0))
     for delta, n in TERM_INDICES + [(1, 29), (1, 160), (-1, 103), (-1, 256)]:
         with working_precision(prec):
             w, plan = _term_plan(delta, n, prec)
@@ -208,6 +213,75 @@ def test_term_factor_encloses_the_reference(prec, monkeypatch):
             for k, (value, err) in parts.items():
                 ref = 2 * _reference_factor(delta, n, k) * 2 ** (2 * w)
                 assert abs(ref - value) <= err, (delta, n, k)
+
+
+def _exactformula_mutant(old, new, monkeypatch):
+    """A fresh copy of qsign.exactformula with its source's one occurrence
+    of old replaced by new."""
+    import qsign.exactformula as ef
+
+    source = inspect.getsource(ef)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("qsign._exactformula_mutant")
+    module.__package__ = "qsign"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), module.__dict__)
+    return module
+
+
+def _displaced_factor_ratios(module, delta, n, prec, sign, monkeypatch):
+    """|2^2w (2 prefix/k) I1(x_k) - value| / err over every k of module's
+    _term_plan, with an exact twist of 2 and each class's Bessel table built
+    at a point Y displaced from the true 2 y_d by nearly the plan's whole
+    y_err: y_err - 1 units below it (sign < 0), or y_err above it but no
+    further above the plan's own Y than y_err (sign > 0). The plan's y_err
+    is recomputed here from its stated formula; the fake checks that the
+    plan's Y is the one that formula gives."""
+    nn = shifted_index(delta, n)
+    w = prec + _GUARD_BITS
+    u = w + 16
+    pi = to_fixed(mpf_pi(u + 10), u)
+
+    def displaced(y, shift, bits, goal, d):
+        root = isqrt(2 * (d - 4) * nn << 2 * u)
+        assert (y, shift) == (2 * pi * root // (5 << w), u + 16)
+        y_err = 2 * (2 * root + pi + 2) // (5 << w) + 2
+        with mpmath.workprec(2 * w + 200):
+            true = int(mpmath.floor(2 * mpmath.pi * mpmath.sqrt(2 * (d - 4) * nn) / 5 * mpf(2) ** shift))
+        moved = true - (y_err - 1) if sign < 0 else min(true + y_err, y + y_err)
+        return _i1_series(moved, shift, bits, goal, d)
+
+    monkeypatch.setattr(module, "_i1_series", displaced)
+    monkeypatch.setattr(module, "_twist_totals", lambda k, n, twisted, prec: (2 << (prec + _GUARD_BITS), 0))
+    w, plan = module._term_plan(delta, n, prec)
+    parts = {k: plan(k) for k in range(5, default_k_max(delta, n) + 1, 5)}
+    with mpmath.workprec(2 * w + 200):
+        return {k: abs(2 * _reference_factor(delta, n, k) * 2 ** (2 * w) - value) / err for k, (value, err) in parts.items()}
+
+
+DISPLACED_INDICES = [(1, 300), (1, 3000)]
+
+
+@pytest.mark.parametrize("prec", [16, 64, 128, 256])
+def test_term_factor_encloses_the_reference_at_a_displaced_bessel_point(prec, monkeypatch):
+    # the argument's charge ((y_err << t) >> 16) covers a table built
+    # anywhere within y_err of the true point, on either side
+    import qsign.exactformula as ef
+
+    for delta, n in TERM_INDICES + [(-1, 103)]:
+        for sign in (-1, 1):
+            ratios = _displaced_factor_ratios(ef, delta, n, prec, sign, monkeypatch)
+            assert max(ratios.values()) <= 1, (delta, n, sign)
+
+
+@pytest.mark.parametrize("prec", [16, 64, 128, 256])
+def test_dropping_the_argument_charge_is_caught(prec, monkeypatch):
+    # at k = 10 of these indices the point y_err - 1 units below the truth
+    # moves the summand beyond every other charge of its error bound
+    mutant = _exactformula_mutant("((y_err << t) >> 16)", "0", monkeypatch)
+    for delta, n in DISPLACED_INDICES:
+        ratios = _displaced_factor_ratios(mutant, delta, n, prec, -1, monkeypatch)
+        assert ratios[10] > 1, (delta, n)
 
 
 def test_term_does_not_depend_on_the_order_of_the_k():
@@ -286,6 +360,21 @@ def test_c_exact_error_bars_only_shrink(delta, n):
     assert ev.rounded == rounded
     _assert_pinned_tail(ev.tail_bound, delta, n)
     assert ev.err <= mpf(err)
+
+
+def test_divisor_tail_partials_follow_the_ambient_precision():
+    # the prefix sums are balls at the precision they were formed at, kept
+    # under it: sums formed at 64 bits are not read back at 128
+    _DIVISOR_PARTIALS.clear()
+    with working_precision(128):
+        fresh = _divisor_tail(100)
+    _DIVISOR_PARTIALS.clear()
+    with working_precision(64):
+        _divisor_tail(100)
+    with working_precision(128):
+        again = _divisor_tail(100)
+    assert sorted(_DIVISOR_PARTIALS) == [64, 128]
+    assert (again._v, again._e) == (fresh._v, fresh._e)
 
 
 @pytest.mark.parametrize("delta,n", [(1, 10), (1, 117), (1, 300)])

@@ -223,7 +223,7 @@ def test_fixed_complex_is_sound_and_tight(prec, data):
     re, im = data.draw(totals), data.draw(totals)
     err = data.draw(st.one_of(st.just(0), st.integers(0, 2 ** (prec + 64))))
     with working_precision(prec):
-        z = _fixed_complex(re, im, err, w)
+        z = _fixed_complex(re, im, err, w, prec)
     unit = Fraction(1, 2**w)
     for part, t in ((z.re, re), (z.im, im)):
         lo, hi = _ends(part)
@@ -286,7 +286,7 @@ def test_unit_root_is_the_root_table_entry():
         for prec in (64, 128, 256, 512):
             w = prec + _GUARD_BITS
             with working_precision(prec):
-                table = _roots(den)
+                table = _roots(den, prec)
             assert len(table) == den
             slack = _ENTRY_ERR << (ref_bits - w)
             for entry, true in zip(table, ref):
@@ -305,12 +305,12 @@ def test_unit_root_is_the_root_table_entry():
     w = prec + _GUARD_BITS
     with working_precision(prec):
         for den in (1, 2, 3, 4, 5, 10, 51):
-            table = _roots(den)
+            table = _roots(den, prec)
             assert len(table) == den
             for t in range(1, den):
                 assert table[den - t] == (table[t][0], -table[t][1])
         for num, den in ((0, 1), (1, 3), (-1, 3), (7, 5), (-13, 10), (123, 50), (-250, 100), (41, 40)):
-            entry = _roots(den)[num % den]
+            entry = _roots(den, prec)[num % den]
             with working_precision(w):
                 parts = unit_root_parts(num, den)
             with working_precision(512):

@@ -158,8 +158,8 @@ def test_sweep_decides_the_d10_reduced_form_as_a_value(monkeypatch):
     # the value A = S/50 sees it; the d = 5 forms are untouched
     fifth_root_sum = arithmetic._fifth_root_sum
 
-    def conjugated(t, modulus, first, second):
-        (re, (im, err)), w = fifth_root_sum(t, modulus, first, second)
+    def conjugated(t, modulus, first, second, prec):
+        (re, (im, err)), w = fifth_root_sum(t, modulus, first, second, prec)
         return (re, (-im if modulus % 2 == 0 else im, err)), w
 
     monkeypatch.setattr(arithmetic, "_fifth_root_sum", conjugated)
