@@ -5,20 +5,22 @@ Every summand of the twisted sums is +- a 10k-th root of unity, so sums are
 evaluated by exact integer exponent arithmetic modulo 10k followed by table
 lookups of fixed-point roots: integers within 1 of 2^w times the true parts,
 w = prec + 8, added exactly and rounded once, so a sum of count terms is
-within count * 2^-w plus that one rounding of its true value. Each table
-costs two cos/sin evaluations and about modulus/2 integer products.
+within count * 2^-w plus that one rounding of its true value. A table is
+two lists, cos and sin; it costs two cos/sin evaluations and about
+modulus/8 integer products (modulus/4 for an even modulus not divisible by
+4, modulus/2 for an odd one), the rest copied by symmetries of the circle.
 
 A Kloosterman sum is real: the pair (-h, -h') is a term of it whenever
-(h, h') is, with the opposite exponent, and the table holds the entry at -e
-as the exact conjugate of the entry at e. So K_q(n, m) is summed over the
-pairs with 2h < q only, as twice their fixed-point cosines; the exact
-formula's twist is real in the same way and sums one class (_twist_totals).
-K_k of a k with two or more prime factors is the product of such sums over
-the prime powers q of k (twisted multiplicativity), each at 16 more bits,
-with the product's error bound formed exactly (_product). The reduced
-forms of the twisted sums, sum_l ζ_5^(t l) K_M(n + l M/5, m), are one such
-product: the factors prime to 5 do not depend on l, and the 5-part
-collapses to one sum over a class of residues mod 5 (_fifth_root_sum).
+(h, h') is, with the opposite exponent, and the table's cos[-e] equals
+cos[e] exactly. So K_q(n, m) is summed over the pairs with 2h < q only, as
+twice their fixed-point cosines; the exact formula's twist is real in the
+same way and sums one class (_twist_totals). K_k of a k with two or more
+prime factors is the product of such sums over the prime powers q of k
+(twisted multiplicativity), each at 16 more bits, with the product's error
+bound formed exactly (_product). The reduced forms of the twisted sums,
+sum_l ζ_5^(t l) K_M(n + l M/5, m), are one such product: the factors prime
+to 5 do not depend on l, and the 5-part collapses to one sum over a class
+of residues mod 5 (_fifth_root_sum).
 
 Everything here stays in fixed point up to the public return, which forms
 the one ball, and every check is decided on the totals, in integers. Each
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import neg
 
 from mpmath.libmp import to_fixed
 
@@ -171,7 +174,7 @@ def decompose(h: int, k: int) -> CuspData:
 _GUARD_BITS = 8  # the tables of precision prec carry prec + _GUARD_BITS fractional bits
 _SPLIT_BITS = 16  # the factor tables of a split Kloosterman sum carry 16 more
 _ENTRY_ERR = 1  # each table part is within this many units of 2^-w (see _roots)
-_ROOT_TABLES: dict[tuple[int, int], list] = {}  # per (modulus, prec)
+_ROOT_TABLES: dict[tuple[int, int], tuple[list, list]] = {}  # (cos, sin) per (modulus, prec)
 _INVERSE_PAIRS: dict[int, list] = {}
 _CLASS_PAIRS: dict[tuple[int, int], list] = {}  # per (power of 5, class mod 5)
 _AKJ_TERMS: dict[tuple[int, int, int, int], list] = {}
@@ -198,15 +201,18 @@ def _fixed_powers(root: tuple[int, int], count: int, bits: int) -> list:
     return powers
 
 
-def _roots(modulus: int, prec: int) -> list:
-    """Fixed-point table of e^(2*pi*i*t/modulus): (c_t, s_t) with c_t, s_t
-    within _ENTRY_ERR = 1 of 2^w cos and 2^w sin, w = prec + _GUARD_BITS.
+def _roots(modulus: int, prec: int) -> tuple[list, list]:
+    """Fixed-point table of e^(2*pi*i*t/modulus) as two lists (cos, sin):
+    cos[t] and sin[t] within _ENTRY_ERR = 1 of 2^w cos and 2^w sin of
+    2 pi t/modulus, w = prec + _GUARD_BITS.
 
-    Baby-step/giant-step: with M = modulus, B = isqrt(M // 2) + 1 and
-    W = w + 2 bitlen(B) + 6, the only evaluations are Z = ζ_M and Y = ζ_M^B
-    by unit_root_parts at W + 4 bits, floored to W fractional bits. Entry
-    t = gB + b (b, g < B) is the product of the baby power Z^b and the giant
-    power Y^g, both kept at 2^-W, rounded to nearest at 2^-w.
+    With M = modulus, only the entries t <= span are evaluated, span =
+    floor(M/8) when 4 | M, floor(M/4) when 2 | M and floor(M/2) otherwise.
+    Baby-step/giant-step: with B = isqrt(span) + 1 and W = w + 2 bitlen(B) +
+    6, the only evaluations are Z = ζ_M and Y = ζ_M^B by unit_root_parts at
+    W + 4 bits, floored to W fractional bits. Entry t = gB + b (b, g < B) is
+    the product of the baby power Z^b and the giant power Y^g, both kept at
+    2^-W, rounded to nearest at 2^-w.
 
     Proof of the bound, in units u = 2^-W and complex moduli. Each part of Z
     and Y is within u of the truth before the floor (unit_root_err at W + 4
@@ -219,47 +225,53 @@ def _roots(modulus: int, prec: int) -> list:
     e_b |Q_g| + e_g <= 4.3 (b + g) u < 8.6 B u of ζ^t; in units of 2^-w
     that is 8.6 B 2^(w-W) < 8.6 B / (64 B^2) < 0.14, and the rounding adds
     at most 1/2, so each part is within 0.64 < 1 unit. As 0.14 < 1/2, a
-    value on the 2^-w grid comes out exact: entries 0, M/4 and M/2 are
-    (2^w, 0), (0, 2^w) and (-2^w, 0).
+    value on the 2^-w grid comes out exact; entry 0 is (2^w, 0) exactly, the
+    product of two exact powers.
 
-    Only t <= M/2 is evaluated; entry M - t is (c_t, -s_t), which keeps
-    the same bound."""
+    The other entries are copies, by three symmetries that are exact on the
+    true values, so each keeps the bound: entry M/4 - t is (s_t, c_t) when
+    4 | M, entry M/2 - t is (-c_t, s_t) when 2 | M, and entry M - t is
+    (c_t, -s_t). The one evaluated entry that is its own quarter-turn
+    image, t = M/8 when 8 | M, has equal true parts and takes c_t for both.
+    So entries M/4, M/2 and 3M/4 are (0, 2^w), (-2^w, 0) and (0, -2^w)
+    exactly."""
     key = (modulus, prec)
     table = _ROOT_TABLES.get(key)
     if table is None:
         w = prec + _GUARD_BITS
-        size = modulus // 2 + 1
-        step = isqrt(modulus // 2) + 1
+        span = modulus // 8 if modulus % 4 == 0 else modulus // 4 if modulus % 2 == 0 else modulus // 2
+        step = isqrt(span) + 1
         bits = w + 2 * step.bit_length() + 6
         with working_precision(bits + 4):
             z, y = (tuple(to_fixed(p._mpf_, bits) for p in unit_root_parts(e, modulus)) for e in (1, step))
         babies = _fixed_powers(z, step, bits)
-        giants = _fixed_powers(y, -(-size // step), bits)
+        giants = _fixed_powers(y, span // step + 1, bits)
         shift = 2 * bits - w
         half_unit = 1 << (shift - 1)
-        half = [
-            ((gc * bc - gs * bs + half_unit) >> shift, (gc * bs + gs * bc + half_unit) >> shift)
-            for gc, gs in giants
-            for bc, bs in babies
-        ][:size]
-        table = half + [(c, -s) for c, s in reversed(half[1 : (modulus + 1) // 2])]
-        _ROOT_TABLES[key] = table
+        cos = [(gc * bc - gs * bs + half_unit) >> shift for gc, gs in giants for bc, bs in babies][: span + 1]
+        sin = [(gc * bs + gs * bc + half_unit) >> shift for gc, gs in giants for bc, bs in babies][: span + 1]
+        if modulus % 4 == 0:  # entry M/4 - t is (s_t, c_t)
+            i = modulus // 4 - len(cos)
+            cos, sin = cos + sin[i::-1], sin[: i + 1] + cos[::-1]
+        if modulus % 2 == 0:  # entry M/2 - t is (-c_t, s_t)
+            i = modulus // 2 - len(cos)
+            cos += map(neg, cos[i::-1])
+            sin += sin[i::-1]
+        i = (modulus - 1) // 2  # entry M - t is (c_t, -s_t)
+        cos += cos[i:0:-1]
+        sin += map(neg, sin[i:0:-1])
+        table = _ROOT_TABLES[key] = cos, sin
     return table
 
 
-def _root_sum(modulus: int, exponents, prec: int) -> tuple[int, int, int]:
-    """Sum of ζ_modulus^e over e in exponents as exact fixed-point totals:
-    (re, im, err), the integers of the table of precision prec at 2^-w added
-    exactly, so each part is within err = count * _ENTRY_ERR units of the
-    truth over count entries."""
-    table = _roots(modulus, prec)
-    re = im = count = 0
-    for e in exponents:
-        c, s = table[e % modulus]
-        re += c
-        im += s
-        count += 1
-    return re, im, count * _ENTRY_ERR
+def _root_sum(modulus: int, rows, a: int, b: int, prec: int) -> tuple[int, int, int]:
+    """Sum of ζ_modulus^(a x + b y) over the pairs (x, y) of rows as exact
+    fixed-point totals: (re, im, err), the cos and sin entries of the table
+    of precision prec at 2^-w added exactly, so each part is within err =
+    count * _ENTRY_ERR units of the truth over count entries."""
+    cos, sin = _roots(modulus, prec)
+    exponents = [(a * x + b * y) % modulus for x, y in rows]
+    return sum(map(cos.__getitem__, exponents)), sum(map(sin.__getitem__, exponents)), len(exponents) * _ENTRY_ERR
 
 
 def _inverse_pairs(modulus: int) -> list:
@@ -293,13 +305,14 @@ def _half_pair_total(q: int, n: int, m: int, prec: int) -> tuple[int, int]:
     table of precision prec: (total, err), a real total at 2^-w within err
     units of 2^w K_q(n, m), w = prec + _GUARD_BITS.
 
-    The term of (-h, -h') is the conjugate of the term of (h, h'), and so
-    are their table entries, exactly: the sum is twice the cosine total over
-    2h < q, with imaginary part 0. For q <= 2 the one term is self-paired
-    and counted once. The error charges all phi(q) entries."""
+    The term of (-h, -h') is the conjugate of the term of (h, h'), and the
+    table's cos[-e] and sin[-e] are cos[e] and -sin[e] exactly: the sum is
+    twice the cosine total over 2h < q, with imaginary part 0. For q <= 2
+    the one term is self-paired and counted once. The error charges all
+    phi(q) entries."""
     pairs = _inverse_pairs(q)
-    table = _roots(q, prec)
-    re = sum(table[(n * h + m * hp) % q][0] for h, hp in pairs)
+    cos = _roots(q, prec)[0]
+    re = sum([cos[(n * h + m * hp) % q] for h, hp in pairs])
     return (re, _ENTRY_ERR) if q <= 2 else (2 * re, 2 * len(pairs) * _ENTRY_ERR)
 
 
@@ -443,9 +456,7 @@ def _akj_totals(k: int, j: int, n: int, prec: int, h_shift: int = 0, hp_shift: i
         raise ValueError("gcd(k,10) must be 5 or 10")
     if gcd(j, d) != 1:
         raise ValueError("j must be coprime to gcd(k,10)")
-    table = _akj_exponent_table(k, j, h_shift, hp_shift)
-    mod = 10 * k
-    return _root_sum(mod, ((base + n * step) % mod for base, step in table), prec)
+    return _root_sum(10 * k, _akj_exponent_table(k, j, h_shift, hp_shift), 1, n, prec)
 
 
 def a_kj(k: int, j: int, n: int, prec: int = 128) -> ErrComplex:
@@ -500,7 +511,7 @@ def _fifth_root_sum(t: int, modulus: int, first: int, second: int, prec: int) ->
             factors.append(_half_pair_total(q, *_cofactor_args(modulus, q, first, second), split))
     k_r = _product(factors)
     pairs = _class_pairs(five, -t % 5)
-    re, im, err = _root_sum(five, (u * h + v * hp for h, hp in pairs), split)
+    re, im, err = _root_sum(five, pairs, u, v, split)
     parts = tuple(_product((k_r, (5 * x, 5 * err))) for x in (re, im))
     return parts, (len(factors) + 1) * (split + _GUARD_BITS)
 
@@ -585,17 +596,15 @@ def _twist_totals(k: int, n: int, twisted: bool, prec: int) -> tuple[int, int]:
     and g' == -h' (mod (10/d) k); the two quadratic terms then sum to
     10 h' (nu1 - mu1) k (d = 10) or 5 h' (nu1 - mu1) k with h' even (d = 5),
     0 mod 10k; and -10g == 10h. So class -j's (base, step) are class j's
-    negated, entry by entry, and _roots holds the entry at -e as the exact
-    conjugate of the entry at e: class -j's totals are exactly (re, -im, err).
+    negated, entry by entry, and _roots' cos[-e] and sin[-e] are cos[e] and
+    -sin[e] exactly: class -j's totals are exactly (re, -im, err).
     Only the cosines of class j's entries are summed."""
     if gcd(k, 10) not in (5, 10):
         raise ValueError("gcd(k,10) must be 5 or 10")
     mod = 10 * k
-    table = _roots(mod, prec)
+    cos = _roots(mod, prec)[0]
     rows, m = (_akj_exponent_table(k, 1), -n) if twisted else (_akj_exponent_table(k, 3), n)
-    re = 0
-    for base, step in rows:
-        re += table[(base + m * step) % mod][0]
+    re = sum([cos[(base + m * step) % mod] for base, step in rows])
     return 2 * re, 2 * len(rows) * _ENTRY_ERR
 
 

@@ -14,11 +14,14 @@ import sys
 import types
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from operator import lshift, neg, sub
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
+from mpmath.libmp import to_fixed
 
 from qsign import arithmetic
 from qsign.arithmetic import (
@@ -153,11 +156,11 @@ def test_weil_bound_examples():
 
 
 def _full_pair_kloosterman(k, n, m, prec):
-    """K_k(n, m) summed over every h coprime to k, not only 2h < k: the
-    exponents of all phi(k) pairs through the module's table summation."""
-    exps = [n * h + m * ((-pow(h, -1, k)) % k) for h in range(k) if math.gcd(h, k) == 1]
+    """K_k(n, m) summed over every h coprime to k, not only 2h < k: all
+    phi(k) pairs (h, h') through the module's table summation at (n, m)."""
+    rows = [(h, (-pow(h, -1, k)) % k) for h in range(k) if math.gcd(h, k) == 1]
     with working_precision(prec):
-        return _fixed_complex(*arithmetic._root_sum(k, exps, prec), prec + arithmetic._GUARD_BITS, prec)
+        return _fixed_complex(*arithmetic._root_sum(k, rows, n, m, prec), prec + arithmetic._GUARD_BITS, prec)
 
 
 def _parts(v):
@@ -264,8 +267,13 @@ def test_split_error_bound_covers_the_worst_tables(monkeypatch):
     # the whole product bound, about 16 phi(k) units of 2^-w
     d = 1 << 20
     roots = arithmetic._roots
+
+    def pushed_up(q, prec):
+        cos, sin = roots(q, prec)
+        return [c + d - 1 for c in cos], sin
+
     monkeypatch.setattr(arithmetic, "_ENTRY_ERR", d)
-    monkeypatch.setattr(arithmetic, "_roots", lambda q, prec: [(c + d - 1, s) for c, s in roots(q, prec)])
+    monkeypatch.setattr(arithmetic, "_roots", pushed_up)
     for k in (6, 210, 1700, 2310, 4620):
         with working_precision(128):
             total, err = arithmetic._kloosterman_total(k, 0, 0, 128)
@@ -276,11 +284,143 @@ def test_root_table_entry_at_minus_t_is_the_exact_conjugate():
     for den in (1, 2, 3, 4, 5, 10, 51, 1000, 4950, 20000):
         for prec in (64, 128, 256, 512):
             with working_precision(prec):
-                table = arithmetic._roots(den, prec)
+                cos, sin = arithmetic._roots(den, prec)
             for t in range(den):
-                c, s = table[t]
-                assert table[-t % den] == (c, -s), (den, prec, t)
+                assert (cos[-t % den], sin[-t % den]) == (cos[t], -sin[t]), (den, prec, t)
 
+
+_REF_BITS = 360
+
+
+def _power_reference(modulus):
+    """(cos, sin) of e^(2 pi i t/modulus), t <= modulus/2, as integers at
+    2^-360, within 2^17 units of the truth for modulus <= 20000: mpmath's
+    root at 380 bits floored, and its powers by floored products, each of
+    which adds under 4.3 units to the error of the last (|z - ζ| < 2√2 and
+    the floors √2, with |P_t| <= 1 + error). A second route to the table:
+    no baby or giant steps and no symmetry."""
+    with mpmath.workprec(_REF_BITS + 20):
+        zc, zs = (to_fixed(f(mpf(2) / modulus)._mpf_, _REF_BITS) for f in (mpmath.cospi, mpmath.sinpi))
+    c, s = 1 << _REF_BITS, 0
+    cos, sin = [c], [s]
+    for _ in range(modulus // 2):
+        c, s = (c * zc - s * zs) >> _REF_BITS, (c * zs + s * zc) >> _REF_BITS
+        cos.append(c)
+        sin.append(s)
+    return cos, sin
+
+
+def _table_faults(roots, modulus, prec, ref):
+    """The properties of the table roots(modulus, prec) that fail, by name:
+    the exact symmetries of the circle, the exact entries 0, M/4, M/2 and
+    3M/4, and every entry within one unit of 2^-w of the reference ref. The
+    entries t <= M/2 are compared with ref; the others are the exact
+    conjugates of those, as the first check asserts, and so are the true
+    values."""
+    cos, sin = roots(modulus, prec)
+    m, w = modulus, prec + arithmetic._GUARD_BITS
+    one, faults = 1 << w, []
+
+    def image(part, shift):
+        """part[(shift - t) % m] for t = 0, ..., m - 1."""
+        rev = part[::-1]
+        r = (m - 1 - shift) % m
+        return rev[r:] + rev[:r]
+
+    if len(cos) != m or len(sin) != m:
+        return ["length"]
+    if image(cos, 0) != cos or image(sin, 0) != list(map(neg, sin)):
+        faults.append("conjugate")
+    if m % 2 == 0 and (image(cos, m // 2) != list(map(neg, cos)) or image(sin, m // 2) != sin):
+        faults.append("half turn")
+    if m % 4 == 0 and (image(cos, m // 4) != sin or image(sin, m // 4) != cos):
+        faults.append("quarter turn")
+    exact = [(0, one, 0)]
+    exact += [(m // 2, -one, 0)] if m % 2 == 0 else []
+    exact += [(m // 4, 0, one), (3 * m // 4, 0, -one)] if m % 4 == 0 else []
+    if any((cos[t], sin[t]) != (c, s) for t, c, s in exact):
+        faults.append("grid")
+    shift = _REF_BITS - w
+    limit = (arithmetic._ENTRY_ERR << shift) + (1 << 17)
+    for part, true in zip((cos, sin), ref):
+        if max(map(abs, map(sub, map(lshift, part[: m // 2 + 1], repeat(shift)), true))) > limit:
+            faults.append("accuracy")
+    return faults
+
+
+_TABLE_MODULI = [*range(1, 401), *range(410, 5001, 10)]  # with 1..400, every 10k, k <= 500
+
+
+def test_root_tables_are_exact_on_their_symmetries_and_accurate():
+    # every modulus to 400 and every 10k to 5000, at four precisions: the
+    # symmetries exact at every t, the grid entries exact, and every entry
+    # within one unit of the power reference
+    for modulus in _TABLE_MODULI:
+        ref = _power_reference(modulus)
+        for prec in (16, 64, 128, 256):
+            assert _table_faults(arithmetic._roots, modulus, prec, ref) == [], (modulus, prec)
+        arithmetic.clear_caches()
+
+
+@settings(max_examples=40, deadline=None)
+@given(modulus=st.integers(1, 3000), prec=st.integers(8, 320))
+def test_root_table_entries_are_mpmath_values(modulus, prec):
+    # every entry within one unit of 2^-w of mpmath's cos and sin at w + 40 bits
+    w = prec + arithmetic._GUARD_BITS
+    cos, sin = arithmetic._roots(modulus, prec)
+    with mpmath.workprec(w + 40):
+        for t in range(modulus):
+            x = mpf(2 * t) / modulus
+            for fixed, f in ((cos[t], mpmath.cospi), (sin[t], mpmath.sinpi)):
+                assert abs(fixed - mpmath.ldexp(f(x), w)) <= arithmetic._ENTRY_ERR, (modulus, prec, t)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the quarter turn copied without its reversal
+        ("cos, sin = cos + sin[i::-1], sin[: i + 1] + cos[::-1]", "cos, sin = cos + sin[: i + 1], sin[: i + 1] + cos"),
+        ("cos += map(neg, cos[i::-1])", "cos += cos[i::-1]"),  # the half turn without its minus
+    ],
+    ids=["quarter-turn-unreversed", "half-turn-without-minus"],
+)
+def test_root_table_mutants_are_caught(old, new, monkeypatch):
+    module = _mutant(old, new, monkeypatch)
+    for modulus in (8, 12, 40, 100, 1000):  # 4 | M: both fills run
+        assert _table_faults(module._roots, modulus, 64, _power_reference(modulus)), modulus
+
+
+def _plain_root_sum(modulus, exponents, prec):
+    """The root table's entries at each exponent added one by one."""
+    cos, sin = arithmetic._roots(modulus, prec)
+    re = im = count = 0
+    for e in exponents:
+        re += cos[e % modulus]
+        im += sin[e % modulus]
+        count += 1
+    return re, im, count * arithmetic._ENTRY_ERR
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_linear_form_kernel_is_the_plain_sum(prec):
+    from qsign.arithmetic import _akj_exponent_table, _class_pairs, _root_sum
+
+    # the sweep grid: A_{k,j}(n) for k <= 200, n < 20, every j, both d
+    for k in range(5, 201, 5):
+        for j in (1, 2, 3, 4) if math.gcd(k, 10) == 5 else (1, 3, 7, 9):
+            rows = _akj_exponent_table(k, j)
+            for n in range(20):
+                plain = _plain_root_sum(10 * k, [base + n * step for base, step in rows], prec)
+                assert arithmetic._akj_totals(k, j, n, prec) == plain, (k, j, n)
+    # _fifth_root_sum's class pairs: its 5-part at modulus 75 and 100 is 25
+    for modulus in (75, 100):
+        for t in (1, 2, 3, 4):
+            pairs = _class_pairs(25, -t % 5)
+            for first in range(-3, 30, 4):
+                for second in (0, 1, 6, 11, -7):
+                    u, v = arithmetic._cofactor_args(modulus, 25, first, second)
+                    plain = _plain_root_sum(25, [u * h + v * hp for h, hp in pairs], prec)
+                    assert _root_sum(25, pairs, u, v, prec) == plain, (modulus, t, first, second)
 
 def _corner_square(re, im, count, w):
     """The exact squared length of the point nearest 0 of the box that
@@ -628,11 +768,11 @@ def _five_sum_reference(t, modulus, first, step, second, prec):
     total T within c units times the table entry (a, b) of ζ_5^(t l) is
     within |a| c + (|T| + c) E units of 2^2w times the truth, E =
     _ENTRY_ERR, and so is b T with |b|."""
-    roots = arithmetic._roots(5, prec)
+    cos, sin = arithmetic._roots(5, prec)
     re = im = re_err = im_err = 0
     for ell in range(5):
         total, err = arithmetic._kloosterman_total(modulus, first + ell * step, second, prec)
-        a, b = roots[t * ell % 5]
+        a, b = cos[t * ell % 5], sin[t * ell % 5]
         re, im = re + a * total, im + b * total
         re_err += abs(a) * err + (abs(total) + err) * arithmetic._ENTRY_ERR
         im_err += abs(b) * err + (abs(total) + err) * arithmetic._ENTRY_ERR

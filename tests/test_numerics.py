@@ -286,31 +286,31 @@ def test_unit_root_is_the_root_table_entry():
         for prec in (64, 128, 256, 512):
             w = prec + _GUARD_BITS
             with working_precision(prec):
-                table = _roots(den, prec)
-            assert len(table) == den
+                cos, sin = _roots(den, prec)
+            assert len(cos) == len(sin) == den
             slack = _ENTRY_ERR << (ref_bits - w)
-            for entry, true in zip(table, ref):
+            for entry, true in zip(zip(cos, sin), ref):
                 for fixed, exact in zip(entry, true):
                     # the reference's own floor is under one unit of 2^-600
                     assert abs((fixed << (ref_bits - w)) - exact) <= slack + 1
             one = 1 << w
-            assert table[0] == (one, 0)
+            assert (cos[0], sin[0]) == (one, 0)
             if den % 2 == 0:
-                assert table[den // 2] == (-one, 0)
+                assert (cos[den // 2], sin[den // 2]) == (-one, 0)
             if den % 4 == 0:
-                assert table[den // 4] == (0, one)
-                assert table[3 * den // 4] == (0, -one)
+                assert (cos[den // 4], sin[den // 4]) == (0, one)
+                assert (cos[3 * den // 4], sin[3 * den // 4]) == (0, -one)
 
     prec = 128
     w = prec + _GUARD_BITS
     with working_precision(prec):
         for den in (1, 2, 3, 4, 5, 10, 51):
-            table = _roots(den, prec)
-            assert len(table) == den
+            cos, sin = _roots(den, prec)
+            assert len(cos) == len(sin) == den
             for t in range(1, den):
-                assert table[den - t] == (table[t][0], -table[t][1])
+                assert (cos[den - t], sin[den - t]) == (cos[t], -sin[t])
         for num, den in ((0, 1), (1, 3), (-1, 3), (7, 5), (-13, 10), (123, 50), (-250, 100), (41, 40)):
-            entry = _roots(den, prec)[num % den]
+            entry = [part[num % den] for part in _roots(den, prec)]
             with working_precision(w):
                 parts = unit_root_parts(num, den)
             with working_precision(512):
