@@ -37,6 +37,7 @@ from .numerics import (
     _i1_series,
     bessel_i1,
     pi_err,
+    unit_root_parts,
     working_precision,
     zeta_3_2,
 )
@@ -395,15 +396,66 @@ def main_error_split(delta: int, n: int, prec: int = 128) -> MainErrorSplit:
     return MainErrorSplit(delta=delta, n=n, main=m, error_bound=bound, conclusive=conclusive)
 
 
+def _ratio_ball(num: list, den: list, w: int, prec: int) -> ErrReal:
+    """The ball at prec bits of prod(num) / prod(den), from integer pairs
+    (lo, hi) with lo <= 2^w x <= hi for each positive factor x.
+
+    The products of the low ends and of the high ends enclose the two
+    products at 2^(-w len), so floor(low / high) and ceil(high / low), at
+    2^-w, enclose the ratio: the ball with midpoint (lo + hi)/2 and radius
+    (hi - lo)/2 units holds it, and _fixed_ball rounds it once."""
+    n_lo, n_hi, d_lo, d_hi = (math.prod(pair[i] for pair in side) for side in (num, den) for i in (0, 1))
+    gap = len(den) + 1 - len(num)  # the ratio at 2^-w is n 2^(gap w) / d
+    up, down = w * max(gap, 0), w * max(-gap, 0)
+    lo = (n_lo << up) // (d_hi << down)
+    hi = -((-n_hi << up) // (d_lo << down))
+    return _fixed_ball(lo + hi, hi - lo, w + 1, prec)
+
+
 def threshold_lhs(delta: int, n: int) -> ErrReal:
     """Left-hand side of the closing closed-form inequality (< 1 suffices).
 
     This keeps the displayed 5n+8 / 5n-8 convention of the source
-    inequality, whose crossovers are exactly n = 2929 and n = 2234.
-    Runs once at max(96, bitlen(nn)//2 + 32) bits: the exp arguments are
-    about sqrt(nn), so the relative error is about 2^(bitlen(nn)/2 + 3 - prec),
-    and 96 bits serve every nn below 2^128. Raises RuntimeError if the error
-    is not under 1e-7 of the value.
+    inequality, whose crossovers are exactly n = 2929 and n = 2234. With
+    z = zeta(3/2) and c = |cos((13 or 14) pi/25)|, the displayed form is
+    pref (term1 + term2 + term3), where
+
+        pref  = 2 sqrt2 nn^(3/4) e^(-(2 pi/25) sqrt(3 nn)) / (3^(1/4) sqrt(pi) c)
+        term1 = (8 + 27 sqrt6) 4 pi^2 z^2 / 125
+        term2 = 32 2^(3/4) pi e^((2 pi/25) sqrt(2 nn)) / (25 nn^(1/4))
+        term3 = 432 3^(1/4) pi e^((pi/25) sqrt(3 nn)) / (25 nn^(1/4)).
+
+    With s = sqrt(nn), a = 2 pi sqrt2/25 and b = 2 pi sqrt3/25 it is the
+    sum of three monomials K s^p e^(q s):
+
+        K1 = 8 sqrt2 (8 + 27 sqrt6) pi^(3/2) z^2 / (125 3^(1/4) c),  p = 3/2, q = -b
+        K2 = 64 2^(5/4) sqrt(pi) / (25 3^(1/4) c),                    p = 1,   q = a - b
+        K3 = 864 sqrt2 sqrt(pi) / (25 c),                             p = 1,   q = -b/2
+
+    which is how it is evaluated. Each n-independent factor (K1 / z^2, K2,
+    K3, b, b - a and b/2) is a ratio of products of positive reals, each
+    enclosed at 2^-w, w = prec + 32, by integers lo <= 2^w x <= hi:
+    pi by P - 1 and P + 2 with P = floor(2^w mpf_pi(w + 10)), which is
+    within 2^-(w+8) of pi; sqrt(k) and k^(1/4) by r = isqrt(k 2^(2w)) and
+    isqrt(isqrt(k 2^(4w))), the floors of 2^w sqrt(k) and 2^w k^(1/4), and
+    r + 1; sqrt(pi) by isqrt((P - 1) 2^w) and isqrt((P + 2) 2^w) + 1, as
+    P - 1 <= 2^w pi <= P + 2; sqrt3 - sqrt2 by the differences of opposite
+    ends; c by C - 16 and C + 17, where C = floor(2^w |m|) for the value m
+    of unit_root_parts(13 or 14, 50) at w bits, which is within
+    unit_root_err() = 2^(4-w) of cos((13 or 14) pi/25), whose sign it
+    shares (|m| > 0.06); and an integer k by k 2^w at both ends. Every floor
+    loses less than one unit. _ratio_ball encloses each constant by an
+    integer pair, at most about 2^-(prec+20) of it wide (c's 33 units are
+    the widest share), and rounds it into one ball, whose radius is then
+    about 2^-prec of it, as for one ball operation. z^2 is read from
+    zeta_3_2 at every call.
+
+    s, s^(1/2) and the exps stay balls: at n = 10^44 the value is about
+    10^(-7.8e20), which no fixed point at these widths can hold. Runs once
+    at max(96, bitlen(nn)//2 + 32) bits: the exp arguments are about
+    sqrt(nn), so the relative error is about 2^(bitlen(nn)/2 + 3 - prec),
+    and 96 bits serve every nn below 2^128. Raises RuntimeError if the
+    error is not under 1e-7 of the value.
     """
     if delta == 1:
         if n < 8:
@@ -417,39 +469,33 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
         raise ValueError("delta must be +1 or -1")
 
     prec = max(96, nn.bit_length() // 2 + 32)
+    w = prec + 32
+    with working_precision(w):
+        cos = to_fixed(abs(unit_root_parts(13 if delta == 1 else 14, 50)[0])._mpf_, w)
+    p = to_fixed(mpf_pi(w + 10), w)
+    pi, root_pi, c = (p - 1, p + 2), (isqrt((p - 1) << w), isqrt((p + 2) << w) + 1), (cos - 16, cos + 17)
+    r2, r3, r6 = ((r, r + 1) for r in (isqrt(x << 2 * w) for x in (2, 3, 6)))
+    q3, q32 = ((r, r + 1) for r in (isqrt(isqrt(x << 4 * w)) for x in (3, 32)))  # 3^(1/4), 2^(5/4)
+    r3_less_r2 = (r3[0] - r2[1], r3[1] - r2[0])
+    r6_sum = ((8 << w) + 27 * r6[0], (8 << w) + 27 * r6[1])  # 8 + 27 sqrt6
+
+    def exact(x: int) -> tuple[int, int]:
+        return x << w, x << w
+
     with working_precision(prec):
-        pi_ = pi_err()
-        nn_ = ErrReal(nn)
-        cc = ErrComplex.unit_root(13 if delta == 1 else 14, 50).re  # cos((13 or 14) pi/25)
-        c = ErrReal(abs(cc.value), cc.err)
-        root_nn = nn_.sqrt()
-        nn34 = (nn_ * root_nn).sqrt()  # nn^(3/4)
-        nn14 = root_nn.sqrt()
-        z2 = zeta_3_2(mpf(10) ** -9)
-        z2 = z2 * z2
-        pref = (
-            ErrReal(2)
-            * ErrReal(2).sqrt()
-            * nn34
-            / (ErrReal(3).sqrt().sqrt() * pi_.sqrt() * c)
-            * (-(pi_ * 2 / 25) * (nn_ * 3).sqrt()).exp()
+        z = zeta_3_2(mpf(10) ** -9)
+        k1 = _ratio_ball([exact(8), r2, r6_sum, pi, root_pi], [exact(125), q3, c], w, prec) * (z * z)
+        k2 = _ratio_ball([exact(64), q32, root_pi], [exact(25), q3, c], w, prec)
+        k3 = _ratio_ball([exact(864), r2, root_pi], [exact(25), c], w, prec)
+        b = _ratio_ball([exact(2), pi, r3], [exact(25)], w, prec)
+        b_less_a = _ratio_ball([exact(2), pi, r3_less_r2], [exact(25)], w, prec)
+        half_b = _ratio_ball([pi, r3], [exact(25)], w, prec)
+        s = ErrReal(nn).sqrt()
+        result = (
+            k1 * (s * s.sqrt()) * (-(b * s)).exp()
+            + k2 * s * (-(b_less_a * s)).exp()
+            + k3 * s * (-(half_b * s)).exp()
         )
-        term1 = (ErrReal(8) + ErrReal(6).sqrt() * 27) * pi_ * pi_ * 4 / 125 * z2
-        term2 = (
-            ErrReal(32)
-            * (ErrReal(2).sqrt() * ErrReal(2).sqrt().sqrt())  # 2^(3/4)
-            * pi_
-            * ((pi_ * 2 / 25) * (nn_ * 2).sqrt()).exp()
-            / (ErrReal(25) * nn14)
-        )
-        term3 = (
-            ErrReal(432)
-            * ErrReal(3).sqrt().sqrt()  # 3^(1/4)
-            * pi_
-            * ((pi_ / 25) * (nn_ * 3).sqrt()).exp()
-            / (ErrReal(25) * nn14)
-        )
-        result = pref * (term1 + term2 + term3)
         if not result.err < mpf(10) ** -7 * abs(result.value):
             raise RuntimeError(f"threshold_lhs missed its 1e-7 relative error goal at {prec} bits")
     return result

@@ -514,9 +514,12 @@ class BesselBoundChecks:
 def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
     """Verify I1(x) <= x on [0,1), I1(x) <= sqrt(2/(pi x)) e^x on [1,inf),
     and I1(x) >= e^x / (4 sqrt(x)) on [3,inf), within error bars; I1 is
-    evaluated to 2^(-prec/2) relative to max(e^x, e)."""
+    evaluated to 2^(-prec/2) relative to max(e^x, e). Where a bound
+    applies, x >= 1, and e^x is evaluated once: the midpoint of x.exp() is
+    exp(x.value) rounded as mp.exp rounds it, so it is also the scale."""
     x = _coerce(x)
-    scale = mp.exp(x.value if x.value > 1 else mpf(1))
+    exp_x = x.exp() if x.lo >= 1 else None
+    scale = exp_x.value if exp_x is not None else mp.exp(x.value if x.value > 1 else mpf(1))
     i1 = bessel_i1(x, mpf(2) ** (-mp.prec // 2) * scale)
 
     small_app = x.hi < 1 and x.lo >= 0
@@ -528,13 +531,13 @@ def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
     large_ok = True
     if large_app:
         two_over_pix = ErrReal(2) / (pi_err() * x)
-        bound = two_over_pix.sqrt() * x.exp()
+        bound = two_over_pix.sqrt() * exp_x
         large_ok = not i1.lo > bound.hi
 
     lower_app = x.lo >= 3
     lower_ok = True
     if lower_app:
-        bound = x.exp() / (ErrReal(4) * x.sqrt())
+        bound = exp_x / (ErrReal(4) * x.sqrt())
         lower_ok = not i1.hi < bound.lo
 
     return BesselBoundChecks(small_app, small_ok, large_app, large_ok, lower_app, lower_ok)

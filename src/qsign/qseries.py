@@ -6,11 +6,13 @@ is exact integer arithmetic -- no floating point anywhere.
 
 The quotient Q^(delta) has two expansions. ``q10_series``, which the sign
 verification and the exact-formula oracle use, divides two sparse theta
-series given by the Jacobi triple product in O(order^1.5), by a long
-division that finds the coefficients in blocks: the denominator terms that
-reach back past the block are summed column by column over list windows
-and applied to the block in C, and only the few short-reach terms run a
-scalar recurrence of bare additions.
+series given by the Jacobi triple product in O(order^1.5). Taken at -q,
+every theta coefficient is +1, so the divisor is 1 plus a sum of powers of
+q, given by its exponents alone, and the long division finds the
+coefficients in blocks: the divisor terms that reach back past the block
+are summed column by column over list windows and taken off the block in
+C, and only the few short-reach terms run a scalar recurrence of bare
+subtractions.
 ``q10_series_product`` multiplies out the residue product factor by factor
 in O(order^2); it shares none of the first one's arithmetic and serves as
 its independent cross-check.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from operator import add, sub
+from operator import neg, sub
 
 
 class Verdict(Enum):  # each value is the letter of a sign report's verdict string
@@ -107,72 +109,54 @@ def _check_args(delta: int, order: int) -> None:
         raise ValueError("order must be >= 0")
 
 
-def _sparse_divide(
-    num: list[tuple[int, int]], den: list[tuple[int, int]], order: int
-) -> TruncatedSeries:
-    """num / den up to q^order by long division, for series given as
-    (exponent, coefficient) terms by increasing exponent.
+def _sparse_divide(num: list[tuple[int, int]], den: list[int], order: int) -> list[int]:
+    """num / (1 + sum of q^e over e in den) up to q^order by long division,
+    as the list of its coefficients.
 
-    The constant term u of ``den`` must be a unit (+1 or -1) so that the
-    result has integer coefficients: coefficient m is u times num's
-    coefficient m less c times coefficient m - e for each other term (e, c)
-    of ``den`` with e <= m.
+    ``num`` holds (exponent, coefficient) terms by increasing exponent.
+    ``den`` holds the divisor's exponents other than its constant term 1,
+    ascending and each at least 1; an exponent listed c times stands for the
+    term c q^e. So coefficient m is num's coefficient m less the sum of the
+    coefficients m - e for e in den with e <= m, and no step multiplies:
+    each listed exponent costs one subtraction per coefficient.
 
-    No step multiplies: a term (e, c) is listed |c| times, with the terms to
-    subtract (c > 0) or with those to add (c < 0), so it costs |c|
-    additions per coefficient. That suits small coefficients; every term
-    q10_series divides by has c = 1.
-
-    The coefficients are found in blocks of _BLOCK. For a term with
+    The coefficients are found in blocks of _BLOCK. For an exponent
     e >= _BLOCK, coefficient m - e lies in an earlier block for every m of
     the block, so it is already final: the term's share of the whole block
-    is one window (a list slice) of the buffer. The windows of each group
-    are summed column by column by sum() and taken off (or added to) the
-    block by map(), all in C. Only the terms with e < _BLOCK (six for
-    either theta series) read coefficients of the block itself, and they
-    run the scalar recurrence. _BLOCK zeros before coefficient 0 stand for
-    the coefficients at negative indices, so that neither a window nor a
-    scalar step needs a bounds check.
+    is one window (a list slice) of the buffer. The windows are summed
+    column by column by sum() and taken off the block by map(), all in C.
+    Only the exponents below _BLOCK (six for either theta series) read
+    coefficients of the block itself, and they run the scalar recurrence.
+    _BLOCK zeros before coefficient 0 stand for the coefficients at
+    negative indices, so that neither a window nor a scalar step needs a
+    bounds check.
 
-    Each group lists its windows oldest first, for speed alone: CPython's
-    sum() adds exact ints as machine words until the first item or partial
-    sum that does not fit in a C long, then as big ints to the end, and the
+    The windows are listed oldest first, for speed alone: CPython's sum()
+    adds exact ints as machine words until the first item or partial sum
+    that does not fit in a C long, then as big ints to the end, and the
     coefficients grow with their index (past 2^62 at about 2620 in
     q10_series), so the old windows' small ones come first. The sums are
     exact in any order.
     """
-    if not den or den[0][0] != 0 or den[0][1] not in (1, -1):
-        raise ValueError("non-invertible series: constant term must be +1 or -1")
-    unit = den[0][1]
-    # the exponents of the terms to subtract (c > 0) and to add (c < 0),
-    # ascending, a term (e, c) listed |c| times, each split at _BLOCK
-    near, far = [], []
-    for op, sign in ((sub, 1), (add, -1)):
-        exps = [e for e, c in den[1:] for _ in range(sign * c)]
-        cut = bisect_left(exps, _BLOCK)
-        near.append(exps[:cut])
-        far.append((op, exps[cut:]))
-    minus, plus = near
+    cut = bisect_left(den, _BLOCK)
+    near, far = den[:cut], den[cut:]
     buf = [0] * (_BLOCK + order + 1)
     for e, c in num:
         buf[_BLOCK + e] += c
     for start in range(_BLOCK, len(buf), _BLOCK):
         stop = min(start + _BLOCK, len(buf))
         block = buf[start:stop]
-        for op, exps in far:
-            # terms with e >= stop - _BLOCK would read only the zeros
-            live = exps[: bisect_left(exps, stop - _BLOCK)]
-            if live:
-                # oldest window first: see the docstring
-                windows = [buf[start - e : stop - e] for e in reversed(live)]
-                block = list(map(op, block, map(sum, zip(*windows))))
+        # exponents e >= stop - _BLOCK would read only the zeros
+        live = far[: bisect_left(far, stop - _BLOCK)]
+        if live:
+            # oldest window first: see the docstring
+            windows = [buf[start - e : stop - e] for e in reversed(live)]
+            block = list(map(sub, block, map(sum, zip(*windows))))
         for i, acc in enumerate(block, start):
-            for e in minus:
+            for e in near:
                 acc -= buf[i - e]
-            for e in plus:
-                acc += buf[i - e]
-            buf[i] = acc if unit == 1 else -acc
-    return TruncatedSeries(buf[_BLOCK:], order)
+            buf[i] = acc
+    return buf[_BLOCK:]
 
 
 def _theta_terms(shift: int, order: int) -> list[tuple[int, int]]:
@@ -212,17 +196,16 @@ def q10_series(delta: int, order: int) -> TruncatedSeries:
     It divides the two series at -q, which gives c_delta(m) times (-1)^m.
     There every coefficient is +1: the term of index k has the sign
     (-1)^k (-1)^(5k^2 -/+ shift*k) = (-1)^(k(5k + 1)) = 1 for even shift.
-    So the division has one group of windows, all subtracted, and the odd
-    coefficients are negated afterwards, one at a time, so that no second
-    set of them is alive at once.
+    So the divisor is 1 plus a sum of distinct powers of q, which
+    ``_sparse_divide`` takes as its list of exponents, and the odd
+    coefficients are negated afterwards.
     """
     _check_args(delta, order)
-    num, den = ([(e, 1) for e, _ in _theta_terms(shift, order)] for shift in (4, 2))
+    num, den = ([e for e, _ in _theta_terms(shift, order)] for shift in (4, 2))
     if delta == -1:
         num, den = den, num
-    coeffs = list(_sparse_divide(num, den, order).coeffs)
-    for m in range(1, order + 1, 2):
-        coeffs[m] = -coeffs[m]
+    coeffs = _sparse_divide([(e, 1) for e in num], den[1:], order)
+    coeffs[1::2] = map(neg, coeffs[1::2])
     return TruncatedSeries(coeffs, order)
 
 

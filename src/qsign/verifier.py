@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from math import gcd, sqrt
 from pathlib import Path
 
-from .qseries import PAPER_THRESHOLD, q10_series, sign_pattern_verdict
+from .qseries import PAPER_THRESHOLD, POSITIVE_RESIDUES, ZERO_EXCEPTIONS, q10_series, sign_pattern_verdict
 
 __all__ = [
     "SignReport",
@@ -68,23 +68,45 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
     timing["series"] = round(time.perf_counter() - t0, 6)
 
     t0 = time.perf_counter()
+    coeffs = series.coeffs
     # a nonzero coefficient's verdict depends on n only through n mod 10
     pos, neg = ([sign_pattern_verdict(delta, r, sign).value for r in range(10)] for sign in (1, -1))
-    verdicts: list[str] = []
+    verdicts: list[str] = [""] * len(coeffs)
     zero_set: list[int] = []
     mismatches: list[int] = []
     unexpected: list[int] = []
-    for n, c in enumerate(series.coeffs):
-        if c:
-            code = pos[n % 10] if c > 0 else neg[n % 10]
+
+    def classify(indices) -> None:
+        for n in indices:
+            c = coeffs[n]
+            if c:
+                code = pos[n % 10] if c > 0 else neg[n % 10]
+            else:
+                code = sign_pattern_verdict(delta, n, 0).value
+                zero_set.append(n)
+            verdicts[n] = code
+            if code == "X":
+                mismatches.append(n)
+                if not c:
+                    unexpected.append(n)
+
+    # past the last zero exception a verdict depends on the sign alone, so a
+    # residue class whose coefficients all have the pattern's sign (min or
+    # max taken in C) is filled at once; any other class goes index by index
+    head = max(ZERO_EXCEPTIONS[delta]) + 1
+    classify(range(head))
+    for r in range(head, min(head + 10, len(coeffs))):
+        tail = coeffs[r::10]
+        if r % 10 in POSITIVE_RESIDUES[delta]:
+            uniform, code = min(tail) > 0, pos[r % 10]
         else:
-            code = sign_pattern_verdict(delta, n, 0).value
-            zero_set.append(n)
-        verdicts.append(code)
-        if code == "X":
-            mismatches.append(n)
-            if not c:
-                unexpected.append(n)
+            uniform, code = max(tail) < 0, neg[r % 10]
+        if uniform:
+            verdicts[r::10] = [code] * len(tail)
+        else:
+            classify(range(r, len(coeffs), 10))
+    for found in (zero_set, mismatches, unexpected):
+        found.sort()
     timing["verdicts"] = round(time.perf_counter() - t0, 6)
 
     thresholds = None

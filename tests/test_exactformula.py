@@ -567,11 +567,60 @@ def test_threshold_reciprocal_sample_points():
         assert threshold_lhs(-1, n).hi < 1
 
 
+def threshold_reference(delta, n):
+    """The displayed closed form pref (term1 + term2 + term3), in plain
+    mpmath at 4x the precision threshold_lhs runs at, and that precision."""
+    nn = 5 * n + 8 if delta == 1 else 5 * n - 8
+    prec = 4 * max(96, nn.bit_length() // 2 + 32)
+    sqrt, exp = mpmath.sqrt, mpmath.exp
+    with mpmath.workprec(prec):
+        pi, nn, z = mpmath.pi, mpf(nn), mpmath.zeta(1.5)
+        c = abs(mpmath.cos((13 if delta == 1 else 14) * pi / 25))
+        nn14 = sqrt(sqrt(nn))
+        pref = 2 * sqrt(2) * sqrt(nn * sqrt(nn)) / (sqrt(sqrt(3)) * sqrt(pi) * c) * exp(-(2 * pi / 25) * sqrt(3 * nn))
+        term1 = (8 + 27 * sqrt(6)) * 4 * pi**2 / 125 * z**2
+        term2 = 32 * sqrt(2) * sqrt(sqrt(2)) * pi * exp((2 * pi / 25) * sqrt(2 * nn)) / (25 * nn14)
+        term3 = 432 * sqrt(sqrt(3)) * pi * exp((pi / 25) * sqrt(3 * nn)) / (25 * nn14)
+        return pref * (term1 + term2 + term3), prec
+
+
+@pytest.mark.parametrize("delta, low, threshold", [(1, 8, 2929), (-1, 12, 2234)])
+def test_threshold_lhs_encloses_the_displayed_form(delta, low, threshold):
+    for n in (low, 100, threshold - 1, threshold, 5000, 10**5, 10**44):
+        v = threshold_lhs(delta, n)
+        ref, prec = threshold_reference(delta, n)
+        with mpmath.workprec(prec):
+            assert abs(v.value - ref) <= v.err, (delta, n)
+
+
+# the 15 digits that verify reports and the error bounds of the lhs at
+# criterion 2's points, as the product pref (term1 + term2 + term3) gave
+# them (bounds rounded up): the monomial form prints the same digits, with
+# no wider error
+_THRESHOLD_DIGITS = {
+    (1, 2929): ("0.998718959037577", "1.935e-26"),
+    (-1, 2234): ("0.999423762988538", "1.440e-26"),
+    (1, 5000): ("0.0674229683487699", "1.556e-27"),
+    (-1, 5000): ("0.0226773331247011", "4.555e-28"),
+    (1, 10**5): ("2.71827369278734e-20", "2.382e-45"),
+    (-1, 10**5): ("9.1168859766595e-21", "7.794e-46"),
+}
+
+
+def test_threshold_lhs_keeps_its_digits_and_narrows_its_error():
+    for (delta, n), (digits, err) in _THRESHOLD_DIGITS.items():
+        v = threshold_lhs(delta, n)
+        assert mpmath.mp.nstr(v.value, 15) == digits, (delta, n)
+        assert v.err <= mpf(err), (delta, n)
+
+
 def test_threshold_lhs_meets_its_goal_in_one_pass(monkeypatch):
     # nn = 5 10^44 + 8 has 149 bits: one pass at 106 bits, where a search
-    # from 96 bits needed a second pass at 192
+    # from 96 bits needed a second pass at 192; an earlier call first, so
+    # that the spied call shows zeta(3/2) is read again on every call
     import qsign.exactformula as ef
 
+    threshold_lhs(1, 10**44)
     calls = []
 
     def spy(target):

@@ -65,21 +65,59 @@ def test_verify_overlaps_the_analytic_range():
             assert report.thresholds["lhs_below_one"]
 
 
-def test_verify_flags_a_flipped_sign_and_an_extra_zero(monkeypatch):
-    # the real series never reaches the mismatch branch, so feed one that does
-    flipped, zeroed = 60, 71
-    coeffs = list(qseries.q10_series(1, 100).coeffs)
-    assert coeffs[flipped] and coeffs[zeroed]
-    coeffs[flipped] = -coeffs[flipped]
-    coeffs[zeroed] = 0
+def per_index_report(delta, coeffs):
+    """The sign report's verdict fields, index by index from sign_pattern_verdict."""
+    verdicts = [sign_pattern_verdict(delta, n, c).value for n, c in enumerate(coeffs)]
+    mismatches = [n for n, v in enumerate(verdicts) if v == "X"]
+    return {
+        "delta": delta,
+        "range": [0, len(coeffs) - 1],
+        "verdicts": "".join(verdicts),
+        "zero_set_found": [n for n, c in enumerate(coeffs) if not c],
+        "mismatches": mismatches,
+        "unexpected_zeros": [n for n in mismatches if not coeffs[n]],
+        "thresholds": None,
+        "pass": not mismatches,
+    }
+
+
+FLIP = "flip"
+
+
+@pytest.mark.parametrize(
+    "delta, n_max, edits, mismatches",
+    [
+        pytest.param(1, 100, {60: FLIP, 71: 0}, [60, 71], id="flipped-sign-and-extra-zero"),
+        pytest.param(1, 100, {61: FLIP}, [61], id="wrong-sign-in-a-negative-class"),
+        pytest.param(-1, 100, {84: FLIP, 97: FLIP}, [84, 97], id="wrong-signs-in-negative-classes-minus"),
+        pytest.param(1, 100, {100: FLIP}, [100], id="wrong-sign-at-n-max"),
+        pytest.param(-1, 97, {97: FLIP}, [97], id="wrong-sign-at-n-max-minus"),
+        pytest.param(1, 100, {53: 0, 90: 0}, [53, 90], id="zeros-past-50"),
+        pytest.param(1, 100, {48: 0}, [48], id="zero-just-past-the-last-exception"),
+        pytest.param(-1, 100, {40: 0, 51: 0}, [40, 51], id="zeros-past-the-last-exception-minus"),
+        pytest.param(1, 100, {47: 5}, [47], id="nonzero-at-a-zero-exception"),
+        pytest.param(-1, 100, {39: -5}, [39], id="nonzero-at-a-zero-exception-minus"),
+        pytest.param(1, 100, {47: -5}, [], id="nonzero-of-the-pattern-sign-at-a-zero-exception"),
+        pytest.param(1, 50, {50: FLIP, 48: 0}, [48, 50], id="n-max-50"),
+        pytest.param(-1, 50, {}, [], id="n-max-50-unchanged"),
+        pytest.param(1, 53, {49: FLIP, 53: FLIP}, [49, 53], id="n-max-3-mod-10"),
+        pytest.param(-1, 103, {103: 0}, [103], id="n-max-3-mod-10-minus"),
+    ],
+)
+def test_verify_flags_a_flipped_sign_and_an_extra_zero(monkeypatch, delta, n_max, edits, mismatches):
+    # the real series never reaches the mismatch branch, so feed one that
+    # does: past the last zero exception whole residue classes are decided
+    # at once, and a doctored class must fall back to the per-index verdicts
+    coeffs = list(qseries.q10_series(delta, n_max).coeffs)
+    for n, edit in edits.items():
+        assert coeffs[n] or edit != FLIP
+        coeffs[n] = -coeffs[n] if edit == FLIP else edit
     monkeypatch.setattr(verifier, "q10_series", lambda delta, order: qseries.TruncatedSeries(coeffs))
-    report = verify_conjecture(1, 100)
-    assert report.verdicts[flipped] == report.verdicts[zeroed] == "X"
-    assert report.verdicts.count("X") == 2
-    assert report.mismatches == [flipped, zeroed]
-    assert report.unexpected_zeros == [zeroed]
-    assert report.zero_set_found == sorted(ZERO_EXCEPTIONS[1] | {zeroed})
-    assert report.passed is False
+    report = verify_conjecture(delta, n_max).to_dict()
+    del report["timing"]
+    expected = per_index_report(delta, coeffs)
+    assert expected["mismatches"] == mismatches
+    assert report == expected
 
 
 def test_verdict_string_is_the_per_index_verdicts():
@@ -621,7 +659,9 @@ def test_cli_threshold_fail_exit(capsys):
 def test_threshold_lhs_raises_at_its_precision_cap(monkeypatch, capsys):
     # a zeta(3/2) ball too wide for the 1e-7 goal at any precision (its term
     # is about 1e-17 of the lhs at n = 2929, so the radius must be huge):
-    # the cap is reported, not returned as if the goal were met
+    # the cap is reported, not returned as if the goal were met; an earlier
+    # call with the true zeta(3/2) shows that no ball of it outlives a call
+    exactformula.threshold_lhs(1, 2929)
     monkeypatch.setattr(exactformula, "zeta_3_2", lambda target: ErrReal(mpf("2.612"), mpf(10) ** 6))
     with pytest.raises(RuntimeError, match="relative error goal"):
         exactformula.threshold_lhs(1, 2929)
