@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import neg
 
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div, round_nearest, to_fixed
 
-from .numerics import ErrComplex, ErrReal, _fixed_ball, _fixed_complex, unit_root_parts, working_precision
+from .numerics import ErrComplex, ErrReal, _fixed_ball, _fixed_complex
 
 __all__ = [
     "CuspData",
@@ -48,6 +48,7 @@ __all__ = [
     "select_hprime",
     "kloosterman",
     "weil_bound_check",
+    "unit_root",
     "a_kj",
     "a_kj_rewrite",
     "a_kj_reduced_d5",
@@ -209,14 +210,19 @@ def _roots(modulus: int, prec: int) -> tuple[list, list]:
     With M = modulus, only the entries t <= span are evaluated, span =
     floor(M/8) when 4 | M, floor(M/4) when 2 | M and floor(M/2) otherwise.
     Baby-step/giant-step: with B = isqrt(span) + 1 and W = w + 2 bitlen(B) +
-    6, the only evaluations are Z = ζ_M and Y = ζ_M^B by unit_root_parts at
-    W + 4 bits, floored to W fractional bits. Entry t = gB + b (b, g < B) is
-    the product of the baby power Z^b and the giant power Y^g, both kept at
-    2^-W, rounded to nearest at 2^-w.
+    6, the only evaluations are Z = ζ_M and Y = ζ_M^B: the angle 2e/M
+    (e = 1 or B, reduced mod M) rounded to nearest at W + 4 bits, its cos
+    and sin of pi times it by mpf_cos_sin_pi there, each floored to W
+    fractional bits. Entry t = gB + b (b, g < B) is the product of the baby
+    power Z^b and the giant power Y^g, both kept at 2^-W, rounded to
+    nearest at 2^-w.
 
-    Proof of the bound, in units u = 2^-W and complex moduli. Each part of Z
-    and Y is within u of the truth before the floor (unit_root_err at W + 4
-    bits) and under 2u after it, so |Z - ζ| and |Y - ζ^B| are under 2√2 u.
+    Proof of the bound, in units u = 2^-W and complex moduli. The angle is
+    below 2, so its rounding moves it by under 2^-(W+3), and pi times that
+    moves each part by under pi u/8 < 0.4 u; mpf_cos_sin_pi is trusted to
+    within 4 ulp of the parts, at most 1 in modulus, so within u/4. Each
+    part of Z and Y is thus within u of the truth before the floor and
+    under 2u after it, so |Z - ζ| and |Y - ζ^B| are under 2√2 u.
     A baby power P_(j+1) = ⌊P_j Z⌋ inherits P_j's error e_j scaled by
     |Z| <= 1 + 2√2 u, adds |Z - ζ| and the floors' √2 u:
     e_(j+1) <= e_j (1 + 2√2 u) + 3√2 u, so e_j <= 4.25 j u for j < B, as
@@ -242,8 +248,8 @@ def _roots(modulus: int, prec: int) -> tuple[list, list]:
         span = modulus // 8 if modulus % 4 == 0 else modulus // 4 if modulus % 2 == 0 else modulus // 2
         step = isqrt(span) + 1
         bits = w + 2 * step.bit_length() + 6
-        with working_precision(bits + 4):
-            z, y = (tuple(to_fixed(p._mpf_, bits) for p in unit_root_parts(e, modulus)) for e in (1, step))
+        angles = (mpf_div(from_int(2 * (e % modulus)), from_int(modulus), bits + 4, round_nearest) for e in (1, step))
+        z, y = (tuple(to_fixed(p, bits) for p in mpf_cos_sin_pi(a, bits + 4, round_nearest)) for a in angles)
         babies = _fixed_powers(z, step, bits)
         giants = _fixed_powers(y, span // step + 1, bits)
         shift = 2 * bits - w
@@ -262,6 +268,17 @@ def _roots(modulus: int, prec: int) -> tuple[list, list]:
         sin += map(neg, sin[i:0:-1])
         table = _ROOT_TABLES[key] = cos, sin
     return table
+
+
+def unit_root(num: int, den: int, prec: int) -> ErrComplex:
+    """e^(2 pi i num/den), the ball at prec bits of entry num mod den of the
+    table of precision prec: each part within _ENTRY_ERR units of 2^-w,
+    w = prec + _GUARD_BITS, rounded once (_fixed_complex)."""
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    cos, sin = _roots(den, prec)
+    t = num % den
+    return _fixed_complex(cos[t], sin[t], _ENTRY_ERR, prec + _GUARD_BITS, prec)
 
 
 def _root_sum(modulus: int, rows, a: int, b: int, prec: int) -> tuple[int, int, int]:

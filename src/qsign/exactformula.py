@@ -29,18 +29,8 @@ from operator import add
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_pi, to_fixed
 
-from .arithmetic import _GUARD_BITS, _twist_totals, divisor_count
-from .numerics import (
-    ErrComplex,
-    ErrReal,
-    _fixed_ball,
-    _i1_series,
-    bessel_i1,
-    pi_err,
-    unit_root_parts,
-    working_precision,
-    zeta_3_2,
-)
+from .arithmetic import _GUARD_BITS, _roots, _twist_totals, divisor_count, unit_root
+from .numerics import ErrReal, _fixed_ball, _i1_series, bessel_i1, pi_err, working_precision, zeta_3_2
 from .qseries import PAPER_THRESHOLD  # re-exported; it is defined next to ZERO_EXCEPTIONS
 
 __all__ = [
@@ -344,8 +334,8 @@ def c_exact(
 def main_term(delta: int, n: int, prec: int = 128) -> ErrReal:
     """The k=10 contribution: (2 sqrt3 pi / (5 sqrt(nn))) cos(...) I1((2pi/25) sqrt(3 nn))."""
     nn = _validate_n(delta, n)
+    cosine = unit_root(16 + 30 * n if delta == 1 else 12 - 10 * n, 100, prec).re
     with working_precision(prec):
-        cosine = ErrComplex.unit_root(16 + 30 * n if delta == 1 else 12 - 10 * n, 100).re
         pi = pi_err()
         x = pi * 2 / 25 * ErrReal(3 * nn).sqrt()
         i1 = bessel_i1(x, mpf((1, 8 - prec)) * (mp.exp(x.value) + 1))
@@ -440,15 +430,14 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
     isqrt(isqrt(k 2^(4w))), the floors of 2^w sqrt(k) and 2^w k^(1/4), and
     r + 1; sqrt(pi) by isqrt((P - 1) 2^w) and isqrt((P + 2) 2^w) + 1, as
     P - 1 <= 2^w pi <= P + 2; sqrt3 - sqrt2 by the differences of opposite
-    ends; c by C - 16 and C + 17, where C = floor(2^w |m|) for the value m
-    of unit_root_parts(13 or 14, 50) at w bits, which is within
-    unit_root_err() = 2^(4-w) of cos((13 or 14) pi/25), whose sign it
-    shares (|m| > 0.06); and an integer k by k 2^w at both ends. Every floor
-    loses less than one unit. _ratio_ball encloses each constant by an
-    integer pair, at most about 2^-(prec+20) of it wide (c's 33 units are
-    the widest share), and rounds it into one ball, whose radius is then
-    about 2^-prec of it, as for one ball operation. z^2 is read from
-    zeta_3_2 at every call.
+    ends; c by C - 1 and C + 1, where C = |m| for the entry m = 13 or 14 of
+    the cos list of _roots(50, w - _GUARD_BITS), which is within one unit
+    of 2^w cos((13 or 14) pi/25), whose sign it shares (|m| > 0.06 2^w);
+    and an integer k by k 2^w at both ends. Every floor loses less than one
+    unit. _ratio_ball encloses each constant by an integer pair, at most
+    about 2^-(prec+26) of it wide (c's two units are the widest share), and
+    rounds it into one ball, whose radius is then about 2^-prec of it, as
+    for one ball operation. z^2 is read from zeta_3_2 at every call.
 
     s, s^(1/2) and the exps stay balls: at n = 10^44 the value is about
     10^(-7.8e20), which no fixed point at these widths can hold. Runs once
@@ -470,10 +459,9 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
 
     prec = max(96, nn.bit_length() // 2 + 32)
     w = prec + 32
-    with working_precision(w):
-        cos = to_fixed(abs(unit_root_parts(13 if delta == 1 else 14, 50)[0])._mpf_, w)
+    cos = abs(_roots(50, w - _GUARD_BITS)[0][13 if delta == 1 else 14])
     p = to_fixed(mpf_pi(w + 10), w)
-    pi, root_pi, c = (p - 1, p + 2), (isqrt((p - 1) << w), isqrt((p + 2) << w) + 1), (cos - 16, cos + 17)
+    pi, root_pi, c = (p - 1, p + 2), (isqrt((p - 1) << w), isqrt((p + 2) << w) + 1), (cos - 1, cos + 1)
     r2, r3, r6 = ((r, r + 1) for r in (isqrt(x << 2 * w) for x in (2, 3, 6)))
     q3, q32 = ((r, r + 1) for r in (isqrt(isqrt(x << 4 * w)) for x in (3, 32)))  # 3^(1/4), 2^(5/4)
     r3_less_r2 = (r3[0] - r2[1], r3[1] - r2[0])

@@ -6,7 +6,7 @@ Everything is summed by the one theta kernel: eta is theta at (tau, 3 tau)
 times an entire phase (Euler's pentagonal series). The multiplier is in
 closed form, omega_{h,k} = exp(pi i s(h, k)) with s the Dedekind sum, an
 exact 24k-th root of unity, so the theta transformation's rational phases
-fold into one ``ErrComplex.unit_root``; the eta transformation checks it
+fold into one ``arithmetic.unit_root``; the eta transformation checks it
 numerically, one record per theta-transformation tuple.
 
 One error model covers every ball: a fixed-point complex value, an
@@ -15,7 +15,8 @@ it. theta and the triple product's q-Pochhammer side step such values by
 a ratio recurrence (_fixed_mul) and add rigorous truncation tails. Every
 non-rational exponential, the starting values and all the phases and
 prefactors alike, is mpmath's exp charged by one stated trust
-(_fixed_exp); rational-angle roots are ErrComplex.unit_root. Every ball
+(_fixed_exp); a rational-angle root is one entry of arithmetic's root
+tables (unit_root), each phase folded into one exponent. Every ball
 record has one decision rule, _agreement: it fails only when the two
 sides' enclosures are disjoint, with no tolerance.
 """
@@ -29,7 +30,7 @@ from math import gcd, isqrt
 from mpmath import ceil, exp, floor, hypot, log, loggamma, mp, mpc, mpf, pi
 from mpmath.libmp import fone, mpf_div, mpf_lt, mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor, to_fixed
 
-from .arithmetic import _GUARD_BITS, decompose, neg_inverse
+from .arithmetic import _GUARD_BITS, decompose, neg_inverse, unit_root
 from .numerics import ErrComplex, ErrReal, _fixed_complex, working_precision
 from .qseries import q10_series_product
 
@@ -270,10 +271,11 @@ def transformation_check_detail(h: int, k: int, z, prec: int = DEFAULT_PREC) -> 
         target = mpf(2) ** (-prec // 2)
         lhs = f_eval((h + 1j * z) / k, target / 8, prec)
 
-        sign = -1 if (cusp.h1 + cusp.nu1 + cusp.mu1) % 2 else 1
-        root_phase = ErrComplex.unit_root(3 * cusp.mu2 - cusp.nu2, 10 * k)
-        # e^(2 pi i d^2 (nu1^2 - mu1^2) h' / (20 k)): rational multiple of 2 pi
-        quad = ErrComplex.unit_root(d * d * (cusp.nu1**2 - cusp.mu1**2) * hp, 20 * k)
+        # the sign (-1)^(h1+nu1+mu1), zeta_{10k}^(3 mu2 - nu2) and
+        # e^(2 pi i d^2 (nu1^2 - mu1^2) h' / (20 k)) as one 20k-th root
+        odd = (cusp.h1 + cusp.nu1 + cusp.mu1) % 2
+        e = 10 * k * odd + 2 * (3 * cusp.mu2 - cusp.nu2) + d * d * (cusp.nu1**2 - cusp.mu1**2) * hp
+        phase = unit_root(e, 20 * k, prec)
         # growth e^(pi (mu2^2 - nu2^2) / (10 k z)) times decay e^(-4 pi z / (5 k))
         c = cusp.mu2**2 - cusp.nu2**2
         analytic = _exp_ball(lambda: pi * (c / (10 * k * z) - 4 * z / (5 * k)), pi * (abs(c) / abs(z) + abs(z) + 1))
@@ -287,7 +289,7 @@ def transformation_check_detail(h: int, k: int, z, prec: int = DEFAULT_PREC) -> 
         if not dabs.value > dabs.err:
             raise PoleError("transformed theta denominator indistinguishable from zero")
 
-        rhs = root_phase * quad * analytic * (th_num / th_den) * sign
+        rhs = phase * analytic * (th_num / th_den)
         return _agreement("cusp-transformation", {"h": h, "k": k, "z": str(z)}, lhs, rhs)
 
 
@@ -422,7 +424,7 @@ def _multiplier_records(h: int, k: int, z, w, prec: int) -> list[CheckRecord]:
         # eta((h+iz)/k) = e^(pi i (h-h')/12k) omega^-1 z^(-1/2) eta((h'+i/z)/k)
         lhs = eta((h + 1j * z) / k, target / 4, prec)
         root = _exp_ball(lambda: -log(z) / 2, abs(log(z)) + 1)  # z^(-1/2)
-        rhs = ErrComplex.unit_root(h - hp - 2 * D, 24 * k) * root * eta((hp + 1j / z) / k, target / 4, prec)
+        rhs = unit_root(h - hp - 2 * D, 24 * k, prec) * root * eta((hp + 1j / z) / k, target / 4, prec)
         eta_record = _agreement("eta-transformation", params, lhs, rhs)
 
         # e^(pi i (h-h')/4k) e^(-3 pi i/4) omega^-3 as one 24k-th root. The
@@ -434,7 +436,7 @@ def _multiplier_records(h: int, k: int, z, w, prec: int) -> list[CheckRecord]:
         size = abs(log(1j / z)) + 2 * pi * k * abs(w * w / z) + 1  # pi k w^2 / z takes five roundings
         pref = _exp_ball(lambda: log(1j / z) / 2 - pi * k * w * w / z, size)
         rhs = (
-            ErrComplex.unit_root(3 * (h - hp - 3 * k) - 6 * D, 24 * k)
+            unit_root(3 * (h - hp - 3 * k) - 6 * D, 24 * k, prec)
             * pref
             * theta(1j * w / z, (hp + 1j / z) / k, target, prec)
         )

@@ -34,6 +34,8 @@ ball, once, at the precision it is given; _fixed_complex does so for both
 parts of a complex one. Integers carry their width, and balls round at the
 ambient precision: the fixed-point kernels (_i1_series, arithmetic's
 tables and sums) take their width as an argument and read no mp.prec.
+A root of unity at a rational angle is an entry of arithmetic's tables
+(arithmetic.unit_root); nothing here evaluates one.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_cos,
-    mpf_cos_sin_pi,
     mpf_div,
     mpf_exp,
     mpf_hypot,
@@ -74,8 +75,6 @@ __all__ = [
     "ErrComplex",
     "working_precision",
     "pi_err",
-    "unit_root_parts",
-    "unit_root_err",
     "bessel_i1",
     "bessel_bound_checks",
     "BesselBoundChecks",
@@ -315,23 +314,6 @@ def pi_err() -> ErrReal:
     return ErrReal(+mp.pi, mp.pi * _eps(2))
 
 
-def unit_root_parts(num: int, den: int) -> tuple[mpf, mpf]:
-    """cos and sin of 2*pi*num/den, the angle reduced mod 1 as an exact rational.
-
-    One joint cos/sin evaluation, bit-identical to (cospi, sinpi); each part
-    is within unit_root_err() of the true value."""
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    frac = mpf(2 * (num % den)) / den
-    c, s = mpf_cos_sin_pi(frac._mpf_, mp.prec, round_nearest)
-    return mp.make_mpf(c), mp.make_mpf(s)
-
-
-def unit_root_err() -> mpf:
-    """Error bound of each part returned by unit_root_parts: 2^(4-prec)."""
-    return _eps(4)
-
-
 class ErrComplex:
     """Complex value as a pair of ErrReal components."""
 
@@ -340,13 +322,6 @@ class ErrComplex:
     def __init__(self, re, im=0):
         self.re = _coerce(re)
         self.im = _coerce(im)
-
-    @classmethod
-    def unit_root(cls, num: int, den: int) -> "ErrComplex":
-        """e^(2*pi*i*num/den) from unit_root_parts on the exact rational angle."""
-        c, s = unit_root_parts(num, den)
-        err = unit_root_err()
-        return cls(ErrReal(c, err), ErrReal(s, err))
 
     def conjugate(self) -> "ErrComplex":
         return ErrComplex(self.re, -self.im)
@@ -552,20 +527,21 @@ def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
 # (B_8) correction term.
 _EM_B = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42))
 
-_ZETA_CACHE: dict[tuple[int, int], ErrReal] = {}
+_ZETA_CACHE: dict[tuple[int, tuple], ErrReal] = {}
 
 
 def zeta_3_2(target_err) -> ErrReal:
     """zeta(3/2) enclosed by a partial sum over n <= N plus the
     Euler-Maclaurin tail from N+1 through its B_6 term; the remainder stays
-    enveloped because x^(-3/2) is completely monotone.
+    enveloped because x^(-3/2) is completely monotone. Cached per ambient
+    precision and exact target.
     """
     from mpmath import sqrt as msqrt
 
     target = target_err if isinstance(target_err, mpf) else mpf(target_err)
     if not target > 0:
         raise ValueError("target_err must be positive")
-    key = (mp.prec, int(mp.ceil(-mp.log(target) / mp.log(2))))
+    key = (mp.prec, target._mpf_)
     if key in _ZETA_CACHE:
         return _ZETA_CACHE[key]
 

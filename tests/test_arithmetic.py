@@ -8,6 +8,7 @@ Hand-derived expectations:
   * The k=5 sum has single terms at h=2,3 giving 2 cos(2 pi (1-20n)/50).
 """
 
+import ast
 import inspect
 import math
 import sys
@@ -542,12 +543,18 @@ def test_integer_kernel_encloses_direct_sums(prec):
 # -- twisted sums ----------------------------------------------------------------
 
 
+def _twice_cos(num, den):
+    """2 cos(2 pi num/den) by mpmath's cospi at 256 bits, independent of
+    the root tables."""
+    with mpmath.workprec(256):
+        return 2 * mpmath.cospi(mpf(2 * num) / den)
+
+
 def test_k10_sum_is_the_cosine():
     with working_precision(128):
         for n in range(10):
             got = a_k(10, n)
-            expect = ErrComplex.unit_root(16 + 30 * n, 100).re * 2
-            assert abs(got.re.value - expect.value) < TOL
+            assert abs(got.re.value - _twice_cos(16 + 30 * n, 100)) < TOL
             assert abs(got.im.value) < TOL
 
 
@@ -555,8 +562,7 @@ def test_k10_conjugated_sum_is_the_cosine():
     with working_precision(128):
         for n in range(10):
             got = cal_a_k(10, n)
-            expect = ErrComplex.unit_root(12 - 10 * n, 100).re * 2
-            assert abs(got.re.value - expect.value) < TOL
+            assert abs(got.re.value - _twice_cos(12 - 10 * n, 100)) < TOL
             assert abs(got.im.value) < TOL
 
 
@@ -565,8 +571,7 @@ def test_k5_sum_hand_derived():
     with working_precision(128):
         for n in range(7):
             got = a_k(5, n)
-            expect = ErrComplex.unit_root(1 - 20 * n, 50).re * 2
-            assert abs(got.re.value - expect.value) < TOL
+            assert abs(got.re.value - _twice_cos(1 - 20 * n, 50)) < TOL
 
 
 def test_periodicity_in_n():
@@ -865,6 +870,21 @@ def test_quarter_is_the_inverse_of_4_mod_5k():
     for k in range(5, 5001, 10):
         assert (1 - k * k) % 4 == 0
         assert 4 * ((1 - k * k) // 4) % (5 * k) == 1, k
+
+
+def test_arithmetic_names_no_global_precision():
+    # integers carry their width: the module names neither mpmath's context
+    # mp nor working_precision, so no kernel here reads or sets mp.prec
+    tree = ast.parse(inspect.getsource(arithmetic))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+    assert not names & {"mp", "working_precision"}
 
 
 def test_clear_caches_empties_every_module_cache():

@@ -56,11 +56,30 @@ def term(delta, n, k, prec=128):
         return _fixed_ball(*plan(k), 2 * w, prec)
 
 
+def _main_term_reference(delta, n, bits=512):
+    """The k = 10 term, (2 sqrt3 pi / (5 sqrt(nn))) cos(2 pi num/100)
+    I1((2 pi/25) sqrt(3 nn)), in plain mpmath at bits: cospi, besseli,
+    sqrt and pi, none of which the root tables or the Bessel tables use."""
+    nn = shifted_index(delta, n)
+    num = 16 + 30 * n if delta == 1 else 12 - 10 * n
+    with mpmath.workprec(bits):
+        pi = mpmath.pi
+        cosine = mpmath.cospi(mpf(2 * num) / 100)
+        i1 = mpmath.besseli(1, 2 * pi / 25 * mpmath.sqrt(3 * nn))
+        return 2 * mpmath.sqrt(3) * pi / (5 * mpmath.sqrt(nn)) * cosine * i1
+
+
 def test_term_k10_equals_main_term():
+    # main_term's cosine is an entry of the table term(10)'s twist reads, so
+    # both are also held against a reference that shares no table with them
     for delta, n in ((1, 10), (1, 17), (1, 100), (-1, 25)):
         t = term(delta, n, 10)
         m = main_term(delta, n)
         assert abs(t.value - m.value) <= 4 * (t.err + m.err) + mpf("1e-30")
+        ref = _main_term_reference(delta, n)
+        with mpmath.workprec(512):
+            for ball in (t, m):
+                assert abs(ball.value - ref) <= ball.err + abs(ref) * mpf(2) ** -400, (delta, n)
 
 
 def test_term_k_domain():
@@ -477,21 +496,16 @@ def test_main_term_sign_follows_positive_residues():
 
 
 def test_cosine_lower_bound_over_classes():
-    # |cos(2 pi (4/25 + 3n/10))| >= |cos(13 pi/25)| for every class n mod 10
-    from qsign.numerics import ErrComplex
-
-    with working_precision(128):
-        floor = abs(ErrComplex.unit_root(13, 50).re.value)
-        worst = min(
-            abs(ErrComplex.unit_root(16 + 30 * n, 100).re.value) for n in range(10)
-        )
-        assert worst >= floor - mpf("1e-30")
+    # |cos(2 pi (4/25 + 3n/10))| >= |cos(13 pi/25)| for every class n mod 10,
+    # by mpmath's cospi at 256 bits, independent of the root tables
+    with mpmath.workprec(256):
+        floor = abs(mpmath.cospi(mpf(13) / 25))
+        worst = min(abs(mpmath.cospi(mpf(2 * (16 + 30 * n)) / 100)) for n in range(10))
+        assert worst >= floor - mpf("1e-60")
         # and the delta=-1 analogue with |cos(14 pi/25)|
-        floor_m = abs(ErrComplex.unit_root(14, 50).re.value)
-        worst_m = min(
-            abs(ErrComplex.unit_root(12 - 10 * n, 100).re.value) for n in range(10)
-        )
-        assert worst_m >= floor_m - mpf("1e-30")
+        floor_m = abs(mpmath.cospi(mpf(14) / 25))
+        worst_m = min(abs(mpmath.cospi(mpf(2 * (12 - 10 * n)) / 100)) for n in range(10))
+        assert worst_m >= floor_m - mpf("1e-60")
 
 
 def test_error_bound_total_conclusive_at_thresholds():

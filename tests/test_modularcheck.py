@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import exp, mpc, mpf, pi, sqrt
 
 from qsign import modularcheck
-from qsign.arithmetic import neg_inverse
+from qsign.arithmetic import neg_inverse, unit_root
 from qsign.modularcheck import (
     _GUARD_BITS,
     _MULTIPLIER_TUPLES,
@@ -439,7 +439,7 @@ def test_omega_1_5_is_tenth_root():
     # D = 6k s(1, 5) = 6, so omega = zeta_60^6 = e^(i pi/5), a tenth root of unity
     assert omega_hk(1, 5) == 6
     with working_precision(PREC):
-        omega = ErrComplex.unit_root(omega_hk(1, 5), 60)
+        omega = unit_root(omega_hk(1, 5), 60, PREC)
         with mpmath.workdps(80):
             ref = mpmath.exp(1j * mpmath.pi / 5)
         assert abs(as_mpc(omega) - ref) < mpf(10) ** -70
@@ -461,7 +461,7 @@ def test_omega_sample_point_independence():
     tuples = [(h, k, z) for h, k, z, _ in _MULTIPLIER_TUPLES] + [(1, 1, ("0.9",)), (5, 12, ("0.8",))]
     with working_precision(PREC):
         for h, k, z in tuples:
-            closed = ErrComplex.unit_root(omega_hk(h, k), 12 * k)
+            closed = unit_root(omega_hk(h, k), 12 * k, PREC)
             for zz in (mpc(*z), mpc(*z) + mpf(1) / 4):
                 solved = solved_omega(h, k, zz)
                 assert max(solved.re.err, solved.im.err) < mpf(10) ** -35, (h, k, zz)
@@ -479,7 +479,7 @@ def test_omega_multiplier_unit_circle_various():
             assert abs(abs(m) - 1) < mpf(10) ** -40, (h, k)
             assert abs(m ** (24 * k) - 1) < mpf(10) ** -30, (h, k)
             assert isinstance(omega_hk(h, k), int)
-            closed = as_mpc(ErrComplex.unit_root(omega_hk(h, k), 12 * k))
+            closed = as_mpc(unit_root(omega_hk(h, k), 12 * k, PREC))
             assert abs(m - closed) < mpf(10) ** -35, (h, k)
 
 

@@ -20,7 +20,6 @@ from qsign.numerics import (
     bessel_bound_checks,
     bessel_i1,
     pi_err,
-    unit_root_parts,
     working_precision,
     zeta_3_2,
 )
@@ -261,17 +260,19 @@ def test_complex_arithmetic_and_abs():
 
 
 def test_unit_roots():
+    from qsign.arithmetic import unit_root
+
     with working_precision(128):
-        r = ErrComplex.unit_root(1, 3)
+        r = unit_root(1, 3, 128)
         assert r.re.contains(mpf(-1) / 2)
         assert r.im.contains(mpmath.sqrt(mpf(3)) / 2)
-        i = ErrComplex.unit_root(2, 8)
-        assert abs(i.re.value) < mpf("1e-30")
+        i = unit_root(2, 8, 128)
+        assert i.re.value == 0
         assert i.im.contains(1)
 
 
 def test_unit_root_is_the_root_table_entry():
-    from qsign.arithmetic import _ENTRY_ERR, _GUARD_BITS, _roots
+    from qsign.arithmetic import _ENTRY_ERR, _GUARD_BITS, _roots, unit_root
 
     # every entry within _ENTRY_ERR units of 2^-w of a 640-bit cospi/sinpi,
     # held as integers at 2^-600; the values on the grid come out exact
@@ -301,49 +302,42 @@ def test_unit_root_is_the_root_table_entry():
                 assert (cos[den // 4], sin[den // 4]) == (0, one)
                 assert (cos[3 * den // 4], sin[3 * den // 4]) == (0, -one)
 
-    prec = 128
-    w = prec + _GUARD_BITS
-    with working_precision(prec):
+    with working_precision(128):
         for den in (1, 2, 3, 4, 5, 10, 51):
-            cos, sin = _roots(den, prec)
+            cos, sin = _roots(den, 128)
             assert len(cos) == len(sin) == den
             for t in range(1, den):
                 assert (cos[den - t], sin[den - t]) == (cos[t], -sin[t])
-        for num, den in ((0, 1), (1, 3), (-1, 3), (7, 5), (-13, 10), (123, 50), (-250, 100), (41, 40)):
-            entry = [part[num % den] for part in _roots(den, prec)]
-            with working_precision(w):
-                parts = unit_root_parts(num, den)
-            with working_precision(512):
+
+    # unit_root is the ball of table entry num mod den, the same bits for
+    # num + 7 den, and each part within 2^-prec of a 512-bit cospi/sinpi
+    for prec in (64, 128, 256):
+        w = prec + _GUARD_BITS
+        for num, den in ((0, 1), (1, 3), (-1, 3), (7, 5), (-13, 10), (123, 50), (-250, 100), (41, 40), (5, 12)):
+            cos, sin = _roots(den, prec)
+            root = unit_root(num, den, prec)
+            entry = _fixed_complex(cos[num % den], sin[num % den], _ENTRY_ERR, w, prec)
+            shifted = unit_root(num + 7 * den, den, prec)
+            for ball in (entry, shifted):
+                for a, b in ((ball.re, root.re), (ball.im, root.im)):
+                    assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
+            with mpmath.workprec(512):
                 exact = (mpmath.cospi(mpf(2 * num) / den), mpmath.sinpi(mpf(2 * num) / den))
-            # the w-bit part is within 2^(4-w), the entry within _ENTRY_ERR units: 17 units hold
-            for fixed, part, true in zip(entry, parts, exact):
-                assert isinstance(fixed, int)
-                assert abs(fixed - mpmath.ldexp(part, w)) <= 17
-                assert abs(fixed - mpmath.ldexp(true, w)) <= 17
-            root = ErrComplex.unit_root(num, den)
-            shifted = ErrComplex.unit_root(num + 7 * den, den)
-            for a, b in ((shifted.re, root.re), (shifted.im, root.im)):
-                assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
-        for den in (0, -3):
-            with pytest.raises(ValueError):
-                ErrComplex.unit_root(1, den)
-
-
-def test_unit_root_parts_are_cospi_and_sinpi():
-    for prec in (64, 128, 136, 256):
-        with working_precision(prec):
-            for den in (1, 2, 3, 4, 5, 7, 10, 12, 50, 51, 195, 1000, 4950):
-                for num in range(-den, 2 * den, max(1, den // 40)):
-                    frac = mpf(2 * (num % den)) / den
-                    c, s = unit_root_parts(num, den)
-                    assert (c._mpf_, s._mpf_) == (mpmath.cospi(frac)._mpf_, mpmath.sinpi(frac)._mpf_)
+                for part, true in zip((root.re, root.im), exact):
+                    assert part.contains(true)
+                    assert abs(part.value - true) <= mpf(2) ** -prec
+    for den in (0, -3):
+        with pytest.raises(ValueError):
+            unit_root(1, den, 128)
 
 
 def test_cos_two_pi_rational_quarter_turns():
+    from qsign.arithmetic import unit_root
+
     with working_precision(128):
-        assert ErrComplex.unit_root(1, 4).re.contains(0)
-        assert ErrComplex.unit_root(1, 2).re.contains(-1)
-        assert ErrComplex.unit_root(5, 5).re.contains(1)
+        assert unit_root(1, 4, 128).re.contains(0)
+        assert unit_root(1, 2, 128).re.contains(-1)
+        assert unit_root(5, 5, 128).re.contains(1)
 
 
 # -- Bessel I1 ------------------------------------------------------------------
