@@ -29,9 +29,8 @@ from operator import add
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_pi, to_fixed
 
-from .arithmetic import _GUARD_BITS, _roots, _twist_totals, divisor_count, unit_root
+from .arithmetic import _GUARD_BITS, _roots, _twist_totals, divisor_count
 from .numerics import ErrReal, _fixed_ball, _i1_series, bessel_i1, pi_err, working_precision, zeta_3_2
-from .qseries import PAPER_THRESHOLD  # re-exported; it is defined next to ZERO_EXCEPTIONS
 
 __all__ = [
     "ExactEval",
@@ -332,14 +331,11 @@ def c_exact(
 
 
 def main_term(delta: int, n: int, prec: int = 128) -> ErrReal:
-    """The k=10 contribution: (2 sqrt3 pi / (5 sqrt(nn))) cos(...) I1((2pi/25) sqrt(3 nn))."""
-    nn = _validate_n(delta, n)
-    cosine = unit_root(16 + 30 * n if delta == 1 else 12 - 10 * n, 100, prec).re
-    with working_precision(prec):
-        pi = pi_err()
-        x = pi * 2 / 25 * ErrReal(3 * nn).sqrt()
-        i1 = bessel_i1(x, mpf((1, 8 - prec)) * (mp.exp(x.value) + 1))
-        return ErrReal(2) * ErrReal(3).sqrt() * pi / (ErrReal(5) * ErrReal(nn).sqrt()) * cosine * i1
+    """The k=10 summand of the exact formula,
+    (2 sqrt3 pi / (5 sqrt(nn))) cos(...) I1((2pi/25) sqrt(3 nn)): term(10)
+    of _term_plan, rounded once into a ball at prec bits."""
+    w, term = _term_plan(delta, n, prec)
+    return _fixed_ball(*term(10), 2 * w, prec)
 
 
 def error_bound_total(delta: int, n: int, prec: int = 128) -> mpf:

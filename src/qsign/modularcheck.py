@@ -16,9 +16,11 @@ a ratio recurrence (_fixed_mul) and add rigorous truncation tails. Every
 non-rational exponential, the starting values and all the phases and
 prefactors alike, is mpmath's exp charged by one stated trust
 (_fixed_exp); a rational-angle root is one entry of arithmetic's root
-tables (unit_root), each phase folded into one exponent. Every ball
-record has one decision rule, _agreement: it fails only when the two
-sides' enclosures are disjoint, with no tolerance.
+tables (unit_root), each phase folded into one exponent. Integers carry
+their width and balls round at the ambient precision: _fixed_exp,
+_fixed_mul and _qpochhammer take W as an argument and read no mp.prec.
+Every ball record has one decision rule, _agreement: it fails only when
+the two sides' enclosures are disjoint, with no tolerance.
 """
 
 from __future__ import annotations
@@ -75,23 +77,23 @@ def _theta_terms(w: mpc, tau: mpc, target: mpf):
     return M, 2 * exp(-pi * t * n0 * n0 + 2 * pi * beta * n0)
 
 
-def _fixed_exp(x: mpc, size, w: int) -> tuple[int, int, int]:
-    """e^x as a fixed-point complex value (re, im, err) at 2^-w: both parts
+def _fixed_exp(x, size, w: int) -> tuple[int, int, int]:
+    """e^x() as a fixed-point complex value (re, im, err) at 2^-w: both parts
     floored to integers in units of 2^-w, and err an integer bound, in the
     same units, on the modulus of the error.
 
-    Starting-value trust. The ambient precision p is at least w + 8, and x
-    was formed there by a few roundings from ingredients of modulus at most
-    size, so it is within 4 size 2^-p of the argument meant; mpmath's exp is
-    within a few ulp of its own argument's value. The value z is therefore
-    within |z| (size + 2) 2^(4-p) of the truth, which is at most
+    Starting-value trust. The zero-argument callable x is formed, and
+    exponentiated by mpmath's exp, at p = w + 8 bits. x() takes a few
+    roundings there from ingredients of modulus at most size, so it is
+    within 4 size 2^-p of the argument meant; exp is within a few ulp of
+    its own argument's value. The value z is therefore within
+    |z| (size + 2) 2^(4-p) of the truth, which is at most
     |z| 2^w (size + 2) / 16 units, and the two floors add less than 2."""
-    if mp.prec < w + 8:
-        raise ValueError("_fixed_exp needs an ambient precision of at least w + 8 bits")
-    z = exp(x)
+    with working_precision(w + 8):
+        z = exp(x())
     re, im = to_fixed(z.real._mpf_, w), to_fixed(z.imag._mpf_, w)
     norm = isqrt(re * re + im * im) + 1
-    return re, im, ((norm * (int(size) + 3)) >> (mp.prec - 4)) + 3
+    return re, im, ((norm * (int(size) + 3)) >> (w + 4)) + 3
 
 
 def _fixed_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tuple[int, int, int]:
@@ -110,16 +112,12 @@ def _fixed_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tupl
 
 
 def _exp_ball(x, size) -> ErrComplex:
-    """e^x() as a ball at the ambient precision prec: the zero-argument
-    callable x is formed, and exponentiated by _fixed_exp, at W + 8 bits
-    with W = prec + _GUARD_BITS; size bounds the moduli of the values x()
-    is formed from, as in _fixed_exp. Forming x at prec instead would
-    charge about |e^x| (size + 3) 2^(4-prec)."""
-    prec = mp.prec
-    W = prec + _GUARD_BITS
-    with working_precision(W + 8):
-        z = _fixed_exp(x(), size, W)
-    return _fixed_complex(*z, W, prec)
+    """e^x() as a ball at the ambient precision prec: _fixed_exp at
+    W = prec + _GUARD_BITS, rounded once; size bounds the moduli of the
+    values x() is formed from. Forming x at prec instead would charge
+    about |e^x| (size + 3) 2^(4-prec)."""
+    W = mp.prec + _GUARD_BITS
+    return _fixed_complex(*_fixed_exp(x, size, W), W, mp.prec)
 
 
 def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
@@ -132,8 +130,8 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
     and R_0 = -e^(2 pi i (tau + s w)). Each part is summed exactly as
     integers at 2^-W with an integer error bound carried beside every term:
 
-    * the five starting values q, T_0 and R_0 come from mpmath's exp at
-      W + 8 bits, charged by the starting-value trust of _fixed_exp;
+    * the five starting values q, T_0 and R_0 are _fixed_exp at width W,
+      which forms each at W + 8 bits and charges its starting-value trust;
     * every later T and R is a _fixed_mul product, whose product charge
       carries the errors of both factors and its floors;
     * the guard: the carried bounds hold at any W, which only sets their
@@ -162,19 +160,18 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
         lost = int(ceil(2 * pi * max(0, min(beta - t, t)) / log(2)))
         W = prec + 2 * M.bit_length() + _GUARD_BITS + max(-top, lost)
         re = im = err = 0
-        with working_precision(W + 8):
-            size = 2 * pi * (abs(tau) + abs(w) + 1)
-            q = _fixed_exp(2j * pi * tau, size, W)
-            for s in (1, -1):
-                term = _fixed_exp(pi * 1j * (tau / 4 + s * (w + mpf(1) / 2)), size, W)
-                rr, ri, rerr = _fixed_exp(2j * pi * (tau + s * w), size, W)
-                r = (-rr, -ri, rerr)
-                for _ in range(M):
-                    re += term[0]
-                    im += term[1]
-                    err += term[2]
-                    term = _fixed_mul(term, r, W)
-                    r = _fixed_mul(r, q, W)
+        size = 2 * pi * (abs(tau) + abs(w) + 1)
+        q = _fixed_exp(lambda: 2j * pi * tau, size, W)
+        for s in (1, -1):
+            term = _fixed_exp(lambda: pi * 1j * (tau / 4 + s * (w + mpf(1) / 2)), size, W)
+            rr, ri, rerr = _fixed_exp(lambda: 2j * pi * (tau + s * w), size, W)
+            r = (-rr, -ri, rerr)
+            for _ in range(M):
+                re += term[0]
+                im += term[1]
+                err += term[2]
+                term = _fixed_mul(term, r, W)
+                r = _fixed_mul(r, q, W)
         return _fixed_complex(re, im, err + to_fixed(tail._mpf_, W + 1) + 1, W, prec)
 
 
@@ -358,7 +355,7 @@ def _qpochhammer(a: tuple[int, int, int], q: tuple[int, int, int], target_rel, w
     y = isqrt(q[0] ** 2 + q[1] ** 2) + 1 + q[2]
     if y >= one:
         raise RuntimeError("q-Pochhammer truncation failed to converge")
-    goal = to_fixed(mpf(target_rel)._mpf_, w)  # at most target_rel 2^w
+    goal = to_fixed(target_rel._mpf_, w)  # at most target_rel 2^w
     prod = (one, 0, 0)
     x = a
     for _ in range(100_000):
@@ -381,12 +378,11 @@ def _triple_product_record(w, tau, prec: int) -> CheckRecord:
         target = mpf(2) ** (-prec // 2)
         lhs = theta(w, tau, target, prec)
         W = prec + _GUARD_BITS
-        with working_precision(W + 8):
-            size = 2 * pi * (abs(tau) + abs(w) + 1)
-            q = _fixed_exp(2j * pi * tau, size, W)
-            prod = _qpochhammer(q, q, target, W)
-            for a in (_fixed_exp(2j * pi * w, size, W), _fixed_exp(2j * pi * (tau - w), size, W)):
-                prod = _fixed_mul(prod, _qpochhammer(a, q, target, W), W)
+        size = 2 * pi * (abs(tau) + abs(w) + 1)
+        q = _fixed_exp(lambda: 2j * pi * tau, size, W)
+        prod = _qpochhammer(q, q, target, W)
+        for a in (lambda: 2j * pi * w, lambda: 2j * pi * (tau - w)):
+            prod = _fixed_mul(prod, _qpochhammer(_fixed_exp(a, size, W), q, target, W), W)
         # -i q^(1/8) zeta^(-1/2) with zeta^(-1/2) = e^(-pi i w), entire in w:
         # theta(w + 1) = -theta(w) while the products have period 1
         pref = _exp_ball(lambda: pi * 1j * (tau / 4 - w - mpf(1) / 2), size)
@@ -450,23 +446,22 @@ def validation_suite(prec: int = DEFAULT_PREC) -> list[CheckRecord]:
     cusp transformation of f, series agreement, the exhaustive growth
     classification and eta(i) in closed form. Runs at max(prec, DEFAULT_PREC) bits."""
     prec = max(prec, DEFAULT_PREC)
-    target = mpf(2) ** (-prec // 2)  # exact at any precision
     records: list[CheckRecord] = []
-
-    # triple product at fixed plus pseudo-random points; the stated decimals
-    # here and below are read at the suite's precision
-    rng = random.Random(271828)
     with working_precision(prec):
+        target = mpf(2) ** (-prec // 2)
+
+        # triple product at fixed plus pseudo-random points; the stated decimals
+        # here and below are read at the suite's precision
+        rng = random.Random(271828)
         pts = [(mpc("0.3", "0.1"), mpc("0.2", "0.9"))]
-    for _ in range(19):
-        w = mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
-        tau = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.4))
-        pts.append((w, tau))
-    for w, tau in pts:
-        records.append(_triple_product_record(w, tau, prec))
+        for _ in range(19):
+            w = mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
+            tau = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.4))
+            pts.append((w, tau))
+        for w, tau in pts:
+            records.append(_triple_product_record(w, tau, prec))
 
-    # quasi-periodicity theta(w + lambda tau + mu) = (-1)^(lambda+mu) q^(-lambda^2/2) zeta^(-lambda) theta(w)
-    with working_precision(prec):
+        # quasi-periodicity theta(w + lambda tau + mu) = (-1)^(lambda+mu) q^(-lambda^2/2) zeta^(-lambda) theta(w)
         w = mpc("0.23", "0.11")
         tau = mpc("0.13", "0.83")
         base = theta(w, tau, target, prec)
@@ -477,12 +472,11 @@ def validation_suite(prec: int = DEFAULT_PREC) -> list[CheckRecord]:
             rhs = fac * base
             records.append(_agreement("quasi-periodicity", {"lambda": lam, "mu": mu}, lhs, rhs))
 
-    # eta and theta transformations with the closed-form multiplier
-    for h, k, zz, w in _MULTIPLIER_TUPLES:
-        records += _multiplier_records(h, k, zz, w, prec)
+        # eta and theta transformations with the closed-form multiplier
+        for h, k, zz, w in _MULTIPLIER_TUPLES:
+            records += _multiplier_records(h, k, zz, w, prec)
 
-    # leading asymptotic of theta(a tau + b; tau): fitted-constant check
-    with working_precision(prec):
+        # leading asymptotic of theta(a tau + b; tau): fitted-constant check
         b = mpf("0.2")
         for a in (mpf("0.1"), mpf("0.3")):
             worst = mpf(0)
@@ -506,8 +500,7 @@ def validation_suite(prec: int = DEFAULT_PREC) -> list[CheckRecord]:
                 )
             )
 
-    # cusp transformation of f at >= 10 parameter tuples
-    with working_precision(prec):
+        # cusp transformation of f at >= 10 parameter tuples
         for h, k, zz in (
             (1, 5, mpc(1)),
             (2, 5, mpc(1)),
@@ -526,36 +519,34 @@ def validation_suite(prec: int = DEFAULT_PREC) -> list[CheckRecord]:
         for tau in (mpc("0.1", "0.5"), mpc("0.37", "0.8")):
             records.append(f_series_agreement(tau, prec))
 
-    # conjugation symmetry f(-conj(tau)) = conj(f(tau))
-    with working_precision(prec):
+        # conjugation symmetry f(-conj(tau)) = conj(f(tau))
         for tau in (mpc("0.21", "0.6"), mpc("-0.32", "0.75")):
             lhs = f_eval(-mpc(tau).conjugate(), target, prec)
             rhs = f_eval(tau, target, prec).conjugate()
             records.append(_agreement("conjugation-symmetry", {"tau": str(tau)}, lhs, rhs))
 
-    # exhaustive growth classification against the expected residue sets
-    expected = {1: [(5, [2, 3]), (10, [3, 7])], -1: [(5, [1, 4]), (10, [1, 9])]}
-    for delta, variant in ((1, "direct"), (-1, "reciprocal")):
-        got = [
-            (d, [nu2 for nu2 in range(d) if gcd(nu2, d) == 1 and growth_classifier(d, nu2, delta)])
-            for d in (5, 10)
-        ]
-        records.append(
-            CheckRecord(
-                check="growth-classification",
-                params={"variant": variant},
-                lhs=str(got),
-                rhs=str(expected[delta]),
-                abs_diff=0.0 if got == expected[delta] else 1.0,
-                tolerance=0.0,
-                passed=got == expected[delta],
+        # exhaustive growth classification against the expected residue sets
+        expected = {1: [(5, [2, 3]), (10, [3, 7])], -1: [(5, [1, 4]), (10, [1, 9])]}
+        for delta, variant in ((1, "direct"), (-1, "reciprocal")):
+            got = [
+                (d, [nu2 for nu2 in range(d) if gcd(nu2, d) == 1 and growth_classifier(d, nu2, delta)])
+                for d in (5, 10)
+            ]
+            records.append(
+                CheckRecord(
+                    check="growth-classification",
+                    params={"variant": variant},
+                    lhs=str(got),
+                    rhs=str(expected[delta]),
+                    abs_diff=0.0 if got == expected[delta] else 1.0,
+                    tolerance=0.0,
+                    passed=got == expected[delta],
+                )
             )
-        )
 
-    # a closed-form value of eta, where a constant factor cannot cancel
-    with working_precision(prec):
+        # a closed-form value of eta, where a constant factor cannot cancel
         lhs = eta(mpc(0, 1), target, prec)
         # Gamma(1/4) / (2 pi^(3/4)); each value the exponent is formed from is below 4
         rhs = _exp_ball(lambda: loggamma(mpf(1) / 4) - log(2) - 3 * log(pi) / 4, 4)
         records.append(_agreement("eta-at-i", {"tau": str(mpc(0, 1))}, lhs, rhs))
-    return records
+        return records

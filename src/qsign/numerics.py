@@ -33,7 +33,8 @@ _fixed_ball rounds a fixed-point total with an integer error bound into a
 ball, once, at the precision it is given; _fixed_complex does so for both
 parts of a complex one. Integers carry their width, and balls round at the
 ambient precision: the fixed-point kernels (_i1_series, arithmetic's
-tables and sums) take their width as an argument and read no mp.prec.
+tables and sums, modularcheck's _fixed_exp, _fixed_mul and _qpochhammer)
+take their width as an argument and read no mp.prec.
 A root of unity at a rational angle is an entry of arithmetic's tables
 (arithmetic.unit_root); nothing here evaluates one.
 """

@@ -70,8 +70,8 @@ def _main_term_reference(delta, n, bits=512):
 
 
 def test_term_k10_equals_main_term():
-    # main_term's cosine is an entry of the table term(10)'s twist reads, so
-    # both are also held against a reference that shares no table with them
+    # main_term is term(10) rounded into a ball, so both are also held
+    # against a reference that shares no table with them
     for delta, n in ((1, 10), (1, 17), (1, 100), (-1, 25)):
         t = term(delta, n, 10)
         m = main_term(delta, n)

@@ -7,6 +7,8 @@ reciprocity law, and numerically against a two-point solve from eta;
 everything else is checked by comparing two independently evaluated sides.
 """
 
+import ast
+import inspect
 import math
 import random
 from collections import Counter
@@ -24,6 +26,7 @@ from qsign.modularcheck import (
     _MULTIPLIER_TUPLES,
     _exp_ball,
     _fixed_exp,
+    _fixed_mul,
     _multiplier_records,
     _qpochhammer,
     _theta_terms,
@@ -216,12 +219,28 @@ def test_qpochhammer_encloses_the_direct_product(tau_re, tau_im, w_re, w_im, tar
         assert abs(direct - mpc(re, im) / 2**W) <= mpf(err) / 2**W
 
 
-def test_fixed_exp_needs_w_plus_8_bits():
-    with working_precision(PREC + 7):
-        with pytest.raises(ValueError):
-            _fixed_exp(mpc(0, 1), 1, PREC)
-    with working_precision(PREC + 8):
-        assert _fixed_exp(mpc(0), 1, PREC)[:2] == (1 << PREC, 0)
+def test_fixed_exp_is_the_same_at_every_ambient_precision():
+    # the width is an argument: x() is formed and exponentiated at w + 8
+    # bits whatever the caller's precision, and the charge reads w alone
+    with working_precision(PREC):
+        tau = mpc("0.2", "0.9")
+    triples = set()
+    for bits in (53, 64, PREC + 8, 2 * PREC):
+        with working_precision(bits):
+            triples.add(_fixed_exp(lambda: 2j * pi * tau, 13, PREC))
+    assert len(triples) == 1
+    with working_precision(53):
+        assert _fixed_exp(lambda: mpc(0), 1, PREC)[:2] == (1 << PREC, 0)
+
+
+def test_fixed_point_kernels_name_no_global_precision():
+    # integers carry their width: these kernels read neither mpmath's
+    # context mp nor an mpf rounded at the ambient precision
+    for kernel in (_fixed_exp, _fixed_mul, _qpochhammer):
+        tree = ast.parse(inspect.getsource(kernel))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"mp", "mpf"}, kernel.__name__
 
 
 @pytest.mark.parametrize("prec", [64, 128, 256])
