@@ -14,7 +14,9 @@ twist * (prefix / k) * I1(x_k) is formed from the twist's fixed-point
 table totals, integer pi, square roots and prefix, and the Bessel value
 read from one table per class d = gcd(k, 10) (every x_k of a class is
 2 y_d / k), all in fixed point, and carries one integer error bound
-(_term_plan). The sum is rounded once per index into its ball.
+(_term_plan). The totals decide the rounding and, with the tail bound's
+integer form (tail_bound_op), the definitive flag; they are rounded only
+into the reported ball.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import gcd, isqrt
 from operator import add
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_pi, to_fixed
+from mpmath.libmp import from_man_exp, mpf_neg, mpf_pi, round_ceiling, round_nearest, to_fixed
 
 from .arithmetic import _GUARD_BITS, _roots, _twist_totals, divisor_count
 from .numerics import ErrReal, _fixed_ball, _i1_series, bessel_i1, pi_err, working_precision, zeta_3_2
@@ -69,8 +71,8 @@ def _term_plan(delta: int, n: int, prec: int):
     Returns w = prec + _GUARD_BITS, the root tables' width, and term, where
     term(k) gives integers (value, err) at 2^-2w: the k-th summand
     twist * (prefix / k) * I1(x_k), which is real, within err units of the
-    truth. term keeps no state: its result does not depend on which k were
-    read before.
+    truth. term builds a class's table on its first k and keeps it; its
+    result does not depend on which k were read before.
 
     Proof of the bounds. Per index, with u = w + 16 and, for d = 5, 10,
     R_d = sqrt(2 (d-4) nn) and y_d = pi R_d / 5:
@@ -147,7 +149,8 @@ def _term_plan(delta: int, n: int, prec: int):
     u = w + 16
     pi = to_fixed(mpf_pi(u + 10), u)
     plan = {}
-    for d in (5, 10):
+
+    def table(d: int) -> tuple:
         root = isqrt(2 * (d - 4) * nn << 2 * u)
         prod, err = pi * root, 2 * root + pi + 2
         y, y_err = 2 * prod // (5 << w), 2 * err // (5 << w) + 2  # 2 y_d at 2^-(u+16)
@@ -160,12 +163,14 @@ def _term_plan(delta: int, n: int, prec: int):
         t_num = (y + y_err) * 14427 >> u + 16
         pre, pre_err = prod // (nn << u), err // (nn << u) + 2
         # tail + 5: the Horner floors' 2 and the roundings up of g, the skip and the argument
-        plan[d] = (terms, tops, rest, q, 2 * a0 + 2, tail + 5, t_num, y_err, pre, pre_err)
+        return terms, tops, rest, q, 2 * a0 + 2, tail + 5, t_num, y_err, pre, pre_err
 
     def term(k: int) -> tuple[int, int]:
         d = gcd(k, 10)
         if d not in (5, 10):
             raise ValueError("term defined only for gcd(k,10) in {5,10}")
+        if d not in plan:
+            plan[d] = table(d)
         terms, tops, rest, q, lift, fixed_err, t_num, y_err, pre, pre_err = plan[d]
         k2 = k * k
         top = bisect_right(tops, -math.log2(k))
@@ -197,15 +202,12 @@ def default_k_max(delta: int, n: int) -> int:
     return max(50, math.ceil(4 * math.pi / 5 * math.sqrt(3 * nn)) + 1)
 
 
-# per ambient precision, the ErrReal partial sums P[c] = sum_{k <= c} d(k) k^(-3/2)
-# formed at it, each from P[c-1]; extended in place up to the largest cutoff seen
-_DIVISOR_PARTIALS: dict[int, list[ErrReal]] = {}
+# per width w, the integer partial sums S[c] = sum_{k <= c} d(k) floor(2^w k^(-3/2)),
+# each from S[c-1]; extended in place up to the largest cutoff seen
+_DIVISOR_PARTIALS: dict[int, list[int]] = {}
 # per (K // 5, prec), the finished bound of tail_bound_op, which depends on
 # nothing else: its second cutoff is K // 10 = (K // 5) // 2
 _TAIL_BOUNDS: dict[tuple[int, int], mpf] = {}
-# at least 2^128 pi: mpf_pi at 138 bits is within 2^-136 of pi, and the
-# floor to 128 fractional bits loses less than one unit
-_PI_UP = to_fixed(mpf_pi(138), 128) + 2
 
 
 def _zeta_target(prec: int) -> mpf:
@@ -213,18 +215,6 @@ def _zeta_target(prec: int) -> mpf:
     2^-128. zeta_3_2 sums about target^(-2/17) terms, 20k at 2^-128 and 7e8
     at 2^-256, so a finer target would stall every run above 256 bits."""
     return mpf(2) ** max(-prec // 2, -128)
-
-
-def _divisor_tail(cutoff: int) -> ErrReal:
-    """Upper enclosure of sum_{k > cutoff} d(k) k^(-3/2) via zeta(3/2)^2, a
-    ball at the ambient precision."""
-    prec = mp.prec
-    z = zeta_3_2(_zeta_target(prec))
-    partials = _DIVISOR_PARTIALS.setdefault(prec, [ErrReal(0)])
-    for k in range(len(partials), cutoff + 1):
-        term = ErrReal(1) / (ErrReal(k) * ErrReal(k).sqrt()) * divisor_count(k)
-        partials.append(partials[-1] + term)
-    return z * z - partials[cutoff]
 
 
 def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
@@ -235,20 +225,32 @@ def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
     and k = 10k' contribute (32 pi^2/125) R(K//5) and
     (108 sqrt6 pi^2/125) R(K//10) with R the divisor tail. Valid once every
     omitted Bessel argument is below 1, i.e. K >= (4 pi/5) sqrt(3 nn):
-    25 K^2 >= 48 nn pi^2, decided in integers with _PI_UP for pi.
+    25 K^2 >= 48 nn pi^2. Both are integers at 2^-w, w = max(prec, 96) + 32,
+    with P = floor(2^w mpf_pi(w + 10)) + 2 >= 2^w pi for pi: the test is on
+    25 K^2 2^2w, and the bound ceil(P^2 (32 R5 2^w + 108 (isqrt(6 2^2w) + 1)
+    R10) / 125) at 2^-5w is rounded up to prec bits. R(c) = Z^2 - 2^w S[c] is
+    at least 2^2w times the tail: Z = floor(2^w hi) + 1, hi the top of
+    zeta_3_2's ball, is at least 2^w zeta(3/2), and S[c] sums d(k)
+    isqrt(floor(2^2w / k^3)) = d(k) floor(2^w k^(-3/2)) over k <= c (an
+    integer m has m^2 <= y iff m^2 <= floor(y)).
     """
     nn = _validate_n(delta, n)
-    if K < 1 or (25 * K * K << 256) < 48 * nn * _PI_UP * _PI_UP:
+    w = max(prec, 96) + 32
+    pi = to_fixed(mpf_pi(w + 10), w) + 2
+    if K < 1 or (25 * K * K << 2 * w) < 48 * nn * pi * pi:
         raise ValueError(
             f"cutoff K={K} below the validity threshold ~{4 * math.pi / 5 * math.sqrt(3 * nn):.6g}"
         )
     key = (K // 5, prec)
     if key not in _TAIL_BOUNDS:
         with working_precision(prec):
-            pi2 = pi_err() * pi_err()
-            r5, r10 = _divisor_tail(K // 5), _divisor_tail(K // 10)
-            bound = pi2 * 32 / 125 * r5 + pi2 * ErrReal(6).sqrt() * 108 / 125 * r10
-            _TAIL_BOUNDS[key] = bound.hi
+            z = to_fixed(zeta_3_2(_zeta_target(prec)).hi._mpf_, w) + 1
+        partials = _DIVISOR_PARTIALS.setdefault(w, [0])
+        for k in range(len(partials), K // 5 + 1):
+            partials.append(partials[-1] + divisor_count(k) * isqrt((1 << 2 * w) // k**3))
+        r5, r10 = (z * z - (partials[c] << w) for c in (K // 5, K // 10))
+        bound = -(-pi * pi * ((32 * r5 << w) + 108 * (isqrt(6 << 2 * w) + 1) * r10) // 125)
+        _TAIL_BOUNDS[key] = mp.make_mpf(from_man_exp(bound, -5 * w, prec, round_ceiling))
     return _TAIL_BOUNDS[key]
 
 
@@ -291,12 +293,11 @@ def c_exact(
     One pass at prec 2^e bits, e >= 0 the least that reaches
     _pass_bits(delta, n, k_max), where the numeric error is at most 1/4
     (_term_plan); e is reported as escalations, and k_max stays as given.
-    The summands are real integers at 2^-2w (_twist_totals), their total
-    rounded once to the working precision, charging that to the numeric error.
-    Note: the certified tail bound is of Weil type and is orders of
-    magnitude above 1/2 at any desk-scale cutoff, so the definitive flag is
-    not reachable in practice; rounding is nevertheless reported, alongside
-    the gap and both errors.
+    The summands are real integers at 2^-2w (_twist_totals); on their
+    totals, rounded is the nearest integer, ties to even as mp.nint breaks
+    them, and definitive is gap + err + ceil(2^2w tail) < 2^(2w-1).
+    The Weil-type tail bound is far above 1/2 at any desk-scale cutoff, so
+    definitive is not reachable in practice.
     """
     _validate_n(delta, n)
     if k_max is None:
@@ -311,10 +312,10 @@ def c_exact(
     value, err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
     total = _fixed_ball(value, err, 2 * w, prec)
     tail = tail_bound_op(delta, n, k_max, prec)
-    with working_precision(prec):
-        rounded = int(mp.nint(total.value))
-        gap = abs(total.value - rounded)
-        definitive = bool(gap + total.err + tail < mpf(1) / 2)
+    half = 1 << 2 * w - 1
+    rounded, rest = divmod(value + half, 2 * half)
+    rounded -= not rest and rounded & 1
+    gap = abs(value - 2 * half * rounded)
     return ExactEval(
         delta=delta,
         n=n,
@@ -323,8 +324,8 @@ def c_exact(
         err=total.err,
         tail_bound=tail,
         rounded=rounded,
-        gap=gap,
-        definitive=definitive,
+        gap=mp.make_mpf(from_man_exp(gap, -2 * w, prec, round_nearest)),
+        definitive=gap + err - to_fixed(mpf_neg(tail._mpf_), 2 * w) < half,
         prec=prec,
         escalations=escalations,
     )

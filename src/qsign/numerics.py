@@ -27,8 +27,9 @@ point z as a table of Python integers at 2^-w, one floor per coefficient,
 with an integer bound on the floor errors carried alongside, to be read
 at z/m for every integer m from the one it was built for. bessel_i1 reads
 it at m = 1, the plain sum, at the exact ends of a ball and returns their
-enclosure unrounded; the exact formula builds one table per index and
-class and reads each k by Horner's rule in 1/k^2.
+enclosure unrounded, whose ends bessel_bound_checks multiplies exactly; the
+exact formula builds one table per index and class and reads each k by
+Horner's rule in 1/k^2.
 _fixed_ball rounds a fixed-point total with an integer error bound into a
 ball, once, at the precision it is given; _fixed_complex does so for both
 parts of a complex one. Integers carry their width, and balls round at the
@@ -59,6 +60,7 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_mul,
     mpf_neg,
+    mpf_pi,
     mpf_pos,
     mpf_shift,
     mpf_sign,
@@ -490,31 +492,27 @@ class BesselBoundChecks:
 def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
     """Verify I1(x) <= x on [0,1), I1(x) <= sqrt(2/(pi x)) e^x on [1,inf),
     and I1(x) >= e^x / (4 sqrt(x)) on [3,inf), within error bars; I1 is
-    evaluated to 2^(-prec/2) relative to max(e^x, e). Where a bound
-    applies, x >= 1, and e^x is evaluated once: the midpoint of x.exp() is
-    exp(x.value) rounded as mp.exp rounds it, so it is also the scale."""
+    evaluated to 2^(-prec/2) relative to e^max(x.value, 1). A check fails
+    only where exact products of ends refute it on the whole ball: of x, I1
+    (bessel_i1's ball), e^x (mpmath's exp at x's ends, widened by
+    ErrReal.exp's 2^(3-prec) trust) and pi_lo = mpf_pi(prec + 10) - 2^-prec:
+    I1_lo > x_hi, pi_lo x_lo I1_lo^2 > 2 E_hi^2, 16 x_hi I1_hi^2 < E_lo^2."""
     x = _coerce(x)
-    exp_x = x.exp() if x.lo >= 1 else None
-    scale = exp_x.value if exp_x is not None else mp.exp(x.value if x.value > 1 else mpf(1))
-    i1 = bessel_i1(x, mpf(2) ** (-mp.prec // 2) * scale)
+    prec = mp.prec
+    i1 = bessel_i1(x, mpf(2) ** (-prec // 2) * mp.exp(x.value if x.value > 1 else mpf(1)))
+    lo, hi, i1_lo, i1_hi = (end._mpf_ for end in (x.lo, x.hi, i1.lo, i1.hi))
 
     small_app = x.hi < 1 and x.lo >= 0
-    small_ok = True
-    if small_app:
-        small_ok = not i1.lo > x.hi
-
-    large_app = x.lo >= 1
-    large_ok = True
+    small_ok = not (small_app and mpf_lt(hi, i1_lo))
+    large_app, lower_app = x.lo >= 1, x.lo >= 3
+    large_ok = lower_ok = True
     if large_app:
-        two_over_pix = ErrReal(2) / (pi_err() * x)
-        bound = two_over_pix.sqrt() * exp_x
-        large_ok = not i1.lo > bound.hi
-
-    lower_app = x.lo >= 3
-    lower_ok = True
-    if lower_app:
-        bound = exp_x / (ErrReal(4) * x.sqrt())
-        lower_ok = not i1.hi < bound.lo
+        e_lo = mpf_exp(lo, prec, round_nearest)
+        e_hi = mpf_exp(hi, prec, round_nearest) if x._e[1] else e_lo
+        e_lo, e_hi = mpf_sub(e_lo, mpf_shift(e_lo, 3 - prec)), mpf_add(e_hi, mpf_shift(e_hi, 3 - prec))
+        pi_lo = mpf_sub(mpf_pi(prec + 10), (0, 1, -prec, 1))
+        large_ok = not mpf_lt(mpf_shift(mpf_mul(e_hi, e_hi), 1), mpf_mul(mpf_mul(pi_lo, lo), mpf_mul(i1_lo, i1_lo)))
+        lower_ok = not (lower_app and mpf_lt(mpf_shift(mpf_mul(hi, mpf_mul(i1_hi, i1_hi)), 4), mpf_mul(e_lo, e_lo)))
 
     return BesselBoundChecks(small_app, small_ok, large_app, large_ok, lower_app, lower_ok)
 

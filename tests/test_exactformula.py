@@ -9,6 +9,7 @@ tail bound"), so `definitive` is expected False; rounding correctness is
 asserted against the oracle.
 """
 
+import ast
 import inspect
 import json
 import sys
@@ -19,12 +20,11 @@ from math import gcd, isqrt
 import mpmath
 import pytest
 from mpmath import mpf
-from mpmath.libmp import mpf_pi, to_fixed
+from mpmath.libmp import from_man_exp, mpf_pi, to_fixed
 
 from qsign.exactformula import (
     _DIVISOR_PARTIALS,
     _TAIL_BOUNDS,
-    _divisor_tail,
     _pass_bits,
     _term_plan,
     c_exact,
@@ -37,7 +37,7 @@ from qsign.exactformula import (
     threshold_lhs,
 )
 from qsign.arithmetic import _GUARD_BITS, _ROOT_TABLES, _akj_exponent_table, clear_caches
-from qsign.numerics import ErrReal, _fixed_ball, _i1_series, working_precision, zeta_3_2
+from qsign.numerics import ErrReal, _fixed_ball, _i1_series, bessel_bound_checks, working_precision, zeta_3_2
 from qsign.qseries import POSITIVE_RESIDUES, q10_series
 
 
@@ -80,6 +80,25 @@ def test_term_k10_equals_main_term():
         with mpmath.workprec(512):
             for ball in (t, m):
                 assert abs(ball.value - ref) <= ball.err + abs(ref) * mpf(2) ** -400, (delta, n)
+
+
+def test_main_term_builds_only_the_class_10_table(monkeypatch):
+    # a class's Bessel table is built on the first k of that class: k = 10
+    # reads d = 10 only, and c_exact reads both classes once each
+    import qsign.exactformula as ef
+
+    built = []
+
+    def spy(x, shift, w, goal, m):
+        built.append(m)
+        return _i1_series(x, shift, w, goal, m)
+
+    monkeypatch.setattr(ef, "_i1_series", spy)
+    main_term(1, 1000)
+    assert built == [10]
+    built.clear()
+    c_exact(1, 1000)
+    assert sorted(built) == [5, 10]
 
 
 def test_term_k_domain():
@@ -341,15 +360,15 @@ def test_c_exact_json_schema():
 
 # c_exact at its defaults with every radius rounded up: rounded, tail_bound as
 # (man, exp), and err rounded up at five digits. Error bars may only shrink;
-# the tail bound is the same sum in the same order, so it stays bit-identical.
+# the tail bound is tail_bound_op's integer bound rounded up once to 128 bits.
 PINNED_ROWS = {
-    (1, 10): (1, (2349783457054247324208964364651153122134759585137641987949, -184), "3.495e-39"),
-    (1, 29): (2, (2349783457054247324208964364651153122134759585137641987949, -184), "6.7515e-39"),
-    (1, 117): (-16, (7596687482809915961475965161437159431500194443366164919143, -186), "5.3633e-38"),
-    (1, 300): (65561, (1621807851244383513715652995506114101205059827855923463679, -184), "1.9404e-34"),
-    (-1, 10): (1, (2349783457054247324208964364651153122134759585137641987949, -184), "3.2009e-39"),
-    (-1, 103): (63, (1901746946174174371162319055120150529223051978551496479389, -184), "1.8893e-37"),
-    (-1, 300): (83312, (1621807851244383513715652995506114101205059827855923463679, -184), "2.4616e-34"),
+    (1, 10): (1, (254764032900871395808974546865437651521, -121), "3.495e-39"),
+    (1, 29): (2, (254764032900871395808974546865437651521, -121), "6.7515e-39"),
+    (1, 117): (-16, (102954313406949362565535491642137677723, -120), "5.3633e-38"),
+    (1, 300): (65561, (175836759567320841125875039259611693109, -121), "1.9404e-34"),
+    (-1, 10): (1, (254764032900871395808974546865437651521, -121), "3.2009e-39"),
+    (-1, 103): (63, (206187817055971351824861481890157843923, -121), "1.8893e-37"),
+    (-1, 300): (83312, (175836759567320841125875039259611693109, -121), "2.4616e-34"),
 }
 
 # the tail bound's bits when each ErrReal operation rounded its radius to
@@ -381,19 +400,22 @@ def test_c_exact_error_bars_only_shrink(delta, n):
     assert ev.err <= mpf(err)
 
 
-def test_divisor_tail_partials_follow_the_ambient_precision():
-    # the prefix sums are balls at the precision they were formed at, kept
-    # under it: sums formed at 64 bits are not read back at 128
+def test_divisor_partials_are_integer_floors_keyed_by_width():
+    # the prefix sums are integers at 2^-w, w = max(prec, 96) + 32, kept per
+    # width: 64 and 96 bits share w = 128, and 128 bits has w = 160; each
+    # step adds d(k) floor(2^w k^(-3/2)), decided by its square
     _DIVISOR_PARTIALS.clear()
-    with working_precision(128):
-        fresh = _divisor_tail(100)
-    _DIVISOR_PARTIALS.clear()
-    with working_precision(64):
-        _divisor_tail(100)
-    with working_precision(128):
-        again = _divisor_tail(100)
-    assert sorted(_DIVISOR_PARTIALS) == [64, 128]
-    assert (again._v, again._e) == (fresh._v, fresh._e)
+    _TAIL_BOUNDS.clear()
+    for prec in (64, 96, 128):
+        tail_bound_op(1, 300, 500, prec)
+    assert sorted(_DIVISOR_PARTIALS) == [128, 160]
+    for w, partials in _DIVISOR_PARTIALS.items():
+        assert len(partials) == 101
+        for k in range(1, 101):
+            step, count = partials[k] - partials[k - 1], sum(1 for m in range(1, k + 1) if k % m == 0)
+            assert step % count == 0
+            m = step // count
+            assert m * m * k**3 <= 1 << 2 * w < (m + 1) ** 2 * k**3, (w, k)
 
 
 @pytest.mark.parametrize("delta,n", [(1, 10), (1, 117), (1, 300)])
@@ -411,6 +433,44 @@ def test_tail_bound_op_is_pinned(delta, n):
         _assert_pinned_tail(bound, delta, n)
 
 
+@pytest.mark.parametrize("delta,n", [(1, 300), (-1, 103)])
+def test_definitive_flips_exactly_where_the_totals_reach_one_half(delta, n, monkeypatch):
+    # with the tail at the exact complement of gap + err to 1/2 on the
+    # totals at 2^-2w the sum is not below 1/2; one unit of 2^-2w less is
+    import qsign.exactformula as ef
+
+    w, term_at = _term_plan(delta, n, 128)
+    value, err = map(sum, zip(*(term_at(k) for k in range(5, default_k_max(delta, n) + 1, 5))))
+    half = 1 << 2 * w - 1
+    rounded = (value + half) >> 2 * w
+    complement = half - abs(value - (rounded << 2 * w)) - err
+    for units, definitive in ((complement, False), (complement - 1, True)):
+        tail = mpmath.mp.make_mpf(from_man_exp(units, -2 * w))
+        monkeypatch.setattr(ef, "tail_bound_op", lambda *args: tail)
+        ev = c_exact(delta, n)
+        assert (ev.rounded, ev.tail_bound, ev.definitive) == (rounded, tail, definitive)
+
+
+def test_exact_decisions_build_no_ball():
+    # c_exact, tail_bound_op (its partial sums included) and
+    # bessel_bound_checks decide on integers or exact dyadics: none calls
+    # pi_err, builds an ErrReal or calls a ball's sqrt or exp (mp.exp sets
+    # bessel_i1's target, math.sqrt the message of a refused cutoff), and
+    # c_exact opens no working_precision block
+    for func in (c_exact, tail_bound_op, bessel_bound_checks):
+        tree = ast.parse(inspect.getsource(func))
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if not (isinstance(node.func.value, ast.Name) and node.func.value.id in ("mp", "math")):
+                    called.add(node.func.attr)
+        assert not called & {"pi_err", "ErrReal", "sqrt", "exp"}, func.__name__
+    names = {node.id for node in ast.walk(ast.parse(inspect.getsource(c_exact))) if isinstance(node, ast.Name)}
+    assert "working_precision" not in names
+
+
 def test_tail_bound_validity_threshold():
     # (4 pi/5) sqrt(3 * 53) ~ 31.7 at n = 10
     with pytest.raises(ValueError):
@@ -424,11 +484,8 @@ def test_tail_bound_validity_test_is_the_ball_test_on_either_side_of_the_thresho
     # from an integer for any 128-bit test to decide the same; on every
     # 25th n, the 128-bit ball test K < hi of pi_err() 4/5 sqrt(3 nn)
     # rejects exactly the same one of the two cutoffs
-    from qsign.exactformula import _PI_UP
     from qsign.numerics import pi_err
 
-    with mpmath.workprec(300):
-        assert 0 <= _PI_UP - mpmath.pi * 2**128 < 3
     for delta, first in ((1, 1), (-1, 2)):
         for n in range(first, 20001):
             nn = shifted_index(delta, n)

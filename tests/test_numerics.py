@@ -557,6 +557,24 @@ def test_bessel_bound_checks_examples():
         assert r.all_ok()
 
 
+def test_bessel_bound_checks_applicability_is_decided_on_the_exact_ends():
+    # balls that straddle 1 and 3 by 2^-100: a range applies only when the
+    # whole ball lies in it, whatever the midpoint
+    with working_precision(128):
+        tiny = mpf(2) ** -100
+        cases = {
+            (1, tiny): (False, False, False),
+            (1 - tiny, tiny / 2): (True, False, False),
+            (1 + tiny, tiny / 2): (False, True, False),
+            (3, tiny): (False, True, False),
+            (3 + tiny, tiny / 2): (False, True, True),
+        }
+        for (value, err), flags in cases.items():
+            r = bessel_bound_checks(ErrReal(value, err))
+            assert (r.small_applicable, r.large_applicable, r.lower_applicable) == flags, value
+            assert r.all_ok()
+
+
 def test_bessel_bound_checks_vacuous_flags():
     with working_precision(128):
         r = bessel_bound_checks(ErrReal(mpf("0.5")))
