@@ -16,7 +16,8 @@ read from one table per class d = gcd(k, 10) (every x_k of a class is
 2 y_d / k), all in fixed point, and carries one integer error bound
 (_term_plan). The totals decide the rounding and, with the tail bound's
 integer form (tail_bound_op), the definitive flag; they are rounded only
-into the reported ball.
+into the reported ball. The tail bound and the error bound share one
+integer form, _bound_form, with zeta(3/2) from zeta_3_2 at their width.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_neg, mpf_pi, round_ceiling, round_nearest, to_fixed
 
 from .arithmetic import _GUARD_BITS, _roots, _twist_totals, divisor_count
-from .numerics import ErrReal, _fixed_ball, _i1_series, bessel_i1, pi_err, working_precision, zeta_3_2
+from .numerics import ErrReal, _fixed_ball, _i1_series, bessel_i1, working_precision, zeta_3_2
 
 __all__ = [
     "ExactEval",
@@ -77,7 +78,7 @@ def _term_plan(delta: int, n: int, prec: int):
     Proof of the bounds. Per index, with u = w + 16 and, for d = 5, 10,
     R_d = sqrt(2 (d-4) nn) and y_d = pi R_d / 5:
     * Pi = floor(2^u mpf_pi) is within 2 units of 2^u pi (mpf_pi at u + 10
-      bits is within pi 2^(-8-u), the trust pi_err takes), and
+      bits is within pi 2^(-8-u)), and
       S_d = isqrt(2 (d-4) nn 2^2u) is 2^u R_d less [0, 1); so
       P_d = Pi S_d is within e_d = 2 S_d + Pi + 2 of 2^2u pi R_d.
     * The prefix sqrt2 pi sqrt(d-4) / sqrt(nn) is pi R_d / nn, kept at
@@ -210,11 +211,24 @@ _DIVISOR_PARTIALS: dict[int, list[int]] = {}
 _TAIL_BOUNDS: dict[tuple[int, int], mpf] = {}
 
 
-def _zeta_target(prec: int) -> mpf:
-    """The error asked of zeta(3/2) at prec bits: 2^(-prec/2), but never below
-    2^-128. zeta_3_2 sums about target^(-2/17) terms, 20k at 2^-128 and 7e8
-    at 2^-256, so a finer target would stall every run above 256 bits."""
-    return mpf(2) ** max(-prec // 2, -128)
+def _pi_root_pairs(w: int, *squares: int) -> list[tuple[int, int]]:
+    """Integer pairs (lo, hi) with lo <= 2^w x <= hi: first for pi, P - 1 and
+    P + 2 with P = floor(2^w mpf_pi(w + 10)), as mpf_pi is within 2^-(w+8)
+    of pi; then for sqrt(x) of each x in squares, r = isqrt(x 2^2w), the
+    floor of 2^w sqrt(x), and r + 1."""
+    p = to_fixed(mpf_pi(w + 10), w)
+    return [(p - 1, p + 2)] + [(r, r + 1) for r in (isqrt(x << 2 * w) for x in squares)]
+
+
+def _bound_form(x: int, y: int, w: int, prec: int) -> mpf:
+    """(pi^2/125) (32 X + 108 sqrt6 Y), the shape of the tail and the error
+    bound, from above for nonnegative X and Y given as integers x >= 2^2w X
+    and y >= 2^2w Y: ceil(P^2 (32 x 2^w + 108 R6 y) / 125) at 2^-5w, with P
+    and R6 the upper ends of pi and sqrt6 (_pi_root_pairs), rounded up once
+    to prec bits."""
+    (_, pi), (_, r6) = _pi_root_pairs(w, 6)
+    bound = -(-pi * pi * ((32 * x << w) + 108 * r6 * y) // 125)
+    return mp.make_mpf(from_man_exp(bound, -5 * w, prec, round_ceiling))
 
 
 def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
@@ -226,31 +240,28 @@ def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
     (108 sqrt6 pi^2/125) R(K//10) with R the divisor tail. Valid once every
     omitted Bessel argument is below 1, i.e. K >= (4 pi/5) sqrt(3 nn):
     25 K^2 >= 48 nn pi^2. Both are integers at 2^-w, w = max(prec, 96) + 32,
-    with P = floor(2^w mpf_pi(w + 10)) + 2 >= 2^w pi for pi: the test is on
-    25 K^2 2^2w, and the bound ceil(P^2 (32 R5 2^w + 108 (isqrt(6 2^2w) + 1)
-    R10) / 125) at 2^-5w is rounded up to prec bits. R(c) = Z^2 - 2^w S[c] is
-    at least 2^2w times the tail: Z = floor(2^w hi) + 1, hi the top of
-    zeta_3_2's ball, is at least 2^w zeta(3/2), and S[c] sums d(k)
+    with P >= 2^w pi the upper end of _pi_root_pairs' pi: the test is on
+    25 K^2 2^2w, and the bound is _bound_form of X = R5 and Y = R10.
+    R(c) = Z^2 - 2^w S[c] is at least 2^2w times the tail: Z, the upper end
+    of zeta_3_2 at w bits, is at least 2^w zeta(3/2), and S[c] sums d(k)
     isqrt(floor(2^2w / k^3)) = d(k) floor(2^w k^(-3/2)) over k <= c (an
     integer m has m^2 <= y iff m^2 <= floor(y)).
     """
     nn = _validate_n(delta, n)
     w = max(prec, 96) + 32
-    pi = to_fixed(mpf_pi(w + 10), w) + 2
+    pi = _pi_root_pairs(w)[0][1]
     if K < 1 or (25 * K * K << 2 * w) < 48 * nn * pi * pi:
         raise ValueError(
             f"cutoff K={K} below the validity threshold ~{4 * math.pi / 5 * math.sqrt(3 * nn):.6g}"
         )
     key = (K // 5, prec)
     if key not in _TAIL_BOUNDS:
-        with working_precision(prec):
-            z = to_fixed(zeta_3_2(_zeta_target(prec)).hi._mpf_, w) + 1
+        z = zeta_3_2(w)[1]
         partials = _DIVISOR_PARTIALS.setdefault(w, [0])
         for k in range(len(partials), K // 5 + 1):
             partials.append(partials[-1] + divisor_count(k) * isqrt((1 << 2 * w) // k**3))
         r5, r10 = (z * z - (partials[c] << w) for c in (K // 5, K // 10))
-        bound = -(-pi * pi * ((32 * r5 << w) + 108 * (isqrt(6 << 2 * w) + 1) * r10) // 125)
-        _TAIL_BOUNDS[key] = mp.make_mpf(from_man_exp(bound, -5 * w, prec, round_ceiling))
+        _TAIL_BOUNDS[key] = _bound_form(r5, r10, w, prec)
     return _TAIL_BOUNDS[key]
 
 
@@ -343,26 +354,21 @@ def error_bound_total(delta: int, n: int, prec: int = 128) -> mpf:
     """Rigorous upper bound for the absolute value of all k != 10 terms:
     32 pi^2 z^2/125 + (64 pi^2/125) I1((2pi/25) sqrt(2 nn))
     + 108 sqrt6 pi^2 z^2/125 + (216 sqrt6 pi^2/125) I1((pi/25) sqrt(3 nn)),
-    with z = zeta(3/2)."""
+    with z = zeta(3/2): _bound_form of X = z^2 + 2 I1a and Y = z^2 + 2 I1b at
+    w = max(prec, 96) + 32, z^2 from above as Z^2 (zeta_3_2's upper end), and
+    I1 as the ceiling at 2^-w of bessel_i1's upper end, to 2^(-prec/2), over
+    the _ratio_ball arguments pi sqrt(8 nn)/25 and pi sqrt(3 nn)/25."""
     if delta == 1 and n < 9:
         raise ValueError("error bound needs n >= 9 for delta=+1")
     if delta == -1 and n < 12:
         raise ValueError("error bound needs n >= 12 for delta=-1")
     nn = shifted_index(delta, n)
-    with working_precision(prec):
-        z2 = zeta_3_2(_zeta_target(prec))
-        z2 = z2 * z2
-        pi = pi_err()
-        pi2 = pi * pi
-        i1a = bessel_i1(pi * 2 / 25 * ErrReal(2 * nn).sqrt(), mpf(2) ** (-prec // 2))
-        i1b = bessel_i1(pi / 25 * ErrReal(3 * nn).sqrt(), mpf(2) ** (-prec // 2))
-        bound = (
-            pi2 * 32 / 125 * z2
-            + pi2 * 64 / 125 * i1a
-            + pi2 * ErrReal(6).sqrt() * 108 / 125 * z2
-            + pi2 * ErrReal(6).sqrt() * 216 / 125 * i1b
-        )
-        return bound.hi
+    w = max(prec, 96) + 32
+    pi, r8, r3 = _pi_root_pairs(w, 8 * nn, 3 * nn)
+    target, z2 = mpf(2) ** (-prec // 2), zeta_3_2(w)[1] ** 2
+    tops = (bessel_i1(_ratio_ball([pi, r], [(25 << w,) * 2], w, prec), target).hi for r in (r8, r3))
+    x, y = (z2 - (to_fixed(mpf_neg(top._mpf_), w) << w + 1) for top in tops)  # z2 + 2^(w+1) ceil(2^w top)
+    return _bound_form(x, y, w, prec)
 
 
 @dataclass
@@ -419,14 +425,13 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
         K2 = 64 2^(5/4) sqrt(pi) / (25 3^(1/4) c),                    p = 1,   q = a - b
         K3 = 864 sqrt2 sqrt(pi) / (25 c),                             p = 1,   q = -b/2
 
-    which is how it is evaluated. Each n-independent factor (K1 / z^2, K2,
-    K3, b, b - a and b/2) is a ratio of products of positive reals, each
+    which is how it is evaluated. Each n-independent factor (K1, K2, K3,
+    b, b - a and b/2) is a ratio of products of positive reals, each
     enclosed at 2^-w, w = prec + 32, by integers lo <= 2^w x <= hi:
-    pi by P - 1 and P + 2 with P = floor(2^w mpf_pi(w + 10)), which is
-    within 2^-(w+8) of pi; sqrt(k) and k^(1/4) by r = isqrt(k 2^(2w)) and
-    isqrt(isqrt(k 2^(4w))), the floors of 2^w sqrt(k) and 2^w k^(1/4), and
-    r + 1; sqrt(pi) by isqrt((P - 1) 2^w) and isqrt((P + 2) 2^w) + 1, as
-    P - 1 <= 2^w pi <= P + 2; sqrt3 - sqrt2 by the differences of opposite
+    pi and sqrt(k) by _pi_root_pairs, pi by P - 1 and P + 2; z by
+    zeta_3_2's pair at w bits; k^(1/4) by r = isqrt(isqrt(k 2^(4w))), the
+    floor of 2^w k^(1/4), and r + 1; sqrt(pi) by isqrt((P - 1) 2^w) and
+    isqrt((P + 2) 2^w) + 1; sqrt3 - sqrt2 by the differences of opposite
     ends; c by C - 1 and C + 1, where C = |m| for the entry m = 13 or 14 of
     the cos list of _roots(50, w - _GUARD_BITS), which is within one unit
     of 2^w cos((13 or 14) pi/25), whose sign it shares (|m| > 0.06 2^w);
@@ -434,7 +439,7 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
     unit. _ratio_ball encloses each constant by an integer pair, at most
     about 2^-(prec+26) of it wide (c's two units are the widest share), and
     rounds it into one ball, whose radius is then about 2^-prec of it, as
-    for one ball operation. z^2 is read from zeta_3_2 at every call.
+    for one ball operation.
 
     s, s^(1/2) and the exps stay balls: at n = 10^44 the value is about
     10^(-7.8e20), which no fixed point at these widths can hold. Runs once
@@ -457,9 +462,8 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
     prec = max(96, nn.bit_length() // 2 + 32)
     w = prec + 32
     cos = abs(_roots(50, w - _GUARD_BITS)[0][13 if delta == 1 else 14])
-    p = to_fixed(mpf_pi(w + 10), w)
-    pi, root_pi, c = (p - 1, p + 2), (isqrt((p - 1) << w), isqrt((p + 2) << w) + 1), (cos - 1, cos + 1)
-    r2, r3, r6 = ((r, r + 1) for r in (isqrt(x << 2 * w) for x in (2, 3, 6)))
+    pi, r2, r3, r6 = _pi_root_pairs(w, 2, 3, 6)
+    root_pi, c, z = (isqrt(pi[0] << w), isqrt(pi[1] << w) + 1), (cos - 1, cos + 1), zeta_3_2(w)
     q3, q32 = ((r, r + 1) for r in (isqrt(isqrt(x << 4 * w)) for x in (3, 32)))  # 3^(1/4), 2^(5/4)
     r3_less_r2 = (r3[0] - r2[1], r3[1] - r2[0])
     r6_sum = ((8 << w) + 27 * r6[0], (8 << w) + 27 * r6[1])  # 8 + 27 sqrt6
@@ -467,14 +471,13 @@ def threshold_lhs(delta: int, n: int) -> ErrReal:
     def exact(x: int) -> tuple[int, int]:
         return x << w, x << w
 
+    k1 = _ratio_ball([exact(8), r2, r6_sum, pi, root_pi, z, z], [exact(125), q3, c], w, prec)
+    k2 = _ratio_ball([exact(64), q32, root_pi], [exact(25), q3, c], w, prec)
+    k3 = _ratio_ball([exact(864), r2, root_pi], [exact(25), c], w, prec)
+    b = _ratio_ball([exact(2), pi, r3], [exact(25)], w, prec)
+    b_less_a = _ratio_ball([exact(2), pi, r3_less_r2], [exact(25)], w, prec)
+    half_b = _ratio_ball([pi, r3], [exact(25)], w, prec)
     with working_precision(prec):
-        z = zeta_3_2(mpf(10) ** -9)
-        k1 = _ratio_ball([exact(8), r2, r6_sum, pi, root_pi], [exact(125), q3, c], w, prec) * (z * z)
-        k2 = _ratio_ball([exact(64), q32, root_pi], [exact(25), q3, c], w, prec)
-        k3 = _ratio_ball([exact(864), r2, root_pi], [exact(25), c], w, prec)
-        b = _ratio_ball([exact(2), pi, r3], [exact(25)], w, prec)
-        b_less_a = _ratio_ball([exact(2), pi, r3_less_r2], [exact(25)], w, prec)
-        half_b = _ratio_ball([pi, r3], [exact(25)], w, prec)
         s = ErrReal(nn).sqrt()
         result = (
             k1 * (s * s.sqrt()) * (-(b * s)).exp()

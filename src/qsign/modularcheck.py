@@ -86,7 +86,8 @@ def _fixed_exp(x, size, w: int) -> tuple[int, int, int]:
     exponentiated by mpmath's exp, at p = w + 8 bits. x() takes a few
     roundings there from ingredients of modulus at most size, so it is
     within 4 size 2^-p of the argument meant; exp is within a few ulp of
-    its own argument's value. The value z is therefore within
+    its own argument's value, as for the real exp's 2^(_EXP_TRUST - p)
+    relative trust (numerics._EXP_TRUST). The value z is therefore within
     |z| (size + 2) 2^(4-p) of the truth, which is at most
     |z| 2^w (size + 2) / 16 units, and the two floors add less than 2."""
     with working_precision(w + 8):

@@ -1,8 +1,9 @@
 """Error-tracked arbitrary-precision real and complex arithmetic.
 
-Every analytic quantity in the verifier is an ErrReal: a ball, midpoint
-plus radius, both held as mpmath's raw libmp tuples. The ball invariant:
-the true value lies within err of value. Each operation keeps it.
+Every analytic quantity the verifier reports is an ErrReal or an integer
+enclosure at a stated width. An ErrReal is a ball, midpoint plus radius,
+both held as mpmath's raw libmp tuples. The ball invariant: the true value
+lies within err of value. Each operation keeps it.
 
 * The midpoint rounds to nearest at the ambient precision, exactly as
   mpmath's own operators round, so values are bit-identical to plain mpf
@@ -15,7 +16,7 @@ the true value lies within err of value. Each operation keeps it.
   a narrower output.
 * Monotone maps (sqrt, exp) reach from the midpoint to outward-rounded
   images of the endpoints. exp, cos and hypot trust mpmath to within a few
-  ulp, which their charges cover.
+  ulp, which their charges cover; exp's trust is _EXP_TRUST.
 
 This is the midpoint-radius scheme of Arb (Johansson, IEEE TC 2017).
 
@@ -33,9 +34,10 @@ Horner's rule in 1/k^2.
 _fixed_ball rounds a fixed-point total with an integer error bound into a
 ball, once, at the precision it is given; _fixed_complex does so for both
 parts of a complex one. Integers carry their width, and balls round at the
-ambient precision: the fixed-point kernels (_i1_series, arithmetic's
-tables and sums, modularcheck's _fixed_exp, _fixed_mul and _qpochhammer)
-take their width as an argument and read no mp.prec.
+ambient precision: the fixed-point kernels (_i1_series, zeta_3_2, which
+gives the integer ends of 2^w zeta(3/2), arithmetic's tables and sums,
+modularcheck's _fixed_exp, _fixed_mul and _qpochhammer) take their width
+as an argument and read no mp.prec.
 A root of unity at a rational angle is an entry of arithmetic's tables
 (arithmetic.unit_root); nothing here evaluates one.
 """
@@ -44,8 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from mpmath import mp, mpf
+from mpmath import bernfrac, mp, mpf
 from mpmath.libmp import (
     from_float,
     from_int,
@@ -77,7 +80,6 @@ __all__ = [
     "ErrReal",
     "ErrComplex",
     "working_precision",
-    "pi_err",
     "bessel_i1",
     "bessel_bound_checks",
     "BesselBoundChecks",
@@ -107,12 +109,11 @@ class working_precision:
             mp.prec = self.old
 
 
-def _eps(shift: int = 1) -> mpf:
-    # 2^(shift - prec), exact at any precision
-    return mpf((1, shift - mp.prec))
-
-
 _make = mp.make_mpf
+
+# mpmath's real exp at prec bits is trusted to within 2^(_EXP_TRUST - prec)
+# of the true value, relative: ErrReal.exp and bessel_bound_checks charge it
+_EXP_TRUST = 3
 
 
 def _ball(v: tuple, e: tuple) -> "ErrReal":
@@ -282,7 +283,7 @@ class ErrReal:
         return _covering(r, mpf_sqrt(lo, prec, round_floor), mpf_sqrt(hi, prec, round_ceiling), prec)
 
     def exp(self) -> "ErrReal":
-        # mpmath's exp is within 2^(3-prec) relative of the true value
+        # mpmath's exp is within 2^(_EXP_TRUST - prec) relative of the true value
         prec = mp.prec
         v, e = self._v, self._e
         r = mpf_exp(v, prec, round_nearest)
@@ -291,8 +292,8 @@ class ErrReal:
             bottom = mpf_exp(mpf_sub(v, e), prec, round_nearest)
         else:
             top = bottom = r
-        bottom = mpf_sub(bottom, mpf_shift(bottom, 3 - prec), prec, round_floor)
-        top = mpf_add(top, mpf_shift(top, 3 - prec), prec, round_ceiling)
+        bottom = mpf_sub(bottom, mpf_shift(bottom, _EXP_TRUST - prec), prec, round_floor)
+        top = mpf_add(top, mpf_shift(top, _EXP_TRUST - prec), prec, round_ceiling)
         return _covering(r, bottom, top, prec)
 
     def cos(self) -> "ErrReal":
@@ -311,10 +312,6 @@ def _coerce(x) -> ErrReal:
     if isinstance(x, int) and x.bit_length() <= mp.prec:
         return _ball(from_int(x), fzero)
     return ErrReal(x)
-
-
-def pi_err() -> ErrReal:
-    return ErrReal(+mp.pi, mp.pi * _eps(2))
 
 
 class ErrComplex:
@@ -494,8 +491,8 @@ def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
     and I1(x) >= e^x / (4 sqrt(x)) on [3,inf), within error bars; I1 is
     evaluated to 2^(-prec/2) relative to e^max(x.value, 1). A check fails
     only where exact products of ends refute it on the whole ball: of x, I1
-    (bessel_i1's ball), e^x (mpmath's exp at x's ends, widened by
-    ErrReal.exp's 2^(3-prec) trust) and pi_lo = mpf_pi(prec + 10) - 2^-prec:
+    (bessel_i1's ball), e^x (mpmath's exp at x's ends, widened by its
+    2^(_EXP_TRUST - prec) relative trust) and pi_lo = mpf_pi(prec + 10) - 2^-prec:
     I1_lo > x_hi, pi_lo x_lo I1_lo^2 > 2 E_hi^2, 16 x_hi I1_hi^2 < E_lo^2."""
     x = _coerce(x)
     prec = mp.prec
@@ -509,7 +506,8 @@ def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
     if large_app:
         e_lo = mpf_exp(lo, prec, round_nearest)
         e_hi = mpf_exp(hi, prec, round_nearest) if x._e[1] else e_lo
-        e_lo, e_hi = mpf_sub(e_lo, mpf_shift(e_lo, 3 - prec)), mpf_add(e_hi, mpf_shift(e_hi, 3 - prec))
+        e_lo = mpf_sub(e_lo, mpf_shift(e_lo, _EXP_TRUST - prec))
+        e_hi = mpf_add(e_hi, mpf_shift(e_hi, _EXP_TRUST - prec))
         pi_lo = mpf_sub(mpf_pi(prec + 10), (0, 1, -prec, 1))
         large_ok = not mpf_lt(mpf_shift(mpf_mul(e_hi, e_hi), 1), mpf_mul(mpf_mul(pi_lo, lo), mpf_mul(i1_lo, i1_lo)))
         lower_ok = not (lower_app and mpf_lt(mpf_shift(mpf_mul(hi, mpf_mul(i1_hi, i1_hi)), 4), mpf_mul(e_lo, e_lo)))
@@ -521,49 +519,47 @@ def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
 # zeta(3/2)
 # ---------------------------------------------------------------------------
 
-# B_2, B_4, B_6 of the Euler-Maclaurin tail of sum n^(-3/2); the integrand
-# is completely monotone, so the remainder is enveloped by the first omitted
-# (B_8) correction term.
-_EM_B = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42))
-
-_ZETA_CACHE: dict[tuple[int, tuple], ErrReal] = {}
+_ZETA_CACHE: dict[int, tuple[int, int]] = {}
 
 
-def zeta_3_2(target_err) -> ErrReal:
-    """zeta(3/2) enclosed by a partial sum over n <= N plus the
-    Euler-Maclaurin tail from N+1 through its B_6 term; the remainder stays
-    enveloped because x^(-3/2) is completely monotone. Cached per ambient
-    precision and exact target.
+def zeta_3_2(w: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^w zeta(3/2) <= hi and hi - lo 1 or 2,
+    cached per width w >= 1.
+
+    With a = w//2 + 8 and u = w + bitlen(a) + 4, zeta(3/2) is the sum over
+    k < a plus the Euler-Maclaurin tail from a, a^(-1/2) Q with
+    Q = 2 + 1/(2a) + sum_j B_2j (3/2)_(2j-1) / ((2j)! a^2j). Each k < a adds
+    floor(2^u k^(-3/2)) = isqrt(floor(2^2u / k^3)) (m^2 <= y iff
+    m^2 <= floor(y) for an integer m), so the sum S is under a - 1 units
+    short. Q is summed at 2^-u, one floor per term, with mpmath's exact
+    Bernoulli rationals (bernfrac), up to the first term below 2^-(u+4):
+    as x^(-3/2) is completely monotone, the remainder lies between 0 and
+    that omitted term, R units rounded up. So 2^u Q lies in [T - R, T + j + R]
+    for the total T of j floors (the omitted term is the j-th), and 2^u a^(-1/2) in [r, r + 1],
+    r = isqrt(floor(2^2u / a)); lo and hi round the two ends at 2^-w, which
+    lie under 1/8 unit apart.
     """
-    from mpmath import sqrt as msqrt
-
-    target = target_err if isinstance(target_err, mpf) else mpf(target_err)
-    if not target > 0:
-        raise ValueError("target_err must be positive")
-    key = (mp.prec, target._mpf_)
-    if key in _ZETA_CACHE:
-        return _ZETA_CACHE[key]
-
-    # remainder after B6 term: <= 0.0131 * (N+1)^(-8.5)
-    n_terms = int((mpf("0.0131") / target) ** (mpf(2) / 17)) + 16
-
-    with working_precision(mp.prec + 32 + n_terms.bit_length()):
-        partial = mpf(0)
-        for k in range(n_terms, 0, -1):  # ascending magnitudes: sum small-to-large
-            partial += 1 / (mpf(k) * msqrt(k))
-        rounding = partial * (n_terms + 4) * _eps(2)
-        a = mpf(n_terms + 1)
-        s = mpf(3) / 2
-        tail = 2 / msqrt(a) + a ** (-s) / 2
-        deriv = -s * a ** (-s - 1)
-        tail -= mpf(_EM_B[0].numerator) / _EM_B[0].denominator / 2 * deriv
-        deriv3 = -s * (s + 1) * (s + 2) * a ** (-s - 3)
-        tail -= mpf(_EM_B[1].numerator) / _EM_B[1].denominator / 24 * deriv3
-        deriv5 = -s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * a ** (-s - 5)
-        tail -= mpf(_EM_B[2].numerator) / _EM_B[2].denominator / 720 * deriv5
-        remainder = mpf("0.0131") * a ** mpf("-8.5")
-        value = partial + tail
-        err = remainder + rounding + abs(value) * _eps(4)
-        result = ErrReal(value, err)
-    _ZETA_CACHE[key] = result
-    return result
+    if w < 1:
+        raise ValueError("zeta_3_2 needs a width of at least 1 bit")
+    if w in _ZETA_CACHE:
+        return _ZETA_CACHE[w]
+    a = w // 2 + 8
+    u = w + a.bit_length() + 4
+    one = 1 << 2 * u
+    partial = sum(isqrt(one // k**3) for k in range(1, a))
+    total = (2 << u) + (1 << u) // (2 * a)
+    num, den, j = 3, 4 * a * a, 1  # term j of Q is B_2j num / den: (3/2) / (2 a^2) B_2 at j = 1
+    while True:
+        p, q = bernfrac(2 * j)
+        if abs(p) * num << u + 4 < q * den:
+            break
+        total += (p * num << u) // (q * den)
+        num *= (4 * j + 1) * (4 * j + 3)
+        den *= 4 * (2 * j + 1) * (2 * j + 2) * a * a
+        j += 1
+    rest = (abs(p) * num << u) // (q * den) + 1  # the omitted term, rounded up at 2^-u
+    r = isqrt(one // a)
+    lo = ((partial << u) + (total - rest) * r) >> 2 * u - w
+    hi = -((-((partial + a - 1) << u) - (total + j + rest) * (r + 1)) >> 2 * u - w)
+    _ZETA_CACHE[w] = lo, hi
+    return lo, hi

@@ -161,29 +161,30 @@ def test_pass_bits_keep_the_criterion_3_indices_at_128():
     assert 128 < _pass_bits(1, 20000, default_k_max(1, 20000)) <= 256
 
 
-def test_c_exact_at_512_bits_asks_zeta_no_finer_than_2_to_minus_128(monkeypatch):
-    # zeta_3_2's term count grows as target^(-2/17): 2^-256 would be 7e8 terms
+def test_c_exact_at_512_bits_asks_zeta_for_its_width(monkeypatch):
+    # zeta_3_2 takes the bound's width w = max(prec, 96) + 32 and costs
+    # milliseconds there: no cap on its accuracy at 512 bits
     import qsign.exactformula as ef
 
-    targets = []
+    widths = []
 
-    def spy(target):
-        targets.append(target)
-        return zeta_3_2(target)
+    def spy(w):
+        widths.append(w)
+        return zeta_3_2(w)
 
     monkeypatch.setattr(ef, "zeta_3_2", spy)
+    _TAIL_BOUNDS.clear()
     ev = c_exact(1, 10, prec=512)
     assert ev.rounded == q10_series(1, 10).coefficient(10)
     assert ev.gap + ev.err < mpf("0.5")
     assert ev.prec == 512
     main_error_split(1, 10, prec=512)
-    assert targets and min(targets) == mpf(2) ** -128
-    # at 256 bits and below the target is 2^(-prec/2), as before
+    assert widths == [544, 544]
     for prec in (64, 127, 256):
-        targets.clear()
+        widths.clear()
         tail_bound_op(1, 10, 50, prec)
         error_bound_total(1, 10, prec)
-        assert set(targets) == {mpf(2) ** (-prec // 2)}
+        assert widths == [max(prec, 96) + 32] * 2
 
 
 # -- the integer term loop ------------------------------------------------------
@@ -362,13 +363,13 @@ def test_c_exact_json_schema():
 # (man, exp), and err rounded up at five digits. Error bars may only shrink;
 # the tail bound is tail_bound_op's integer bound rounded up once to 128 bits.
 PINNED_ROWS = {
-    (1, 10): (1, (254764032900871395808974546865437651521, -121), "3.495e-39"),
-    (1, 29): (2, (254764032900871395808974546865437651521, -121), "6.7515e-39"),
-    (1, 117): (-16, (102954313406949362565535491642137677723, -120), "5.3633e-38"),
-    (1, 300): (65561, (175836759567320841125875039259611693109, -121), "1.9404e-34"),
-    (-1, 10): (1, (254764032900871395808974546865437651521, -121), "3.2009e-39"),
-    (-1, 103): (63, (206187817055971351824861481890157843923, -121), "1.8893e-37"),
-    (-1, 300): (83312, (175836759567320841125875039259611693109, -121), "2.4616e-34"),
+    (1, 10): (1, (254764032900871395797806287228328664651, -121), "3.495e-39"),
+    (1, 29): (2, (254764032900871395797806287228328664651, -121), "6.7515e-39"),
+    (1, 117): (-16, (3217322293967167579998480056986974509, -115), "5.3633e-38"),
+    (1, 300): (65561, (175836759567320841114706779622502706239, -121), "1.9404e-34"),
+    (-1, 10): (1, (254764032900871395797806287228328664651, -121), "3.2009e-39"),
+    (-1, 103): (63, (206187817055971351813693222253048857053, -121), "1.8893e-37"),
+    (-1, 300): (83312, (175836759567320841114706779622502706239, -121), "2.4616e-34"),
 }
 
 # the tail bound's bits when each ErrReal operation rounded its radius to
@@ -455,8 +456,7 @@ def test_exact_decisions_build_no_ball():
     # c_exact, tail_bound_op (its partial sums included) and
     # bessel_bound_checks decide on integers or exact dyadics: none calls
     # pi_err, builds an ErrReal or calls a ball's sqrt or exp (mp.exp sets
-    # bessel_i1's target, math.sqrt the message of a refused cutoff), and
-    # c_exact opens no working_precision block
+    # bessel_i1's target, math.sqrt the message of a refused cutoff)
     for func in (c_exact, tail_bound_op, bessel_bound_checks):
         tree = ast.parse(inspect.getsource(func))
         called = set()
@@ -467,8 +467,15 @@ def test_exact_decisions_build_no_ball():
                 if not (isinstance(node.func.value, ast.Name) and node.func.value.id in ("mp", "math")):
                     called.add(node.func.attr)
         assert not called & {"pi_err", "ErrReal", "sqrt", "exp"}, func.__name__
-    names = {node.id for node in ast.walk(ast.parse(inspect.getsource(c_exact))) if isinstance(node, ast.Name)}
-    assert "working_precision" not in names
+
+    def names(func):
+        return {node.id for node in ast.walk(ast.parse(inspect.getsource(func))) if isinstance(node, ast.Name)}
+
+    # zeta_3_2 is an integer kernel: it names neither mp nor mpf; and no
+    # bound opens a precision block or calls pi_err
+    assert not names(zeta_3_2) & {"mp", "mpf"}
+    for func in (c_exact, tail_bound_op, error_bound_total):
+        assert not names(func) & {"working_precision", "pi_err"}, func.__name__
 
 
 def test_tail_bound_validity_threshold():
@@ -482,9 +489,9 @@ def test_tail_bound_validity_test_is_the_ball_test_on_either_side_of_the_thresho
     # for every n <= 20000 of both signs: K = ceil(t) passes and K = ceil(t)
     # - 1 raises, t = (4 pi/5) sqrt(3 nn) at 256 bits, and t is far enough
     # from an integer for any 128-bit test to decide the same; on every
-    # 25th n, the 128-bit ball test K < hi of pi_err() 4/5 sqrt(3 nn)
-    # rejects exactly the same one of the two cutoffs
-    from qsign.numerics import pi_err
+    # 25th n, K < (4/5) pi sqrt(3 nn) on the upper ends of 160-bit integer
+    # pairs rejects exactly the same one of the two cutoffs
+    from qsign.exactformula import _pi_root_pairs
 
     for delta, first in ((1, 1), (-1, 2)):
         for n in range(first, 20001):
@@ -497,9 +504,8 @@ def test_tail_bound_validity_test_is_the_ball_test_on_either_side_of_the_thresho
             with pytest.raises(ValueError):
                 tail_bound_op(delta, n, top - 1)
             if n % 25 == 0:
-                with working_precision(128):
-                    hi = (pi_err() * 4 / 5 * ErrReal(3 * nn).sqrt()).hi
-                assert [mpf(K) < hi for K in (top - 1, top)] == [True, False], (delta, n)
+                (_, pi), (_, root) = _pi_root_pairs(160, 3 * nn)
+                assert [5 * K << 320 < 4 * pi * root for K in (top - 1, top)] == [True, False], (delta, n)
 
 
 def test_tail_bound_decreases_and_vanishes():
@@ -518,15 +524,12 @@ def test_tail_bound_decreases_and_vanishes():
 
 
 def test_tail_bound_below_full_constant_form():
-    # full-constant form: (32 pi^2/125 + 108 sqrt6 pi^2/125) zeta(3/2)^2
-    with working_precision(128):
-        import qsign.numerics as nm
-
-        z2 = nm.zeta_3_2(mpf("1e-20"))
-        z2 = z2 * z2
-        pi2 = nm.pi_err() * nm.pi_err()
-        full = (pi2 * 32 / 125 + pi2 * ErrReal(6).sqrt() * 108 / 125) * z2
-        assert tail_bound_op(1, 30, default_k_max(1, 30)) < full.lo
+    # full-constant form: (32 pi^2/125 + 108 sqrt6 pi^2/125) zeta(3/2)^2,
+    # by mpmath at 256 bits
+    with mpmath.workprec(256):
+        pi2 = mpmath.pi**2
+        full = (pi2 * 32 / 125 + pi2 * mpmath.sqrt(6) * 108 / 125) * mpmath.zeta(mpf(3) / 2) ** 2
+        assert tail_bound_op(1, 30, default_k_max(1, 30)) < full
 
 
 def test_tail_bound_is_a_valid_truncation_bound():
@@ -571,6 +574,19 @@ def test_error_bound_total_conclusive_at_thresholds():
     assert s1.error_bound / abs(s1.main.value) < 1
     s2 = main_error_split(-1, 2234)
     assert s2.conclusive
+
+
+# the last n of each class n mod 5 (in order 0..4) at which main_error_split
+# is not conclusive, over every n from 12 to 3000
+LAST_INCONCLUSIVE = {1: (1075, 826, 2187, 843, 999), -1: (940, 816, 867, 1178, 1579)}
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_main_error_split_turns_conclusive_at_each_class_threshold(delta):
+    for residue, n in enumerate(LAST_INCONCLUSIVE[delta]):
+        assert n % 5 == residue
+        assert not main_error_split(delta, n).conclusive, n
+        assert main_error_split(delta, n + 5).conclusive, n + 5
 
 
 def test_error_bound_ratio_decreasing_on_sample():
@@ -694,9 +710,9 @@ def test_threshold_lhs_meets_its_goal_in_one_pass(monkeypatch):
     threshold_lhs(1, 10**44)
     calls = []
 
-    def spy(target):
-        calls.append(target)
-        return zeta_3_2(target)
+    def spy(w):
+        calls.append(w)
+        return zeta_3_2(w)
 
     monkeypatch.setattr(ef, "zeta_3_2", spy)
     v = threshold_lhs(1, 10**44)

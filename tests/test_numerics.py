@@ -19,7 +19,6 @@ from qsign.numerics import (
     _i1_series,
     bessel_bound_checks,
     bessel_i1,
-    pi_err,
     working_precision,
     zeta_3_2,
 )
@@ -30,7 +29,6 @@ I1_HALF = "0.257894305390896316362479659523"
 I1_ONE = "0.56515910399248502720769602761"
 I1_TWO = "1.590636854637329063382254425"
 I1_THREE = "3.95337021740260939647863574058"
-ZETA_3_2 = "2.61237534868548834334856756792"
 
 
 def test_working_precision_restores_on_exception_and_when_nested():
@@ -585,36 +583,38 @@ def test_bessel_bound_checks_vacuous_flags():
 # -- zeta(3/2) -------------------------------------------------------------------
 
 
+ZETA_WIDTHS = [16, 32, 64, 128, 160, 288, 544, 1000]
+
+
 def test_zeta_reference_value():
-    with working_precision(160):
-        z = zeta_3_2(mpf("1e-25"))
-        assert abs(z.value - mpf(ZETA_3_2)) <= z.err
-        assert z.err <= mpf("1e-25") * 2
+    # lo <= 2^w zeta(3/2) <= hi against mpmath's zeta at 2000 bits, at most
+    # two units apart at every width
+    with mpmath.workprec(2000):
+        ref = mpmath.zeta(mpf(3) / 2)
+        for w in ZETA_WIDTHS:
+            lo, hi = zeta_3_2(w)
+            assert lo <= ref * 2**w <= hi, w
+            assert hi - lo <= 2, w
 
 
 def test_zeta_bracket_width_meets_target():
-    with working_precision(96):
-        # coarse targets take the same Euler-Maclaurin tail as fine ones
-        for target in (mpf("1e-3"), mpf("1e-6"), mpf("1e-10"), mpf("1e-20")):
-            z = zeta_3_2(target)
-            assert z.err <= 2 * target
-            assert z.contains(mpf(ZETA_3_2))
+    # every width gives the same accuracy: the two ends agree with each
+    # other's at any coarser width, and the pair is cached per width
+    for w in ZETA_WIDTHS:
+        lo, hi = zeta_3_2(w)
+        assert zeta_3_2(w) is zeta_3_2(w)
+        for coarse in (1, 8, w // 2):
+            c_lo, c_hi = zeta_3_2(coarse)
+            assert c_lo <= hi >> (w - coarse) and lo >> (w - coarse) <= c_hi, (w, coarse)
 
 
 def test_zeta_square():
     with working_precision(128):
-        z = zeta_3_2(mpf("1e-20"))
-        sq = z * z
-        assert abs(sq.value - mpf("6.82450496241962680348020964")) < mpf("1e-18")
+        for end in zeta_3_2(160):
+            assert abs(mpf(end**2) / 2**320 - mpf("6.82450496241962680348020964")) < mpf("1e-26")
 
 
 def test_zeta_rejects_bad_target():
-    with pytest.raises(ValueError):
-        zeta_3_2(0)
-
-
-def test_pi_contains_pi():
-    with working_precision(128):
-        p = pi_err()
-        with mpmath.workdps(60):
-            assert p.contains(+mpmath.pi)
+    for w in (0, -1):
+        with pytest.raises(ValueError):
+            zeta_3_2(w)

@@ -657,12 +657,12 @@ def test_cli_threshold_fail_exit(capsys):
 
 
 def test_threshold_lhs_raises_at_its_precision_cap(monkeypatch, capsys):
-    # a zeta(3/2) ball too wide for the 1e-7 goal at any precision (its term
-    # is about 1e-17 of the lhs at n = 2929, so the radius must be huge):
+    # a zeta(3/2) pair too wide for the 1e-7 goal at any precision (its term
+    # is about 1e-17 of the lhs at n = 2929, so the pair must be huge):
     # the cap is reported, not returned as if the goal were met; an earlier
-    # call with the true zeta(3/2) shows that no ball of it outlives a call
+    # call with the true zeta(3/2) shows that no pair of it outlives a call
     exactformula.threshold_lhs(1, 2929)
-    monkeypatch.setattr(exactformula, "zeta_3_2", lambda target: ErrReal(mpf("2.612"), mpf(10) ** 6))
+    monkeypatch.setattr(exactformula, "zeta_3_2", lambda w: (1 << w, 10**6 << w))
     with pytest.raises(RuntimeError, match="relative error goal"):
         exactformula.threshold_lhs(1, 2929)
     assert main(["threshold", "--delta", "1", "--n", "2929"]) == 2
