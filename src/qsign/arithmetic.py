@@ -31,9 +31,9 @@ fails only when the boxes of both sides, at one scale, are disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import neg
+from typing import NamedTuple
 
 from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div, round_nearest, to_fixed
 
@@ -120,8 +120,7 @@ def select_hprime(h: int, k: int, d: int) -> int:
     raise AssertionError("no admissible modular inverse found")  # unreachable
 
 
-@dataclass(frozen=True)
-class CuspData:
+class CuspData(NamedTuple):
     """Arithmetic data attached to a fraction h/k with gcd(k,10) in {5,10}.
 
     3h = h1*k + h2 with 0 <= h2 < k; h = d*nu1 + nu2 and h2 = d*mu1 + mu2

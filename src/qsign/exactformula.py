@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, isqrt
 from operator import add
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_neg, mpf_pi, round_ceiling, round_nearest, to_fixed
@@ -77,8 +77,8 @@ def _term_plan(delta: int, n: int, prec: int):
 
     Proof of the bounds. Per index, with u = w + 16 and, for d = 5, 10,
     R_d = sqrt(2 (d-4) nn) and y_d = pi R_d / 5:
-    * Pi = floor(2^u mpf_pi) is within 2 units of 2^u pi (mpf_pi at u + 10
-      bits is within pi 2^(-8-u)), and
+    * Pi = _PI[u] = floor(2^u mpf_pi) is within 2 units of 2^u pi (mpf_pi
+      at u + 10 bits is within pi 2^(-8-u)), and
       S_d = isqrt(2 (d-4) nn 2^2u) is 2^u R_d less [0, 1); so
       P_d = Pi S_d is within e_d = 2 S_d + Pi + 2 of 2^2u pi R_d.
     * The prefix sqrt2 pi sqrt(d-4) / sqrt(nn) is pi R_d / nn, kept at
@@ -148,7 +148,7 @@ def _term_plan(delta: int, n: int, prec: int):
     nn = _validate_n(delta, n)
     w = prec + _GUARD_BITS
     u = w + 16
-    pi = to_fixed(mpf_pi(u + 10), u)
+    pi = _pi_root_pairs(u)[0][0] + 1  # P = _PI[u], its pair's lower end plus 1
     plan = {}
 
     def table(d: int) -> tuple:
@@ -209,14 +209,18 @@ _DIVISOR_PARTIALS: dict[int, list[int]] = {}
 # per (K // 5, prec), the finished bound of tail_bound_op, which depends on
 # nothing else: its second cutoff is K // 10 = (K // 5) // 2
 _TAIL_BOUNDS: dict[tuple[int, int], mpf] = {}
+# per width w, P = floor(2^w mpf_pi(w + 10)), the one integer form of pi
+_PI: dict[int, int] = {}
 
 
 def _pi_root_pairs(w: int, *squares: int) -> list[tuple[int, int]]:
     """Integer pairs (lo, hi) with lo <= 2^w x <= hi: first for pi, P - 1 and
-    P + 2 with P = floor(2^w mpf_pi(w + 10)), as mpf_pi is within 2^-(w+8)
-    of pi; then for sqrt(x) of each x in squares, r = isqrt(x 2^2w), the
-    floor of 2^w sqrt(x), and r + 1."""
-    p = to_fixed(mpf_pi(w + 10), w)
+    P + 2 with P = _PI[w], as mpf_pi is within 2^-(w+8) of pi; then for
+    sqrt(x) of each x in squares, r = isqrt(x 2^2w), the floor of
+    2^w sqrt(x), and r + 1."""
+    if w not in _PI:
+        _PI[w] = to_fixed(mpf_pi(w + 10), w)
+    p = _PI[w]
     return [(p - 1, p + 2)] + [(r, r + 1) for r in (isqrt(x << 2 * w) for x in squares)]
 
 
@@ -265,8 +269,7 @@ def tail_bound_op(delta: int, n: int, K: int, prec: int = 128) -> mpf:
     return _TAIL_BOUNDS[key]
 
 
-@dataclass
-class ExactEval:
+class ExactEval(NamedTuple):
     """Result of evaluating the exact formula at one index."""
 
     delta: int
@@ -282,7 +285,7 @@ class ExactEval:
     escalations: int  # doublings of the requested prec that reach _pass_bits
 
     def to_dict(self) -> dict:
-        return _eval_dict(vars(self))
+        return _eval_dict(self._asdict())
 
 
 def _eval_dict(row: dict) -> dict:
@@ -371,8 +374,7 @@ def error_bound_total(delta: int, n: int, prec: int = 128) -> mpf:
     return _bound_form(x, y, w, prec)
 
 
-@dataclass
-class MainErrorSplit:
+class MainErrorSplit(NamedTuple):
     """Main term with a certified error-term bound at one index."""
 
     delta: int

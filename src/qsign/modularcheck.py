@@ -26,8 +26,8 @@ the two sides' enclosures are disjoint, with no tolerance.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from mpmath import ceil, exp, floor, hypot, log, loggamma, mp, mpc, mpf, pi
 from mpmath.libmp import fone, mpf_div, mpf_lt, mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor, to_fixed
@@ -56,6 +56,10 @@ class PoleError(ArithmeticError):
     """A denominator is numerically indistinguishable from zero."""
 
 
+# per (target, prec), _theta_terms' log(4/target), floored at 0, and log(2)/pi
+_THETA_LOGS: dict = {}
+
+
 def _theta_terms(w: mpc, tau: mpc, target: mpf):
     """Truncation index M and per-side first-omitted-term bounds.
 
@@ -68,8 +72,12 @@ def _theta_terms(w: mpc, tau: mpc, target: mpf):
     """
     t = tau.imag
     beta = abs(w.imag)
-    quad = (beta + (beta * beta + t * max(log(4 / target), 0) / pi) ** 0.5) / t
-    lin = ((log(2) / pi + 2 * beta) / t - 1) / 2
+    key = (target, mp.prec)
+    if key not in _THETA_LOGS:
+        _THETA_LOGS[key] = max(log(4 / target), 0), log(2) / pi
+    log_goal, log2_pi = _THETA_LOGS[key]
+    quad = (beta + (beta * beta + t * log_goal / pi) ** 0.5) / t
+    lin = ((log2_pi + 2 * beta) / t - 1) / 2
     M = max(1, int(floor(max(quad, lin) - mpf(1) / 2)) + 1)
     if M > 10_000:
         raise RuntimeError("theta truncation failed to converge")
@@ -97,18 +105,18 @@ def _fixed_exp(x, size, w: int) -> tuple[int, int, int]:
     return re, im, ((norm * (int(size) + 3)) >> (w + 4)) + 3
 
 
-def _fixed_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int) -> tuple[int, int, int]:
+def _fixed_mul(a: tuple[int, int, int], b: tuple[int, int, int], w: int, na=None, nb=None) -> tuple[int, int, int]:
     """The product of two fixed-point complex values (re, im, err) at 2^-w.
 
     Product charge, in units of 2^-w: if A and B are within ea and eb of
     the true a and b, then |AB - ab| = |(A - a) B + a (B - b)| is at most
     ea |B| + (|A| + ea) eb, which is divided by 2^w and rounded up; the
     floors of both parts add less than 2 units. Norms are bounded above by
-    isqrt(re^2 + im^2) + 1."""
+    isqrt(re^2 + im^2) + 1, na for A and nb for B, formed here unless given."""
     ar, ai, ea = a
     br, bi, eb = b
-    na = isqrt(ar * ar + ai * ai) + 1
-    nb = isqrt(br * br + bi * bi) + 1
+    na = na or isqrt(ar * ar + ai * ai) + 1
+    nb = nb or isqrt(br * br + bi * bi) + 1
     return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w, 2 - ((-(ea * nb + (na + ea) * eb)) >> w)
 
 
@@ -163,6 +171,7 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
         re = im = err = 0
         size = 2 * pi * (abs(tau) + abs(w) + 1)
         q = _fixed_exp(lambda: 2j * pi * tau, size, W)
+        nq = isqrt(q[0] * q[0] + q[1] * q[1]) + 1
         for s in (1, -1):
             term = _fixed_exp(lambda: pi * 1j * (tau / 4 + s * (w + mpf(1) / 2)), size, W)
             rr, ri, rerr = _fixed_exp(lambda: 2j * pi * (tau + s * w), size, W)
@@ -171,8 +180,9 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
                 re += term[0]
                 im += term[1]
                 err += term[2]
-                term = _fixed_mul(term, r, W)
-                r = _fixed_mul(r, q, W)
+                nr = isqrt(r[0] * r[0] + r[1] * r[1]) + 1  # |R| serves both products
+                term = _fixed_mul(term, r, W, nb=nr)
+                r = _fixed_mul(r, q, W, nr, nq)
         return _fixed_complex(re, im, err + to_fixed(tail._mpf_, W + 1) + 1, W, prec)
 
 
@@ -308,8 +318,7 @@ def growth_classifier(d: int, nu2: int, delta: int = 1) -> bool:
     return delta * (mu2 * mu2 - nu2 * nu2 + d * (nu2 - mu2)) > 0
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check: str
     params: dict
     lhs: str
@@ -319,7 +328,7 @@ class CheckRecord:
     passed: bool
 
     def to_dict(self) -> dict:
-        record = asdict(self)
+        record = self._asdict()
         record["pass"] = record.pop("passed")
         return record
 
@@ -366,7 +375,7 @@ def _qpochhammer(a: tuple[int, int, int], q: tuple[int, int, int], target_rel, w
             norm = isqrt(pr * pr + pim * pim) + 1 + perr
             return pr, pim, perr - ((-4 * nx * norm) // (one - y))
         prod = _fixed_mul(prod, (one - x[0], -x[1], x[2]), w)
-        x = _fixed_mul(x, q, w)
+        x = _fixed_mul(x, q, w, nx - x[2], y - q[2])
     raise RuntimeError("q-Pochhammer truncation failed to converge")
 
 

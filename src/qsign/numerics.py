@@ -44,9 +44,8 @@ A root of unity at a rational angle is an entry of arithmetic's tables
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from mpmath import bernfrac, mp, mpf
 from mpmath.libmp import (
@@ -177,13 +176,15 @@ class ErrReal:
             v = mpf_pos(exact, prec, round_nearest)
             if v != exact:
                 e = _radius(e, v, prec)
-        elif isinstance(value, Fraction):
+        else:
+            from fractions import Fraction  # imported here: fractions loads decimal, which no command needs
+
+            if not isinstance(value, Fraction):
+                raise TypeError(f"cannot build ErrReal from {type(value)!r}")
             # two conversions and one division, each within |v| 2^-prec
             num, den = (from_int(x, prec, round_nearest) for x in (value.numerator, value.denominator))
             v = mpf_div(num, den, prec, round_nearest)
             e = _radius(e, v, prec, 2)
-        else:
-            raise TypeError(f"cannot build ErrReal from {type(value)!r}")
         self._v = v
         self._e = e
 
@@ -468,8 +469,7 @@ def bessel_i1(x: ErrReal, target_err) -> ErrReal:
     return _ball(from_man_exp(bottom + top, -w - 1), from_man_exp(top - bottom, -w - 1))
 
 
-@dataclass(frozen=True)
-class BesselBoundChecks:
+class BesselBoundChecks(NamedTuple):
     """Outcome of the three I1 range inequalities at one argument.
 
     A check outside its range is vacuously true with applicable=False.

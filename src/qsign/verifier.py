@@ -13,9 +13,9 @@ import errno
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
 from math import gcd, sqrt
 from pathlib import Path
+from typing import NamedTuple
 
 from .qseries import PAPER_THRESHOLD, POSITIVE_RESIDUES, ZERO_EXCEPTIONS, q10_series, sign_pattern_verdict
 
@@ -31,8 +31,7 @@ __all__ = [
     "full_pipeline",
 ]
 
-@dataclass
-class SignReport:
+class SignReport(NamedTuple):
     delta: int
     n_hi: int
     verdicts: list[str]
@@ -44,17 +43,9 @@ class SignReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "range": [0, self.n_hi],
-            "verdicts": "".join(self.verdicts),
-            "zero_set_found": self.zero_set_found,
-            "mismatches": self.mismatches,
-            "unexpected_zeros": self.unexpected_zeros,
-            "thresholds": self.thresholds,
-            "timing": self.timing,
-            "pass": self.passed,
-        }
+        report = {**self._asdict(), "range": [0, self.n_hi], "verdicts": "".join(self.verdicts), "pass": self.passed}
+        del report["n_hi"], report["passed"]
+        return report
 
 
 def verify_conjecture(delta: int, n_max: int) -> SignReport:
@@ -141,8 +132,7 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
     )
 
 
-@dataclass
-class SweepReport:
+class _SweepFields(NamedTuple):
     identity_k_max: int
     bound_k_max: int
     n_samples: int
@@ -155,8 +145,17 @@ class SweepReport:
     bessel_checks: int
     bessel_failures: list
     negative_control_detected: bool
-    rows: list = field(default_factory=list)
-    timing: dict = field(default_factory=dict)
+    rows: list | None = None
+    timing: dict | None = None
+
+
+class SweepReport(_SweepFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):  # an omitted rows or timing is a new list or dict, not a shared default
+        report = super().__new__(cls, *args, **kwargs)
+        return report._replace(rows=[] if report.rows is None else report.rows,
+                               timing={} if report.timing is None else report.timing)
 
     @property
     def passed(self) -> bool:
@@ -169,7 +168,7 @@ class SweepReport:
         )
 
     def to_dict(self) -> dict:
-        report = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        report = {name: value for name, value in self._asdict().items() if name != "rows"}
         return {**report, "pass": self.passed}
 
     def csv_text(self) -> str:
@@ -305,8 +304,7 @@ def run_bound_sweeps(
     )
 
 
-@dataclass
-class ExactOracleReport:
+class _OracleFields(NamedTuple):
     n_lo: int
     n_hi: int
     deltas: tuple
@@ -316,7 +314,15 @@ class ExactOracleReport:
     mismatches: list
     max_gap_plus_err: float
     timing: dict
-    rows: list = field(default_factory=list)
+    rows: list | None = None
+
+
+class ExactOracleReport(_OracleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):  # an omitted rows is a new list, not a shared default
+        report = super().__new__(cls, *args, **kwargs)
+        return report if report.rows is not None else report._replace(rows=[])
 
     @property
     def oracle_passed(self) -> bool:
@@ -325,18 +331,10 @@ class ExactOracleReport:
     def to_dict(self) -> dict:
         from .exactformula import _eval_dict
 
-        return {
-            "range": [self.n_lo, self.n_hi],
-            "deltas": list(self.deltas),
-            "total": self.total,
-            "rounding_matches": self.rounding_matches,
-            "definitive_count": self.definitive_count,
-            "mismatches": self.mismatches,
-            "max_gap_plus_err": self.max_gap_plus_err,
-            "rows": [_eval_dict(row) for row in self.rows],
-            "timing": self.timing,
-            "pass": self.oracle_passed,
-        }
+        report = {**self._asdict(), "range": [self.n_lo, self.n_hi], "deltas": list(self.deltas),
+                  "rows": [_eval_dict(row) for row in self.rows], "pass": self.oracle_passed}
+        del report["n_lo"], report["n_hi"]
+        return report
 
 
 def run_exact_oracle(
@@ -361,7 +359,7 @@ def run_exact_oracle(
         series = q10_series(delta, n_hi)
         for n in range(n_lo, n_hi + 1):
             ev = exactformula.c_exact(delta, n, prec=prec)
-            rows.append({**vars(ev), "true": series.coefficient(n)})
+            rows.append({**ev._asdict(), "true": series.coefficient(n)})
     mismatches = [
         {key: r[key] for key in ("delta", "n", "rounded", "true")}
         for r in rows
@@ -381,20 +379,19 @@ def run_exact_oracle(
     )
 
 
-@dataclass
 class PipelineConfig:
-    deltas: tuple = (1, -1)
-    n_max: int | None = None  # defaults to PAPER_THRESHOLD[delta] for each delta
-    sweep_k_max: int = 500
-    identity_k_max: int = 200
-    sweep_n_samples: int = 20
-    exact_range: tuple = (10, 300)
-    precision_bits: int = 128
-    output_dir: str | Path = "qsign_artifacts"
+    """full_pipeline's settings, each an attribute a caller may set; n_max
+    None is PAPER_THRESHOLD[delta] for each delta."""
+
+    def __init__(self, deltas: tuple = (1, -1), n_max: int | None = None, sweep_k_max: int = 500,
+                 identity_k_max: int = 200, sweep_n_samples: int = 20, exact_range: tuple = (10, 300),
+                 precision_bits: int = 128, output_dir: str | Path = "qsign_artifacts"):
+        self.deltas, self.n_max, self.exact_range = deltas, n_max, exact_range
+        self.sweep_k_max, self.identity_k_max, self.sweep_n_samples = sweep_k_max, identity_k_max, sweep_n_samples
+        self.precision_bits, self.output_dir = precision_bits, output_dir
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     exit_status: int
     phases: dict
 

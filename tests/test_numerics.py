@@ -121,6 +121,8 @@ def test_fraction_and_string_inputs():
         x = ErrReal(Fraction(1, 3))
         assert x.err > 0
         assert x.contains(mpf(1) / 3)
+        # the quotient rounded to nearest, charged two roundings: |v| 2^(2 - prec)
+        assert x.value == mpf(1) / 3 and x.err == x.value * mpf(2) ** -126
         with pytest.raises(TypeError):
             ErrReal("0.1")
 

@@ -21,7 +21,9 @@ from qsign.cli import main
 from qsign.numerics import ErrReal, working_precision
 from qsign.qseries import PAPER_THRESHOLD, ZERO_EXCEPTIONS, Verdict, sign_pattern_verdict
 from qsign.verifier import (
+    ExactOracleReport,
     PipelineConfig,
+    SweepReport,
     full_pipeline,
     run_bound_sweeps,
     run_exact_oracle,
@@ -247,6 +249,16 @@ def test_exact_oracle_small_range():
             assert row[key] == r[key], key
         for key in ("value", "gap", "err", "tail_bound"):
             assert abs(mpf(row[key]) - r[key]) <= mpf("1e-7") * abs(r[key]), key
+
+
+def test_reports_built_without_rows_do_not_share_them():
+    sweeps = [SweepReport(5, 5, 1, 0, [], 0, [], 0, [], 0, [], True) for _ in range(2)]
+    oracles = [ExactOracleReport(10, 10, (1,), 0, 0, 0, [], 0.0, {}) for _ in range(2)]
+    sweeps[0].rows.append((5, 1, 0, 0.0, 1.0, True))
+    sweeps[0].timing["bounds"] = 0.0
+    oracles[0].rows.append({"n": 10})
+    assert (sweeps[1].rows, sweeps[1].timing, oracles[1].rows) == ([], {}, [])
+    assert sweeps[1].to_dict()["timing"] == {} and oracles[1].to_dict()["rows"] == []
 
 
 def test_exact_oracle_refuses_an_empty_range(tmp_path, capsys):
@@ -795,6 +807,26 @@ def _fresh(args, cwd, stdout=subprocess.PIPE, **env):
 
 
 _SERIES_ONLY = {"mpmath"} | (_QSIGN_MODULES - {"qsign.cli", "qsign.qseries", "qsign.verifier"})
+# standard-library modules no qsign computation uses: dataclasses brings
+# inspect, ast, dis and tokenize, and fractions brings decimal
+_UNUSED_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+
+
+def test_importing_each_module_loads_no_unused_stdlib(tmp_path):
+    # one new interpreter imports the modules in turn and prints sys.modules after each
+    code = (
+        "import importlib, json, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "    print(json.dumps([name, sorted(sys.modules)]))\n"
+    )
+    modules = sorted(_QSIGN_MODULES | {"qsign"})
+    proc = _fresh(["-c", code, *modules], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [name for name, _ in lines] == modules
+    for name, loaded in lines:
+        assert set(loaded) & _UNUSED_STDLIB == set(), name
 
 
 @pytest.mark.parametrize(
@@ -812,13 +844,14 @@ def test_cli_command_imports_only_what_it_runs(tmp_path, argv, absent):
     assert proc.returncode in (0, 2), proc.stderr
     loaded = set(json.loads(proc.stderr.splitlines()[-1]))
     assert "qsign.cli" in loaded
-    assert loaded & absent == set()
+    assert loaded & (absent | _UNUSED_STDLIB) == set()
 
 
 def test_cli_verify_at_the_threshold_loads_the_exact_formula(tmp_path):
     proc = _fresh(["-c", _RUN_MAIN, "verify", "--delta", "1", "--n-max", "2929"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "qsign.exactformula" in json.loads(proc.stderr.splitlines()[-1])
+    loaded = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert "qsign.exactformula" in loaded and loaded & _UNUSED_STDLIB == set()
     assert json.loads(proc.stdout)["thresholds"]["lhs_below_one"] is True
 
 
