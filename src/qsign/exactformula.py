@@ -30,10 +30,10 @@ from operator import add
 from typing import NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_neg, mpf_pi, round_ceiling, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, mpf_neg, round_ceiling, round_nearest, to_fixed
 
 from .arithmetic import _GUARD_BITS, _roots, _twist_totals, divisor_count
-from .numerics import ErrReal, _fixed_ball, _i1_series, bessel_i1, working_precision, zeta_3_2
+from .numerics import ErrReal, _fixed_ball, _i1_series, _pi_fixed, bessel_i1, working_precision, zeta_3_2
 
 __all__ = [
     "ExactEval",
@@ -77,8 +77,8 @@ def _term_plan(delta: int, n: int, prec: int):
 
     Proof of the bounds. Per index, with u = w + 16 and, for d = 5, 10,
     R_d = sqrt(2 (d-4) nn) and y_d = pi R_d / 5:
-    * Pi = _PI[u] = floor(2^u mpf_pi) is within 2 units of 2^u pi (mpf_pi
-      at u + 10 bits is within pi 2^(-8-u)), and
+    * Pi = _pi_fixed(u) is within 2 units of 2^u pi (Pi - 1 <= 2^u pi <=
+      Pi + 2), and
       S_d = isqrt(2 (d-4) nn 2^2u) is 2^u R_d less [0, 1); so
       P_d = Pi S_d is within e_d = 2 S_d + Pi + 2 of 2^2u pi R_d.
     * The prefix sqrt2 pi sqrt(d-4) / sqrt(nn) is pi R_d / nn, kept at
@@ -148,7 +148,7 @@ def _term_plan(delta: int, n: int, prec: int):
     nn = _validate_n(delta, n)
     w = prec + _GUARD_BITS
     u = w + 16
-    pi = _pi_root_pairs(u)[0][0] + 1  # P = _PI[u], its pair's lower end plus 1
+    pi = _pi_fixed(u)
     plan = {}
 
     def table(d: int) -> tuple:
@@ -209,18 +209,13 @@ _DIVISOR_PARTIALS: dict[int, list[int]] = {}
 # per (K // 5, prec), the finished bound of tail_bound_op, which depends on
 # nothing else: its second cutoff is K // 10 = (K // 5) // 2
 _TAIL_BOUNDS: dict[tuple[int, int], mpf] = {}
-# per width w, P = floor(2^w mpf_pi(w + 10)), the one integer form of pi
-_PI: dict[int, int] = {}
 
 
 def _pi_root_pairs(w: int, *squares: int) -> list[tuple[int, int]]:
     """Integer pairs (lo, hi) with lo <= 2^w x <= hi: first for pi, P - 1 and
-    P + 2 with P = _PI[w], as mpf_pi is within 2^-(w+8) of pi; then for
-    sqrt(x) of each x in squares, r = isqrt(x 2^2w), the floor of
-    2^w sqrt(x), and r + 1."""
-    if w not in _PI:
-        _PI[w] = to_fixed(mpf_pi(w + 10), w)
-    p = _PI[w]
+    P + 2 with P = _pi_fixed(w); then for sqrt(x) of each x in squares,
+    r = isqrt(x 2^2w), the floor of 2^w sqrt(x), and r + 1."""
+    p = _pi_fixed(w)
     return [(p - 1, p + 2)] + [(r, r + 1) for r in (isqrt(x << 2 * w) for x in squares)]
 
 

@@ -114,6 +114,16 @@ _make = mp.make_mpf
 # of the true value, relative: ErrReal.exp and bessel_bound_checks charge it
 _EXP_TRUST = 3
 
+_PI: dict[int, int] = {}
+
+
+def _pi_fixed(w: int) -> int:
+    """P = floor(2^w mpf_pi(w + 10)), the one integer form of pi, cached per
+    width: P - 1 <= 2^w pi <= P + 2, as mpf_pi is within 2^-(w+8) of pi."""
+    if w not in _PI:
+        _PI[w] = to_fixed(mpf_pi(w + 10), w)
+    return _PI[w]
+
 
 def _ball(v: tuple, e: tuple) -> "ErrReal":
     """The ErrReal with libmp midpoint v and radius e, taken as they are."""
@@ -492,7 +502,7 @@ def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
     evaluated to 2^(-prec/2) relative to e^max(x.value, 1). A check fails
     only where exact products of ends refute it on the whole ball: of x, I1
     (bessel_i1's ball), e^x (mpmath's exp at x's ends, widened by its
-    2^(_EXP_TRUST - prec) relative trust) and pi_lo = mpf_pi(prec + 10) - 2^-prec:
+    2^(_EXP_TRUST - prec) relative trust) and pi_lo = (_pi_fixed(prec+10) - 1) 2^-(prec+10):
     I1_lo > x_hi, pi_lo x_lo I1_lo^2 > 2 E_hi^2, 16 x_hi I1_hi^2 < E_lo^2."""
     x = _coerce(x)
     prec = mp.prec
@@ -508,7 +518,7 @@ def bessel_bound_checks(x: ErrReal) -> BesselBoundChecks:
         e_hi = mpf_exp(hi, prec, round_nearest) if x._e[1] else e_lo
         e_lo = mpf_sub(e_lo, mpf_shift(e_lo, _EXP_TRUST - prec))
         e_hi = mpf_add(e_hi, mpf_shift(e_hi, _EXP_TRUST - prec))
-        pi_lo = mpf_sub(mpf_pi(prec + 10), (0, 1, -prec, 1))
+        pi_lo = from_man_exp(_pi_fixed(prec + 10) - 1, -(prec + 10))
         large_ok = not mpf_lt(mpf_shift(mpf_mul(e_hi, e_hi), 1), mpf_mul(mpf_mul(pi_lo, lo), mpf_mul(i1_lo, i1_lo)))
         lower_ok = not (lower_app and mpf_lt(mpf_shift(mpf_mul(hi, mpf_mul(i1_hi, i1_hi)), 4), mpf_mul(e_lo, e_lo)))
 

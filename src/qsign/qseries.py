@@ -9,10 +9,10 @@ verification and the exact-formula oracle use, divides two sparse theta
 series given by the Jacobi triple product in O(order^1.5). Taken at -q,
 every theta coefficient is +1, so the divisor is 1 plus a sum of powers of
 q, given by its exponents alone, and the long division finds the
-coefficients in blocks: the divisor terms that reach back past the block
-are summed column by column over list windows and taken off the block in
-C, and only the few short-reach terms run a scalar recurrence of bare
-subtractions.
+coefficients in blocks, sized so that at most six divisor terms reach
+into the block itself: the terms that reach back past the block are summed
+column by column over list windows and taken off the block in C, and the
+six short-reach terms run a recurrence of one six-term subtraction.
 ``q10_series_product`` multiplies out the residue product factor by factor
 in O(order^2); it shares none of the first one's arithmetic and serves as
 its independent cross-check.
@@ -54,10 +54,9 @@ PAPER_THRESHOLD = {1: 2929, -1: 2234}
 _NUMERATOR_RESIDUES = (1, 9)
 _DENOMINATOR_RESIDUES = (3, 7)
 
-# Coefficients per block of _sparse_divide's long division. For q10_series
-# at orders 2233, 2928, 4000, 6000 and 20000 (both signs, medians of 15
-# interleaved runs on one CPU), 48 and 64 measured fastest, within 3% of
-# each other, and every size from 32 to 128 within 7% of the fastest.
+# The most coefficients per block of _sparse_divide's long division: with the
+# six-term step, q10_series (both signs, N = 2233, 2928, 6000, best of 5, shared
+# 2-core host) ran up to 10% slower at 32 and up to 4% slower at 48 than at 64.
 _BLOCK = 64
 
 
@@ -78,6 +77,13 @@ class TruncatedSeries:
             )
         self.coeffs = coeffs
         self.order = order
+
+    @classmethod
+    def _of_ints(cls, coeffs: list[int], order: int) -> TruncatedSeries:
+        """The series of order + 1 Python ints, without the int() pass and checks."""
+        series = object.__new__(cls)
+        series.coeffs, series.order = tuple(coeffs), order
+        return series
 
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
@@ -120,16 +126,18 @@ def _sparse_divide(num: list[tuple[int, int]], den: list[int], order: int) -> li
     coefficients m - e for e in den with e <= m, and no step multiplies:
     each listed exponent costs one subtraction per coefficient.
 
-    The coefficients are found in blocks of _BLOCK. For an exponent
-    e >= _BLOCK, coefficient m - e lies in an earlier block for every m of
-    the block, so it is already final: the term's share of the whole block
-    is one window (a list slice) of the buffer. The windows are summed
-    column by column by sum() and taken off the block by map(), all in C.
-    Only the exponents below _BLOCK (six for either theta series) read
-    coefficients of the block itself, and they run the scalar recurrence.
-    _BLOCK zeros before coefficient 0 stand for the coefficients at
-    negative indices, so that neither a window nor a scalar step needs a
-    bounds check.
+    The coefficients are found in blocks of size = min(_BLOCK, den[6]) (or
+    _BLOCK), so at most six listed exponents, repeats counted, lie below
+    size (the theta divisors' seventh are 72 and 64). For e >= size,
+    coefficient m - e lies in an earlier block for every m of the block, so
+    it is already final: the term's share of the whole block is one window
+    (a list slice) of the buffer. The windows are summed column by column by
+    sum() and taken off the block by map(), all in C. The near exponents,
+    below size, read the block itself: one six-term subtraction per
+    coefficient. _BLOCK zeros before coefficient 0 stand for the
+    coefficients at negative indices, so no step needs a bounds check, and
+    missing near exponents are padded with the block's start: i - start is
+    in [0, size), within the zeros (i - _BLOCK is not, past block one).
 
     The windows are listed oldest first, for speed alone: CPython's sum()
     adds exact ints as machine words until the first item or partial sum
@@ -138,13 +146,14 @@ def _sparse_divide(num: list[tuple[int, int]], den: list[int], order: int) -> li
     q10_series), so the old windows' small ones come first. The sums are
     exact in any order.
     """
-    cut = bisect_left(den, _BLOCK)
+    size = min(_BLOCK, den[6]) if len(den) > 6 else _BLOCK
+    cut = bisect_left(den, size)
     near, far = den[:cut], den[cut:]
     buf = [0] * (_BLOCK + order + 1)
     for e, c in num:
         buf[_BLOCK + e] += c
-    for start in range(_BLOCK, len(buf), _BLOCK):
-        stop = min(start + _BLOCK, len(buf))
+    for start in range(_BLOCK, len(buf), size):
+        stop = min(start + size, len(buf))
         block = buf[start:stop]
         # exponents e >= stop - _BLOCK would read only the zeros
         live = far[: bisect_left(far, stop - _BLOCK)]
@@ -152,10 +161,9 @@ def _sparse_divide(num: list[tuple[int, int]], den: list[int], order: int) -> li
             # oldest window first: see the docstring
             windows = [buf[start - e : stop - e] for e in reversed(live)]
             block = list(map(sub, block, map(sum, zip(*windows))))
+        e1, e2, e3, e4, e5, e6 = near + [start] * (6 - cut)
         for i, acc in enumerate(block, start):
-            for e in near:
-                acc -= buf[i - e]
-            buf[i] = acc
+            buf[i] = acc - buf[i - e1] - buf[i - e2] - buf[i - e3] - buf[i - e4] - buf[i - e5] - buf[i - e6]
     return buf[_BLOCK:]
 
 
@@ -206,7 +214,7 @@ def q10_series(delta: int, order: int) -> TruncatedSeries:
         num, den = den, num
     coeffs = _sparse_divide([(e, 1) for e in num], den[1:], order)
     coeffs[1::2] = map(neg, coeffs[1::2])
-    return TruncatedSeries(coeffs, order)
+    return TruncatedSeries._of_ints(coeffs, order)
 
 
 def _apply_factor(coeffs: list[int], a: int, exponent: int) -> None:
@@ -240,7 +248,7 @@ def q10_series_product(delta: int, order: int) -> TruncatedSeries:
             _apply_factor(coeffs, a, delta)
         elif r in _DENOMINATOR_RESIDUES:
             _apply_factor(coeffs, a, -delta)
-    return TruncatedSeries(coeffs, order)
+    return TruncatedSeries._of_ints(coeffs, order)
 
 
 def sign_pattern_verdict(delta: int, n: int, c: int) -> Verdict:

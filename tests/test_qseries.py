@@ -174,6 +174,83 @@ def test_sparse_divide_is_exact_across_the_machine_word_edge(sign):
     assert _sparse_divide(num, den, order) == scalar_divide(num, den, order)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sparse_divide_runs_full_blocks_across_the_machine_word_edge(sign):
+    # the case above, with five divisor entries (repeats counted) below
+    # _BLOCK in place of thirteen: the division then runs in blocks of
+    # _BLOCK, the columns word_path_exits models, and pads its six-term step
+    order = 3 * _B + 17
+    num = [
+        (0, 1), (2, 2**62 - 1), (_B - 1, -(2**62 - 1)), (_B + 5, 2**62),
+        (2 * _B - 3, -(2**62)), (2 * _B + 8, 2**63), (3 * _B - 1, -(2**63)),
+        (3 * _B + 4, 2**70), (3 * _B + 9, -(2**70)),
+    ]
+    num = [(e, sign * c) for e, c in num]
+    den = sorted(
+        e
+        for e, c in [
+            (3, 2), (7, 2), (_B - 2, 1),
+            (_B + 1, 1), (_B + 6, 2), (_B + 13, 9),
+            (2 * _B + 2, 1), (2 * _B + 7, 2), (2 * _B + 11, 9),
+        ]
+        for _ in range(c)
+    )
+    assert sum(e < _B for e in den) == 5
+    assert word_path_exits(num, den, order)
+    assert _sparse_divide(num, den, order) == scalar_divide(num, den, order)
+
+
+@pytest.mark.parametrize(
+    "den",
+    [[1] * 9 + [70, 130], [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]],
+)
+def test_sparse_divide_with_seven_or_more_short_exponents(den):
+    # more than six entries below _BLOCK: the division runs in smaller blocks
+    order = 2 * _B + 37
+    num = [(0, 1), (5, -3), (_B + 2, 7)]
+    assert _sparse_divide(num, den, order) == scalar_divide(num, den, order)
+
+
+def _theta_division(delta, order):
+    """q10_series's division at -q: the numerator terms and the divisor's
+    exponents, as q10_series builds them."""
+    num, den = ([e for e, _ in _theta_terms(shift, order)] for shift in (4, 2))
+    if delta == -1:
+        num, den = den, num
+    return [(e, 1) for e in num], den[1:]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_theta_division_matches_both_oracles_at_every_small_order(delta):
+    top = 200
+    num, den = _theta_division(delta, top)
+    full = scalar_divide(num, den, top)
+    product = q10_series_product(delta, top).coeffs
+    for order in range(top + 1):
+        assert _sparse_divide([t for t in num if t[0] <= order], den, order) == full[: order + 1]
+        assert q10_series(delta, order).coeffs == product[: order + 1]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_theta_division_matches_the_product_across_the_machine_word_edge(delta):
+    # the coefficients pass 2^62 at about 2620, so the columns' window sums
+    # leave the machine-word path here; orders five apart end the last block
+    # at 21 different lengths
+    product = q10_series_product(delta, 2700).coeffs
+    assert max(map(abs, product[2600:])) >= 2**62 > max(map(abs, product[:2600]))
+    for order in range(2600, 2701, 5):
+        assert q10_series(delta, order).coeffs == product[: order + 1]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_q10_series_hands_over_a_tuple_of_ints(delta):
+    for order in (0, 1, 130):
+        series = q10_series(delta, order)
+        assert type(series.coeffs) is tuple
+        assert all(type(c) is int for c in series.coeffs)
+        assert series == TruncatedSeries(list(series.coeffs), order)
+
+
 # -- the quotient series ------------------------------------------------------
 
 
