@@ -12,7 +12,8 @@ numerically, one record per theta-transformation tuple.
 One error model covers every ball: a fixed-point complex value, an
 exact complex integer at 2^-W with an integer error bound carried beside
 it. theta and the triple product's q-Pochhammer side step such values by
-a ratio recurrence (_fixed_mul) and add rigorous truncation tails. Every
+a ratio recurrence (_fixed_mul), stop on their own carried terms and add
+the truncation tails those terms bound. Every
 non-rational exponential, the starting values and all the phases and
 prefactors alike, is mpmath's exp charged by one stated trust
 (_fixed_exp); a rational-angle root is one entry of arithmetic's root
@@ -25,11 +26,12 @@ the two sides' enclosures are disjoint, with no tolerance.
 
 from __future__ import annotations
 
+import math
 import random
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from mpmath import ceil, exp, floor, hypot, log, loggamma, mp, mpc, mpf, pi
+from mpmath import exp, hypot, log, loggamma, mp, mpc, mpf, pi
 from mpmath.libmp import fone, mpf_div, mpf_lt, mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor, to_fixed
 
 from .arithmetic import _GUARD_BITS, decompose, neg_inverse, unit_root
@@ -54,35 +56,6 @@ DEFAULT_PREC = 256
 
 class PoleError(ArithmeticError):
     """A denominator is numerically indistinguishable from zero."""
-
-
-# per (target, prec), _theta_terms' log(4/target), floored at 0, and log(2)/pi
-_THETA_LOGS: dict = {}
-
-
-def _theta_terms(w: mpc, tau: mpc, target: mpf):
-    """Truncation index M and per-side first-omitted-term bounds.
-
-    Terms at half-integer index n have modulus exp(-pi t n^2 + 2 pi beta n)
-    with t = Im tau, beta = |Im w|. M is the least index whose first
-    omitted n0 = M + 1/2 meets, solved for n0, both
-        pi t n0^2 - 2 pi beta n0 > log(4/target)   (4 bound < target),
-        pi t (2 n0 + 1) - 2 pi beta > log 2          (term ratio < 1/2);
-    then the tail is under twice the first omitted term.
-    """
-    t = tau.imag
-    beta = abs(w.imag)
-    key = (target, mp.prec)
-    if key not in _THETA_LOGS:
-        _THETA_LOGS[key] = max(log(4 / target), 0), log(2) / pi
-    log_goal, log2_pi = _THETA_LOGS[key]
-    quad = (beta + (beta * beta + t * log_goal / pi) ** 0.5) / t
-    lin = ((log2_pi + 2 * beta) / t - 1) / 2
-    M = max(1, int(floor(max(quad, lin) - mpf(1) / 2)) + 1)
-    if M > 10_000:
-        raise RuntimeError("theta truncation failed to converge")
-    n0 = mpf(2 * M + 1) / 2  # first omitted half-integer index
-    return M, 2 * exp(-pi * t * n0 * n0 + 2 * pi * beta * n0)
 
 
 def _fixed_exp(x, size, w: int) -> tuple[int, int, int]:
@@ -131,30 +104,41 @@ def _exp_ball(x, size) -> ErrComplex:
 
 def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
     """The odd theta series: sum over half-integers n of
-    q^(n^2/2) e^(2 pi i n (w + 1/2)), truncated with a Gaussian tail bound.
+    q^(n^2/2) e^(2 pi i n (w + 1/2)), summed until its own terms bound the rest.
 
-    The 2M terms n = s (m + 1/2), s = +-1 and 0 <= m < M (_theta_terms), run
-    along two half-lines by the ratio recurrence T_(m+1) = T_m R_m,
-    R_(m+1) = R_m q, with q = e^(2 pi i tau), T_0 = e^(pi i (tau/4 + s (w + 1/2)))
-    and R_0 = -e^(2 pi i (tau + s w)). Each part is summed exactly as
-    integers at 2^-W with an integer error bound carried beside every term:
+    The terms n = s (m + 1/2), s = +-1 and m >= 0, run along two half-lines
+    by the ratio recurrence T_(m+1) = T_m R_m, R_(m+1) = R_m q, with
+    q = e^(2 pi i tau), T_0 = e^(pi i (tau/4 + s (w + 1/2))) and
+    R_0 = -e^(2 pi i (tau + s w)). Each part is summed exactly as integers
+    at 2^-W with an integer error bound carried beside every term:
 
     * the five starting values q, T_0 and R_0 are _fixed_exp at width W,
       which forms each at W + 8 bits and charges its starting-value trust;
     * every later T and R is a _fixed_mul product, whose product charge
       carries the errors of both factors and its floors;
+    * the stop: both half-lines are walked in lockstep up to the first M
+      where, on each side, |R_M| + e_R <= 2^(W-1) and
+      4 |T_M| <= max(floor(2^W target), 4) in units, |.| being the norm
+      bound isqrt(re^2 + im^2) + 1 and e the carried error. As |q| < 1,
+      every later ratio is at most 1/2, so a side's omitted terms sum to
+      at most its tail 2 (|T_M| + e_T), which is added to the bound; the
+      two tails come to about the target at most, and the floor of 4
+      units lets the walk stop when the target is below the unit;
     * the guard: the carried bounds hold at any W, which only sets their
-      size, about M^3 units times the largest term. W is prec +
-      2 bitlen(M) + _GUARD_BITS plus the bits the unit loses against the
-      sum of the term moduli: -e when the larger first term
-      e^(pi |Im w| - pi Im tau/4) is below 2^e < 1, or, when the terms
-      grow (|R_0| > 1), the min(log2 |R_0|, -log2 |q|) bits of q's
+      size, about M^3 units times the largest term, so float estimates
+      serve. W is prec + 2 bitlen(M) + _GUARD_BITS plus the bits the unit
+      loses against the sum of the term moduli: -e when the larger first
+      term e^(pi |Im w| - pi Im tau/4) is below 2^e < 1, or, when the
+      terms grow (|R_0| > 1), the min(log2 |R_0|, -log2 |q|) bits of q's
       relative error that R_m carries m times into terms near the
-      largest. The radius then stays below 2 tail plus the sum of the
-      moduli times (2M+8) 2^(4-prec).
+      largest. M is estimated from the term moduli
+      e^(-pi Im tau n^2 + 2 pi |Im w| n) as the least index whose first
+      omitted n = M + 1/2 meets the stop's two tests. The radius then
+      stays below the two tails plus the sum of the moduli times
+      (2M+8) 2^(4-prec).
 
-    The total, with the summed bounds plus twice the tail, is then one
-    _fixed_complex ball."""
+    Past 10,000 terms a side the walk raises RuntimeError. The total, with
+    the summed bounds plus both tails, is one _fixed_complex ball."""
     target = mpf(target_err)
     if not target > 0:
         raise ValueError("target_err must be positive")
@@ -163,27 +147,38 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
         tau = mpc(tau)
         if not tau.imag > 0:
             raise ValueError("tau must lie in the upper half-plane")
-        M, tail = _theta_terms(w, tau, target)
-        t, beta = tau.imag, abs(w.imag)
-        top = int(floor(pi * (beta - t / 4) / log(2))) - 1
-        lost = int(ceil(2 * pi * max(0, min(beta - t, t)) / log(2)))
+        # float estimates: W only sets the size of the carried bounds
+        t, beta, ln2 = float(tau.imag), abs(float(w.imag)), math.log(2)
+        _, man, ex, _ = target._mpf_
+        log_goal = max(2 - math.log2(man) - ex, 0) * ln2  # log(4/target), floored at 0
+        quad = (beta + math.sqrt(beta * beta + t * log_goal / math.pi)) / t
+        lin = ((ln2 / math.pi + 2 * beta) / t - 1) / 2
+        M = max(1, math.floor(min(max(quad, lin), 10_000) + 0.5))
+        top = math.floor(math.pi * (beta - t / 4) / ln2) - 1
+        lost = math.ceil(2 * math.pi * max(0, min(beta - t, t)) / ln2)
         W = prec + 2 * M.bit_length() + _GUARD_BITS + max(-top, lost)
-        re = im = err = 0
+        one, goal = 1 << W, max(to_fixed(target._mpf_, W), 4)
         size = 2 * pi * (abs(tau) + abs(w) + 1)
         q = _fixed_exp(lambda: 2j * pi * tau, size, W)
         nq = isqrt(q[0] * q[0] + q[1] * q[1]) + 1
+        walk = []  # (T_m, R_m) per side
         for s in (1, -1):
             term = _fixed_exp(lambda: pi * 1j * (tau / 4 + s * (w + mpf(1) / 2)), size, W)
             rr, ri, rerr = _fixed_exp(lambda: 2j * pi * (tau + s * w), size, W)
-            r = (-rr, -ri, rerr)
-            for _ in range(M):
+            walk.append((term, (-rr, -ri, rerr)))
+        re = im = err = 0
+        for _ in range(10_001):  # the stop is tested after at most 10,000 terms a side
+            # |T| and |R| per side, each serving both products
+            norms = [(isqrt(tr * tr + ti * ti) + 1, isqrt(r[0] * r[0] + r[1] * r[1]) + 1) for (tr, ti, _), r in walk]
+            if all(4 * nt <= goal and 2 * (nr + r[2]) <= one for (nt, nr), (_, r) in zip(norms, walk)):
+                tail = sum(2 * (nt + term[2]) for (nt, _), (term, _) in zip(norms, walk))
+                return _fixed_complex(re, im, err + tail, W, prec)
+            for i, ((term, r), (nt, nr)) in enumerate(zip(walk, norms)):
                 re += term[0]
                 im += term[1]
                 err += term[2]
-                nr = isqrt(r[0] * r[0] + r[1] * r[1]) + 1  # |R| serves both products
-                term = _fixed_mul(term, r, W, nb=nr)
-                r = _fixed_mul(r, q, W, nr, nq)
-        return _fixed_complex(re, im, err + to_fixed(tail._mpf_, W + 1) + 1, W, prec)
+                walk[i] = _fixed_mul(term, r, W, nt, nr), _fixed_mul(r, q, W, nr, nq)
+        raise RuntimeError("theta truncation failed to converge")
 
 
 def eta(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:

@@ -66,7 +66,8 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
-        coeffs = tuple(map(int, coeffs))
+        """The series of the Python ints coeffs, order + 1 of them."""
+        coeffs = tuple(coeffs)
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
@@ -77,13 +78,6 @@ class TruncatedSeries:
             )
         self.coeffs = coeffs
         self.order = order
-
-    @classmethod
-    def _of_ints(cls, coeffs: list[int], order: int) -> TruncatedSeries:
-        """The series of order + 1 Python ints, without the int() pass and checks."""
-        series = object.__new__(cls)
-        series.coeffs, series.order = tuple(coeffs), order
-        return series
 
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
@@ -214,7 +208,7 @@ def q10_series(delta: int, order: int) -> TruncatedSeries:
         num, den = den, num
     coeffs = _sparse_divide([(e, 1) for e in num], den[1:], order)
     coeffs[1::2] = map(neg, coeffs[1::2])
-    return TruncatedSeries._of_ints(coeffs, order)
+    return TruncatedSeries(coeffs, order)
 
 
 def _apply_factor(coeffs: list[int], a: int, exponent: int) -> None:
@@ -248,7 +242,7 @@ def q10_series_product(delta: int, order: int) -> TruncatedSeries:
             _apply_factor(coeffs, a, delta)
         elif r in _DENOMINATOR_RESIDUES:
             _apply_factor(coeffs, a, -delta)
-    return TruncatedSeries._of_ints(coeffs, order)
+    return TruncatedSeries(coeffs, order)
 
 
 def sign_pattern_verdict(delta: int, n: int, c: int) -> Verdict:

@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 _QSERIES = "src/qsign/qseries.py"
 _NUMERICS = "src/qsign/numerics.py"
+_MODULAR = "src/qsign/modularcheck.py"
+_MODULAR_TESTS = "tests/test_modularcheck.py"
 
 MUTANTS = (
     Mutant(
@@ -76,12 +78,94 @@ MUTANTS = (
     Mutant(
         "series-hands-over-a-list",
         _QSERIES,
-        "series.coeffs, series.order = tuple(coeffs), order",
-        "series.coeffs, series.order = coeffs, order",
+        "coeffs = tuple(coeffs)",
+        "coeffs = list(coeffs)",
         (
             "tests/test_qseries.py::test_q10_series_hands_over_a_tuple_of_ints[1]",
             "tests/test_qseries.py::test_q10_series_hands_over_a_tuple_of_ints[-1]",
             "tests/test_qseries.py::test_q10_constant_term",
+        ),
+    ),
+    Mutant(
+        "zeta-flips-bernoulli-signs",
+        _NUMERICS,
+        "total += (p * num << u) // (q * den)",
+        "total -= (p * num << u) // (q * den)",
+        (
+            "tests/test_numerics.py::test_zeta_reference_value",
+            "tests/test_numerics.py::test_zeta_bracket_width_meets_target",
+            "tests/test_numerics.py::test_zeta_square",
+        ),
+    ),
+    Mutant(
+        "zeta-stops-early",
+        _NUMERICS,
+        "if abs(p) * num << u + 4 < q * den:",
+        "if abs(p) * num << u - 8 < q * den:",
+        not_pinnable=(
+            "the omitted term is charged as computed, so stopping at 2^-(u-8) "
+            "stays sound and only widens the unrounded interval: hi - lo moves "
+            "from 1 to 2 at one width in 1..1000, w = 10, and at none of the tested widths"
+        ),
+    ),
+    Mutant(
+        "zeta-drops-remainder-charge",
+        _NUMERICS,
+        "rest = (abs(p) * num << u) // (q * den) + 1",
+        "rest = 0",
+        not_pinnable=(
+            "the omitted term is below 2^-(u+4) and the true remainder below it; "
+            "without its one-unit charge at 2^-u both ends still enclose "
+            "2^w zeta(3/2) at every w in 1..1099"
+        ),
+    ),
+    Mutant(
+        "zeta-drops-floor-charge",
+        _NUMERICS,
+        "((partial + a - 1) << u)",
+        "((partial) << u)",
+        ("tests/test_numerics.py::test_zeta_reference_value",),
+    ),
+    Mutant(
+        "theta-drops-its-tail",
+        _MODULAR,
+        "err + tail, W, prec)",
+        "err, W, prec)",
+        (
+            f"{_MODULAR_TESTS}::test_suite_record_mix",
+            f"{_MODULAR_TESTS}::test_theta_encloses_the_direct_sum_on_the_suite_calls",
+            f"{_MODULAR_TESTS}::test_theta_encloses_the_direct_sum",
+        ),
+    ),
+    Mutant(
+        "theta-ratio-test-at-one",
+        _MODULAR,
+        "2 * (nr + r[2]) <= one",
+        "nr + r[2] <= one",
+        (
+            f"{_MODULAR_TESTS}::test_theta_terms_cap",
+            f"{_MODULAR_TESTS}::test_theta_encloses_the_direct_sum",
+        ),
+    ),
+    Mutant(
+        "theta-stops-on-one-side",
+        _MODULAR,
+        "for (nt, nr), (_, r) in zip(norms, walk)",
+        "for (nt, nr), (_, r) in zip(norms[:1], walk)",
+        (
+            f"{_MODULAR_TESTS}::test_theta_encloses_the_direct_sum",
+            f"{_MODULAR_TESTS}::test_theta_encloses_the_direct_sum_on_the_suite_calls",
+            f"{_MODULAR_TESTS}::test_suite_error_bars_only_shrink",
+        ),
+    ),
+    Mutant(
+        "theta-goal-without-its-factor-4",
+        _MODULAR,
+        "4 * nt <= goal",
+        "nt <= goal",
+        (
+            f"{_MODULAR_TESTS}::test_theta_encloses_the_direct_sum_on_the_suite_calls",
+            f"{_MODULAR_TESTS}::test_suite_error_bars_only_shrink",
         ),
     ),
     Mutant(

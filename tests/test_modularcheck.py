@@ -29,7 +29,6 @@ from qsign.modularcheck import (
     _fixed_mul,
     _multiplier_records,
     _qpochhammer,
-    _theta_terms,
     _triple_product_record,
     eta,
     f_eval,
@@ -80,37 +79,22 @@ def searched_theta_terms(w, tau, target):
         M += 1
 
 
-def test_theta_terms_is_the_least_index():
-    # Im tau from 0.02 to 20, |Im w| up to 1.5 Im tau, targets 2^-64 to
-    # 2^-200; below Im tau ~ 1e-3 the term-ratio condition binds instead
-    rng = random.Random(1618)
-    with working_precision(PREC):
-        for i in range(320):
-            lo, hi = (0.02, 20) if i < 300 else (1e-4, 1e-3)
-            t = mpf(10) ** rng.uniform(math.log10(lo), math.log10(hi))
-            tau = mpc(rng.uniform(-0.5, 0.5), t)
-            w = mpc(rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5) * t)
-            target = mpf(2) ** -rng.randint(64, 200)
-            assert _theta_terms(w, tau, target) == searched_theta_terms(w, tau, target), (w, tau, target)
-
-
 def test_theta_terms_cap():
     # a term ratio below 1/2 needs n0 > log 2 / (2 pi Im tau), about 110,000
     # at Im tau = 1e-6 and 120,000 for eta at 3e-7 (theta at 3 tau)
-    with working_precision(PREC):
-        with pytest.raises(RuntimeError):
-            _theta_terms(mpc(0), mpc(0, "1e-6"), mpf(2) ** -PREC)
+    with pytest.raises(RuntimeError):
+        theta(mpc(0), mpc(0, "1e-6"), mpf(2) ** -PREC, PREC)
     with pytest.raises(RuntimeError):
         eta(mpc(0, "3e-7"), mpf(2) ** -PREC, PREC)
 
 
 def direct_theta(w, tau, target, prec):
     """theta at 2 prec bits term by term, far past theta's own truncation,
-    with the sum of the term moduli over theta's 2M terms and the old
+    with the sum of the term moduli over the searched 2M terms and the old
     bound 2 tail + absum (2M+8) 2^(4-prec) on theta's radius."""
     with working_precision(prec):
-        M, tail = _theta_terms(w, tau, target)
-        far, _ = _theta_terms(w, tau, target * mpf(2) ** -prec)
+        M, tail = searched_theta_terms(w, tau, target)
+        far, _ = searched_theta_terms(w, tau, target * mpf(2) ** -prec)
     with working_precision(2 * prec):
 
         def term(m):
@@ -164,6 +148,86 @@ def test_suite_record_mix(suite_with_theta_calls):
     assert all(r.passed for r in records)
 
 
+# validation_suite's 64 records at 256 bits when theta took its truncation
+# index from a closed-form Gaussian solve and charged four times the growing
+# side's first omitted term: (check, params, tolerance), each record passing.
+# Error bars may only shrink.
+MODULAR_PINS = [
+    ("triple-product", {"w": "(0.3 + 0.1j)", "tau": "(0.2 + 0.9j)"}, 5.365229692792388e-39),
+    ("triple-product", {"w": "(0.14767333750724220831074262605397962033748626708984375 + 0.284206148174634132264060326633625663816928863525390625j)", "tau": "(0.40902388914303633438152019152767024934291839599609375 + 0.91115718976933990358446635582367889583110809326171875j)"}, 1.3773466983604605e-39),
+    ("triple-product", {"w": "(0.32605488326895326611776226854999549686908721923828125 + 0.10332434680535251825261866542859934270381927490234375j)", "tau": "(0.350014092319067326997128475341014564037322998046875 + 0.60526238192826464779017214823397807776927947998046875j)"}, 7.178940470478365e-39),
+    ("triple-product", {"w": "(-0.389499106723893373516176552584511227905750274658203125 - 0.171132052095220144050102817345759831368923187255859375j)", "tau": "(-0.20918876028634236785563871308113448321819305419921875 + 1.128572141600489242563298830646090209484100341796875j)"}, 2.7520091402650594e-39),
+    ("triple-product", {"w": "(0.05698675740828618163646979155601002275943756103515625 + 0.15443598559193361108299313855241052806377410888671875j)", "tau": "(0.10881216044952790600319758596015162765979766845703125 + 0.8941421705083840709704645632882602512836456298828125j)"}, 1.1621126630337633e-39),
+    ("triple-product", {"w": "(-0.3282238606190170937537686768337152898311614990234375 - 0.0031235494495145399440616529318504035472869873046875j)", "tau": "(0.06407228953431076678981526129064150154590606689453125 + 0.9506869654189011864531266837730072438716888427734375j)"}, 3.7085905572678755e-39),
+    ("triple-product", {"w": "(-0.1285559097798678607205147272907197475433349609375 + 0.257969598323268545225772641060757450759410858154296875j)", "tau": "(-0.29873318834727224935221556734177283942699432373046875 + 1.096154946265420537798718214617110788822174072265625j)"}, 1.4670222226125578e-39),
+    ("triple-product", {"w": "(-0.091622258157198988026692632047343067824840545654296875 + 0.240612471067879474251327565070823766291141510009765625j)", "tau": "(0.0589540682945328686770380954840220510959625244140625 + 0.83903198584934812753743926805327646434307098388671875j)"}, 1.920389499433205e-39),
+    ("triple-product", {"w": "(0.064547968466093508244085796832223422825336456298828125 - 0.1524992755336830596579744678820134140551090240478515625j)", "tau": "(0.0784999078449997167439278200617991387844085693359375 + 1.348370083274125885708372152294032275676727294921875j)"}, 3.196606666595001e-40),
+    ("triple-product", {"w": "(0.08745983968113002493538488124613650143146514892578125 - 0.268515229039014424738951447579893283545970916748046875j)", "tau": "(0.42600319440226408485017373095615766942501068115234375 + 1.3216566019036746215675748317153193056583404541015625j)"}, 1.0584318384857518e-39),
+    ("triple-product", {"w": "(-0.128055791646928207594413606784655712544918060302734375 + 0.129721483954252925219208236740087158977985382080078125j)", "tau": "(-0.11890747073914298415076018500258214771747589111328125 + 1.31811636726337244596152231679297983646392822265625j)"}, 2.9170463381177678e-39),
+    ("triple-product", {"w": "(0.060186580783922305482036563262226991355419158935546875 - 0.0957788555112011608105859750139643438160419464111328125j)", "tau": "(0.42184781970821461083431813676725141704082489013671875 + 1.3757453423944696613290261666406877338886260986328125j)"}, 2.668923216779078e-41),
+    ("triple-product", {"w": "(0.1867340176622593883593026475864462554454803466796875 - 0.1003208465458956533122858445494784973561763763427734375j)", "tau": "(0.28120913556448601244852625313797034323215484619140625 + 1.151319300033568193697419701493345201015472412109375j)"}, 1.8617110621963956e-40),
+    ("triple-product", {"w": "(-0.1624230559227996251170367258964688517153263092041015625 + 0.0608479860784740811396886783768422901630401611328125j)", "tau": "(0.434990505015352635354020094382576644420623779296875 + 0.65312935451978770817760278077912516891956329345703125j)"}, 5.57648975669778e-39),
+    ("triple-product", {"w": "(0.05926920812339553368275346656446345150470733642578125 - 0.252772281414801847088114072903408668935298919677734375j)", "tau": "(-0.18903941444266358917758452662383206188678741455078125 + 0.865049065983718445949079978163354098796844482421875j)"}, 2.943901529682791e-39),
+    ("triple-product", {"w": "(0.013211911513120899730466817345586605370044708251953125 - 0.204462721774132660801370775516261346638202667236328125j)", "tau": "(-0.3953461046493418340475045624771155416965484619140625 + 0.819576016447010946563977995538152754306793212890625j)"}, 1.4657601094180645e-39),
+    ("triple-product", {"w": "(-0.11721302580007775251402790672727860510349273681640625 + 0.211495516429805519020845849809120409190654754638671875j)", "tau": "(-0.0122685388779395498914936979417689144611358642578125 + 1.1391996210795169996998765782336704432964324951171875j)"}, 9.281359092293859e-40),
+    ("triple-product", {"w": "(0.31904112915073123968312529541435651481151580810546875 + 0.028410025585604625764091224482399411499500274658203125j)", "tau": "(-0.33869637075286218586001041330746375024318695068359375 + 1.14533070121445490485712070949375629425048828125j)"}, 3.4815227701889255e-40),
+    ("triple-product", {"w": "(0.37880229121524333635306902579031884670257568359375 + 0.02768142935753825639721981133334338665008544921875j)", "tau": "(0.19503053250074564584082281726296059787273406982421875 + 0.6665512688102683824808991630561649799346923828125j)"}, 2.543503587076762e-39),
+    ("triple-product", {"w": "(0.262263589122033291545221800333820283412933349609375 + 0.0209466665859583400788324070163071155548095703125j)", "tau": "(-0.32096287838954429272320112431771121919155120849609375 + 0.713586363095458864336251281201839447021484375j)"}, 3.521400458041381e-40),
+    ("quasi-periodicity", {"lambda": 1, "mu": 0}, 4.375925191307388e-44),
+    ("quasi-periodicity", {"lambda": 0, "mu": 1}, 1.4434288537232702e-45),
+    ("quasi-periodicity", {"lambda": 1, "mu": 1}, 4.375925191307388e-44),
+    ("quasi-periodicity", {"lambda": 2, "mu": 1}, 2.1125834544663206e-40),
+    ("eta-transformation", {"h": 1, "k": 5, "z": "(1.0 + 0.0j)"}, 1.6215254119365512e-41),
+    ("theta-transformation", {"h": 1, "k": 5, "z": "(1.0 + 0.0j)", "w": "(0.3 + 0.1j)"}, 3.3632170117202657e-39),
+    ("eta-transformation", {"h": 2, "k": 5, "z": "(0.8 + 0.0j)"}, 1.566775304797251e-43),
+    ("theta-transformation", {"h": 2, "k": 5, "z": "(0.8 + 0.0j)", "w": "(0.2 - 0.1j)"}, 6.489512690970685e-42),
+    ("eta-transformation", {"h": 3, "k": 5, "z": "(1.1 + 0.0j)"}, 4.4442284403530716e-46),
+    ("theta-transformation", {"h": 3, "k": 5, "z": "(1.1 + 0.0j)", "w": "(0.15 + 0.05j)"}, 3.1347723153754105e-40),
+    ("eta-transformation", {"h": 1, "k": 10, "z": "(0.9 + 0.0j)"}, 8.33603038101751e-46),
+    ("theta-transformation", {"h": 1, "k": 10, "z": "(0.9 + 0.0j)", "w": "(0.1 + 0.2j)"}, 3.6599048655065587e-40),
+    ("eta-transformation", {"h": 3, "k": 10, "z": "(1.0 + 0.0j)"}, 7.030141957428068e-42),
+    ("theta-transformation", {"h": 3, "k": 10, "z": "(1.0 + 0.0j)", "w": "(0.25 + 0.1j)"}, 1.278286246036822e-41),
+    ("eta-transformation", {"h": 7, "k": 10, "z": "(1.2 + 0.3j)"}, 7.894176381358185e-40),
+    ("theta-transformation", {"h": 7, "k": 10, "z": "(1.2 + 0.3j)", "w": "(0.2 + 0.1j)"}, 4.7968019256070365e-40),
+    ("eta-transformation", {"h": 9, "k": 10, "z": "(0.7 + 0.0j)"}, 3.054457457476189e-42),
+    ("theta-transformation", {"h": 9, "k": 10, "z": "(0.7 + 0.0j)", "w": "(-0.1 + 0.15j)"}, 4.325583168291217e-39),
+    ("eta-transformation", {"h": 2, "k": 15, "z": "(1.0 + 0.0j)"}, 6.37391806751047e-40),
+    ("theta-transformation", {"h": 2, "k": 15, "z": "(1.0 + 0.0j)", "w": "(0.3 - 0.05j)"}, 6.794169496177418e-43),
+    ("eta-transformation", {"h": 4, "k": 15, "z": "(1.3 + 0.0j)"}, 7.453762831798422e-42),
+    ("theta-transformation", {"h": 4, "k": 15, "z": "(1.3 + 0.0j)", "w": "(0.1 + 0.1j)"}, 1.6669378198882165e-39),
+    ("eta-transformation", {"h": 7, "k": 20, "z": "(0.85 + 0.0j)"}, 7.249590792992165e-40),
+    ("theta-transformation", {"h": 7, "k": 20, "z": "(0.85 + 0.0j)", "w": "(0.2 + 0.05j)"}, 6.929465048165978e-40),
+    ("leading-asymptotic", {"a": 0.1, "b": 0.2}, 10.0),
+    ("leading-asymptotic", {"a": 0.3, "b": 0.2}, 10.0),
+    ("cusp-transformation", {"h": 1, "k": 5, "z": "(1.0 + 0.0j)"}, 1.7413857229743806e-42),
+    ("cusp-transformation", {"h": 2, "k": 5, "z": "(1.0 + 0.0j)"}, 8.408376684838485e-45),
+    ("cusp-transformation", {"h": 3, "k": 5, "z": "(0.8 + 0.0j)"}, 1.76880463628754e-40),
+    ("cusp-transformation", {"h": 4, "k": 5, "z": "(1.2 + 0.0j)"}, 3.764845883024144e-43),
+    ("cusp-transformation", {"h": 1, "k": 10, "z": "(1.0 + 0.0j)"}, 5.928615018407228e-52),
+    ("cusp-transformation", {"h": 3, "k": 10, "z": "(0.8 + 0.0j)"}, 3.4762580145644625e-41),
+    ("cusp-transformation", {"h": 7, "k": 10, "z": "(1.2 + 0.3j)"}, 3.7514441129355694e-43),
+    ("cusp-transformation", {"h": 9, "k": 10, "z": "(0.9 + 0.0j)"}, 6.663566711942469e-47),
+    ("cusp-transformation", {"h": 2, "k": 15, "z": "(1.0 + 0.0j)"}, 5.159915353093144e-40),
+    ("cusp-transformation", {"h": 7, "k": 15, "z": "(1.1 - 0.2j)"}, 1.892275448090075e-40),
+    ("cusp-transformation", {"h": 3, "k": 20, "z": "(0.95 + 0.0j)"}, 5.071268757078721e-41),
+    ("series-agreement", {"tau": "(0.1 + 0.5j)", "order": 60}, 2.1174461346688135e-65),
+    ("series-agreement", {"tau": "(0.37 + 0.8j)", "order": 60}, 1.2960709696520014e-51),
+    ("conjugation-symmetry", {"tau": "(0.21 + 0.6j)"}, 4.754523502680829e-47),
+    ("conjugation-symmetry", {"tau": "(-0.32 + 0.75j)"}, 2.995398947529825e-50),
+    ("growth-classification", {"variant": "direct"}, 0.0),
+    ("growth-classification", {"variant": "reciprocal"}, 0.0),
+    ("eta-at-i", {"tau": "(0.0 + 1.0j)"}, 5.100189871090126e-41),
+]
+
+
+def test_suite_error_bars_only_shrink(suite_with_theta_calls):
+    records, _ = suite_with_theta_calls
+    assert len(records) == len(MODULAR_PINS)
+    for record, (check, params, tolerance) in zip(records, MODULAR_PINS):
+        assert (record.check, record.params, record.passed) == (check, params, True), record
+        assert record.tolerance <= tolerance, record
+
+
 def test_theta_encloses_the_direct_sum_on_the_suite_calls(suite_with_theta_calls):
     _, calls = suite_with_theta_calls
     assert len(calls) == 130
@@ -181,10 +245,12 @@ def test_theta_encloses_the_direct_sum_on_the_suite_calls(suite_with_theta_calls
     st.sampled_from([128, PREC]),
 )
 @example(0.0, 0.6875, 0.0, 1.5, 64, 128)  # growing terms with |q| ~ 2^-44
+@example(0.0, 0.0, 0.0, 0.0, 142, 128)  # a target below theta's unit 2^-W
+@example(0.0, -3.3, -0.5, 0.0, 64, 128)  # in-phase terms; the term ratio binds
 def test_theta_encloses_the_direct_sum(tau_re, log_t, w_re, w_im_ratio, target_bits, prec):
     # |Im w| up to 1.5 Im tau: the terms grow by up to e^(2.25 pi Im tau)
     # before they decay; targets below 2^-prec leave theta's own error
-    # as the larger part of the radius. The example needs the guard's
+    # as the larger part of the radius. The first example needs the guard's
     # allowance for the relative error of a small q
     t = mpf(10) ** log_t
     with working_precision(prec):

@@ -128,15 +128,15 @@ def test_sparse_divide_matches_scalar_recurrence(case):
 _WORD = 2**63  # CPython's sum() adds ints as C longs while each is in [-_WORD, _WORD)
 
 
-def word_path_exits(num, den, order):
-    """Whether some column of far-exponent windows leaves sum()'s
-    machine-word path partway through, the windows read oldest first.
-    sum() adds exact ints as C longs until an item or the running total
-    does not fit in one, then as big ints to the end."""
+def word_path_exits(num, den, order, size):
+    """Whether some column of far-exponent windows, in blocks of size
+    coefficients, leaves sum()'s machine-word path partway through, the
+    windows read oldest first. sum() adds exact ints as C longs until an
+    item or the running total does not fit in one, then as big ints to the end."""
     out = scalar_divide(num, den, order)
-    for start in range(0, order + 1, _B):
-        stop = min(start + _B, order + 1)
-        far = [e for e in reversed(den) if _B <= e < stop]
+    for start in range(0, order + 1, size):
+        stop = min(start + size, order + 1)
+        far = [e for e in reversed(den) if size <= e < stop]
         for m in range(start, stop):
             total = 0
             for k, t in enumerate(out[m - e] if e <= m else 0 for e in far):
@@ -152,8 +152,9 @@ def word_path_exits(num, den, order):
 def test_sparse_divide_is_exact_across_the_machine_word_edge(sign):
     # numerator coefficients on both sides of the C long edge, which is not
     # symmetric (-2^63 fits, 2^63 does not), taken as they are and negated;
-    # divisor exponents listed 1, 2 and 9 times below and past _BLOCK, and an
-    # order spanning four blocks: a column's sum starts on words and leaves them
+    # divisor exponents listed 1, 2 and 9 times below and past _BLOCK, the
+    # thirteen below it making blocks of den[6] = 7, and an order spanning
+    # four blocks of _BLOCK: a column's sum starts on words and leaves them
     order = 3 * _B + 17
     num = [
         (0, 1), (2, 2**62 - 1), (_B - 1, -(2**62 - 1)), (_B + 5, 2**62),
@@ -170,7 +171,7 @@ def test_sparse_divide_is_exact_across_the_machine_word_edge(sign):
         ]
         for _ in range(c)
     )
-    assert word_path_exits(num, den, order)
+    assert word_path_exits(num, den, order, min(_BLOCK, den[6]))
     assert _sparse_divide(num, den, order) == scalar_divide(num, den, order)
 
 
@@ -178,7 +179,7 @@ def test_sparse_divide_is_exact_across_the_machine_word_edge(sign):
 def test_sparse_divide_runs_full_blocks_across_the_machine_word_edge(sign):
     # the case above, with five divisor entries (repeats counted) below
     # _BLOCK in place of thirteen: the division then runs in blocks of
-    # _BLOCK, the columns word_path_exits models, and pads its six-term step
+    # _BLOCK and pads its six-term step
     order = 3 * _B + 17
     num = [
         (0, 1), (2, 2**62 - 1), (_B - 1, -(2**62 - 1)), (_B + 5, 2**62),
@@ -196,7 +197,7 @@ def test_sparse_divide_runs_full_blocks_across_the_machine_word_edge(sign):
         for _ in range(c)
     )
     assert sum(e < _B for e in den) == 5
-    assert word_path_exits(num, den, order)
+    assert word_path_exits(num, den, order, min(_BLOCK, den[6]))
     assert _sparse_divide(num, den, order) == scalar_divide(num, den, order)
 
 
