@@ -107,17 +107,13 @@ def neg_inverse(h: int, k: int) -> int:
 
 
 def select_hprime(h: int, k: int, d: int) -> int:
-    """Smallest nonnegative x with h*x == -1 (mod k) and (10/d) | x.
-
-    Scans x0 + t*k for t = 0..(10/d)-1 over the base inverse x0.
+    """Smallest nonnegative x with h*x == -1 (mod k) and (10/d) | x, for
+    d = gcd(k, 10): x0 + t*k over the base inverse x0, with the t in
+    [0, 10/d) that k*t == -x0 (mod 10/d) picks out (10/d is prime to k).
     """
     x0 = neg_inverse(h, k)
-    step = 10 // d
-    for t in range(step):
-        cand = x0 + t * k
-        if cand % step == 0:
-            return cand
-    raise AssertionError("no admissible modular inverse found")  # unreachable
+    s = 10 // d
+    return x0 + (-x0 * pow(k, -1, s)) % s * k
 
 
 class CuspData(NamedTuple):
@@ -452,8 +448,8 @@ def _akj_exponent_table(k: int, j: int, h_shift: int = 0, hp_shift: int = 0) -> 
         return table
     mod = 10 * k
     table = []
-    for h in range(1, k):
-        if h % d != j % d or gcd(h, k) != 1:
+    for h in range(j % d, k, d):
+        if gcd(h, k) != 1:
             continue
         hp = select_hprime(h, k, d) + hp_shift * (10 // d) * k
         hh = h + h_shift * k

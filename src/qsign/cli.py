@@ -179,9 +179,8 @@ def _cmd_modular(args) -> int:
 def _cmd_pipeline(args) -> int:
     from . import verifier
 
-    deltas = (args.delta,) if args.delta else (1, -1)
-    config = verifier.PipelineConfig(
-        deltas=deltas,
+    result = verifier.full_pipeline(
+        deltas=(args.delta,) if args.delta else (1, -1),
         n_max=args.n_max,
         sweep_k_max=args.sweep_k_max,
         identity_k_max=args.identity_k_max,
@@ -190,7 +189,6 @@ def _cmd_pipeline(args) -> int:
         precision_bits=args.precision_bits,
         output_dir=args.output_dir,
     )
-    result = verifier.full_pipeline(config)
     for phase, ok in sorted(result.phases.items()):
         print(f"phase {phase}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
     return result.exit_status

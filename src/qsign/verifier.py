@@ -23,7 +23,6 @@ __all__ = [
     "SignReport",
     "SweepReport",
     "ExactOracleReport",
-    "PipelineConfig",
     "PipelineResult",
     "verify_conjecture",
     "run_bound_sweeps",
@@ -132,7 +131,7 @@ def verify_conjecture(delta: int, n_max: int) -> SignReport:
     )
 
 
-class _SweepFields(NamedTuple):
+class SweepReport(NamedTuple):
     identity_k_max: int
     bound_k_max: int
     n_samples: int
@@ -145,17 +144,8 @@ class _SweepFields(NamedTuple):
     bessel_checks: int
     bessel_failures: list
     negative_control_detected: bool
-    rows: list | None = None
-    timing: dict | None = None
-
-
-class SweepReport(_SweepFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):  # an omitted rows or timing is a new list or dict, not a shared default
-        report = super().__new__(cls, *args, **kwargs)
-        return report._replace(rows=[] if report.rows is None else report.rows,
-                               timing={} if report.timing is None else report.timing)
+    rows: list
+    timing: dict
 
     @property
     def passed(self) -> bool:
@@ -179,10 +169,6 @@ class SweepReport(_SweepFields):
 
 def _valid_j(d: int) -> tuple[int, ...]:
     return (1, 2, 3, 4) if d == 5 else (1, 3, 7, 9)
-
-
-def _grid_k(k_max: int) -> list[int]:
-    return [k for k in range(5, k_max + 1, 5)]
 
 
 def run_bound_sweeps(
@@ -214,7 +200,7 @@ def run_bound_sweeps(
     identity_checks = 0
     identity_failures: list = []
     t0 = time.perf_counter()
-    for k in _grid_k(identity_k_max):
+    for k in range(5, identity_k_max + 1, 5):
         for j in _valid_j(gcd(k, 10)):
             # A_{k,j}(n) depends on n and the table alone: equal tables, every n
             rewrite_ok = arithmetic._akj_exponent_table(k, j, 1, 2) == arithmetic._akj_exponent_table(k, j)
@@ -229,7 +215,7 @@ def run_bound_sweeps(
     weil_checks = 0
     weil_failures: list = []
     t0 = time.perf_counter()
-    for k in _grid_k(k_max):
+    for k in range(5, k_max + 1, 5):
         for n in range(0, n_samples, 2):
             for m in (0, 1, 3, 10):
                 weil_checks += 1
@@ -242,7 +228,7 @@ def run_bound_sweeps(
     rows: list = []
     w = prec + arithmetic._GUARD_BITS
     t0 = time.perf_counter()
-    for k in _grid_k(k_max):
+    for k in range(5, k_max + 1, 5):
         d = gcd(k, 10)
         square = arithmetic._twisted_square(k)
         bound = sqrt(square)
@@ -304,7 +290,7 @@ def run_bound_sweeps(
     )
 
 
-class _OracleFields(NamedTuple):
+class ExactOracleReport(NamedTuple):
     n_lo: int
     n_hi: int
     deltas: tuple
@@ -314,15 +300,7 @@ class _OracleFields(NamedTuple):
     mismatches: list
     max_gap_plus_err: float
     timing: dict
-    rows: list | None = None
-
-
-class ExactOracleReport(_OracleFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):  # an omitted rows is a new list, not a shared default
-        report = super().__new__(cls, *args, **kwargs)
-        return report if report.rows is not None else report._replace(rows=[])
+    rows: list
 
     @property
     def oracle_passed(self) -> bool:
@@ -379,18 +357,6 @@ def run_exact_oracle(
     )
 
 
-class PipelineConfig:
-    """full_pipeline's settings, each an attribute a caller may set; n_max
-    None is PAPER_THRESHOLD[delta] for each delta."""
-
-    def __init__(self, deltas: tuple = (1, -1), n_max: int | None = None, sweep_k_max: int = 500,
-                 identity_k_max: int = 200, sweep_n_samples: int = 20, exact_range: tuple = (10, 300),
-                 precision_bits: int = 128, output_dir: str | Path = "qsign_artifacts"):
-        self.deltas, self.n_max, self.exact_range = deltas, n_max, exact_range
-        self.sweep_k_max, self.identity_k_max, self.sweep_n_samples = sweep_k_max, identity_k_max, sweep_n_samples
-        self.precision_bits, self.output_dir = precision_bits, output_dir
-
-
 class PipelineResult(NamedTuple):
     exit_status: int
     phases: dict
@@ -422,9 +388,22 @@ def _refuse_unusable_dir(path: Path, first_file: Path) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(denied))
 
 
-def full_pipeline(config: PipelineConfig) -> PipelineResult:
+def full_pipeline(
+    *,
+    deltas: tuple = (1, -1),
+    n_max: int | None = None,
+    sweep_k_max: int = 500,
+    identity_k_max: int = 200,
+    sweep_n_samples: int = 20,
+    exact_range: tuple = (10, 300),
+    precision_bits: int = 128,
+    output_dir: str | Path = "qsign_artifacts",
+) -> PipelineResult:
     """Run every phase, then write the artifacts, and report per-phase success.
 
+    The sign reports run to n_max, or to PAPER_THRESHOLD[delta] for each
+    delta when n_max is None; the sweeps take sweep_k_max, identity_k_max
+    and sweep_n_samples, and the oracle exact_range = (n_lo, n_hi).
     Each phase checks its own input, and nothing is written unless every
     phase ran: a refused input or a phase that raises leaves no artifact.
     An output_dir that mkdir or the first write would refuse is refused
@@ -437,20 +416,16 @@ def full_pipeline(config: PipelineConfig) -> PipelineResult:
     """
     from . import modularcheck
 
-    if config.precision_bits < 64:
+    if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
-    if not config.deltas or any(delta not in (1, -1) for delta in config.deltas):
+    if not deltas or any(delta not in (1, -1) for delta in deltas):
         raise ValueError("deltas must be +1 / -1")
-    outdir = Path(config.output_dir)
-    _refuse_unusable_dir(outdir, outdir / f"sign_delta_{config.deltas[0]}.json")
-    prec = config.precision_bits
-    signs = {
-        delta: verify_conjecture(delta, PAPER_THRESHOLD[delta] if config.n_max is None else config.n_max)
-        for delta in config.deltas
-    }
-    sweeps = run_bound_sweeps(config.sweep_k_max, config.sweep_n_samples, config.identity_k_max, prec)
-    modular = modularcheck.validation_suite(prec=prec)
-    oracle = run_exact_oracle(*config.exact_range, config.deltas, prec)
+    outdir = Path(output_dir)
+    _refuse_unusable_dir(outdir, outdir / f"sign_delta_{deltas[0]}.json")
+    signs = {delta: verify_conjecture(delta, PAPER_THRESHOLD[delta] if n_max is None else n_max) for delta in deltas}
+    sweeps = run_bound_sweeps(sweep_k_max, sweep_n_samples, identity_k_max, precision_bits)
+    modular = modularcheck.validation_suite(prec=precision_bits)
+    oracle = run_exact_oracle(*exact_range, deltas, precision_bits)
 
     phases = {
         **{f"verify_delta_{delta}": report.passed for delta, report in signs.items()},

@@ -43,6 +43,18 @@ _QSERIES = "src/qsign/qseries.py"
 _NUMERICS = "src/qsign/numerics.py"
 _MODULAR = "src/qsign/modularcheck.py"
 _MODULAR_TESTS = "tests/test_modularcheck.py"
+_VERIFIER = "src/qsign/verifier.py"
+_EXACT = "src/qsign/exactformula.py"
+_EXACT_TESTS = "tests/test_exactformula.py"
+_ARITHMETIC = "src/qsign/arithmetic.py"
+_ARITHMETIC_TESTS = "tests/test_arithmetic.py"
+_CLI_TESTS = "tests/test_verifier_cli.py"
+_FLAGGED = f"{_CLI_TESTS}::test_verify_flags_a_flipped_sign_and_an_extra_zero"
+# the Bessel charges' common reason, when a test cannot drive their error source to its bound
+_BESSEL_SLACK = (
+    "the true errors sit far below the worst-case bounds, and pre_err's share of "
+    "f_err covers them: without this charge every term and c_exact test still encloses its reference"
+)
 
 MUTANTS = (
     Mutant(
@@ -179,6 +191,156 @@ MUTANTS = (
             "relative width (x near 2^(prec/2), where I1 cannot be evaluated), and "
             "the rise flips a verdict only within 2^-(prec+10) of that edge"
         ),
+    ),
+    Mutant(
+        "sweep-control-at-shift-0",
+        _VERIFIER,
+        "(15, 2, 1, 1)",
+        "(15, 2, 1, 0)",
+        (
+            "tests/test_acceptance.py::test_criterion_4_kloosterman_suite",
+            f"{_CLI_TESTS}::test_small_sweep_passes",
+            f"{_CLI_TESTS}::test_cli_sweeps",
+        ),
+    ),
+    Mutant(
+        "sign-report-positive-class-with-a-zero",
+        _VERIFIER,
+        "min(tail) > 0",
+        "min(tail) >= 0",
+        (
+            f"{_FLAGGED}[zeros-past-50]",
+            f"{_FLAGGED}[zeros-past-the-last-exception-minus]",
+            f"{_FLAGGED}[n-max-3-mod-10-minus]",
+        ),
+    ),
+    Mutant(
+        "sign-report-negative-class-with-a-zero",
+        _VERIFIER,
+        "max(tail) < 0",
+        "max(tail) <= 0",
+        (
+            f"{_FLAGGED}[flipped-sign-and-extra-zero]",
+            f"{_FLAGGED}[zero-just-past-the-last-exception]",
+            f"{_FLAGGED}[n-max-50]",
+        ),
+    ),
+    Mutant(
+        "sign-report-skips-a-class",
+        _VERIFIER,
+        "head + 10",
+        "head + 9",
+        (
+            f"{_FLAGGED}[wrong-sign-in-a-negative-class]",
+            f"{_CLI_TESTS}::test_verdict_string_is_the_per_index_verdicts",
+        ),
+    ),
+    Mutant(
+        "sign-report-lists-unsorted",
+        _VERIFIER,
+        "found.sort()",
+        "found",
+        (f"{_FLAGGED}[zeros-past-50]",),
+    ),
+    Mutant(
+        "threshold-k3-halved",
+        _EXACT,
+        "exact(864)",
+        "exact(432)",
+        (
+            f"{_EXACT_TESTS}::test_threshold_lhs_encloses_the_displayed_form[1-8-2929]",
+            f"{_EXACT_TESTS}::test_threshold_lhs_encloses_the_displayed_form[-1-12-2234]",
+            f"{_CLI_TESTS}::test_cli_threshold",
+        ),
+    ),
+    Mutant(
+        "threshold-first-power-of-s",
+        _EXACT,
+        "s * s.sqrt()",
+        "s",
+        (
+            f"{_EXACT_TESTS}::test_threshold_lhs_encloses_the_displayed_form[1-8-2929]",
+            f"{_EXACT_TESTS}::test_threshold_lhs_encloses_the_displayed_form[-1-12-2234]",
+            f"{_EXACT_TESTS}::test_threshold_lhs_keeps_its_digits_and_narrows_its_error",
+        ),
+    ),
+    Mutant(
+        "threshold-cosine-of-class-11",
+        _EXACT,
+        "[13 if delta == 1 else 14]",
+        "[11 if delta == 1 else 14]",
+        (
+            f"{_EXACT_TESTS}::test_threshold_values_at_paper_cutoffs",
+            f"{_EXACT_TESTS}::test_threshold_fails_just_below_cutoffs",
+            f"{_EXACT_TESTS}::test_threshold_lhs_encloses_the_displayed_form[1-8-2929]",
+        ),
+    ),
+    Mutant(
+        "arithmetic-binds-mp",
+        _ARITHMETIC,
+        "from mpmath.libmp import from_int,",
+        "from mpmath import mp\nfrom mpmath.libmp import from_int,",
+        (f"{_ARITHMETIC_TESTS}::test_arithmetic_names_no_global_precision",),
+    ),
+    Mutant(
+        "fixed-mul-reads-mp-prec",
+        _MODULAR,
+        "na = na or isqrt(ar * ar + ai * ai) + 1",
+        "na = na or isqrt(ar * ar + ai * ai) + 1 + (mp.prec < 0)",
+        (f"{_MODULAR_TESTS}::test_fixed_point_kernels_name_no_global_precision",),
+    ),
+    Mutant(
+        "hprime-of-the-wrong-parity",
+        _ARITHMETIC,
+        "x0 + (-x0 * pow(k, -1, s)) % s * k",
+        "x0 + (1 - x0 * pow(k, -1, s)) % s * k",
+        (
+            f"{_ARITHMETIC_TESTS}::test_select_hprime_parity_for_odd_k",
+            f"{_ARITHMETIC_TESTS}::test_decompose_2_over_5",
+            f"{_ARITHMETIC_TESTS}::test_closed_form_hprime_and_class_step_match_the_search_forms",
+        ),
+    ),
+    Mutant(
+        "class-step-skips-its-first-h",
+        _ARITHMETIC,
+        "range(j % d, k, d)",
+        "range(j % d + d, k, d)",
+        (
+            f"{_ARITHMETIC_TESTS}::test_k5_sum_hand_derived",
+            f"{_ARITHMETIC_TESTS}::test_k10_sum_is_the_cosine",
+            f"{_ARITHMETIC_TESTS}::test_closed_form_hprime_and_class_step_match_the_search_forms",
+        ),
+    ),
+    Mutant(
+        "bessel-drops-argument-charge",
+        _EXACT,
+        "((y_err << t) >> 16)",
+        "0",
+        (
+            f"{_EXACT_TESTS}::test_term_factor_encloses_the_reference_at_a_displaced_bessel_point[16]",
+            f"{_EXACT_TESTS}::test_term_factor_encloses_the_reference_at_a_displaced_bessel_point[128]",
+        ),
+    ),
+    Mutant(
+        "bessel-drops-skip-charge",
+        _EXACT,
+        "rest[top + 1] // k2 ** (top + 1)",
+        "0",
+        not_pinnable=_BESSEL_SLACK,
+    ),
+    Mutant(
+        "bessel-drops-floor-and-tail-charge",
+        _EXACT,
+        "tail + 5, t_num",
+        "0, t_num",
+        not_pinnable=_BESSEL_SLACK,
+    ),
+    Mutant(
+        "bessel-drops-table-error-charge",
+        _EXACT,
+        "(q * (h + lift) >> u)",
+        "0",
+        not_pinnable=_BESSEL_SLACK,
     ),
 )
 

@@ -27,6 +27,8 @@ integer with gap + numeric err below 0.23. Should a proven sharper tail
 bound land, the flag turns on and criterion 3 keeps passing unchanged.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -183,6 +185,16 @@ def test_criterion_4_kloosterman_suite():
     assert r.bessel_failures == []
     assert r.negative_control_detected
     assert elapsed < 600
+    # the sweep's output byte for byte: its counts, its CSV and its report without timing
+    counts = (r.identity_checks, r.weil_checks, r.bound_checks, r.bessel_checks, len(r.rows))
+    assert counts == (6400, 4000, 9000, 313, 1200)
+    assert hashlib.sha256(r.csv_text().encode()).hexdigest() == (
+        "2554b5526aeb117ca9279c68d76ec2dae85ea8bac4d233c8d7cc9f7eca796b75"
+    )
+    report_json = json.dumps({k: v for k, v in r.to_dict().items() if k != "timing"}, sort_keys=True, indent=2)
+    assert hashlib.sha256(report_json.encode()).hexdigest() == (
+        "fded3d5ecbeac15dbee7c4c75ff7142384baf3171d051caff45af0361a447d52"
+    )
 
 
 def test_criterion_5_modular_backbone():

@@ -632,6 +632,42 @@ def test_class_minus_j_table_is_the_negated_class_j_table():
     arithmetic.clear_caches()
 
 
+def _search_hprime(h, k, d):
+    """select_hprime's search form: the first of x0 + t*k, t = 0..10/d - 1,
+    that 10/d divides."""
+    x0 = (-pow(h, -1, k)) % k
+    step = 10 // d
+    return next(x for x in range(x0, x0 + step * k, k) if x % step == 0)
+
+
+def _filtered_exponent_table(k, j, h_shift, hp_shift):
+    """_akj_exponent_table's filter form: every h in [1, k), kept when it is
+    in class j and prime to k, with the searched h'."""
+    d, mod = math.gcd(k, 10), 10 * k
+    table = []
+    for h in range(1, k):
+        if h % d != j % d or math.gcd(h, k) != 1:
+            continue
+        hp = _search_hprime(h, k, d) + hp_shift * (10 // d) * k
+        hh = h + h_shift * k
+        table.append(((arithmetic._term_exponent_parts(hh, hp, k) - 10 * hh) % mod, (-10 * hh) % mod))
+    return table
+
+
+def test_closed_form_hprime_and_class_step_match_the_search_forms():
+    from qsign.arithmetic import _akj_exponent_table
+
+    for k in range(5, 1001, 5):
+        d = math.gcd(k, 10)
+        for h in range(1, k):
+            if math.gcd(h, k) == 1:
+                assert select_hprime(h, k, d) == _search_hprime(h, k, d), (h, k)
+        for j in _valid_js(k):
+            for shifts in ((0, 0), (1, 2)):
+                assert _akj_exponent_table(k, j, *shifts) == _filtered_exponent_table(k, j, *shifts), (k, j, shifts)
+    arithmetic.clear_caches()
+
+
 def _two_class_twist(k, n, twisted, prec):
     """A_k(n) = A_{k,3}(n) + A_{k,-3}(n), or cal A_k(n) = conj(A_{k,1}(-n) +
     A_{k,-1}(-n)) when twisted, as the sum of both classes' totals:

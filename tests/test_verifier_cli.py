@@ -1,6 +1,7 @@
 """Tests for the orchestration layer and the command-line interface."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -21,9 +22,6 @@ from qsign.cli import main
 from qsign.numerics import ErrReal, working_precision
 from qsign.qseries import PAPER_THRESHOLD, ZERO_EXCEPTIONS, Verdict, sign_pattern_verdict
 from qsign.verifier import (
-    ExactOracleReport,
-    PipelineConfig,
-    SweepReport,
     full_pipeline,
     run_bound_sweeps,
     run_exact_oracle,
@@ -251,16 +249,6 @@ def test_exact_oracle_small_range():
             assert abs(mpf(row[key]) - r[key]) <= mpf("1e-7") * abs(r[key]), key
 
 
-def test_reports_built_without_rows_do_not_share_them():
-    sweeps = [SweepReport(5, 5, 1, 0, [], 0, [], 0, [], 0, [], True) for _ in range(2)]
-    oracles = [ExactOracleReport(10, 10, (1,), 0, 0, 0, [], 0.0, {}) for _ in range(2)]
-    sweeps[0].rows.append((5, 1, 0, 0.0, 1.0, True))
-    sweeps[0].timing["bounds"] = 0.0
-    oracles[0].rows.append({"n": 10})
-    assert (sweeps[1].rows, sweeps[1].timing, oracles[1].rows) == ([], {}, [])
-    assert sweeps[1].to_dict()["timing"] == {} and oracles[1].to_dict()["rows"] == []
-
-
 def test_exact_oracle_refuses_an_empty_range(tmp_path, capsys):
     # an oracle over no index would pass having compared nothing
     with pytest.raises(ValueError, match="invalid exact-formula range"):
@@ -325,16 +313,18 @@ def test_pipeline_refuses_an_unwritable_output_dir_before_any_phase(tmp_path, mo
     assert list(locked.iterdir()) == []
 
 
-def small_config(tmp_path, name):
-    return PipelineConfig(
-        deltas=(1, -1),
-        n_max=60,
-        sweep_k_max=20,
-        identity_k_max=20,
-        sweep_n_samples=2,
-        exact_range=(10, 12),
-        output_dir=tmp_path / name,
-    )
+def small_config(tmp_path, name, **overrides):
+    """full_pipeline's keyword settings for a small run into tmp_path / name."""
+    return {
+        "deltas": (1, -1),
+        "n_max": 60,
+        "sweep_k_max": 20,
+        "identity_k_max": 20,
+        "sweep_n_samples": 2,
+        "exact_range": (10, 12),
+        "output_dir": tmp_path / name,
+        **overrides,
+    }
 
 
 def strip_timing(obj):
@@ -346,9 +336,9 @@ def strip_timing(obj):
 
 
 def test_pipeline_small_and_deterministic(tmp_path):
-    result1 = full_pipeline(small_config(tmp_path, "run1"))
+    result1 = full_pipeline(**small_config(tmp_path, "run1"))
     assert result1.exit_status == 0
-    result2 = full_pipeline(small_config(tmp_path, "run2"))
+    result2 = full_pipeline(**small_config(tmp_path, "run2"))
     for name in ("sign_delta_1.json", "sweeps.json", "modular.json", "exact_oracle.json", "summary.json"):
         a = strip_timing(json.loads((tmp_path / "run1" / name).read_text()))
         b = strip_timing(json.loads((tmp_path / "run2" / name).read_text()))
@@ -367,19 +357,29 @@ def test_pipeline_small_and_deterministic(tmp_path):
         jsonschema.validate(json.loads((tmp_path / "run1" / name).read_text()), load_schema(f"{schema}.schema.json"))
 
 
+def test_full_pipeline_takes_its_eight_settings_by_keyword():
+    params = inspect.signature(full_pipeline).parameters
+    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params.values())
+    assert {name: p.default for name, p in params.items()} == {
+        "deltas": (1, -1),
+        "n_max": None,
+        "sweep_k_max": 500,
+        "identity_k_max": 200,
+        "sweep_n_samples": 20,
+        "exact_range": (10, 300),
+        "precision_bits": 128,
+        "output_dir": "qsign_artifacts",
+    }
+
+
 def test_pipeline_rejects_invalid_config(tmp_path):
-    config = small_config(tmp_path, "bad")
-    config.n_max = 10
     with pytest.raises(ValueError):
-        full_pipeline(config)
-    config = small_config(tmp_path, "bad2")
-    config.precision_bits = 32
+        full_pipeline(**small_config(tmp_path, "bad", n_max=10))
     with pytest.raises(ValueError):
-        full_pipeline(config)
-    config = small_config(tmp_path, "bad3")
-    config.deltas = ()  # no sign report, and an oracle over no index
+        full_pipeline(**small_config(tmp_path, "bad2", precision_bits=32))
+    # no sign report, and an oracle over no index
     with pytest.raises(ValueError, match="deltas"):
-        full_pipeline(config)
+        full_pipeline(**small_config(tmp_path, "bad3", deltas=()))
     assert not any((tmp_path / name).exists() for name in ("bad", "bad2", "bad3"))
 
 
@@ -402,10 +402,9 @@ def test_sweeps_refuse_a_grid_that_checks_nothing(tmp_path, sizes, capsys):
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("qsign: error:"), lines
-    config = small_config(tmp_path, "empty")
-    config.sweep_k_max, config.identity_k_max, config.sweep_n_samples = sizes
     with pytest.raises(ValueError):
-        full_pipeline(config)
+        full_pipeline(**small_config(tmp_path, "empty", sweep_k_max=k_max, identity_k_max=identity_k_max,
+                                     sweep_n_samples=n_samples))
     assert not (tmp_path / "empty").exists()  # refused before any artifact
 
 
@@ -433,9 +432,7 @@ def test_pipeline_default_range_leaves_no_index_between_the_two_steps(tmp_path):
     check at PAPER_THRESHOLD[delta]. That check is one index of the closed
     form; that its lhs stays below one for every later n is not shown here
     and stays with the all-n certificate (ROADMAP item 14(b))."""
-    config = small_config(tmp_path, "defaults")
-    config.n_max = None
-    assert full_pipeline(config).exit_status == 0
+    assert full_pipeline(**small_config(tmp_path, "defaults", n_max=None)).exit_status == 0
     for delta in (1, -1):
         report = json.loads((tmp_path / "defaults" / f"sign_delta_{delta}.json").read_text())
         assert report["range"][1] >= PAPER_THRESHOLD[delta] + delta - 1, delta
@@ -445,9 +442,7 @@ def test_pipeline_default_range_leaves_no_index_between_the_two_steps(tmp_path):
 
 
 def test_pipeline_single_delta(tmp_path):
-    config = small_config(tmp_path, "single")
-    config.deltas = (1,)
-    result = full_pipeline(config)
+    result = full_pipeline(**small_config(tmp_path, "single", deltas=(1,)))
     assert result.exit_status == 0
     assert (tmp_path / "single" / "sign_delta_1.json").exists()
     assert not (tmp_path / "single" / "sign_delta_-1.json").exists()
