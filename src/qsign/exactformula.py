@@ -9,14 +9,14 @@ to wrong values. The closed-form threshold inequality (threshold_lhs) is
 the one place the displayed 5n+-8 convention is kept, because its stated
 crossovers n >= 2929 / n >= 2234 are exact for that form.
 
-The partial sum of the formula is an integer loop: each summand
-twist * (prefix / k) * I1(x_k) is formed from the twist's fixed-point
-table totals, integer pi, square roots and prefix, and the Bessel value
-read from one table per class d = gcd(k, 10) (every x_k of a class is
-2 y_d / k), all in fixed point, and carries one integer error bound
-(_term_plan). The totals decide the rounding and, with the tail bound's
-integer form (tail_bound_op), the definitive flag; they are rounded only
-into the reported ball. The tail bound and the error bound share one
+The partial sum of the formula is an integer loop per class
+d = gcd(k, 10) (_class_sum): each summand twist * (prefix / k) * I1(x_k)
+is formed from the twist's fixed-point table totals, integer pi, square
+roots and prefix, and the Bessel value read from the class's one table
+(every x_k of a class is 2 y_d / k), all in fixed point, and carries one
+integer error bound. The totals decide the rounding and, with the tail
+bound's integer form (tail_bound_op), the definitive flag; they are
+rounded only into the reported ball. The tail and error bounds share one
 integer form, _bound_form, with zeta(3/2) from zeta_3_2 at their width.
 """
 
@@ -67,13 +67,13 @@ def _validate_n(delta: int, n: int) -> int:
     return nn
 
 
-def _term_plan(delta: int, n: int, prec: int):
-    """The summands of the exact formula in fixed point, as a function of k.
-    Returns w = prec + _GUARD_BITS, the root tables' width, and term, where
-    term(k) gives integers (value, err) at 2^-2w: the k-th summand
-    twist * (prefix / k) * I1(x_k), which is real, within err units of the
-    truth. term builds a class's table on its first k and keeps it; its
-    result does not depend on which k were read before.
+def _class_sum(delta: int, n: int, d: int, ks, prec: int) -> tuple[int, int, int]:
+    """The summands of the exact formula over ks, all of class d = gcd(k, 10)
+    in {5, 10}, summed in fixed point. Returns w = prec + _GUARD_BITS, the
+    root tables' width, and integers (value, err) at 2^-2w: the sum of the
+    k-th summands twist * (prefix / k) * I1(x_k), which are real, within err
+    units of the truth, err being the sum of the per-k bounds below. The
+    class's Bessel table is built once, whatever ks holds.
 
     Proof of the bounds. Per index, with u = w + 16 and, for d = 5, 10,
     R_d = sqrt(2 (d-4) nn) and y_d = pi R_d / 5:
@@ -146,33 +146,28 @@ def _term_plan(delta: int, n: int, prec: int):
     a margin far wider than B's float rounding.
     """
     nn = _validate_n(delta, n)
+    if d not in (5, 10):
+        raise ValueError("the exact formula's classes are d = 5 and d = 10")
     w = prec + _GUARD_BITS
     u = w + 16
     pi = _pi_fixed(u)
-    plan = {}
-
-    def table(d: int) -> tuple:
-        root = isqrt(2 * (d - 4) * nn << 2 * u)
-        prod, err = pi * root, 2 * root + pi + 2
-        y, y_err = 2 * prod // (5 << w), 2 * err // (5 << w) + 2  # 2 y_d at 2^-(u+16)
-        terms, losts, tail = _i1_series(y, u + 16, u, 1, d)
-        a0 = terms[0]
-        q = max(-(-(lost << u) // (a + a0)) for a, lost in zip(terms, losts))
-        rest = list(accumulate(map(add, reversed(terms), reversed(losts)), initial=0))[::-1]
-        # tops[J] = -log2(rest_(J+1)) / (2J+2) is at most -log2 k while rest_(J+1) >= k^(2J+2)
-        tops = [-math.log2(r) / (2 * j) if r else math.inf for j, r in enumerate(rest) if j]
-        t_num = (y + y_err) * 14427 >> u + 16
-        pre, pre_err = prod // (nn << u), err // (nn << u) + 2
-        # tail + 5: the Horner floors' 2 and the roundings up of g, the skip and the argument
-        return terms, tops, rest, q, 2 * a0 + 2, tail + 5, t_num, y_err, pre, pre_err
-
-    def term(k: int) -> tuple[int, int]:
-        d = gcd(k, 10)
-        if d not in (5, 10):
-            raise ValueError("term defined only for gcd(k,10) in {5,10}")
-        if d not in plan:
-            plan[d] = table(d)
-        terms, tops, rest, q, lift, fixed_err, t_num, y_err, pre, pre_err = plan[d]
+    root = isqrt(2 * (d - 4) * nn << 2 * u)
+    prod, err = pi * root, 2 * root + pi + 2
+    y, y_err = 2 * prod // (5 << w), 2 * err // (5 << w) + 2  # 2 y_d at 2^-(u+16)
+    terms, losts, tail = _i1_series(y, u + 16, u, 1, d)
+    lift = 2 * terms[0] + 2
+    q = max(-(-(lost << u) // (a + terms[0])) for a, lost in zip(terms, losts))
+    rest = list(accumulate(map(add, reversed(terms), reversed(losts)), initial=0))[::-1]
+    # tops[J] = -log2(rest_(J+1)) / (2J+2) is at most -log2 k while rest_(J+1) >= k^(2J+2)
+    tops = [-math.log2(r) / (2 * j) if r else math.inf for j, r in enumerate(rest) if j]
+    t_num = (y + y_err) * 14427 >> u + 16
+    pre, pre_err = prod // (nn << u), err // (nn << u) + 2
+    # the Horner floors' 2 and the roundings up of g, the skip and the argument
+    fixed_err = tail + 5
+    value = total_err = 0
+    for k in ks:
+        if gcd(k, 10) != d:
+            raise ValueError(f"k={k} is not in the class gcd(k,10) = {d}")
         k2 = k * k
         top = bisect_right(tops, -math.log2(k))
         h = 0
@@ -184,13 +179,13 @@ def _term_plan(delta: int, n: int, prec: int):
         f = pre * h // den
         f_err = (pre * h_err + h * pre_err + pre_err * h_err) // den + 2
         twist, c = _twist_totals(k, n, delta == -1, prec)
-        return twist * f, abs(twist) * f_err + c * (f + f_err)
-
-    return w, term
+        value += twist * f
+        total_err += abs(twist) * f_err + c * (f + f_err)
+    return w, value, total_err
 
 
 def _pass_bits(delta: int, n: int, k_max: int) -> int:
-    """The bit count B of _term_plan's proof: err <= 1/4 at B bits or more."""
+    """The bit count B of _class_sum's proof: err <= 1/4 at B bits or more."""
     nn = shifted_index(delta, n)
     big_l = 1.4428 * (2 * math.pi / 25) * math.sqrt(3 * nn) + 1 / 128
     p = math.pi * math.sqrt(12 / nn) + 2**-10
@@ -301,7 +296,7 @@ def c_exact(
 
     One pass at prec 2^e bits, e >= 0 the least that reaches
     _pass_bits(delta, n, k_max), where the numeric error is at most 1/4
-    (_term_plan); e is reported as escalations, and k_max stays as given.
+    (_class_sum); e is reported as escalations, and k_max stays as given.
     The summands are real integers at 2^-2w (_twist_totals); on their
     totals, rounded is the nearest integer, ties to even as mp.nint breaks
     them, and definitive is gap + err + ceil(2^2w tail) < 2^(2w-1).
@@ -317,8 +312,11 @@ def c_exact(
     need = _pass_bits(delta, n, k_max)
     escalations = (-(-need // prec) - 1).bit_length()  # the least e >= 0 with prec 2^e >= need
     prec <<= escalations
-    w, term = _term_plan(delta, n, prec)
-    value, err = map(sum, zip(*(term(k) for k in range(5, k_max + 1, 5))))
+    value = err = 0
+    for d in (5, 10):
+        w, class_value, class_err = _class_sum(delta, n, d, range(d, k_max + 1, 10), prec)
+        value += class_value
+        err += class_err
     total = _fixed_ball(value, err, 2 * w, prec)
     tail = tail_bound_op(delta, n, k_max, prec)
     half = 1 << 2 * w - 1
@@ -342,10 +340,10 @@ def c_exact(
 
 def main_term(delta: int, n: int, prec: int = 128) -> ErrReal:
     """The k=10 summand of the exact formula,
-    (2 sqrt3 pi / (5 sqrt(nn))) cos(...) I1((2pi/25) sqrt(3 nn)): term(10)
-    of _term_plan, rounded once into a ball at prec bits."""
-    w, term = _term_plan(delta, n, prec)
-    return _fixed_ball(*term(10), 2 * w, prec)
+    (2 sqrt3 pi / (5 sqrt(nn))) cos(...) I1((2pi/25) sqrt(3 nn)): class 10's
+    _class_sum over k = 10 alone, rounded once into a ball at prec bits."""
+    w, value, err = _class_sum(delta, n, 10, (10,), prec)
+    return _fixed_ball(value, err, 2 * w, prec)
 
 
 def error_bound_total(delta: int, n: int, prec: int = 128) -> mpf:

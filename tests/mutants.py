@@ -4,8 +4,9 @@ Each entry names a file (relative to the repository root), a text that
 occurs in it exactly once, the text that replaces it, and the tests that
 must fail once the edit is made. An entry that no test can catch says why
 in ``not_pinnable`` instead. ``tests/test_mutants.py`` checks in tier 1
-that every entry's old text still occurs exactly once, so an edit that
-moves the code out from under a mutant shows at once.
+that every entry's old text still occurs exactly once and that every test
+it names is defined in its file, so an edit that moves the code or the
+tests out from under a mutant shows at once.
 
 Run the mutants from the repository root with
 
@@ -13,8 +14,10 @@ Run the mutants from the repository root with
 
 Each one is applied to a copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` in a temporary directory, and its tests run there with
-pytest. A mutant survives when one of its tests passes. The runner prints
-one line per mutant with its verdict and time, and exits 1 if any survive.
+pytest. A mutant survives when one of its tests passes; a parametrized
+test named without its parameters fails when any of its instances does.
+The runner prints one line per mutant with its verdict and time, and
+exits 1 if any survive.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ _ARITHMETIC = "src/qsign/arithmetic.py"
 _ARITHMETIC_TESTS = "tests/test_arithmetic.py"
 _CLI_TESTS = "tests/test_verifier_cli.py"
 _FLAGGED = f"{_CLI_TESTS}::test_verify_flags_a_flipped_sign_and_an_extra_zero"
+_ORACLE = f"{_EXACT_TESTS}::test_c_exact_rounds_to_oracle"
+_CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_exact_formula_definitive_rounding"
 # the Bessel charges' common reason, when a test cannot drive their error source to its bound
 _BESSEL_SLACK = (
     "the true errors sit far below the worst-case bounds, and pre_err's share of "
@@ -204,6 +209,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "sweep-control-d10-at-shift-0",
+        _VERIFIER,
+        "(20, 3, 1, 2)",
+        "(20, 3, 1, 0)",
+        (
+            f"{_CLI_TESTS}::test_small_sweep_passes",
+            f"{_CLI_TESTS}::test_cli_sweeps",
+        ),
+    ),
+    Mutant(
         "sign-report-positive-class-with-a-zero",
         _VERIFIER,
         "min(tail) > 0",
@@ -276,6 +291,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "threshold-term-2-at-exponent-b",
+        _EXACT,
+        "(-(b_less_a * s)).exp()",
+        "(-(b * s)).exp()",
+        (
+            f"{_EXACT_TESTS}::test_threshold_lhs_encloses_the_displayed_form[1-8-2929]",
+            f"{_EXACT_TESTS}::test_threshold_lhs_encloses_the_displayed_form[-1-12-2234]",
+        ),
+    ),
+    Mutant(
+        "eta-drops-its-factor-i",
+        _MODULAR,
+        "tau / 3 + mpf(1) / 2",
+        "tau / 3",
+        (
+            f"{_MODULAR_TESTS}::test_suite_checks_eta_at_i_against_its_closed_form",
+            f"{_MODULAR_TESTS}::test_eta_at_i",
+        ),
+    ),
+    Mutant(
         "arithmetic-binds-mp",
         _ARITHMETIC,
         "from mpmath.libmp import from_int,",
@@ -312,6 +347,58 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "quarter-turn-unreversed",
+        _ARITHMETIC,
+        "cos, sin = cos + sin[i::-1], sin[: i + 1] + cos[::-1]",
+        "cos, sin = cos + sin[: i + 1], sin[: i + 1] + cos",
+        (f"{_ARITHMETIC_TESTS}::test_root_tables_are_exact_on_their_symmetries_and_accurate",),
+    ),
+    Mutant(
+        "half-turn-without-minus",
+        _ARITHMETIC,
+        "cos += map(neg, cos[i::-1])",
+        "cos += cos[i::-1]",
+        (f"{_ARITHMETIC_TESTS}::test_root_tables_are_exact_on_their_symmetries_and_accurate",),
+    ),
+    Mutant(
+        "factor-2-dropped",
+        _ARITHMETIC,
+        "return 2 * re, 2 * len(rows)",
+        "return re, len(rows)",
+        (f"{_ARITHMETIC_TESTS}::test_twist_totals_are_the_two_class_sum_bit_for_bit[128]",),
+    ),
+    Mutant(
+        "class-minus-j-at-unnegated-n",
+        _ARITHMETIC,
+        "(_akj_exponent_table(k, 1), -n) if twisted else (_akj_exponent_table(k, 3), n)",
+        "(_akj_exponent_table(k, -1), n) if twisted else (_akj_exponent_table(k, -3), n)",
+        (f"{_ARITHMETIC_TESTS}::test_twist_totals_are_the_two_class_sum_bit_for_bit[128]",),
+    ),
+    Mutant(
+        "class-sum-drops-class-5",
+        _EXACT,
+        "for d in (5, 10)",
+        "for d in (10,)",
+        (
+            _CRITERION_3,
+            f"{_ORACLE}[1-30]",
+            f"{_ORACLE}[1-47]",
+            f"{_ORACLE}[-1-25]",
+        ),
+    ),
+    Mutant(
+        "class-sum-skips-its-first-k",
+        _EXACT,
+        "range(d, k_max + 1, 10)",
+        "range(d + 10, k_max + 1, 10)",
+        (
+            _CRITERION_3,
+            f"{_ORACLE}[1-30]",
+            f"{_ORACLE}[-1-25]",
+            f"{_ORACLE}[-1-12]",
+        ),
+    ),
+    Mutant(
         "bessel-drops-argument-charge",
         _EXACT,
         "((y_err << t) >> 16)",
@@ -331,8 +418,8 @@ MUTANTS = (
     Mutant(
         "bessel-drops-floor-and-tail-charge",
         _EXACT,
-        "tail + 5, t_num",
-        "0, t_num",
+        "fixed_err = tail + 5",
+        "fixed_err = 0",
         not_pinnable=_BESSEL_SLACK,
     ),
     Mutant(
@@ -360,12 +447,13 @@ def run(mutant: Mutant) -> list[str]:
             capture_output=True,
             text=True,
         )
-    # a failed test, or an error in its setup or in collecting its file
-    failed = {
-        line.split()[1]
-        for line in proc.stdout.splitlines()
-        if line.startswith(("FAILED ", "ERROR "))
-    }
+    # a failed test, or an error in its setup or in collecting its file; a
+    # failed instance t[param] of a parametrized test also fails a bare t
+    failed = set()
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            test = line.split()[1]
+            failed |= {test, test.split("[")[0]}
     return [t for t in mutant.killed_by if t not in failed and t.split("::")[0] not in failed]
 
 

@@ -151,6 +151,21 @@ def test_criterion_3_exact_formula_definitive_rounding(exact_oracle_run):
     for clause, bad in faults.items():
         assert bad == [], f"clause {clause} fails at {len(bad)} indices, first {bad[:5]}"
     assert elapsed < 300
+    # the route's bits at every index: each row's fields, the balls as their
+    # exact mpf tuples, and the report's JSON without its timing
+    bits = [
+        (row["delta"], row["n"], row["k_max"], row["rounded"], row["true"],
+         *(tuple(int(x) for x in row[key]._mpf_) for key in ("value", "err", "tail_bound", "gap")),
+         bool(row["definitive"]), row["prec"], row["escalations"])
+        for row in r.rows
+    ]
+    assert hashlib.sha256(repr(bits).encode()).hexdigest() == (
+        "45359134e92455dde5cc2e6a424e849717ba9e92d885e74032ab4f0de95f6f20"
+    )
+    report_json = json.dumps({k: v for k, v in r.to_dict().items() if k != "timing"}, sort_keys=True, indent=2)
+    assert hashlib.sha256(report_json.encode()).hexdigest() == (
+        "4fea7816255f257122e1a22d28757a25d53ff493382179ea41022c24f5d73605"
+    )
 
 
 def test_criterion_3_companion_oracle_equivalence(exact_oracle_run):

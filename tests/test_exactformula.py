@@ -25,8 +25,8 @@ from mpmath.libmp import from_man_exp, mpf_pi, to_fixed
 from qsign.exactformula import (
     _DIVISOR_PARTIALS,
     _TAIL_BOUNDS,
+    _class_sum,
     _pass_bits,
-    _term_plan,
     c_exact,
     default_k_max,
     error_bound_total,
@@ -52,8 +52,8 @@ def term(delta, n, k, prec=128):
     """The k-th summand of the exact formula, as c_exact forms it, rounded
     into a ball."""
     with working_precision(prec):
-        w, plan = _term_plan(delta, n, prec)
-        return _fixed_ball(*plan(k), 2 * w, prec)
+        w, value, err = _class_sum(delta, n, gcd(k, 10), (k,), prec)
+        return _fixed_ball(value, err, 2 * w, prec)
 
 
 def _main_term_reference(delta, n, bits=512):
@@ -83,8 +83,8 @@ def test_term_k10_equals_main_term():
 
 
 def test_main_term_builds_only_the_class_10_table(monkeypatch):
-    # a class's Bessel table is built on the first k of that class: k = 10
-    # reads d = 10 only, and c_exact reads both classes once each
+    # each class's sum builds its Bessel table once: k = 10 reads d = 10
+    # only, and c_exact reads both classes once each
     import qsign.exactformula as ef
 
     built = []
@@ -144,7 +144,7 @@ def test_c_exact_runs_one_pass_at_the_precision_it_reports():
 
 @pytest.mark.parametrize("delta", [1, -1])
 def test_c_exact_reaches_a_quarter_from_any_requested_floor(delta):
-    # 16 bits double three times, to 128: the bit count of _term_plan's
+    # 16 bits double three times, to 128: the bit count of _class_sum's
     # proof, not a capped search, sets the precision
     series = q10_series(delta, 6000)
     for n in (3000, 6000):
@@ -221,15 +221,24 @@ def _reference_twist(delta, n, k):
     return total if delta == 1 else mpmath.conj(total)
 
 
+def _summands(module, delta, n, prec):
+    """w and every k's summand (value, err) up to the default cutoff, each
+    from module's _class_sum over that k alone."""
+    sums = {k: module._class_sum(delta, n, gcd(k, 10), (k,), prec) for k in range(5, default_k_max(delta, n) + 1, 5)}
+    (w,) = {w for w, _, _ in sums.values()}
+    return w, {k: (value, err) for k, (_, value, err) in sums.items()}
+
+
 TERM_INDICES = [(1, 10), (1, 83), (1, 300), (1, 3000), (-1, 12), (-1, 47), (-1, 211)]
 
 
 @pytest.mark.parametrize("prec", [16, 64, 128, 256])
 def test_term_parts_enclose_the_reference(prec):
+    import qsign.exactformula as ef
+
     for delta, n in TERM_INDICES:
         with working_precision(prec):
-            w, plan = _term_plan(delta, n, prec)
-            parts = {k: plan(k) for k in range(5, default_k_max(delta, n) + 1, 5)}
+            w, parts = _summands(ef, delta, n, prec)
         with mpmath.workprec(2 * w + 200):
             for k, (value, err) in parts.items():
                 ref = _reference_twist(delta, n, k) * _reference_factor(delta, n, k) * 2 ** (2 * w)
@@ -246,8 +255,7 @@ def test_term_factor_encloses_the_reference(prec, monkeypatch):
     monkeypatch.setattr(ef, "_twist_totals", lambda k, n, twisted, prec: (2 << (prec + _GUARD_BITS), 0))
     for delta, n in TERM_INDICES + [(1, 29), (1, 160), (-1, 103), (-1, 256)]:
         with working_precision(prec):
-            w, plan = _term_plan(delta, n, prec)
-            parts = {k: plan(k) for k in range(5, default_k_max(delta, n) + 1, 5)}
+            w, parts = _summands(ef, delta, n, prec)
         with mpmath.workprec(2 * w + 200):
             for k, (value, err) in parts.items():
                 ref = 2 * _reference_factor(delta, n, k) * 2 ** (2 * w)
@@ -270,12 +278,12 @@ def _exactformula_mutant(old, new, monkeypatch):
 
 def _displaced_factor_ratios(module, delta, n, prec, sign, monkeypatch):
     """|2^2w (2 prefix/k) I1(x_k) - value| / err over every k of module's
-    _term_plan, with an exact twist of 2 and each class's Bessel table built
-    at a point Y displaced from the true 2 y_d by nearly the plan's whole
-    y_err: y_err - 1 units below it (sign < 0), or y_err above it but no
-    further above the plan's own Y than y_err (sign > 0). The plan's y_err
-    is recomputed here from its stated formula; the fake checks that the
-    plan's Y is the one that formula gives."""
+    _class_sum, each k summed alone, with an exact twist of 2 and each
+    class's Bessel table built at a point Y displaced from the true 2 y_d by
+    nearly the sum's whole y_err: y_err - 1 units below it (sign < 0), or
+    y_err above it but no further above the sum's own Y than y_err
+    (sign > 0). The sum's y_err is recomputed here from its stated formula;
+    the fake checks that the sum's Y is the one that formula gives."""
     nn = shifted_index(delta, n)
     w = prec + _GUARD_BITS
     u = w + 16
@@ -292,8 +300,7 @@ def _displaced_factor_ratios(module, delta, n, prec, sign, monkeypatch):
 
     monkeypatch.setattr(module, "_i1_series", displaced)
     monkeypatch.setattr(module, "_twist_totals", lambda k, n, twisted, prec: (2 << (prec + _GUARD_BITS), 0))
-    w, plan = module._term_plan(delta, n, prec)
-    parts = {k: plan(k) for k in range(5, default_k_max(delta, n) + 1, 5)}
+    w, parts = _summands(module, delta, n, prec)
     with mpmath.workprec(2 * w + 200):
         return {k: abs(2 * _reference_factor(delta, n, k) * 2 ** (2 * w) - value) / err for k, (value, err) in parts.items()}
 
@@ -324,16 +331,16 @@ def test_dropping_the_argument_charge_is_caught(prec, monkeypatch):
 
 
 def test_term_does_not_depend_on_the_order_of_the_k():
-    # ascending, descending, and each k from a plan of its own
+    # a class's sum over its k, ascending and descending, is the sum of
+    # its single-k sums
     for delta, n in ((1, 10), (1, 300), (1, 3000), (-1, 211)):
-        ks = range(5, default_k_max(delta, n) + 1, 5)
-        with working_precision(128):
-            reads = []
-            for order in (ks, reversed(ks)):
-                _, plan = _term_plan(delta, n, 128)
-                reads.append({k: plan(k) for k in order})
-            alone = {k: _term_plan(delta, n, 128)[1](k) for k in ks}
-        assert reads[0] == reads[1] == alone, (delta, n)
+        for d in (5, 10):
+            ks = range(d, default_k_max(delta, n) + 1, 10)
+            with working_precision(128):
+                sums = [_class_sum(delta, n, d, order, 128) for order in (ks, ks[::-1])]
+                alone = [_class_sum(delta, n, d, (k,), 128) for k in ks]
+            total = (128 + _GUARD_BITS, sum(v for _, v, _ in alone), sum(e for _, _, e in alone))
+            assert sums[0] == sums[1] == total, (delta, n, d)
 
 
 def test_c_exact_domain():
@@ -440,8 +447,8 @@ def test_definitive_flips_exactly_where_the_totals_reach_one_half(delta, n, monk
     # totals at 2^-2w the sum is not below 1/2; one unit of 2^-2w less is
     import qsign.exactformula as ef
 
-    w, term_at = _term_plan(delta, n, 128)
-    value, err = map(sum, zip(*(term_at(k) for k in range(5, default_k_max(delta, n) + 1, 5))))
+    w, parts = _summands(ef, delta, n, 128)
+    value, err = map(sum, zip(*parts.values()))
     half = 1 << 2 * w - 1
     rounded = (value + half) >> 2 * w
     complement = half - abs(value - (rounded << 2 * w)) - err
