@@ -14,13 +14,13 @@ A Kloosterman sum is real: the pair (-h, -h') is a term of it whenever
 (h, h') is, with the opposite exponent, and the table's cos[-e] equals
 cos[e] exactly. So K_q(n, m) is summed over the pairs with 2h < q only, as
 twice their fixed-point cosines; the exact formula's twist is real in the
-same way and sums one class (_twist_totals). K_k of a k with two or more
-prime factors is the product of such sums over the prime powers q of k
-(twisted multiplicativity), each at 16 more bits, with the product's error
-bound formed exactly (_product). The reduced forms of the twisted sums,
-sum_l ζ_5^(t l) K_M(n + l M/5, m), are one such product: the factors prime
-to 5 do not depend on l, and the 5-part collapses to one sum over a class
-of residues mod 5 (_fifth_root_sum).
+same way and sums one class (_twist_totals). K_k of every k >= 2 is the
+product of such sums over the prime powers q of k (twisted
+multiplicativity), each at 16 more bits, with the product's error bound
+formed exactly (_product) and rounded once. The reduced forms of the
+twisted sums, sum_l ζ_5^(t l) K_M(n + l M/5, m), are one such product: the
+factors prime to 5 do not depend on l, and the 5-part collapses to one sum
+over a class of residues mod 5 (_fifth_root_sum).
 
 Everything here stays in fixed point up to the public return, which forms
 the one ball, and every check is decided on the totals, in integers. Each
@@ -287,13 +287,12 @@ def _root_sum(modulus: int, rows, a: int, b: int, prec: int) -> tuple[int, int, 
 
 
 def _inverse_pairs(modulus: int) -> list:
-    """Pairs (h, h') with h h' == -1 (mod modulus) over h coprime to modulus
-    with 2h <= modulus: one of each pair (h, h'), (-h, -h'), as 2h == modulus
-    only for the self-paired h of modulus 1 and 2."""
+    """Pairs (h, h') with h h' == -1 (mod modulus), modulus >= 2, over h
+    coprime to it with 2h <= modulus: one of each pair (h, h'), (-h, -h'),
+    as 2h == modulus only for the self-paired h = 1 of modulus 2."""
     pairs = _INVERSE_PAIRS.get(modulus)
     if pairs is None:
-        # h = 0 is coprime to the modulus only when it is 1
-        pairs = [(h, neg_inverse(h, modulus)) for h in range(modulus // 2 + 1) if gcd(h, modulus) == 1]
+        pairs = [(h, neg_inverse(h, modulus)) for h in range(1, modulus // 2 + 1) if gcd(h, modulus) == 1]
         _INVERSE_PAIRS[modulus] = pairs
     return pairs
 
@@ -313,19 +312,19 @@ def _class_pairs(q: int, c: int) -> list:
 
 
 def _half_pair_total(q: int, n: int, m: int, prec: int) -> tuple[int, int]:
-    """K_q(n, m) over h coprime to q with h h' == -1 (mod q), from the root
-    table of precision prec: (total, err), a real total at 2^-w within err
-    units of 2^w K_q(n, m), w = prec + _GUARD_BITS.
+    """K_q(n, m) for a prime power q, over h coprime to q with h h' == -1
+    (mod q), from the root table of precision prec: (total, err), a real
+    total at 2^-w within err units of 2^w K_q(n, m), w = prec + _GUARD_BITS.
 
     The term of (-h, -h') is the conjugate of the term of (h, h'), and the
     table's cos[-e] and sin[-e] are cos[e] and -sin[e] exactly: the sum is
-    twice the cosine total over 2h < q, with imaginary part 0. For q <= 2
+    twice the cosine total over 2h < q, with imaginary part 0. For q = 2
     the one term is self-paired and counted once. The error charges all
     phi(q) entries."""
     pairs = _inverse_pairs(q)
     cos = _roots(q, prec)[0]
     re = sum([cos[(n * h + m * hp) % q] for h, hp in pairs])
-    return (re, _ENTRY_ERR) if q <= 2 else (2 * re, 2 * len(pairs) * _ENTRY_ERR)
+    return (re, _ENTRY_ERR) if q == 2 else (2 * re, 2 * len(pairs) * _ENTRY_ERR)
 
 
 def _product(factors) -> tuple[int, int]:
@@ -352,28 +351,26 @@ def _cofactor_args(k: int, q: int, n: int, m: int) -> tuple[int, int]:
 def _kloosterman_total(k: int, n: int, m: int, prec: int) -> tuple[int, int]:
     """K_k(n, m) over h coprime to k with h h' == -1 (mod k): (total, err),
     a real total at 2^-w within err units of the truth, w = prec +
-    _GUARD_BITS.
+    _GUARD_BITS. K_1 is 1 exactly, err = 0.
 
-    A prime power or k <= 2 is _half_pair_total's sum at w, err = phi(k).
-    Any other k splits by twisted multiplicativity over its prime powers q,
-    with r = k/q and r r' == 1 (mod q): K_k(n, m) = prod_q K_q(n r', m r').
-    Each factor is a total T_q at 2^-W, W = w + _SPLIT_BITS, within c_q =
-    phi(q) units; their product P at 2^-(sW), s factors, is within
-    E = prod(|T_q| + c_q) - prod |T_q| units of 2^(sW) K (_product), and P
-    rounded to nearest at 2^-w is within err = ceil(1/2 + E 2^(w-sW)) units. With
-    |T_q| <= (2^W + 1) phi(q), E <= s phi(k) (2^W + 2)^(s-1), and so
-    E 2^(w-sW) <= s phi(k) 2^-16 (1 + 2^(1-W))^(s-1) < phi(k) - 1/2 as
-    phi(k) >= 2: err never exceeds the phi(k) of the unsplit sum."""
+    Every k >= 2 splits by twisted multiplicativity over its s >= 1 prime
+    powers q, with r = k/q and r r' == 1 (mod q): K_k(n, m) = prod_q
+    K_q(n r', m r'). Each factor is a total T_q at 2^-W, W = w +
+    _SPLIT_BITS, within c_q = phi(q) units; their product P at 2^-(sW) is
+    within E = prod(|T_q| + c_q) - prod |T_q| units of 2^(sW) K (_product),
+    and P rounded to nearest at 2^-w is within err = ceil(1/2 + E 2^(w-sW))
+    units. With |T_q| <= (2^W + 1) phi(q), E <= s phi(k) (2^W + 2)^(s-1),
+    and so E 2^(w-sW) <= s phi(k) 2^-16 (1 + 2^(1-W))^(s-1): for a prime
+    power E = phi(k), and err is 1 whenever phi(k) <= 2^15."""
     if k < 1:
         raise ValueError("k must be positive")
-    factors = _factorization(k)
-    if len(factors) < 2:
-        return _half_pair_total(k, n, m, prec)
-    split = prec + _SPLIT_BITS
-    product, bound = _product(
-        _half_pair_total(q, *_cofactor_args(k, q, n, m), split) for q in (p**e for p, e in factors)
-    )
     w = prec + _GUARD_BITS
+    if k == 1:
+        return 1 << w, 0
+    factors = _factorization(k)
+    product, bound = _product(
+        _half_pair_total(q, *_cofactor_args(k, q, n, m), prec + _SPLIT_BITS) for q in (p**e for p, e in factors)
+    )
     shift = len(factors) * (w + _SPLIT_BITS) - w
     half = 1 << (shift - 1)
     return (product + half) >> shift, ((bound + half - 1) >> shift) + 1
@@ -439,13 +436,18 @@ def _akj_exponent_table(k: int, j: int, h_shift: int = 0, hp_shift: int = 0) -> 
 
     h_shift/hp_shift evaluate the sum with shifted representatives
     h + h_shift*k and h' + hp_shift * (10/d) * k, exercising the mod-k
-    well-definedness of the summands.
+    well-definedness of the summands. A table's domain is checked when it is
+    built, so the sums that read a cached table check nothing.
     """
     d = gcd(k, 10)
     key = (k, j % d, h_shift, hp_shift)
     table = _AKJ_TERMS.get(key)
     if table is not None:
         return table
+    if d not in (5, 10):
+        raise ValueError("gcd(k,10) must be 5 or 10")
+    if gcd(j, d) != 1:
+        raise ValueError("j must be coprime to gcd(k,10)")
     mod = 10 * k
     table = []
     for h in range(j % d, k, d):
@@ -460,15 +462,9 @@ def _akj_exponent_table(k: int, j: int, h_shift: int = 0, hp_shift: int = 0) -> 
     return table
 
 
-def _akj_totals(k: int, j: int, n: int, prec: int, h_shift: int = 0, hp_shift: int = 0) -> tuple[int, int, int]:
-    """A_{k,j}(n) as _root_sum's fixed-point totals over 1 <= h < k, with
-    the representatives of _akj_exponent_table."""
-    d = gcd(k, 10)
-    if d not in (5, 10):
-        raise ValueError("gcd(k,10) must be 5 or 10")
-    if gcd(j, d) != 1:
-        raise ValueError("j must be coprime to gcd(k,10)")
-    return _root_sum(10 * k, _akj_exponent_table(k, j, h_shift, hp_shift), 1, n, prec)
+def _akj_totals(k: int, j: int, n: int, prec: int) -> tuple[int, int, int]:
+    """A_{k,j}(n) as _root_sum's fixed-point totals over 1 <= h < k."""
+    return _root_sum(10 * k, _akj_exponent_table(k, j), 1, n, prec)
 
 
 def a_kj(k: int, j: int, n: int, prec: int = 128) -> ErrComplex:
@@ -490,7 +486,8 @@ def a_kj_rewrite(
     k. Each shifted exponent carries its own ζ_{10k}^(3 mu2 - nu2 - d), so
     the pulled-out prefactor ζ_{10k}^(3 alpha_j - j - d) is not checked here.
     """
-    return _fixed_complex(*_akj_totals(k, j, n, prec, h_shift, hp_shift), prec + _GUARD_BITS, prec)
+    rows = _akj_exponent_table(k, j, h_shift, hp_shift)
+    return _fixed_complex(*_root_sum(10 * k, rows, 1, n, prec), prec + _GUARD_BITS, prec)
 
 
 def _fifth_root_sum(t: int, modulus: int, first: int, second: int, prec: int) -> tuple:
@@ -611,11 +608,9 @@ def _twist_totals(k: int, n: int, twisted: bool, prec: int) -> tuple[int, int]:
     negated, entry by entry, and _roots' cos[-e] and sin[-e] are cos[e] and
     -sin[e] exactly: class -j's totals are exactly (re, -im, err).
     Only the cosines of class j's entries are summed."""
-    if gcd(k, 10) not in (5, 10):
-        raise ValueError("gcd(k,10) must be 5 or 10")
+    rows, m = (_akj_exponent_table(k, 1), -n) if twisted else (_akj_exponent_table(k, 3), n)
     mod = 10 * k
     cos = _roots(mod, prec)[0]
-    rows, m = (_akj_exponent_table(k, 1), -n) if twisted else (_akj_exponent_table(k, 3), n)
     re = sum([cos[(base + m * step) % mod] for base, step in rows])
     return 2 * re, 2 * len(rows) * _ENTRY_ERR
 

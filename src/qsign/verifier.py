@@ -326,11 +326,13 @@ def run_exact_oracle(
 
     One row per index holds c_exact's ExactEval fields, its uncertainty
     breakdown included, next to the brute-force integer `true`. Raises
-    ValueError when n_lo > n_hi: a range that checks nothing cannot pass."""
+    ValueError for n_lo > n_hi or no deltas: a run checking nothing cannot pass."""
     from . import exactformula
 
     if n_lo > n_hi:
         raise ValueError("invalid exact-formula range")
+    if not deltas:
+        raise ValueError("deltas must be +1 / -1")
     t0 = time.perf_counter()
     rows: list = []
     for delta in deltas:

@@ -375,6 +375,44 @@ MUTANTS = (
         (f"{_ARITHMETIC_TESTS}::test_twist_totals_are_the_two_class_sum_bit_for_bit[128]",),
     ),
     Mutant(
+        "kloosterman-k1-is-two",
+        _ARITHMETIC,
+        "1 << w, 0",
+        "2 << w, 0",
+        (
+            f"{_ARITHMETIC_TESTS}::test_kloosterman_k1_is_one",
+            f"{_ARITHMETIC_TESTS}::test_weil_bound_examples",
+        ),
+    ),
+    Mutant(
+        "kloosterman-drops-its-rounding-unit",
+        _ARITHMETIC,
+        "((bound + half - 1) >> shift) + 1",
+        "(bound + half - 1) >> shift",
+        (f"{_ARITHMETIC_TESTS}::test_split_kloosterman_encloses_the_direct_sum",),
+    ),
+    Mutant(
+        "exponent-table-skips-the-j-check",
+        _ARITHMETIC,
+        'if gcd(j, d) != 1:\n        raise ValueError("j must be coprime to gcd(k,10)")',
+        "pass",
+        (f"{_ARITHMETIC_TESTS}::test_domain_errors",),
+    ),
+    Mutant(
+        "f-eval-divides-by-a-pole",
+        _MODULAR,
+        'raise PoleError("theta denominator indistinguishable from zero")',
+        "pass",
+        (f"{_MODULAR_TESTS}::test_f_eval_refuses_a_denominator_it_cannot_tell_from_zero",),
+    ),
+    Mutant(
+        "oracle-checks-no-sign",
+        _VERIFIER,
+        "if not deltas:\n        raise",
+        "if False:\n        raise",
+        (f"{_CLI_TESTS}::test_exact_oracle_refuses_an_empty_range",),
+    ),
+    Mutant(
         "class-sum-drops-class-5",
         _EXACT,
         "for d in (5, 10)",

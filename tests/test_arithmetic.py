@@ -125,9 +125,14 @@ def test_select_hprime_parity_for_odd_k():
 
 
 def test_kloosterman_k1_is_one():
+    # exactly 1 with radius 0 at 2^-w: the ball's radius is the charge for
+    # rounding its midpoint to prec bits alone
+    w = 128 + arithmetic._GUARD_BITS
     for n, m in ((0, 0), (5, 7), (-3, 11)):
+        assert arithmetic._kloosterman_total(1, n, m, 128) == (1 << w, 0)
         v = kloosterman(1, n, m)
         assert abs(v.re.value - 1) < TOL and abs(v.im.value) < TOL
+        assert v.re.err == mpf(2) ** -128 and v.im.err == 0
 
 
 def test_kloosterman_small_values():
@@ -156,26 +161,24 @@ def test_weil_bound_examples():
                 assert weil_bound_check(k, n, m)
 
 
-def _full_pair_kloosterman(k, n, m, prec):
+def _full_pair_totals(k, n, m, prec):
     """K_k(n, m) summed over every h coprime to k, not only 2h < k: all
     phi(k) pairs (h, h') through the module's table summation at (n, m)."""
     rows = [(h, (-pow(h, -1, k)) % k) for h in range(k) if math.gcd(h, k) == 1]
-    with working_precision(prec):
-        return _fixed_complex(*arithmetic._root_sum(k, rows, n, m, prec), prec + arithmetic._GUARD_BITS, prec)
-
-
-def _parts(v):
-    return (v.re._v, v.re._e, v.im._v, v.im._e)
+    return arithmetic._root_sum(k, rows, n, m, prec)
 
 
 def _check_against_full_pairs(k, n, m, prec):
-    got, ref = kloosterman(k, n, m, prec), _full_pair_kloosterman(k, n, m, prec)
-    if len(_prime_powers(k)) < 2:
-        # prime powers and k <= 2: midpoints and radii of both parts, bit for bit
-        assert _parts(got) == _parts(ref), (k, n, m)
-        return
-    # split over the prime powers: each part's ball meets the reference
-    # ball, which holds the true value, and is no wider than it
+    totals = _full_pair_totals(k, n, m, prec)
+    if len(_prime_powers(k)) == 1:
+        # the prime-power kernel: the full-pair totals, bit for bit
+        re, im, err = totals
+        assert im == 0 and arithmetic._half_pair_total(k, n, m, prec) == (re, err), (k, n, m)
+    # the product over the prime powers: each part's ball meets the
+    # full-pair ball, which holds the true value, and is no wider than it
+    got = kloosterman(k, n, m, prec)
+    with working_precision(prec):
+        ref = _fixed_complex(*totals, prec + arithmetic._GUARD_BITS, prec)
     for part, ref_part in ((got.re, ref.re), (got.im, ref.im)):
         with mpmath.workprec(512):
             assert abs(part.value - ref_part.value) <= part.err + ref_part.err, (k, n, m)
@@ -246,15 +249,21 @@ def _split_arguments(draw):
 @example(args=(1700, 0, 17 * 11), prec=64)
 @example(args=(2310, -7, 12), prec=256)
 @example(args=(4850, 97 * 3, 97 * -8), prec=128)
+@example(args=(3125, 3, 7), prec=128)  # a prime power
+@example(args=(2, 1, 0), prec=64)
+@example(args=(1, 5, 7), prec=256)
 def test_split_kloosterman_encloses_the_direct_sum(args, prec):
-    # the product over the prime powers of k holds the 512-bit direct sum,
-    # and its radius is at most phi(k) 2^-w, the unsplit sum's charge, plus
+    # the product over the prime powers of k (1 at k = 1) holds the
+    # 600-bit direct sum, its totals within their err units of 2^-w, and
+    # its radius is at most phi(k) 2^-w, a direct sum's table charge, plus
     # the rounding of the midpoint to prec bits (and of the radius, up)
     k, n, m = args
     got = kloosterman(k, n, m, prec)
+    total, err = arithmetic._kloosterman_total(k, n, m, prec)
     unit = mpf(2) ** -(prec + arithmetic._GUARD_BITS)
     with mpmath.workprec(600):
         true = _direct_kloosterman(k, n, m)
+        assert abs(total * unit - true) <= err * unit, args
         assert abs(got.re.value - true) <= got.re.err, args
         assert got.im.value == 0
         limit = (phi(k) * unit + abs(got.re.value) * mpf(2) ** -prec) * (1 + mpf(2) ** (1 - prec))

@@ -24,6 +24,7 @@ from qsign.arithmetic import neg_inverse, unit_root
 from qsign.modularcheck import (
     _GUARD_BITS,
     _MULTIPLIER_TUPLES,
+    PoleError,
     _exp_ball,
     _fixed_exp,
     _fixed_mul,
@@ -646,6 +647,12 @@ def test_omega_rejects_bad_inverse():
 def test_f_eval_matches_series():
     for tau in (mpc("0.1", "0.5"), mpc("0.37", "0.8")):
         assert f_series_agreement(tau, PREC).passed
+
+
+def test_f_eval_refuses_a_denominator_it_cannot_tell_from_zero():
+    # at a target error of 100 the denominator's ball holds 0
+    with pytest.raises(PoleError, match="^theta denominator indistinguishable from zero$"):
+        f_eval(mpc("0.1", "0.5"), 100, 64)
 
 
 def test_f_conjugation_symmetry():

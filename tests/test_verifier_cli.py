@@ -253,6 +253,8 @@ def test_exact_oracle_refuses_an_empty_range(tmp_path, capsys):
     # an oracle over no index would pass having compared nothing
     with pytest.raises(ValueError, match="invalid exact-formula range"):
         run_exact_oracle(12, 11)
+    with pytest.raises(ValueError, match="deltas must be"):
+        run_exact_oracle(10, 12, ())
     out = tmp_path / "out"
     argv = ["pipeline", "--exact-lo", "12", "--exact-hi", "11", "--n-max", "60", "--sweep-k-max", "5",
             "--identity-k-max", "5", "--n-samples", "1", "--output-dir", str(out)]
