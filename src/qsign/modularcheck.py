@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 256
+# theta walks at most this many terms a side
+_THETA_TERMS = 10_000
 
 
 class PoleError(ArithmeticError):
@@ -125,20 +127,19 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
       two tails come to about the target at most, and the floor of 4
       units lets the walk stop when the target is below the unit;
     * the guard: the carried bounds hold at any W, which only sets their
-      size, about M^3 units times the largest term, so float estimates
-      serve. W is prec + 2 bitlen(M) + _GUARD_BITS plus the bits the unit
-      loses against the sum of the term moduli: -e when the larger first
-      term e^(pi |Im w| - pi Im tau/4) is below 2^e < 1, or, when the
-      terms grow (|R_0| > 1), the min(log2 |R_0|, -log2 |q|) bits of q's
+      size, about M^3 units times the largest term, M being at most the
+      walk's cap, _THETA_TERMS. So W is prec + 2 bitlen(cap) + _GUARD_BITS
+      plus the bits the unit loses against the sum of the term moduli,
+      where float estimates serve: -e when the larger first term
+      e^(pi |Im w| - pi Im tau/4) is below 2^e < 1, or, when the terms
+      grow (|R_0| > 1), the min(log2 |R_0|, -log2 |q|) bits of q's
       relative error that R_m carries m times into terms near the
-      largest. M is estimated from the term moduli
-      e^(-pi Im tau n^2 + 2 pi |Im w| n) as the least index whose first
-      omitted n = M + 1/2 meets the stop's two tests. The radius then
-      stays below the two tails plus the sum of the moduli times
-      (2M+8) 2^(4-prec).
+      largest. The radius then stays below the two tails plus the sum of
+      the moduli times (2M+8) 2^(4-prec).
 
-    Past 10,000 terms a side the walk raises RuntimeError. The total, with
-    the summed bounds plus both tails, is one _fixed_complex ball."""
+    Past _THETA_TERMS terms a side the walk raises RuntimeError. The
+    total, with the summed bounds plus both tails, is one _fixed_complex
+    ball."""
     target = mpf(target_err)
     if not target > 0:
         raise ValueError("target_err must be positive")
@@ -149,14 +150,9 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
             raise ValueError("tau must lie in the upper half-plane")
         # float estimates: W only sets the size of the carried bounds
         t, beta, ln2 = float(tau.imag), abs(float(w.imag)), math.log(2)
-        _, man, ex, _ = target._mpf_
-        log_goal = max(2 - math.log2(man) - ex, 0) * ln2  # log(4/target), floored at 0
-        quad = (beta + math.sqrt(beta * beta + t * log_goal / math.pi)) / t
-        lin = ((ln2 / math.pi + 2 * beta) / t - 1) / 2
-        M = max(1, math.floor(min(max(quad, lin), 10_000) + 0.5))
         top = math.floor(math.pi * (beta - t / 4) / ln2) - 1
         lost = math.ceil(2 * math.pi * max(0, min(beta - t, t)) / ln2)
-        W = prec + 2 * M.bit_length() + _GUARD_BITS + max(-top, lost)
+        W = prec + 2 * _THETA_TERMS.bit_length() + _GUARD_BITS + max(-top, lost)
         one, goal = 1 << W, max(to_fixed(target._mpf_, W), 4)
         size = 2 * pi * (abs(tau) + abs(w) + 1)
         q = _fixed_exp(lambda: 2j * pi * tau, size, W)
@@ -167,7 +163,7 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
             rr, ri, rerr = _fixed_exp(lambda: 2j * pi * (tau + s * w), size, W)
             walk.append((term, (-rr, -ri, rerr)))
         re = im = err = 0
-        for _ in range(10_001):  # the stop is tested after at most 10,000 terms a side
+        for _ in range(_THETA_TERMS + 1):  # the stop is tested after at most the cap a side
             # |T| and |R| per side, each serving both products
             norms = [(isqrt(tr * tr + ti * ti) + 1, isqrt(r[0] * r[0] + r[1] * r[1]) + 1) for (tr, ti, _), r in walk]
             if all(4 * nt <= goal and 2 * (nr + r[2]) <= one for (nt, nr), (_, r) in zip(norms, walk)):
@@ -178,7 +174,7 @@ def theta(w, tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:
                 im += term[1]
                 err += term[2]
                 walk[i] = _fixed_mul(term, r, W, nt, nr), _fixed_mul(r, q, W, nr, nq)
-        raise RuntimeError("theta truncation failed to converge")
+        raise RuntimeError(f"theta truncation failed to converge in {_THETA_TERMS} terms a side")
 
 
 def eta(tau, target_err, prec: int = DEFAULT_PREC) -> ErrComplex:

@@ -186,6 +186,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "theta-guard-drops-its-cap-bits",
+        _MODULAR,
+        "2 * _THETA_TERMS.bit_length()",
+        "0",
+        not_pinnable=(
+            "the carried bounds hold at any W, which only sets their size; the carried errors grow "
+            "far more slowly than the M^3 units the guard allows for, so without it every radius still "
+            "sits within its tested limit: every test of test_modularcheck.py, test_acceptance.py "
+            "and test_verifier_cli.py still passes"
+        ),
+    ),
+    Mutant(
         "bessel-pi-lo-from-upper-end",
         _NUMERICS,
         "_pi_fixed(prec + 10) - 1, -(prec + 10)",
@@ -447,16 +459,31 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "bessel-drops-skip-charge",
+        "bessel-horner-skips-the-first-entry",
         _EXACT,
-        "rest[top + 1] // k2 ** (top + 1)",
-        "0",
-        not_pinnable=_BESSEL_SLACK,
+        "reversed(terms)",
+        "reversed(terms[1:])",
+        (
+            f"{_EXACT_TESTS}::test_term_factor_encloses_the_reference",
+            f"{_EXACT_TESTS}::test_term_parts_enclose_the_reference",
+            _CRITERION_3,
+        ),
+    ),
+    Mutant(
+        "bessel-horner-skips-the-last-entry",
+        _EXACT,
+        "reversed(terms)",
+        "reversed(terms[:-1])",
+        not_pinnable=(
+            "the table stops once the rest past an entry is at most one unit at k = d, so its last "
+            "entry adds a few units of 2^-u to h at most, and the error bound's other charges cover them: "
+            "every test of test_exactformula.py and test_acceptance.py still passes"
+        ),
     ),
     Mutant(
         "bessel-drops-floor-and-tail-charge",
         _EXACT,
-        "fixed_err = tail + 5",
+        "fixed_err = tail + 4",
         "fixed_err = 0",
         not_pinnable=_BESSEL_SLACK,
     ),

@@ -221,10 +221,11 @@ def _reference_twist(delta, n, k):
     return total if delta == 1 else mpmath.conj(total)
 
 
-def _summands(module, delta, n, prec):
-    """w and every k's summand (value, err) up to the default cutoff, each
-    from module's _class_sum over that k alone."""
-    sums = {k: module._class_sum(delta, n, gcd(k, 10), (k,), prec) for k in range(5, default_k_max(delta, n) + 1, 5)}
+def _summands(module, delta, n, prec, k_max=None):
+    """w and every k's summand (value, err) up to k_max, by default the
+    default cutoff, each from module's _class_sum over that k alone."""
+    k_max = k_max or default_k_max(delta, n)
+    sums = {k: module._class_sum(delta, n, gcd(k, 10), (k,), prec) for k in range(5, k_max + 1, 5)}
     (w,) = {w for w, _, _ in sums.values()}
     return w, {k: (value, err) for k, (_, value, err) in sums.items()}
 
@@ -249,13 +250,16 @@ def test_term_parts_enclose_the_reference(prec):
 @pytest.mark.parametrize("prec", [16, 64, 128, 256])
 def test_term_factor_encloses_the_reference(prec, monkeypatch):
     # with an exact twist of 2 only the factor's own error is left: the
-    # prefix, the Bessel argument's floor and its charge, and the floors
+    # prefix, the Bessel argument's floor and its charge, and the floors.
+    # At (1, 300) and (-1, 211) k runs on to 4 times the cutoff, where each
+    # k still reads its whole Bessel table though nearly every entry floors to 0
     import qsign.exactformula as ef
 
     monkeypatch.setattr(ef, "_twist_totals", lambda k, n, twisted, prec: (2 << (prec + _GUARD_BITS), 0))
     for delta, n in TERM_INDICES + [(1, 29), (1, 160), (-1, 103), (-1, 256)]:
+        scale = 4 if (delta, n) in ((1, 300), (-1, 211)) else 1
         with working_precision(prec):
-            w, parts = _summands(ef, delta, n, prec)
+            w, parts = _summands(ef, delta, n, prec, scale * default_k_max(delta, n))
         with mpmath.workprec(2 * w + 200):
             for k, (value, err) in parts.items():
                 ref = 2 * _reference_factor(delta, n, k) * 2 ** (2 * w)
