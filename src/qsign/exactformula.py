@@ -23,7 +23,9 @@ integer form, _bound_form, with zeta(3/2) from zeta_3_2 at their width.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from math import gcd, isqrt
+from operator import add
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -91,13 +93,20 @@ def _class_sum(delta: int, n: int, d: int, ks, prec: int) -> tuple[int, int, int
       the last add at most tail <= 1 at every k of the class, as all are at
       least d, its smallest.
     * q = max_j ceil(2^u E_j / (A_j + A_0)), so E_j <= q (A_j + A_0) 2^-u for
-      every j.
+      every j, and rest_j = sum_(i >= j) (A_i + E_i), 0 past the last index.
     Per k:
-    * h = A_j + floor(h / k^2), from the table's last index down to j = 0,
-      is sum_j A_j k^-2j less [0, 2): the floors lose less than
+    * The cut J is the least index with bitlen(rest_(J+1)) <= (J+1) b,
+      b = bitlen(k^2) - 1; the test only turns true as J rises, so a
+      pointer moved up and down finds J whatever the order of ks. The
+      entries past J add sum_(j > J) 2^u a_j k^-2j <= rest_(J+1) /
+      k^(2J+2) < 2^((J+1) b) / k^(2J+2) <= 1 unit, as 2^u a_j < A_j + E_j:
+      any J at which the test holds is as sound.
+    * h = A_j + floor(h / k^2), from j = J down to j = 0, is
+      sum_(j <= J) A_j k^-2j less [0, 2): the floors lose less than
       sum_j k^-2j <= 25/24.
     * So H(z) - h is in [0, g], g = (q (h + 2 A_0 + 2) >> u) + 1 (the E_j,
-      as sum_j A_j k^-2j < h + 2), plus 2 (the floors), plus tail.
+      as sum_(j <= J) A_j k^-2j < h + 2), plus 2 (the floors), plus 1 (the
+      entries past J), plus tail.
     * |x_k - z/k| <= y_err 2^-(u+16) / k, and over both points
       I1' <= I0 <= e^x < 2^t, log2 e < 1.4427; so |H(2 y_d) - H(z)| <=
       y_err 2^(t-16), and h is within h_err = g + that + 1 of
@@ -129,9 +138,10 @@ def _class_sum(delta: int, n: int, d: int, ks, prec: int) -> tuple[int, int, int
     * E_j <= 2 sum_(i <= j) a_j / a_i <= 2 (j+1) (a_j + a_0) / a_0 (the a_i
       rise, then fall), so q <= 1 + 4 (j_max + 1) / y_d <= w + L + 23
       (y_d >= 2x, y_d > 2.3; the table ends within 2x + (w+L)/4 + 9 entries,
-      as the series did), and g, the floors and the tail add at most
-      2^(L-16) (w + L + 23) + 2^-16 (5x + w + L + 18) to i1_err: with the
-      argument's share, far below 22 2^L + w for w, x < 2^16.
+      as the series did), and g, the floors, the skip's unit and the tail
+      add at most 2^(L-16) (w + L + 23) + 2^-16 (5x + w + L + 18) to
+      i1_err: with the argument's share, far below 22 2^L + w for
+      w, x < 2^16.
     * With c/k <= 1/2, the summands t f sum to at most 2^2w (1 + 2^-w) Q/2 and
       their bounds to 2^w (12 Q + m p w); m p w 2^-w <= 2^-7, as w 2^-w falls
       and m p (log2 Q + 11) <= 8 Q (p < 4.2, k_max >= 10, x > 1.1).
@@ -151,17 +161,25 @@ def _class_sum(delta: int, n: int, d: int, ks, prec: int) -> tuple[int, int, int
     terms, losts, tail = _i1_series(y, u + 16, u, 1, d)
     lift = 2 * terms[0] + 2
     q = max(-(-(lost << u) // (a + terms[0])) for a, lost in zip(terms, losts))
+    rest = list(accumulate(map(add, reversed(terms), reversed(losts)), initial=0))[::-1]
     t_num = (y + y_err) * 14427 >> u + 16
     pre, pre_err = prod // (nn << u), err // (nn << u) + 2
-    # the Horner floors' 2 and the roundings up of g and the argument
-    fixed_err = tail + 4
+    # the Horner floors' 2, the skipped entries' 1 and the roundings up of g and the argument
+    fixed_err = tail + 5
     value = total_err = 0
+    top = len(terms) - 1
     for k in ks:
         if gcd(k, 10) != d:
             raise ValueError(f"k={k} is not in the class gcd(k,10) = {d}")
         k2 = k * k
+        bits = k2.bit_length() - 1
+        # top becomes the cut J of k (rest[0] > 0 stops the fall at 0)
+        while rest[top + 1].bit_length() > (top + 1) * bits:
+            top += 1
+        while rest[top].bit_length() <= top * bits:
+            top -= 1
         h = 0
-        for a in reversed(terms):
+        for a in terms[top::-1]:
             h = a + h // k2
         t = t_num // (10000 * k) + 1
         h_err = (q * (h + lift) >> u) + ((y_err << t) >> 16) + fixed_err

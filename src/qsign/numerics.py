@@ -30,7 +30,8 @@ at z/m for every integer m from the one it was built for. bessel_i1 reads
 it at m = 1, the plain sum, at the exact ends of a ball and returns their
 enclosure unrounded, whose ends bessel_bound_checks multiplies exactly; the
 exact formula builds one table per index and class and reads each k by
-Horner's rule in 1/k^2.
+Horner's rule in 1/k^2, from the entry past which the rest is below one
+unit at that k.
 _fixed_ball rounds a fixed-point total with an integer error bound into a
 ball, once, at the precision it is given; _fixed_complex does so for both
 parts of a complex one. Integers carry their width, and balls round at the

@@ -186,6 +186,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "theta-guard-drops-its-lost-bits",
+        _MODULAR,
+        "max(-top, lost)",
+        "-top",
+        (f"{_MODULAR_TESTS}::test_theta_guard_keeps_growing_terms_to_the_value_s_last_place",),
+    ),
+    Mutant(
         "theta-guard-drops-its-cap-bits",
         _MODULAR,
         "2 * _THETA_TERMS.bit_length()",
@@ -461,8 +468,8 @@ MUTANTS = (
     Mutant(
         "bessel-horner-skips-the-first-entry",
         _EXACT,
-        "reversed(terms)",
-        "reversed(terms[1:])",
+        "terms[top::-1]",
+        "terms[top:0:-1]",
         (
             f"{_EXACT_TESTS}::test_term_factor_encloses_the_reference",
             f"{_EXACT_TESTS}::test_term_parts_enclose_the_reference",
@@ -472,20 +479,43 @@ MUTANTS = (
     Mutant(
         "bessel-horner-skips-the-last-entry",
         _EXACT,
-        "reversed(terms)",
-        "reversed(terms[:-1])",
+        "terms[top::-1]",
+        "terms[top - 1::-1] if top else ()",
         not_pinnable=(
-            "the table stops once the rest past an entry is at most one unit at k = d, so its last "
-            "entry adds a few units of 2^-u to h at most, and the error bound's other charges cover them: "
-            "every test of test_exactformula.py and test_acceptance.py still passes"
+            "the entry at the cut adds at most 58,081 units of 2^-u to h over the tested indices and widths "
+            "((-1, 211) at 512 bits, k = 515), but h sits 16 bits and a factor k^2 above f's unit, so f moves "
+            "by far less than the unit its own +2 covers; the cut is at least 6 at every tested k, and 0, where "
+            "the mutant reads nothing, needs k^2 above rest_1 > 2^(u+2), k > 2^21 even at 16 bits: every test "
+            "of test_exactformula.py and test_acceptance.py still passes"
         ),
     ),
     Mutant(
         "bessel-drops-floor-and-tail-charge",
         _EXACT,
-        "fixed_err = tail + 4",
+        "fixed_err = tail + 5",
         "fixed_err = 0",
         not_pinnable=_BESSEL_SLACK,
+    ),
+    Mutant(
+        "bessel-drops-skip-charge",
+        _EXACT,
+        "fixed_err = tail + 5",
+        "fixed_err = tail + 4",
+        not_pinnable=_BESSEL_SLACK,
+    ),
+    Mutant(
+        "class-sum-cut-only-falls",
+        _EXACT,
+        "top += 1",
+        "break",
+        (f"{_EXACT_TESTS}::test_term_does_not_depend_on_the_order_of_the_k",),
+    ),
+    Mutant(
+        "class-sum-cut-one-bit-loose",
+        _EXACT,
+        "k2.bit_length() - 1",
+        "k2.bit_length()",
+        (f"{_EXACT_TESTS}::test_term_factor_encloses_the_reference[512]",),
     ),
     Mutant(
         "bessel-drops-table-error-charge",

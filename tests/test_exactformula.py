@@ -247,12 +247,13 @@ def test_term_parts_enclose_the_reference(prec):
                 assert abs(ref.imag) <= err, (delta, n, k)
 
 
-@pytest.mark.parametrize("prec", [16, 64, 128, 256])
+@pytest.mark.parametrize("prec", [16, 64, 128, 256, 512])
 def test_term_factor_encloses_the_reference(prec, monkeypatch):
     # with an exact twist of 2 only the factor's own error is left: the
-    # prefix, the Bessel argument's floor and its charge, and the floors.
-    # At (1, 300) and (-1, 211) k runs on to 4 times the cutoff, where each
-    # k still reads its whole Bessel table though nearly every entry floors to 0
+    # prefix, the Bessel argument's floor and its charge, the floors and
+    # the skipped entries' unit. At (1, 300) and (-1, 211) k runs on to 4
+    # times the cutoff, where each k's cut still reads a quarter to a half of
+    # its table; at 512 bits a cut one bit per entry looser skips past the bound
     import qsign.exactformula as ef
 
     monkeypatch.setattr(ef, "_twist_totals", lambda k, n, twisted, prec: (2 << (prec + _GUARD_BITS), 0))
@@ -337,7 +338,7 @@ def test_dropping_the_argument_charge_is_caught(prec, monkeypatch):
 def test_term_does_not_depend_on_the_order_of_the_k():
     # a class's sum over its k, ascending and descending, is the sum of
     # its single-k sums
-    for delta, n in ((1, 10), (1, 300), (1, 3000), (-1, 211)):
+    for delta, n in ((1, 10), (1, 300), (1, 3000), (1, 20000), (-1, 211)):
         for d in (5, 10):
             ks = range(d, default_k_max(delta, n) + 1, 10)
             with working_precision(128):
@@ -345,6 +346,38 @@ def test_term_does_not_depend_on_the_order_of_the_k():
                 alone = [_class_sum(delta, n, d, (k,), 128) for k in ks]
             total = (128 + _GUARD_BITS, sum(v for _, v, _ in alone), sum(e for _, _, e in alone))
             assert sums[0] == sums[1] == total, (delta, n, d)
+
+
+# opcodes of one warm c_exact(1, 20000) on CPython 3.11 with mpmath 1.3.0's
+# pure-Python backend
+_WARM_OPCODES = 684_931
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11)
+    or mpmath.__version__ != "1.3.0"
+    or mpmath.libmp.BACKEND != "python"
+    or sys.gettrace() is not None,
+    reason="the opcode count is pinned on an untraced CPython 3.11 with mpmath 1.3.0's pure-Python backend",
+)
+def test_warm_c_exact_stays_within_its_opcode_budget():
+    # a work budget at the n the criteria's range cannot show: the count is
+    # the same on every run, and a quarter over it fails
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return tracer
+
+    c_exact(1, 20000)
+    sys.settrace(tracer)
+    try:
+        c_exact(1, 20000)
+    finally:
+        sys.settrace(None)
+    assert count <= 1.25 * _WARM_OPCODES, count
 
 
 def test_c_exact_domain():

@@ -251,13 +251,27 @@ def test_theta_encloses_the_direct_sum_on_the_suite_calls(suite_with_theta_calls
 def test_theta_encloses_the_direct_sum(tau_re, log_t, w_re, w_im_ratio, target_bits, prec):
     # |Im w| up to 1.5 Im tau: the terms grow by up to e^(2.25 pi Im tau)
     # before they decay; targets below 2^-prec leave theta's own error
-    # as the larger part of the radius. The first example needs the guard's
-    # allowance for the relative error of a small q
+    # as the larger part of the radius. The first example is where the
+    # guard's allowance for the relative error of a small q counts, which
+    # test_theta_guard_keeps_growing_terms_to_the_value_s_last_place pins
     t = mpf(10) ** log_t
     with working_precision(prec):
         tau = mpc(tau_re, t)
         w = mpc(w_re, w_im_ratio * t)
     assert_theta_encloses(w, tau, mpf(2) ** -target_bits, prec)
+
+
+def test_theta_guard_keeps_growing_terms_to_the_value_s_last_place():
+    # terms growing by e^(2.25 pi Im tau) with |q| ~ 2^-44, all real and
+    # positive: q's relative error, carried into the largest terms, would
+    # leave the radius about 2^13 units of the value's last place at prec
+    # bits; the guard's allowance for it keeps the radius near one
+    t = mpf(10) ** 0.6875
+    for prec in (128, PREC):
+        with working_precision(prec):
+            v = theta(mpc(0, 1.5 * t), mpc(0, t), mpf(2) ** -(prec + 64), prec)
+            bound = abs(mpc(v.re.value, v.im.value)) * mpf(2) ** (4 - prec)
+            assert v.re.err <= bound and v.im.err <= bound, (prec, v)
 
 
 @settings(max_examples=40, deadline=None)
